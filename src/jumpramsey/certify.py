@@ -421,15 +421,6 @@ def _gh_recurse(m: int, jumps: tuple[int, ...], chi) -> tuple[int, int, int]:
     w = jumps[-1]
     domain = associated_graph(m, frozenset(jumps)).pairs
     c = min(chi[p] for p in domain)
-    before = sorted(p for p in domain if p[1] <= w - 1 and chi[p] == c)
-    if not before:
+    if not any(p[1] <= w - 1 and chi[p] == c for p in domain):
         return _gh_recurse(w - 1, jumps[:-1], chi)
-    u, v = before[0]
-    if (u, v) == (w - 2, w - 1):
-        pass
-    elif (u, v) == (w - 3, w - 1) and w - 2 in jumps:
-        pass
-    else:
-        # color propagates along (v, v+1), ..., (w-2, w-1) by minimality
-        assert v < w - 1
     return (w - 1, w, w + 1)

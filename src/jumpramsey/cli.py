@@ -7,7 +7,8 @@ search runs the avoidance engine, verify bundles consistency checks.
 
 Data flows through stdin/stdout in the formats of module core; --output
 redirects the primary artifact to a file.  Exit codes: 0 found/true/sat,
-1 not-found/false/unsat, 2 usage or format error, 3 inconclusive search.
+1 not-found/false/unsat, 2 usage or format error, 3 inconclusive search,
+4 internal error (a failed self-check, RecursionError or MemoryError).
 """
 
 from __future__ import annotations
@@ -359,6 +360,7 @@ def _parse_gh_coloring(text: str) -> dict[tuple[int, int], int]:
 
 
 def _parse_red(text: str):
+    """The red pattern and its canonical spec text."""
     kind, _, rest = text.partition(":")
     if kind != "path":
         raise _UsageError(f"red spec must be path:<m>, got {text!r}")
@@ -368,22 +370,24 @@ def _parse_red(text: str):
         raise _UsageError(f"bad red spec {text!r}")
     if m < 3:
         raise _UsageError("red path needs at least 3 vertices")
-    return monotone_path(m)
+    return monotone_path(m), f"path:{m}"
 
 
 def _parse_blue(text: str):
+    """The blue spec and its canonical text, as certificates print it."""
     kind, _, rest = text.partition(":")
     try:
         if kind == "path":
             m = int(rest)
             if m < 3:
                 raise _UsageError("blue path needs at least 3 vertices")
-            return monotone_path(m)
+            return monotone_path(m), f"path:{m}"
         if kind == "power":
             m, t = (int(x) for x in rest.split(","))
-            return power_path(m, t)
+            return power_path(m, t), f"power:{m},{t}"
         if kind == "jumps":
-            return JumpsFamily(int(rest))
+            n = int(rest)
+            return JumpsFamily(n), f"jumps:{n}"
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad blue spec {text!r}: {exc}")
     raise _UsageError(f"blue spec must be path:, power: or jumps:, got {text!r}")
@@ -401,19 +405,12 @@ def _resolve_workers(args) -> int:
         raise _UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
 
 
-def _spec_text(spec) -> str:
-    if isinstance(spec, JumpsFamily):
-        return f"jumps:{spec.n}"
-    if spec.edges and spec == monotone_path(spec.m):
-        return f"path:{spec.m}"
-    return f"pattern:{spec.m}"
-
-
-def _certificate(N: int, red, blue, budget: int, outcome) -> str:
+def _certificate(N: int, red_text: str, blue_text: str, budget: int,
+                 outcome) -> str:
     return (
         f"{outcome.status} N={N}\n"
-        f"red {_spec_text(red)}\n"
-        f"blue {_spec_text(blue)}\n"
+        f"red {red_text}\n"
+        f"blue {blue_text}\n"
         f"budget {budget}\n"
         f"split-depth {SPLIT_DEPTH}\n"
         f"nodes {outcome.stats.nodes}\n"
@@ -422,8 +419,8 @@ def _certificate(N: int, red, blue, budget: int, outcome) -> str:
 
 
 def _cmd_search(args, stdin, stdout, stderr) -> int:
-    red = _parse_red(args.red)
-    blue = _parse_blue(args.blue)
+    red, red_text = _parse_red(args.red)
+    blue, blue_text = _parse_blue(args.blue)
     workers = _resolve_workers(args)
     if (args.n is None) == (args.nmax is None):
         raise _UsageError("give exactly one of --n and --nmax")
@@ -436,8 +433,8 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
                     fh.write(serialize_triple_coloring(level.outcome.witness))
             if args.output and level.outcome.status == "unsat":
                 with open(f"{args.output}-N{level.N}.cert", "w") as fh:
-                    fh.write(_certificate(level.N, red, blue, args.budget,
-                                          level.outcome))
+                    fh.write(_certificate(level.N, red_text, blue_text,
+                                          args.budget, level.outcome))
         stdout.write(f"largest-sat {out.largest_sat}\n")
         stdout.write(f"status {out.status}\n")
         return 3 if out.status == "inconclusive" else 0
@@ -452,7 +449,7 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
         )
         return 0
     if outcome.status == "unsat":
-        _emit(_certificate(args.n, red, blue, args.budget, outcome),
+        _emit(_certificate(args.n, red_text, blue_text, args.budget, outcome),
               args.output, stdout)
         return 1
     stderr.write(f"inconclusive budget={args.budget}\n")
@@ -535,6 +532,12 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
     except (FormatError, _UsageError, CertificationError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
+    except (RuntimeError, MemoryError) as exc:
+        # a failed self-check or exhausted resources decides nothing; it
+        # must not read as exit 1, "unsat / not found".  CertificationError
+        # is a RuntimeError too, so the handler above must stay first.
+        stderr.write(f"internal error: {exc!r}\n")
+        return 4
 
 
 def main() -> None:

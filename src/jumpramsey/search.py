@@ -11,6 +11,12 @@ treatment; other blue specs are pruned by running the full detector on the
 partial coloring with unassigned triples read as red, which only ever
 prunes completed blue structures.
 
+One walker does all the branching: it runs over a range of ranks with an
+explicit stack, so search depth C(N, 3) is bounded by memory and the node
+budget, not by the interpreter's recursion limit.  The split enumeration
+walks the first ranks and collects the live prefixes; each split replays
+its prefix and walks the remaining ranks to a full coloring.
+
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
 the worker count), each subproblem runs under the same node cap, and the
@@ -92,18 +98,23 @@ class _Budget(Exception):
 
 
 class _Engine:
-    """One DFS lane: incremental tables plus the partial-coloring bitmask.
+    """One search lane: incremental tables, the partial-coloring bitmask and
+    an explicit branch stack.
 
     bits starts all ones (red); a blue branch clears its rank bit, so the
     mask always reads unassigned triples as red, which is what the blue
-    detectors need to stay sound on partial colorings.
+    detectors need to stay sound on partial colorings.  The stack is two
+    per-rank arrays: the colour given to each rank on the current branch
+    and the table value it overwrote.
     """
 
-    def __init__(self, N: int, red_m: int, blue_desc: tuple, symmetric: bool,
-                 cap: int):
+    def __init__(self, problem: AvoidanceProblem, cap: int):
+        N = problem.N
         self.N = N
-        self.red_m = red_m
-        self.symmetric = symmetric
+        self.red_m = problem.red.m
+        self.blue = problem.blue
+        self.blue_kind = _blue_kind(problem.blue)
+        self.symmetric = self.blue_kind != "jumps" and problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
         self.pairs_idx = [
@@ -111,15 +122,10 @@ class _Engine:
         ]
         npairs = comb(N, 2)
         self.ar = [1] * npairs
-        self.blue_kind = blue_desc[0]
-        if self.blue_kind == "path":
-            self.blue_m = blue_desc[1]
-            self.ab = [1] * npairs
-        elif self.blue_kind == "pattern":
-            self.pattern = OrderedTripleSystem(blue_desc[1], frozenset(blue_desc[2]))
-        else:
-            self.jump_n = blue_desc[1]
+        self.ab = [1] * npairs if self.blue_kind == "path" else None
         self.bits = (1 << self.total) - 1
+        self.colour = [True] * self.total
+        self.token = [0] * self.total
         self.nodes = 0
         self.max_depth = 0
         self.hit = False
@@ -132,101 +138,101 @@ class _Engine:
         if rank + 1 > self.max_depth:
             self.max_depth = rank + 1
 
-    def _apply(self, rank: int, red: bool) -> int:
+    def _apply(self, rank: int, red: bool) -> None:
         iuv, ivw = self.pairs_idx[rank]
+        self.colour[rank] = red
         if red:
-            old = self.ar[ivw]
-            cand = self.ar[iuv] + 1
-            if cand > old:
-                self.ar[ivw] = cand
-            return old
-        self.bits &= ~(1 << rank)
-        if self.blue_kind == "path":
-            old = self.ab[ivw]
-            cand = self.ab[iuv] + 1
-            if cand > old:
-                self.ab[ivw] = cand
-            return old
-        return 0
-
-    def _unapply(self, rank: int, red: bool, token: int) -> None:
-        iuv, ivw = self.pairs_idx[rank]
-        if red:
-            self.ar[ivw] = token
+            table = self.ar
         else:
-            self.bits |= 1 << rank
-            if self.blue_kind == "path":
-                self.ab[ivw] = token
+            self.bits &= ~(1 << rank)
+            table = self.ab
+            if table is None:
+                return
+        old = table[ivw]
+        self.token[rank] = old
+        cand = table[iuv] + 1
+        if cand > old:
+            table[ivw] = cand
 
-    def _branch_dead(self, rank: int, red: bool) -> bool:
-        iuv, _ = self.pairs_idx[rank]
+    def _undo(self, rank: int) -> None:
+        ivw = self.pairs_idx[rank][1]
+        if self.colour[rank]:
+            self.ar[ivw] = self.token[rank]
+            return
+        self.bits |= 1 << rank
+        if self.ab is not None:
+            self.ab[ivw] = self.token[rank]
+
+    def _enter(self, rank: int, red: bool) -> bool:
+        """Colour rank and count the node, unless the branch is dead."""
+        iuv = self.pairs_idx[rank][0]
         if red:
-            return self.ar[iuv] + 1 >= self.red_m - 1
-        if self.blue_kind == "path":
-            return self.ab[iuv] + 1 >= self.blue_m - 1
-        return False
+            if self.ar[iuv] + 1 >= self.red_m - 1:
+                return False
+        elif rank == 0 and self.symmetric:
+            return False
+        elif self.ab is not None and self.ab[iuv] + 1 >= self.blue.m - 1:
+            return False
+        self._count(rank)
+        self._apply(rank, red)
+        if not red and self.ab is None and self.blue_present():
+            self._undo(rank)
+            return False
+        return True
 
     def blue_present(self) -> bool:
-        c = TripleColoring(self.N, self.bits)
-        if self.blue_kind == "pattern":
-            return find_blue_embedding(c, self.pattern) is not None
-        if self.blue_kind == "jumps":
-            return find_blue_jump_member(c, self.jump_n) is not None
-        return False
+        """Full detector run for the blue specs the tables do not track."""
+        if self.blue_kind == "path":
+            return False
+        return _has_blue(TripleColoring(self.N, self.bits), self.blue,
+                         self.blue_kind)
 
-    def dfs(self, rank: int) -> None:
-        if rank == self.total:
-            raise _Found(self.bits)
-        for red in (True, False):
-            if rank == 0 and self.symmetric and not red:
+    def walk(self, start: int, stop: int, leaf) -> None:
+        """Depth-first over ranks start..stop-1, red before blue, calling
+        leaf() with ranks below stop coloured; returns with them undone."""
+        colour = self.colour
+        rank = start
+        red = True  # the branch to try next at rank
+        while True:
+            if rank == stop:
+                leaf()
+            elif self._enter(rank, red):
+                rank += 1
+                red = True
                 continue
-            if self._branch_dead(rank, red):
+            elif red:
+                red = False
                 continue
-            self._count(rank)
-            token = self._apply(rank, red)
-            if not red and self.blue_kind != "path" and self.blue_present():
-                self._unapply(rank, red, token)
-                continue
-            self.dfs(rank + 1)
-            self._unapply(rank, red, token)
+            # back up to the nearest rank whose blue branch is untried
+            while True:
+                if rank == start:
+                    return
+                rank -= 1
+                self._undo(rank)
+                if colour[rank]:
+                    red = False
+                    break
 
     def decompose(self, depth: int) -> list[tuple[bool, ...]]:
         """All live branch prefixes at the split depth, in DFS order."""
         prefixes: list[tuple[bool, ...]] = []
-
-        def go(rank: int, acc: list[bool]) -> None:
-            if rank == depth:
-                prefixes.append(tuple(acc))
-                return
-            for red in (True, False):
-                if rank == 0 and self.symmetric and not red:
-                    continue
-                if self._branch_dead(rank, red):
-                    continue
-                self._count(rank)
-                token = self._apply(rank, red)
-                if not red and self.blue_kind != "path" and self.blue_present():
-                    self._unapply(rank, red, token)
-                    continue
-                acc.append(red)
-                go(rank + 1, acc)
-                acc.pop()
-                self._unapply(rank, red, token)
-
-        go(0, [])
+        self.walk(0, depth, lambda: prefixes.append(tuple(self.colour[:depth])))
         return prefixes
 
     def replay(self, prefix: tuple[bool, ...]) -> None:
         for rank, red in enumerate(prefix):
             self._apply(rank, red)
 
+    def found(self) -> None:
+        raise _Found(self.bits)
+
 
 def _run_split(args) -> tuple[int | None, int, bool, int]:
-    N, red_m, blue_desc, symmetric, prefix, cap = args
-    eng = _Engine(N, red_m, blue_desc, symmetric, cap)
+    problem, prefix, cap = args
+    eng = _Engine(problem, cap)
     eng.replay(prefix)
     try:
-        eng.dfs(len(prefix))
+        eng.walk(len(prefix), eng.total, eng.found)
     except _Found as f:
         return f.bits, eng.nodes, eng.hit, eng.max_depth
     except _Budget:
@@ -234,12 +240,22 @@ def _run_split(args) -> tuple[int | None, int, bool, int]:
     return None, eng.nodes, False, eng.max_depth
 
 
-def _blue_descriptor(blue) -> tuple:
+def _blue_kind(blue) -> str:
+    """How the engine prunes the blue side: path (incremental alpha table),
+    pattern or jumps (full detector run)."""
     if isinstance(blue, JumpsFamily):
-        return ("jumps", blue.n)
+        return "jumps"
     if blue.edges and blue == monotone_path(blue.m):
-        return ("path", blue.m)
-    return ("pattern", blue.m, tuple(blue.sorted_edges))
+        return "path"
+    return "pattern"
+
+
+def _has_blue(c: TripleColoring, blue, kind: str) -> bool:
+    if kind == "path":
+        return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
+    if kind == "pattern":
+        return find_blue_embedding(c, blue) is not None
+    return find_blue_jump_member(c, blue.n) is not None
 
 
 def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
@@ -256,33 +272,19 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
         raise ValueError("budget must be nonnegative")
     if workers < 1:
         raise ValueError("need at least one worker")
-    N = problem.N
-    red_m = problem.red.m
-    blue_desc = _blue_descriptor(problem.blue)
-    symmetric = (
-        not isinstance(problem.blue, JumpsFamily) and problem.blue == problem.red
-    )
 
-    probe = _Engine(N, red_m, blue_desc, symmetric, cap=budget)
+    probe = _Engine(problem, cap=budget)
     if probe.blue_present():
         # blue spec embeds with no blue triples at all: nothing to search
         return SearchOutcome("unsat", None, SearchStats(0, 0))
-    total = probe.total
-    depth = SPLIT_DEPTH if total > SPLIT_DEPTH else total
     try:
-        prefixes = probe.decompose(depth)
+        prefixes = probe.decompose(min(SPLIT_DEPTH, probe.total))
     except _Budget:
         return SearchOutcome("inconclusive", None, SearchStats(budget, probe.max_depth))
     nodes_dec = probe.nodes
     depth_dec = probe.max_depth
-    if total <= SPLIT_DEPTH:
-        # the decomposition already walked every full assignment
-        results = ((_bits_of(p), 0, False, len(p)) for p in prefixes)
-        return _finish(_fold(results, budget, nodes_dec, depth_dec),
-                       problem, blue_desc)
 
-    cap = budget - nodes_dec
-    payloads = [(N, red_m, blue_desc, symmetric, p, cap) for p in prefixes]
+    payloads = [(problem, p, budget - nodes_dec) for p in prefixes]
     if workers == 1:
         folded = _fold((_run_split(pl) for pl in payloads), budget, nodes_dec,
                        depth_dec)
@@ -295,15 +297,7 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
             finally:
                 for f in futures:
                     f.cancel()
-    return _finish(folded, problem, blue_desc)
-
-
-def _bits_of(prefix: tuple[bool, ...]) -> int:
-    bits = 0
-    for rank, red in enumerate(prefix):
-        if red:
-            bits |= 1 << rank
-    return bits
+    return _finish(folded, problem)
 
 
 def _fold(results, budget: int, nodes_dec: int,
@@ -322,7 +316,7 @@ def _fold(results, budget: int, nodes_dec: int,
 
 
 def _finish(folded: tuple[str, int | None, SearchStats],
-            problem: AvoidanceProblem, blue_desc: tuple) -> SearchOutcome:
+            problem: AvoidanceProblem) -> SearchOutcome:
     status, bits, stats = folded
     if bits is None:
         return SearchOutcome(status, None, stats)
@@ -330,14 +324,7 @@ def _finish(folded: tuple[str, int | None, SearchStats],
     depth, _ = longest_red_path(c)
     if depth >= problem.red.m - 1:
         raise RuntimeError("witness contains the red path; this is a bug")
-    kind = blue_desc[0]
-    if kind == "path":
-        bad = alpha_table(c, Color.BLUE).max_value >= blue_desc[1] - 1
-    elif kind == "pattern":
-        bad = find_blue_embedding(c, problem.blue) is not None
-    else:
-        bad = find_blue_jump_member(c, blue_desc[1]) is not None
-    if bad:
+    if _has_blue(c, problem.blue, _blue_kind(problem.blue)):
         raise RuntimeError("witness contains the blue spec; this is a bug")
     return SearchOutcome("sat", c, stats)
 

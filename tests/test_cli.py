@@ -150,6 +150,15 @@ def test_certify_downsets():
     assert code == 0 and out.strip() == "70"
 
 
+def test_internal_failure_exits_four():
+    # the recursive staircase count runs out of stack: that is no answer,
+    # so it must not exit 1
+    code, out, err = run(["certify", "downsets", "--n", "1500"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "RecursionError" in err
+
+
 def test_certify_ghtriangle(tmp_path):
     chi = tmp_path / "chi.txt"
     chi.write_text("1 2 1\n2 3 1\n1 3 1\n")
@@ -227,6 +236,28 @@ def test_search_single_level_unsat_certificate():
         "nodes 232703\n"
         "max-depth 34\n"
     )
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    # C(20, 3) = 1140 ranks on one branch, more than the default limit
+    code, out, err = run(
+        ["search", "--n", "20", "--red", "path:3", "--blue", "path:30"]
+    )
+    assert code == 0
+    assert err == "sat nodes=1140 max-depth=1140\n"
+    assert parse_triple_coloring(out).bits == 0
+
+
+def test_search_certificate_names_the_power_spec():
+    certs = []
+    for blue in ("power:5,4", "power:5,5"):
+        code, out, _ = run(
+            ["search", "--n", "6", "--red", "path:3", "--blue", blue]
+        )
+        assert code == 1
+        assert f"\nblue {blue}\n" in out
+        certs.append(out)
+    assert certs[0] != certs[1]
 
 
 def test_search_inconclusive_exit_code():

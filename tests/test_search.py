@@ -83,11 +83,27 @@ def test_unsat_is_monotone_in_host_size():
 
 
 def test_worker_invariance():
+    # hosts with at most SPLIT_DEPTH triples: every split prefix is already
+    # a full assignment, so each split is a replay and an immediate leaf
+    small = [
+        (AvoidanceProblem(4, monotone_path(4), monotone_path(4)),
+         ("sat", 11, 4, "1110")),
+        (AvoidanceProblem(4, monotone_path(4), power_path(4, 4)),
+         ("sat", 26, 4, "1110")),
+        (AvoidanceProblem(4, monotone_path(3), JumpsFamily(1)),
+         ("unsat", 1, 1, None)),
+        (AvoidanceProblem(2, monotone_path(3), monotone_path(3)),
+         ("sat", 0, 0, "")),
+    ]
+    for problem, want in small:
+        out = decide(problem)
+        bits = None if out.witness is None else out.witness.bitstring()
+        assert (out.status, out.stats.nodes, out.stats.max_depth, bits) == want
     problems = [
         AvoidanceProblem(6, monotone_path(4), monotone_path(4)),
         AvoidanceProblem(7, monotone_path(4), monotone_path(4)),
         AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)),
-    ]
+    ] + [problem for problem, _ in small]
     for problem in problems:
         base = decide(problem, workers=1)
         for workers in (2, 4):
