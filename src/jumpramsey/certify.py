@@ -17,7 +17,7 @@ a triangle would extend a chain by one block and push beta past itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .core import Color, Embedding, TripleColoring, pair_rank
@@ -235,17 +235,16 @@ def profile_table(c: TripleColoring) -> dict[int, ProfileStaircase]:
 
 
 def count_downsets(n: int) -> int:
-    """Downward-closed subsets of the n-by-n grid, counted one staircase
-    at a time: a subset is a non-increasing depth vector over columns."""
+    """Downward-closed subsets of the n-by-n grid: a subset is a
+    non-increasing depth vector over the n columns.  ways[d] counts the
+    vectors so far whose last depth is d; a column may take any depth up to
+    the one before it, so each column is one suffix sum, O(n^2) in all."""
     if n < 0:
         raise ValueError("grid size must be nonnegative")
-
-    def extend(column: int, cap: int) -> int:
-        if column == n:
-            return 1
-        return sum(extend(column + 1, depth) for depth in range(cap + 1))
-
-    return extend(0, n)
+    ways = [0] * n + [1]  # before the first column the cap is depth n
+    for _ in range(n):
+        ways = list(accumulate(reversed(ways)))[::-1]
+    return sum(ways)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,26 @@ order and carries, per tuple, the set of feasible jump placements encoded
 as (last three flags, jumps used); every required edge of a jump pattern
 touches at most five consecutive positions, so this state plus the last
 four chosen vertices determines the future exactly.
+
+Both pattern detectors take an optional anchor last = (u, v, w), a host
+triple: only copies that map the lex-largest required edge onto it count.
+The avoidance search needs no more.  It colours triples in lex order,
+reads unassigned ones as red, and has checked every earlier blue triple,
+so before triple r turns blue the coloring holds no blue copy.  An
+order-preserving map keeps the lex order of triples and every triple
+after r is red, so a new copy must send its lex-largest edge E onto r.
+The embedding DP pins the positions of E to u, v and w and caps every
+earlier position below the next pinned image.  A jump member's E is its
+last three positions (no other edge starts at m - 2 and none later), so
+the member DP takes vertices up to u, then exactly v and w, and accepts
+only at w.  With u small the pinned search is tiny; an edgeless pattern
+has no E and never matches an anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .core import (
@@ -32,34 +47,40 @@ from .core import (
     OrderedTripleSystem,
     TripleColoring,
     all_pairs,
+    check_triple,
     pair_rank,
 )
 from .family import JumpSpec, required_edges
+
+
+@lru_cache(maxsize=64)
+def _rank_offsets(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prefix tables of the triple rank over [N]: pref1[a] counts the
+    triples whose first vertex is below a, pref2[j] the pairs whose first
+    vertex is at most j."""
+    pref1 = [0] * (N + 2)
+    for a in range(1, N + 1):
+        pref1[a + 1] = pref1[a] + comb(N - a, 2)
+    pref2 = [0] * (N + 2)
+    for j in range(1, N + 1):
+        pref2[j] = pref2[j - 1] + (N - j)
+    return tuple(pref1), tuple(pref2)
 
 
 class _FastBits:
     """O(1) red/blue lookups via precomputed rank offsets."""
 
     def __init__(self, c: TripleColoring):
-        N = c.N
         self.bits = c.bits
-        pref1 = [0] * (N + 2)
-        for a in range(1, N + 1):
-            pref1[a + 1] = pref1[a] + comb(N - a, 2)
-        pref2 = [0] * (N + 2)
-        for j in range(1, N + 1):
-            pref2[j] = pref2[j - 1] + (N - j)
-        self.pref1 = pref1
-        self.pref2 = pref2
-
-    def rank(self, a: int, b: int, c: int) -> int:
-        return self.pref1[a] + (self.pref2[b - 1] - self.pref2[a]) + c - b - 1
+        self.pref1, self.pref2 = _rank_offsets(c.N)
 
     def is_red(self, a: int, b: int, c: int) -> bool:
-        return bool((self.bits >> self.rank(a, b, c)) & 1)
+        p2 = self.pref2
+        return bool((self.bits >> (self.pref1[a] + p2[b - 1] - p2[a] + c - b - 1)) & 1)
 
     def is_blue(self, a: int, b: int, c: int) -> bool:
-        return not (self.bits >> self.rank(a, b, c)) & 1
+        p2 = self.pref2
+        return not (self.bits >> (self.pref1[a] + p2[b - 1] - p2[a] + c - b - 1)) & 1
 
 
 @dataclass(frozen=True)
@@ -141,23 +162,64 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     return table.max_value, Embedding(tuple(path))
 
 
+@lru_cache(maxsize=256)
+def _embedding_plan(pattern: OrderedTripleSystem):
+    """Per-pattern tables of the embedding DP: the width, and the (a, b) of
+    the edges (a, b, pos) ending at each position."""
+    needs: list[list[tuple[int, int]]] = [[] for _ in range(pattern.m + 1)]
+    for (a, b, cc) in pattern.sorted_edges:
+        needs[cc].append((a, b))
+    return pattern.width, tuple(map(tuple, needs))
+
+
+@lru_cache(maxsize=1024)
+def _embedding_ranges(pattern: OrderedTripleSystem, N: int,
+                      last: tuple[int, int, int] | None):
+    """Least and greatest host vertex of each position; None when last is
+    given and the pattern has no edge.  Position pos needs pos - 1 hosts
+    below it and m - pos above; with last, the lex-largest edge is pinned
+    onto last and every other position keeps room around the pinned
+    images."""
+    m = pattern.m
+    floor = list(range(m + 1))
+    ceil = [N - m + pos for pos in range(m + 1)]
+    if last is not None:
+        top = max(pattern.edges, default=None)
+        if top is None:
+            return None
+        for p, y in zip(top, last):
+            for q in range(1, m + 1):
+                if q <= p:
+                    ceil[q] = min(ceil[q], y - p + q)
+                if q >= p:
+                    floor[q] = max(floor[q], y - p + q)
+    return tuple(floor), tuple(ceil)
+
+
 def find_blue_embedding(
-    c: TripleColoring, pattern: OrderedTripleSystem
+    c: TripleColoring,
+    pattern: OrderedTripleSystem,
+    last: tuple[int, int, int] | None = None,
 ) -> Embedding | None:
     """Least order-preserving embedding of pattern with every edge blue.
 
-    None when no embedding exists; patterns larger than the host never fit.
+    With last, only embeddings that map the pattern's lex-largest edge onto
+    the host triple last count; an edgeless pattern then has none.  None
+    when no embedding exists; patterns larger than the host never fit.
     """
     m, N = pattern.m, c.N
     if m > N:
         return None
+    if last is not None:
+        check_triple(*last, N)
+    ranges = _embedding_ranges(pattern, N, last)
+    if ranges is None:
+        return None
     if m == 0:
         return Embedding(())
+    floor, ceil = ranges
+    w, needs = _embedding_plan(pattern)
     fast = _FastBits(c)
-    w = pattern.width
-    by_last: dict[int, list[tuple[int, int]]] = {}
-    for (a, b, cc) in pattern.sorted_edges:
-        by_last.setdefault(cc, []).append((a, b))
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def dfs(prefix: list[int]) -> tuple[int, ...] | None:
@@ -167,11 +229,12 @@ def find_blue_embedding(
         window = tuple(prefix[max(0, len(prefix) - w):])
         if (pos, window) in failed:
             return None
-        start = pos - len(window)
         lo = prefix[-1] + 1 if prefix else 1
-        for h in range(lo, N - (m - pos) + 1):
+        if lo < floor[pos]:
+            lo = floor[pos]
+        for h in range(lo, ceil[pos] + 1):
             ok = True
-            for (a, b) in by_last.get(pos, ()):
+            for (a, b) in needs[pos]:
                 if not fast.is_blue(prefix[a - 1], prefix[b - 1], h):
                     ok = False
                     break
@@ -194,8 +257,9 @@ def find_blue_embedding(
     return Embedding(found)
 
 
-def _member_transitions(fast, n, N, prefix, alive, h):
-    """Feasible (flags, used) states after appending host vertex h."""
+def _member_transitions(fast, n, top, prefix, alive, h):
+    """Feasible (flags, used) states after appending host vertex h, when no
+    vertex of the member may exceed top."""
     p = len(prefix)
     if p >= 2 and not fast.is_blue(prefix[-2], prefix[-1], h):
         return frozenset()
@@ -216,7 +280,7 @@ def _member_transitions(fast, n, N, prefix, alive, h):
             used2 = used + f
             need = n - used2
             tail = 2 * need + f if need else (1 if f else 0)
-            if h + tail > N:
+            if h + tail > top:
                 continue
             out.add(((f3 + (f,))[-3:], used2))
     return frozenset(out)
@@ -258,32 +322,52 @@ def _minimal_jump_flags(fast, n, verts) -> tuple[int, ...]:
     return flags
 
 
+@lru_cache(maxsize=256)
+def _member_moves(N: int, last: tuple[int, int, int] | None):
+    """Per host x (0 for the empty prefix): the hosts that may follow x in a
+    member, and whether a member may end at x."""
+    if last is None:
+        return tuple(range(x + 1, N + 1) for x in range(N + 1)), (True,) * (N + 1)
+    u, v, w = last
+    nexts = [range(x + 1, u + 1) for x in range(N + 1)]  # empty from u on
+    nexts[u], nexts[v] = range(v, v + 1), range(w, w + 1)
+    ends = [False] * (N + 1)
+    ends[w] = True
+    return tuple(nexts), tuple(ends)
+
+
 def find_blue_jump_member(
-    c: TripleColoring, n: int
+    c: TripleColoring, n: int, last: tuple[int, int, int] | None = None
 ) -> tuple[tuple[int, ...], JumpSpec] | None:
     """Least blue-embedded member of the jump family with n jumps.
 
     Searches every host size from 2n+1 up to N.  The witness minimizes the
     host vertex tuple first and the jump position tuple second; None when
-    no member of the family embeds with all required edges blue.
+    no member of the family embeds with all required edges blue.  With
+    last = (u, v, w), only members whose last three vertices are u, v, w
+    count.
     """
     if n < 1:
         raise ValueError("need at least one jump")
     N = c.N
     if 2 * n + 1 > N:
         return None
+    if last is not None:
+        check_triple(*last, N)
     fast = _FastBits(c)
+    nexts, ends = _member_moves(N, last)
+    top = N if last is None else last[2]
     failed: set[tuple[tuple[int, ...], frozenset]] = set()
 
     def dfs(prefix: list[int], alive: frozenset) -> tuple[int, ...] | None:
-        if any(used == n and f3 and not f3[-1] for f3, used in alive):
+        x = prefix[-1] if prefix else 0
+        if ends[x] and any(used == n and f3 and not f3[-1] for f3, used in alive):
             return tuple(prefix)
         state = (tuple(prefix[-4:]), alive)
         if state in failed:
             return None
-        lo = prefix[-1] + 1 if prefix else 1
-        for h in range(lo, N + 1):
-            nxt = _member_transitions(fast, n, N, prefix, alive, h)
+        for h in nexts[x]:
+            nxt = _member_transitions(fast, n, top, prefix, alive, h)
             if not nxt:
                 continue
             prefix.append(h)

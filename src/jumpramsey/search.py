@@ -7,9 +7,13 @@ path: its presence is tracked by an incremental alpha table, and a branch
 dies the moment a pair's depth reaches the path length.  Lex order makes
 the table exact without cascades: every triple ending at a pair is decided
 before any triple starting there.  A blue monotone path gets the same
-treatment; other blue specs are pruned by running the full detector on the
-partial coloring with unassigned triples read as red, which only ever
-prunes completed blue structures.
+treatment.  Other blue specs are pruned by a detector run on the partial
+coloring with unassigned triples read as red, which only ever prunes
+completed blue structures.  The run is anchored at the triple that just
+turned blue: every earlier blue node was checked and every later triple
+reads red, so a new copy must put its lex-largest edge there (see module
+detect), and the anchored answer equals a full re-run's.  The root probe
+and the witness re-check stay full detections.
 
 One walker does all the branching: it runs over a range of ranks with an
 explicit stack, so search depth C(N, 3) is bounded by memory and the node
@@ -117,8 +121,9 @@ class _Engine:
         self.symmetric = self.blue_kind != "jumps" and problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
+        self.triples = list(all_triples(N))
         self.pairs_idx = [
-            (pair_rank(u, v, N), pair_rank(v, w, N)) for (u, v, w) in all_triples(N)
+            (pair_rank(u, v, N), pair_rank(v, w, N)) for (u, v, w) in self.triples
         ]
         npairs = comb(N, 2)
         self.ar = [1] * npairs
@@ -175,17 +180,18 @@ class _Engine:
             return False
         self._count(rank)
         self._apply(rank, red)
-        if not red and self.ab is None and self.blue_present():
+        if not red and self.ab is None and self.blue_present(self.triples[rank]):
             self._undo(rank)
             return False
         return True
 
-    def blue_present(self) -> bool:
-        """Full detector run for the blue specs the tables do not track."""
+    def blue_present(self, last=None) -> bool:
+        """Detector run for the blue specs the tables do not track; with
+        last, only copies whose lex-largest edge is the triple last."""
         if self.blue_kind == "path":
             return False
         return _has_blue(TripleColoring(self.N, self.bits), self.blue,
-                         self.blue_kind)
+                         self.blue_kind, last)
 
     def walk(self, start: int, stop: int, leaf) -> None:
         """Depth-first over ranks start..stop-1, red before blue, calling
@@ -242,7 +248,7 @@ def _run_split(args) -> tuple[int | None, int, bool, int]:
 
 def _blue_kind(blue) -> str:
     """How the engine prunes the blue side: path (incremental alpha table),
-    pattern or jumps (full detector run)."""
+    pattern or jumps (detector run anchored at each new blue triple)."""
     if isinstance(blue, JumpsFamily):
         return "jumps"
     if blue.edges and blue == monotone_path(blue.m):
@@ -250,12 +256,12 @@ def _blue_kind(blue) -> str:
     return "pattern"
 
 
-def _has_blue(c: TripleColoring, blue, kind: str) -> bool:
+def _has_blue(c: TripleColoring, blue, kind: str, last=None) -> bool:
     if kind == "path":
         return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
     if kind == "pattern":
-        return find_blue_embedding(c, blue) is not None
-    return find_blue_jump_member(c, blue.n) is not None
+        return find_blue_embedding(c, blue, last) is not None
+    return find_blue_jump_member(c, blue.n, last) is not None
 
 
 def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,

@@ -1,6 +1,7 @@
 """End-to-end command tests through dispatch with in-memory streams."""
 
 import io
+from math import comb
 
 import pytest
 
@@ -150,10 +151,19 @@ def test_certify_downsets():
     assert code == 0 and out.strip() == "70"
 
 
-def test_internal_failure_exits_four():
-    # the recursive staircase count runs out of stack: that is no answer,
-    # so it must not exit 1
-    code, out, err = run(["certify", "downsets", "--n", "1500"])
+def test_certify_downsets_large_grid():
+    # the count is one suffix sum per column, so no stack depth grows with n
+    code, out, _ = run(["certify", "downsets", "--n", "1500"])
+    assert code == 0 and out == f"{comb(3000, 1500)}\n"
+
+
+def test_internal_failure_exits_four(monkeypatch):
+    # a command that runs out of stack has no answer, so it must not exit 1
+    def overflow(n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("jumpramsey.cli.count_downsets", overflow)
+    code, out, err = run(["certify", "downsets", "--n", "4"])
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "RecursionError" in err

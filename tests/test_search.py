@@ -13,6 +13,7 @@ from jumpramsey.detect import (
 from jumpramsey.core import Color
 from jumpramsey.family import jump_min, monotone_path, power_path
 from jumpramsey.search import (
+    DEFAULT_BUDGET,
     AvoidanceProblem,
     JumpsFamily,
     bracket,
@@ -68,6 +69,30 @@ def test_small_red_path_against_jumps():
     assert out.status == "sat"
     assert out.stats.nodes == 36
     assert out.witness.bitstring() == "1111110000"
+
+
+def test_blue_detector_searches_keep_their_outcomes():
+    # the engine runs the blue detectors anchored at the triple that just
+    # turned blue; every prune, node count and witness is pinned here
+    cases = [
+        (7, JumpsFamily(2), DEFAULT_BUDGET,
+         ("sat", 7786, 35, "11111101100111100000000000001101110")),
+        (6, power_path(4, 4), DEFAULT_BUDGET,
+         ("sat", 1865, 20, "11010111110000011100")),
+        (7, power_path(5, 4), DEFAULT_BUDGET,
+         ("sat", 3483, 35, "11111110101111100000000000000011100")),
+        (8, JumpsFamily(2), 10_000, ("inconclusive", 10000, 47, None)),
+        (7, power_path(4, 4), 20_000, ("inconclusive", 20000, 32, None)),
+    ]
+    for N, blue, budget, want in cases:
+        problem = AvoidanceProblem(N, monotone_path(4), blue)
+        out = decide(problem, budget=budget)
+        bits = None if out.witness is None else out.witness.bitstring()
+        assert (out.status, out.stats.nodes, out.stats.max_depth, bits) == want
+    problem = AvoidanceProblem(7, monotone_path(4), power_path(5, 4))
+    again = decide(problem, workers=2)
+    assert (again.status, again.stats.nodes, again.stats.max_depth,
+            again.witness.bitstring()) == cases[2][3]
 
 
 def test_unsat_is_monotone_in_host_size():
