@@ -21,6 +21,21 @@ budget, not by the interpreter's recursion limit.  The split enumeration
 walks the first ranks and collects the live prefixes; each split replays
 its prefix and walks the remaining ranks to a full coloring.
 
+Path/path splits also skip states that failed before.  At the start of
+block (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
+blue alpha values of pair (a, b) and of the pairs after it in pair lex
+order, a suffix.  Pairs (x, N) are never read, and a value d at pair (x, y)
+with d + (N - y) < m - 1 (m the path length of that colour) can never
+reach a dead check, directly or through a max, so it is packed as 0.  The
+clamped suffix is one int, kept up to date as values change; a block start
+whose walk failed in both colours records it, and a later arrival with the
+same int backs out at once and counts a memo hit, not a node.  Only failed
+subtrees are skipped, so the first sat leaf, every status and every
+witness stay as they were; only the node counts and depths move.  Each
+split has its own memo, so the worker count changes nothing, and a memo
+holding MEMO_CAP states is cleared.  The split enumeration has none: its
+leaf returns, so a subtree it leaves has not failed.
+
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
 the worker count), each subproblem runs under the same node cap, and the
@@ -36,12 +51,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
-from .core import Color, OrderedTripleSystem, TripleColoring, all_triples, pair_rank
+from .core import Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples, pair_rank
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, longest_red_path
 from .family import monotone_path
 
 DEFAULT_BUDGET = 10**9
 SPLIT_DEPTH = 4
+# failed path/path states one split remembers; the memo is cleared when full
+MEMO_CAP = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -70,6 +87,7 @@ class AvoidanceProblem:
 class SearchStats:
     nodes: int
     max_depth: int
+    memo_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,7 +130,7 @@ class _Engine:
     and the table value it overwrote.
     """
 
-    def __init__(self, problem: AvoidanceProblem, cap: int):
+    def __init__(self, problem: AvoidanceProblem, cap: int, memo: bool = False):
         N = problem.N
         self.N = N
         self.red_m = problem.red.m
@@ -134,6 +152,58 @@ class _Engine:
         self.nodes = 0
         self.max_depth = 0
         self.hit = False
+        self.memo = None
+        self.memo_hits = 0
+        self.front = [None] * self.total
+        if memo and self.ab is not None:
+            self._pack_front()
+
+    def _pack_front(self) -> None:
+        """Start the failed-state memo (path/path only).
+
+        self.packed holds the clamped ar and ab value of every pair (x, y)
+        with y < N, lowest pair rank in the lowest bits, under a sentinel
+        bit; fields[red][pair] is the clamp threshold and bit offset of that
+        pair's value in ar (red) or ab.  front[rank] is the offset of pair
+        (a, b) when rank is the block start (a, b, b+1), else None (always
+        None without the memo), so packed >> front[rank] is the state of
+        every pair still read.
+        """
+        N = self.N
+        rm, bm = self.red_m, self.blue.m
+        # live values never exceed m - 2: a larger one kills its branch first
+        rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
+        rfield, bfield, offset = [], [], []
+        width = 0
+        for _, y in all_pairs(N):
+            offset.append(width)
+            if y == N:  # never read again: every value packs as 0
+                rfield.append((rm + bm, 0))
+                bfield.append((rm + bm, 0))
+                continue
+            # a value d below m - 1 - (N - y) cannot reach a dead check
+            rfield.append((rm - 1 - (N - y), width))
+            bfield.append((bm - 1 - (N - y), width + rwidth))
+            width += rwidth + bwidth
+        self.packed = 1 << width
+        for field in rfield + bfield:
+            self._repack(field, 0, 1)  # every table starts at 1
+        self.fields = (bfield, rfield)
+        self.front = [offset[iuv] if w == v + 1 else None
+                      for (_, v, w), (iuv, _) in zip(self.triples, self.pairs_idx)]
+        self.memo = set()
+
+    def _repack(self, field, old: int, new: int) -> None:
+        """Move one pair's packed field from value old to value new."""
+        thr, shift = field
+        self.packed += ((new if new >= thr else 0)
+                        - (old if old >= thr else 0)) << shift
+
+    def _failed(self, rank: int) -> None:
+        """Record that the walk below rank failed in the current state."""
+        if len(self.memo) >= MEMO_CAP:
+            self.memo.clear()
+        self.memo.add(self.packed >> self.front[rank])
 
     def _count(self, rank: int) -> None:
         if self.nodes == self.cap:
@@ -158,15 +228,23 @@ class _Engine:
         cand = table[iuv] + 1
         if cand > old:
             table[ivw] = cand
+            if self.memo is not None:
+                self._repack(self.fields[red][ivw], old, cand)
 
     def _undo(self, rank: int) -> None:
         ivw = self.pairs_idx[rank][1]
-        if self.colour[rank]:
-            self.ar[ivw] = self.token[rank]
-            return
-        self.bits |= 1 << rank
-        if self.ab is not None:
-            self.ab[ivw] = self.token[rank]
+        red = self.colour[rank]
+        if red:
+            table = self.ar
+        else:
+            self.bits |= 1 << rank
+            table = self.ab
+            if table is None:
+                return
+        old = self.token[rank]
+        if self.memo is not None and table[ivw] != old:
+            self._repack(self.fields[red][ivw], table[ivw], old)
+        table[ivw] = old
 
     def _enter(self, rank: int, red: bool) -> bool:
         """Colour rank and count the node, unless the branch is dead."""
@@ -195,13 +273,20 @@ class _Engine:
 
     def walk(self, start: int, stop: int, leaf) -> None:
         """Depth-first over ranks start..stop-1, red before blue, calling
-        leaf() with ranks below stop coloured; returns with them undone."""
+        leaf() with ranks below stop coloured; returns with them undone.
+
+        With the memo on (splits only, whose leaf never returns), a
+        block-start rank whose front state failed before is backed out of at
+        once, and one left with both colours tried is recorded as failed."""
         colour = self.colour
+        front = self.front
         rank = start
         red = True  # the branch to try next at rank
         while True:
             if rank == stop:
                 leaf()
+            elif red and front[rank] is not None and self.packed >> front[rank] in self.memo:
+                self.memo_hits += 1
             elif self._enter(rank, red):
                 rank += 1
                 red = True
@@ -209,6 +294,8 @@ class _Engine:
             elif red:
                 red = False
                 continue
+            elif front[rank] is not None:
+                self._failed(rank)
             # back up to the nearest rank whose blue branch is untried
             while True:
                 if rank == start:
@@ -218,6 +305,8 @@ class _Engine:
                 if colour[rank]:
                     red = False
                     break
+                if front[rank] is not None:
+                    self._failed(rank)
 
     def decompose(self, depth: int) -> list[tuple[bool, ...]]:
         """All live branch prefixes at the split depth, in DFS order."""
@@ -233,17 +322,18 @@ class _Engine:
         raise _Found(self.bits)
 
 
-def _run_split(args) -> tuple[int | None, int, bool, int]:
+def _run_split(args) -> tuple[int | None, int, bool, int, int]:
     problem, prefix, cap = args
-    eng = _Engine(problem, cap)
+    eng = _Engine(problem, cap, memo=True)
     eng.replay(prefix)
+    bits = None
     try:
         eng.walk(len(prefix), eng.total, eng.found)
     except _Found as f:
-        return f.bits, eng.nodes, eng.hit, eng.max_depth
+        bits = f.bits
     except _Budget:
-        return None, eng.nodes, True, eng.max_depth
-    return None, eng.nodes, False, eng.max_depth
+        pass
+    return bits, eng.nodes, eng.hit, eng.max_depth, eng.memo_hits
 
 
 def _blue_kind(blue) -> str:
@@ -291,7 +381,9 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     depth_dec = probe.max_depth
 
     payloads = [(problem, p, budget - nodes_dec) for p in prefixes]
-    if workers == 1:
+    # the pool forks all its workers up front: no more than there are splits
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         folded = _fold((_run_split(pl) for pl in payloads), budget, nodes_dec,
                        depth_dec)
     else:
@@ -310,15 +402,17 @@ def _fold(results, budget: int, nodes_dec: int,
           depth_dec: int) -> tuple[str, int | None, SearchStats]:
     used = nodes_dec
     depth = depth_dec
-    for bits, nodes_i, hit_i, depth_i in results:
+    hits = 0
+    for bits, nodes_i, hit_i, depth_i, hits_i in results:
         if depth_i > depth:
             depth = depth_i
+        hits += hits_i
         if hit_i or nodes_i > budget - used:
-            return "inconclusive", None, SearchStats(budget, depth)
+            return "inconclusive", None, SearchStats(budget, depth, hits)
         if bits is not None:
-            return "sat", bits, SearchStats(used + nodes_i, depth)
+            return "sat", bits, SearchStats(used + nodes_i, depth, hits)
         used += nodes_i
-    return "unsat", None, SearchStats(used, depth)
+    return "unsat", None, SearchStats(used, depth, hits)
 
 
 def _finish(folded: tuple[str, int | None, SearchStats],

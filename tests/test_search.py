@@ -2,8 +2,11 @@
 hosts, the known path-vs-path values, budget semantics and worker
 invariance."""
 
+from concurrent.futures import Future
+
 import pytest
 
+from jumpramsey import search
 from jumpramsey.detect import (
     alpha_table,
     find_blue_embedding,
@@ -14,6 +17,7 @@ from jumpramsey.core import Color
 from jumpramsey.family import jump_min, monotone_path, power_path
 from jumpramsey.search import (
     DEFAULT_BUDGET,
+    SPLIT_DEPTH,
     AvoidanceProblem,
     JumpsFamily,
     bracket,
@@ -55,13 +59,14 @@ def test_engine_agrees_with_enumeration_on_tiny_hosts():
 def test_path_four_against_itself():
     out6 = decide(AvoidanceProblem(6, monotone_path(4), monotone_path(4)))
     assert out6.status == "sat"
-    assert out6.stats.nodes == 2805
+    assert out6.stats.nodes == 555
     assert out6.stats.max_depth == 20
     assert out6.witness.bitstring() == "10110011110001101110"
     out7 = decide(AvoidanceProblem(7, monotone_path(4), monotone_path(4)))
     assert out7.status == "unsat"
-    assert out7.stats.nodes == 232703
+    assert out7.stats.nodes == 9833
     assert out7.stats.max_depth == 34
+    assert out7.stats.memo_hits > 0
 
 
 def test_small_red_path_against_jumps():
@@ -138,13 +143,51 @@ def test_worker_invariance():
             assert again.witness == base.witness
 
 
+def test_pool_never_outnumbers_the_splits(monkeypatch):
+    seen = []
+
+    class InlinePool:
+        """Records its size and runs every split in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    def splits(problem):
+        probe = search._Engine(problem, DEFAULT_BUDGET)
+        return len(probe.decompose(min(SPLIT_DEPTH, probe.total)))
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    problem = AvoidanceProblem(6, monotone_path(4), monotone_path(4))
+    base = decide(problem)
+    assert seen == []
+    out = decide(problem, workers=5000)
+    assert seen == [splits(problem)]
+    assert (out.status, out.stats, out.witness) == (base.status, base.stats, base.witness)
+    # a single split runs in this process, with no pool at all
+    tiny = AvoidanceProblem(3, monotone_path(4), monotone_path(4))
+    assert splits(tiny) == 1
+    assert decide(tiny, workers=5000).status == "sat"
+    assert seen == [splits(problem)]
+
+
 def test_budget_starvation_is_deterministic():
     problem = AvoidanceProblem(7, monotone_path(4), monotone_path(4))
-    base = decide(problem, budget=50000, workers=1)
+    base = decide(problem, budget=5000, workers=1)
     assert base.status == "inconclusive"
-    assert base.stats.nodes == 50000
+    assert base.stats.nodes == 5000
     for workers in (2, 4):
-        again = decide(problem, budget=50000, workers=workers)
+        again = decide(problem, budget=5000, workers=workers)
         assert again.status == "inconclusive"
         assert again.stats == base.stats
     # a genuinely sufficient budget still finishes
@@ -207,6 +250,6 @@ def test_bracket_left_open_at_nmax():
 
 
 def test_bracket_inconclusive_on_starved_budget():
-    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=10000)
+    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=5000)
     assert out.status == "inconclusive"
     assert out.levels[-1].outcome.status == "inconclusive"

@@ -1,0 +1,155 @@
+"""The failed-frontier memo of the path/path engine.
+
+Pruning failed subtrees must not move any status or witness, so the grid
+below was decided by the engine before it had a memo (budget 3M nodes);
+the two instances that engine left inconclusive are pinned at what the
+memo decides, and the sat witness among them is re-checked against the
+brute-force path oracle.
+"""
+
+import pytest
+
+from jumpramsey import search
+from jumpramsey.core import Color
+from jumpramsey.family import monotone_path
+from jumpramsey.search import AvoidanceProblem, SearchStats, decide
+from oracles import longest_path
+
+# (red m, blue m, N): (status, witness bitstring)
+PINNED = {
+    (3, 3, 3): ("unsat", None),
+    (3, 3, 4): ("unsat", None),
+    (3, 3, 5): ("unsat", None),
+    (3, 3, 6): ("unsat", None),
+    (3, 3, 7): ("unsat", None),
+    (3, 3, 8): ("unsat", None),
+    (3, 4, 3): ("sat", "0"),
+    (3, 4, 4): ("unsat", None),
+    (3, 4, 5): ("unsat", None),
+    (3, 4, 6): ("unsat", None),
+    (3, 4, 7): ("unsat", None),
+    (3, 4, 8): ("unsat", None),
+    (3, 5, 3): ("sat", "0"),
+    (3, 5, 4): ("sat", "0000"),
+    (3, 5, 5): ("unsat", None),
+    (3, 5, 6): ("unsat", None),
+    (3, 5, 7): ("unsat", None),
+    (3, 5, 8): ("unsat", None),
+    (3, 6, 3): ("sat", "0"),
+    (3, 6, 4): ("sat", "0000"),
+    (3, 6, 5): ("sat", "0000000000"),
+    (3, 6, 6): ("unsat", None),
+    (3, 6, 7): ("unsat", None),
+    (3, 6, 8): ("unsat", None),
+    (4, 3, 3): ("sat", "1"),
+    (4, 3, 4): ("unsat", None),
+    (4, 3, 5): ("unsat", None),
+    (4, 3, 6): ("unsat", None),
+    (4, 3, 7): ("unsat", None),
+    (4, 3, 8): ("unsat", None),
+    (4, 4, 3): ("sat", "1"),
+    (4, 4, 4): ("sat", "1110"),
+    (4, 4, 5): ("sat", "1110110001"),
+    (4, 4, 6): ("sat", "10110011110001101110"),
+    (4, 4, 7): ("unsat", None),
+    # over 3M nodes without the memo
+    (4, 4, 8): ("unsat", None),
+    (4, 5, 3): ("sat", "1"),
+    (4, 5, 4): ("sat", "1110"),
+    (4, 5, 5): ("sat", "1111110000"),
+    (4, 5, 6): ("sat", "11111110110000000001"),
+    (4, 5, 7): ("sat", "11111101100111100000000000001101110"),
+    (4, 5, 8): ("sat", "11111101011101100111100000000000000010110001100001101110"),
+    (4, 6, 3): ("sat", "1"),
+    (4, 6, 4): ("sat", "1110"),
+    (4, 6, 5): ("sat", "1111110000"),
+    (4, 6, 6): ("sat", "11111111110000000000"),
+    (4, 6, 7): ("sat", "11111111111101100000000000000000001"),
+    (4, 6, 8): ("sat", "11111111111101100111100000000000000000000000000001101110"),
+    (5, 3, 3): ("sat", "1"),
+    (5, 3, 4): ("sat", "1111"),
+    (5, 3, 5): ("unsat", None),
+    (5, 3, 6): ("unsat", None),
+    (5, 3, 7): ("unsat", None),
+    (5, 3, 8): ("unsat", None),
+    (5, 4, 3): ("sat", "1"),
+    (5, 4, 4): ("sat", "1111"),
+    (5, 4, 5): ("sat", "1111111110"),
+    (5, 4, 6): ("sat", "11111111111110110001"),
+    (5, 4, 7): ("sat", "11111111111111110110011110001101110"),
+    # over 3M nodes without the memo
+    (5, 4, 8): ("sat", "11111111111111101111101111111100101111110000000000001111"),
+    (5, 5, 3): ("sat", "1"),
+    (5, 5, 4): ("sat", "1111"),
+    (5, 5, 5): ("sat", "1111111110"),
+    (5, 5, 6): ("sat", "11111111111111110000"),
+    (5, 5, 7): ("sat", "11111111111111111111110110000000001"),
+    (5, 5, 8): ("sat", "11111111111111111111111111101100111100000000000001101110"),
+    (5, 6, 3): ("sat", "1"),
+    (5, 6, 4): ("sat", "1111"),
+    (5, 6, 5): ("sat", "1111111110"),
+    (5, 6, 6): ("sat", "11111111111111110000"),
+    (5, 6, 7): ("sat", "11111111111111111111111110000000000"),
+    (5, 6, 8): ("sat", "11111111111111111111111111111111101100000000000000000001"),
+}
+
+
+def grid_outcomes():
+    outcomes = {}
+    for (red_m, blue_m, N) in PINNED:
+        problem = AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m))
+        outcomes[red_m, blue_m, N] = decide(problem, budget=3_000_000)
+    return outcomes
+
+
+def test_memo_keeps_every_status_and_witness():
+    outcomes = grid_outcomes()
+    for key, out in outcomes.items():
+        bits = None if out.witness is None else out.witness.bitstring()
+        assert (out.status, bits) == PINNED[key], key
+    # how far the clamp merges states shows only in the work done
+    assert outcomes[4, 4, 8].stats == SearchStats(385990, 52, 53826)
+    assert outcomes[4, 5, 8].stats == SearchStats(32557, 56, 7732)
+    assert outcomes[5, 4, 8].stats == SearchStats(50611, 56, 13241)
+    w = outcomes[5, 4, 8].witness
+    assert longest_path(w, Color.RED)[0] < 5 - 1
+    assert longest_path(w, Color.BLUE)[0] < 4 - 1
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_tiny_memo_cap_keeps_every_outcome(monkeypatch, cap):
+    # the memo is cleared every cap keys; what it forgets is re-searched
+    monkeypatch.setattr(search, "MEMO_CAP", cap)
+    outcomes = grid_outcomes()
+    for key, out in outcomes.items():
+        bits = None if out.witness is None else out.witness.bitstring()
+        assert (out.status, bits) == PINNED[key], key
+    assert sum(out.stats.memo_hits for out in outcomes.values()) > 0
+
+
+def longest_chain(y, N):
+    """Most steps from pair (., y) along pairs (y, w1), (w1, w2), ... to a
+    pair that a later triple still reads (second vertex below N)."""
+    if y >= N:
+        return None
+    best = 0
+    for w in range(y + 1, N):
+        best = max(best, 1 + longest_chain(w, N))
+    return best
+
+
+def test_clamp_keeps_exactly_the_values_that_can_still_kill():
+    # a value d at pair (x, y) kills a branch iff some chain carries it to a
+    # read pair at d + steps >= m - 2; every other value must pack as 0
+    for N in range(3, 10):
+        for red_m, blue_m in ((3, 5), (4, 4), (5, 4), (4, 6), (6, 5)):
+            problem = AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m))
+            eng = search._Engine(problem, 0, memo=True)
+            pairs = [(x, y) for x in range(1, N + 1) for y in range(x + 1, N + 1)]
+            for i, (x, y) in enumerate(pairs):
+                if y == N:
+                    continue
+                steps = longest_chain(y, N)
+                for m, (thr, _) in ((red_m, eng.fields[True][i]), (blue_m, eng.fields[False][i])):
+                    for d in range(1, m - 1):
+                        assert (d >= thr) == (d + steps >= m - 2), (N, m, x, y, d)
