@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb
 
-from .core import Color, Embedding, TripleColoring, pair_rank
+from .core import Color, Embedding, TripleColoring, all_pairs, pair_offsets, pair_rank
 from .detect import AlphaTable, alpha_table, find_blue_jump_member
 from .family import JumpSpec, associated_graph, jump_min, required_edges, _as_spec, _require_valid
 
@@ -125,52 +124,62 @@ def beta_table(c: TripleColoring) -> BetaTable:
     glue blocks at a shared vertex with non-increasing alpha.  B counts
     blocks; beta = B + 1.  Ties break toward the smallest predecessor, so
     the reconstructed chain is deterministic.
+
+    The chain a block (t, u, v) extends depends only on t and
+    a = alpha(u, v): the most blocks over the pairs (s, t) with alpha(s, t)
+    at least a, the smallest s on ties.  Pairs are filled in lex order, so
+    every (s, t) is final once the outer loop has passed t, and that scan
+    is memoised per (t, a).
     """
     N = c.N
     alpha = alpha_table(c, Color.RED)
-    size = comb(N, 2)
-    blocks = [0] * size
-    pred: list[tuple[int, int | None] | None] = [None] * size
+    al = alpha.values
+    row = pair_offsets(N)
+    # column v: alpha(t, v) for t = 1..v-1
+    column = [[al[row[t] + v] for t in range(1, v)] for v in range(N + 1)]
+    blocks = [0] * len(al)
+    pred: list[tuple[int, int | None] | None] = [None] * len(al)
+    extension: dict[tuple[int, int], tuple[int, int | None]] = {}
+
+    def extend(t: int, a: int) -> tuple[int, int | None]:
+        key = (t, a)
+        if key not in extension:
+            ext, ext_s = 0, None
+            for s in range(1, t):
+                rs = row[s] + t
+                if blocks[rs] > ext and al[rs] >= a:
+                    ext, ext_s = blocks[rs], s
+            extension[key] = ext, ext_s
+        return extension[key]
+
     for u in range(1, N + 1):
         for v in range(u + 1, N + 1):
-            r = pair_rank(u, v, N)
-            auv = alpha.value(u, v)
+            r = row[u] + v
+            auv = al[r]
             best, best_pred = 0, None
-            for t in range(1, u):
-                if alpha.value(t, u) != auv or alpha.value(t, v) != auv:
-                    continue
-                ext, ext_s = 0, None
-                for s in range(1, t):
-                    rs = pair_rank(s, t, N)
-                    if blocks[rs] >= 1 and alpha.value(s, t) >= auv:
-                        if blocks[rs] > ext:
-                            ext, ext_s = blocks[rs], s
-                if 1 + ext > best:
-                    best, best_pred = 1 + ext, (t, ext_s)
+            for t, (atu, atv) in enumerate(zip(column[u], column[v]), start=1):
+                if atu == auv == atv:
+                    ext, ext_s = extend(t, auv)
+                    if 1 + ext > best:
+                        best, best_pred = 1 + ext, (t, ext_s)
             blocks[r] = best
             pred[r] = best_pred
 
     def rebuild(u: int, v: int) -> tuple[int, ...]:
-        t, s = pred[pair_rank(u, v, N)]
+        t, s = pred[row[u] + v]
         if s is None:
             return (t, u, v)
         return rebuild(s, t) + (u, v)
 
-    betas = []
     chains: list[BetaChain | None] = []
-    for u in range(1, N + 1):
-        for v in range(u + 1, N + 1):
-            b = blocks[pair_rank(u, v, N)]
-            betas.append(b + 1)
-            if b == 0:
-                chains.append(None)
-                continue
-            verts = rebuild(u, v)
-            values = tuple(
-                alpha.value(verts[2 * i], verts[2 * i + 1]) for i in range(b)
-            )
-            chains.append(BetaChain(verts, values, b + 1))
-    return BetaTable(N, alpha, tuple(betas), tuple(chains))
+    for (u, v), b in zip(all_pairs(N), blocks):
+        if b == 0:
+            chains.append(None)
+            continue
+        verts = rebuild(u, v)
+        values = tuple(al[row[verts[2 * i]] + verts[2 * i + 1]] for i in range(b))
+        chains.append(BetaChain(verts, values, b + 1))
+    return BetaTable(N, alpha, tuple(b + 1 for b in blocks), tuple(chains))
 
 
 def extract_blue_jump_witness(c: TripleColoring, chain: BetaChain) -> Embedding:
@@ -221,11 +230,16 @@ class ProfileStaircase:
 
 def profile_table(c: TripleColoring) -> dict[int, ProfileStaircase]:
     """Staircase of (alpha, beta) pairs over all predecessors, per vertex."""
-    table = beta_table(c)
-    N = c.N
+    return _profiles(beta_table(c))
+
+
+def _profiles(table: BetaTable) -> dict[int, ProfileStaircase]:
+    """profile_table's staircases from a beta table already built."""
+    row = pair_offsets(table.N)
+    al, betas = table.alpha.values, table.betas
     out: dict[int, ProfileStaircase] = {}
-    for v in range(1, N + 1):
-        pts = [(table.alpha.value(u, v), table.beta(u, v)) for u in range(1, v)]
+    for v in range(1, table.N + 1):
+        pts = [(al[row[u] + v], betas[row[u] + v]) for u in range(1, v)]
         width = max((a for a, _ in pts), default=0)
         maxB = tuple(
             max(b for a2, b in pts if a2 >= a) for a in range(1, width + 1)
@@ -291,7 +305,7 @@ def verify_profile_property(c: TripleColoring, n: int) -> ProfileReport:
     N = c.N
     table = beta_table(c)
     alpha = table.alpha
-    profiles = profile_table(c)
+    profiles = _profiles(table)
     by_profile: dict[ProfileStaircase, list[int]] = {}
     for v in range(1, N + 1):
         by_profile.setdefault(profiles[v], []).append(v)

@@ -13,15 +13,24 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .core import Color, PairColoring, TripleColoring, all_pairs
+from .core import PairColoring, TripleColoring, pair_offsets
 
 
 def lift(chi: PairColoring) -> TripleColoring:
-    """Red where the pair colors strictly increase along the triple."""
-    def paint(a, b, c):
-        return Color.RED if chi.color(a, b) < chi.color(b, c) else Color.BLUE
+    """Red where the pair colors strictly increase along the triple.
 
-    return TripleColoring.from_function(chi.N, paint)
+    The triples (a, b, c) for c = b+1..N are consecutive in rank order and
+    so are the pairs (b, c), so each row is marked against one slice of
+    chi's colors."""
+    N, colors = chi.N, chi.colors
+    row = pair_offsets(N)
+    after = {b: colors[row[b] + b + 1: row[b] + N + 1] for b in range(1, N)}
+    return TripleColoring.from_bitstring(N, "".join(
+        "1" if colors[row[a] + b] < y else "0"
+        for a in range(1, N - 1)
+        for b in range(a + 1, N)
+        for y in after[b]
+    ))
 
 
 def pentagon_coloring() -> PairColoring:

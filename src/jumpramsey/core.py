@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -39,16 +40,28 @@ def check_triple(a: int, b: int, c: int, m: int) -> None:
         raise ValueError(f"not an increasing triple in [{m}]: ({a}, {b}, {c})")
 
 
+@lru_cache(maxsize=64)
+def rank_offsets(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prefix tables of the triple rank over [N]: pref1[a] counts the
+    triples whose first vertex is below a, pref2[j] the pairs whose first
+    vertex is at most j.  (a, b, c) has rank
+    pref1[a] + pref2[b - 1] - pref2[a] + c - b - 1, and the triples
+    (a, b, c) for c = b+1..N are consecutive from the rank of (a, b, b+1)."""
+    pref1 = [0] * (N + 2)
+    for a in range(1, N + 1):
+        pref1[a + 1] = pref1[a] + comb(N - a, 2)
+    pref2 = [0] * (N + 2)
+    for j in range(1, N + 1):
+        pref2[j] = pref2[j - 1] + (N - j)
+    return tuple(pref1), tuple(pref2)
+
+
 def lex_rank(triple: tuple[int, int, int], N: int) -> int:
     """0-based position of an increasing triple in lex order over [N]."""
     a, b, c = triple
     check_triple(a, b, c, N)
-    rank = 0
-    for i in range(1, a):
-        rank += comb(N - i, 2)
-    for j in range(a + 1, b):
-        rank += N - j
-    return rank + (c - b - 1)
+    pref1, pref2 = rank_offsets(N)
+    return pref1[a] + pref2[b - 1] - pref2[a] + c - b - 1
 
 
 def lex_unrank(rank: int, N: int) -> tuple[int, int, int]:
@@ -77,6 +90,12 @@ def pair_rank(u: int, v: int, N: int) -> int:
     if not 1 <= u < v <= N:
         raise ValueError(f"not an increasing pair in [{N}]: ({u}, {v})")
     return (u - 1) * N - u * (u - 1) // 2 + (v - u - 1)
+
+
+@lru_cache(maxsize=64)
+def pair_offsets(N: int) -> tuple[int, ...]:
+    """row[u] + v is pair_rank(u, v, N) for every increasing pair of [N]."""
+    return tuple((u - 1) * N - u * (u - 1) // 2 - u - 1 for u in range(N + 1))
 
 
 def all_pairs(N: int):
@@ -190,11 +209,16 @@ class TripleColoring:
     @classmethod
     def from_function(cls, N: int, fn) -> "TripleColoring":
         """fn(a, b, c) -> Color, evaluated over all triples."""
-        bits = 0
-        for r, (a, b, c) in enumerate(all_triples(N)):
-            if fn(a, b, c) is Color.RED:
-                bits |= 1 << r
-        return cls(N, bits)
+        return cls.from_bitstring(N, "".join(
+            "1" if fn(a, b, c) is Color.RED else "0" for a, b, c in all_triples(N)
+        ))
+
+    @classmethod
+    def from_bitstring(cls, N: int, marks: str) -> "TripleColoring":
+        """Inverse of bitstring: character r is '1' when rank r is red."""
+        if len(marks) != comb(N, 3):
+            raise ValueError(f"expected {comb(N, 3)} marks, got {len(marks)}")
+        return cls(N, int(marks[::-1] or "0", 2))
 
     def is_red_rank(self, rank: int) -> bool:
         if not 0 <= rank < self.num_triples:
@@ -211,24 +235,21 @@ class TripleColoring:
         return Color.RED if self.is_red(a, b, c) else Color.BLUE
 
     def bitstring(self) -> str:
-        return "".join(
-            "1" if (self.bits >> r) & 1 else "0" for r in range(self.num_triples)
-        )
-
-    def red_triples(self):
-        for r, t in enumerate(all_triples(self.N)):
-            if (self.bits >> r) & 1:
-                yield t
+        """One '0'/'1' mark per triple in rank order; the leading 1 that
+        pins the width is dropped by the reversing slice."""
+        return format(self.bits | 1 << self.num_triples, "b")[:0:-1]
 
     def restrict(self, M: int) -> "TripleColoring":
         """Induced coloring on the first M vertices."""
         if not 0 <= M <= self.N:
             raise ValueError(f"cannot restrict to [{M}]")
-        bits = 0
-        for r, t in enumerate(all_triples(M)):
-            if self.is_red(*t):
-                bits |= 1 << r
-        return TripleColoring(M, bits)
+        marks = self.bitstring()
+        rows = []
+        for a in range(1, M - 1):
+            for b in range(a + 1, M):
+                r = lex_rank((a, b, b + 1), self.N)  # (a, b, b+1..M) follow
+                rows.append(marks[r:r + M - b])
+        return TripleColoring.from_bitstring(M, "".join(rows))
 
 
 @dataclass(frozen=True)
@@ -321,11 +342,7 @@ def parse_triple_coloring(text: str) -> TripleColoring:
         raise FormatError(
             f"expected {want} characters over 0/1, got {len(bitline)}", no
         )
-    bits = 0
-    for r, ch in enumerate(bitline):
-        if ch == "1":
-            bits |= 1 << r
-    return TripleColoring(N, bits)
+    return TripleColoring.from_bitstring(N, bitline)
 
 
 def serialize_triple_coloring(c: TripleColoring) -> str:

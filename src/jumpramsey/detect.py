@@ -5,7 +5,10 @@ target color, alpha(u, v) is one more than the number of triples in the
 longest target-colored monotone path that finishes with the pair (u, v).
 Assigning a triple (u, v, w) the target color always pushes alpha(v, w)
 above alpha(u, v), which is what the avoidance search in module search
-exploits for pruning.
+exploits for pruning.  The alpha table and the forward table of
+longest_red_path decode the coloring into one mark per triple once, then
+walk rows of consecutive triples (t, u, u+1..N) against the flat pair
+index row[u] + v, so a whole host costs one step per triple.
 
 The second finds an order-preserving embedding of a fixed pattern with all
 edges blue.  Patterns of bounded width (largest span of an edge) admit a
@@ -48,31 +51,21 @@ from .core import (
     TripleColoring,
     all_pairs,
     check_triple,
+    lex_rank,
+    pair_offsets,
     pair_rank,
+    rank_offsets,
 )
 from .family import JumpSpec, required_edges
 
 
-@lru_cache(maxsize=64)
-def _rank_offsets(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Prefix tables of the triple rank over [N]: pref1[a] counts the
-    triples whose first vertex is below a, pref2[j] the pairs whose first
-    vertex is at most j."""
-    pref1 = [0] * (N + 2)
-    for a in range(1, N + 1):
-        pref1[a + 1] = pref1[a] + comb(N - a, 2)
-    pref2 = [0] * (N + 2)
-    for j in range(1, N + 1):
-        pref2[j] = pref2[j - 1] + (N - j)
-    return tuple(pref1), tuple(pref2)
-
-
 class _FastBits:
-    """O(1) red/blue lookups via precomputed rank offsets."""
+    """O(1) red/blue lookups via precomputed rank offsets, without decoding
+    the coloring: the anchored detectors call it on small partial hosts."""
 
     def __init__(self, c: TripleColoring):
         self.bits = c.bits
-        self.pref1, self.pref2 = _rank_offsets(c.N)
+        self.pref1, self.pref2 = rank_offsets(c.N)
 
     def is_red(self, a: int, b: int, c: int) -> bool:
         p2 = self.pref2
@@ -103,20 +96,25 @@ def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
     """alpha(u, v) = 1 + max alpha(t, u) over t < u with (t, u, v) on target.
 
     The empty maximum gives alpha = 1: a bare pair ends a trivial path.
+    The coloring is decoded once and its triples are walked in rank order,
+    which is lex order: every triple (s, t, u) comes before the triples
+    (t, u, v), so alpha(t, u) is final when it is pushed onto the pairs
+    (u, v) that the row of (t, u, .) puts on target.
     """
-    fast = _FastBits(c)
-    hit = fast.is_red if target is Color.RED else fast.is_blue
     N = c.N
-    values = [0] * comb(N, 2)
-    for u in range(1, N + 1):
-        for v in range(u + 1, N + 1):
-            best = 0
-            for t in range(1, u):
-                if hit(t, u, v):
-                    a = values[pair_rank(t, u, N)]
-                    if a > best:
-                        best = a
-            values[pair_rank(u, v, N)] = best + 1
+    want = "1" if target is Color.RED else "0"
+    marks = c.bitstring()
+    row = pair_offsets(N)
+    values = [1] * comb(N, 2)
+    r = 0  # rank of (t, u, u + 1)
+    for t in range(1, N - 1):
+        for u in range(t + 1, N):
+            a = values[row[t] + u] + 1
+            # i runs over the pairs (u, v), v = u+1..N
+            for i, mark in enumerate(marks[r:r + N - u], row[u] + u + 1):
+                if mark == want and values[i] < a:
+                    values[i] = a
+            r += N - u
     return AlphaTable(N, target, tuple(values))
 
 
@@ -131,23 +129,24 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     if N < 2:
         return 0, Embedding(tuple(range(1, N + 1)))
     table = alpha_table(c, Color.RED)
-    fast = _FastBits(c)
-    # forward table: longest red continuation after starting with (u, v)
+    marks = c.bitstring()
+    row = pair_offsets(N)
+    # forward table: longest red continuation after starting with (u, v),
+    # filled in reverse lex order so that every cont(v, w) is final
     cont = [0] * comb(N, 2)
-    pairs = list(all_pairs(N))
-    for i in range(len(pairs) - 1, -1, -1):
-        u, v = pairs[i]
-        best = 0
-        for w in range(v + 1, N + 1):
-            if fast.is_red(u, v, w):
-                f = cont[pair_rank(v, w, N)] + 1
-                if f > best:
-                    best = f
-        cont[i] = best
+    for u in range(N - 2, 0, -1):
+        for v in range(N - 1, u, -1):
+            r = lex_rank((u, v, v + 1), N)
+            best = 0
+            # i runs over the pairs (v, w), w = v+1..N
+            for i, mark in enumerate(marks[r:r + N - v], row[v] + v + 1):
+                if mark == "1" and cont[i] >= best:
+                    best = cont[i] + 1
+            cont[row[u] + v] = best
     top = max(cont)
     if top + 1 != table.max_value:
         raise RuntimeError("path tables disagree; this is a bug")
-    u, v = min(p for i, p in enumerate(pairs) if cont[i] == top)
+    u, v = list(all_pairs(N))[cont.index(top)]
     path = [u, v]
     remaining = top
     while remaining:
@@ -155,7 +154,8 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
         w = next(
             w
             for w in range(v + 1, N + 1)
-            if fast.is_red(u, v, w) and cont[pair_rank(v, w, N)] == remaining - 1
+            if marks[lex_rank((u, v, w), N)] == "1"
+            and cont[row[v] + w] == remaining - 1
         )
         path.append(w)
         remaining -= 1

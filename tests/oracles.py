@@ -40,6 +40,65 @@ def alpha_map(c, target=Color.RED):
     }
 
 
+def naive_alpha_values(c, target=Color.RED):
+    """alpha in pair lex-rank order, pulled per pair: alpha(u, v) is one
+    more than the best alpha(t, u) over every t < u with (t, u, v) on
+    target, looked up triple by triple."""
+    want_red = target is Color.RED
+    N = c.N
+    values = {}
+    for u in range(1, N + 1):
+        for v in range(u + 1, N + 1):
+            best = 0
+            for t in range(1, u):
+                if c.is_red(t, u, v) == want_red and values[t, u] > best:
+                    best = values[t, u]
+            values[u, v] = best + 1
+    return tuple(values.values())
+
+
+def naive_beta_table(c):
+    """(betas, chains) in pair lex-rank order by the plain block-chain DP.
+
+    Per pair (u, v), every t < u that closes a block (t, u, v) is tried and,
+    for each, every s < t whose chain it may extend is scanned again; ties
+    go to the smallest t, then the smallest s.  chains[r] is
+    (vertices, block values), or None where beta is 1.
+    """
+    pairs = list(combinations(range(1, c.N + 1), 2))
+    alpha = dict(zip(pairs, naive_alpha_values(c)))
+    blocks, pred = {}, {}
+    for (u, v) in pairs:
+        auv = alpha[u, v]
+        best, best_pred = 0, None
+        for t in range(1, u):
+            if alpha[t, u] != auv or alpha[t, v] != auv:
+                continue
+            ext, ext_s = 0, None
+            for s in range(1, t):
+                if blocks[s, t] >= 1 and alpha[s, t] >= auv and blocks[s, t] > ext:
+                    ext, ext_s = blocks[s, t], s
+            if 1 + ext > best:
+                best, best_pred = 1 + ext, (t, ext_s)
+        blocks[u, v], pred[u, v] = best, best_pred
+
+    def rebuild(u, v):
+        t, s = pred[u, v]
+        return (t, u, v) if s is None else rebuild(s, t) + (u, v)
+
+    chains = []
+    for (u, v) in pairs:
+        b = blocks[u, v]
+        if b == 0:
+            chains.append(None)
+            continue
+        verts = rebuild(u, v)
+        chains.append(
+            (verts, tuple(alpha[verts[2 * i], verts[2 * i + 1]] for i in range(b)))
+        )
+    return tuple(blocks[p] + 1 for p in pairs), tuple(chains)
+
+
 def longest_path(c, target=Color.RED):
     """(depth, lex-least witness) over every increasing target sequence."""
     want_red = target is Color.RED

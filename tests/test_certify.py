@@ -22,7 +22,14 @@ from jumpramsey.construct import lift, pentagon_coloring
 from jumpramsey.core import PairColoring, TripleColoring
 from jumpramsey.detect import alpha_table, find_blue_jump_member
 from jumpramsey.family import associated_graph, jump_min, required_edges
-from oracles import alpha_map, chain_beta, grid_downsets, mono_triangles, random_triples
+from oracles import (
+    alpha_map,
+    chain_beta,
+    grid_downsets,
+    mono_triangles,
+    naive_beta_table,
+    random_triples,
+)
 
 
 def test_beta_table_on_random_hosts():
@@ -51,6 +58,54 @@ def test_beta_chains_are_valid_and_end_at_their_pair():
                 assert chain.ell == table.beta(u, v)
                 assert chain.final_pair == (u, v)
                 validate_beta_chain(c, chain, table.alpha)
+
+
+def random_lift(N, k, rng):
+    return lift(PairColoring(N, k, tuple(rng.randint(1, k) for _ in range(comb(N, 2)))))
+
+
+def test_beta_table_matches_plain_dp_on_lifts():
+    rng = random.Random(79)
+    for _ in range(6):
+        c = random_lift(rng.randint(20, 40), rng.randint(2, 4), rng)
+        table = beta_table(c)
+        betas, chains = naive_beta_table(c)
+        assert table.betas == betas
+        got = tuple(
+            None if ch is None else (ch.vertices, ch.block_values)
+            for ch in table.chains
+        )
+        assert got == chains
+
+
+def test_beta_table_on_small_lifts():
+    rng = random.Random(83)
+    for _ in range(12):
+        N = rng.randint(5, 12)
+        c = random_lift(N, rng.randint(2, 4), rng)
+        table = beta_table(c)
+        alphas = alpha_map(c)
+        for u in range(1, N + 1):
+            for v in range(u + 1, N + 1):
+                assert table.beta(u, v) == chain_beta(c, u, v, alphas)
+
+
+def test_profile_property_builds_one_beta_table(monkeypatch):
+    import jumpramsey.certify as certify
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return beta_table(c)
+
+    monkeypatch.setattr(certify, "beta_table", counted)
+    c = random_lift(30, 3, random.Random(89))
+    report = verify_profile_property(c, 2)
+    assert len(calls) == 1
+    assert tuple(certify.profile_table(c)[vs[0]] for vs in report.groups) == (
+        report.group_profiles
+    )
 
 
 def test_beta_on_all_blue_host():

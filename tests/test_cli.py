@@ -1,12 +1,15 @@
 """End-to-end command tests through dispatch with in-memory streams."""
 
+import hashlib
 import io
+import random
 from math import comb
 
 import pytest
 
 from jumpramsey.cli import WORKERS_ENV, dispatch
 from jumpramsey.core import (
+    PairColoring,
     parse_pair_coloring,
     parse_pattern,
     parse_triple_coloring,
@@ -14,7 +17,12 @@ from jumpramsey.core import (
     serialize_pair_coloring,
     serialize_triple_coloring,
 )
-from jumpramsey.construct import lift, pentagon_coloring
+from jumpramsey.construct import (
+    gf16_coloring,
+    lift,
+    pentagon_coloring,
+    product_coloring,
+)
 
 
 def run(argv, stdin=""):
@@ -144,6 +152,47 @@ def test_table_outputs_parse():
     assert lines[0] == "profiles 5"
     assert lines[1] == "1"
     assert lines[-1] == "5 3"
+
+
+# (exit code, sha256 of stdout) per command; a faster table or text path
+# must leave these bytes as they are
+TABLE_PINS = {
+    "gf16-x-pentagon": {
+        "lift": (0, "4c6537f3fa3ba6df4115cd7708992eae2f1a784d37fe6793c0a57dd223a92944"),
+        "table alpha": (0, "984e19a67750c4853693c263b47966dba11030f1691a6a68f3e17a200ff57b26"),
+        "table beta": (0, "28e4cc198e3163605d020b9759099e587a2889273175bd4ee1bbac045a43ba3f"),
+        "table profiles": (0, "e50106cc7ff83a4058e3962c0b2fbd6c9df3d26372d9f51a84acbf515e480283"),
+        "certify profileprop --n 2": (0, "3c1ab59a34ea6e210ae5e4ef89977294fe45cb478db27544148d821c21ef0215"),
+        "certify profileprop --n 3": (0, "8bcd50469f16cc4aafcbe4b3507b1cb30f1fc3ea81fecfa1ebcefe6fc4b0f153"),
+        "detect redpath --m 5": (0, "7822efd65a99e23a84c340d7ad42667940b89a58329145b7945ae160553df7c4"),
+    },
+    "random-40-4": {
+        "lift": (0, "bcb89e0a7152eeee0103292f7ba60198bb68913862b9cfcd703a824d6e545701"),
+        "table alpha": (0, "cd845043ca524dc2a66ec31b09488d556a7854d76c60267dae24caf0dce86ed1"),
+        "table beta": (0, "e6ae01e7f6c22b68d042b30c4483c93e6247c9f1b98c01e3cca074b22eb6b23a"),
+        "table profiles": (0, "8c7b4b2d7c7d367d8f49aff26296b15625fdcab385ac2fbe5ce6a2a18ce9fa73"),
+        "certify profileprop --n 2": (0, "1dacccdcdb32c85024c71c444ab6292da4a52739938e87d75f0d2e51545210d7"),
+        "certify profileprop --n 3": (0, "609c7a46316838f241f30a8a8b042ebccc6d5409c45c76964c7003058a681486"),
+        "detect redpath --m 5": (0, "32a692c0af0c082aa8ebeea74496e068c2d7ebddba1bc654a9863b3e9575b820"),
+    },
+}
+
+
+def test_table_and_certify_bytes_are_pinned():
+    rng = random.Random(40)
+    hosts = {
+        "gf16-x-pentagon": product_coloring(gf16_coloring(), pentagon_coloring()),
+        "random-40-4": PairColoring(
+            40, 4, tuple(rng.randint(1, 4) for _ in range(comb(40, 2)))
+        ),
+    }
+    for label, chi in hosts.items():
+        _, triples, _ = run(["lift"], stdin=serialize_pair_coloring(chi))
+        for command, (want_code, want_digest) in TABLE_PINS[label].items():
+            stdin = serialize_pair_coloring(chi) if command == "lift" else triples
+            code, out, err = run(command.split(), stdin=stdin)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest, err) == (want_code, want_digest, ""), (label, command)
 
 
 def test_certify_downsets():

@@ -1,6 +1,8 @@
 """Colorings, the lift, and the recorded clique Ramsey values."""
 
 import random
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -15,7 +17,13 @@ from jumpramsey.construct import (
     product_coloring,
     schur_coloring,
 )
-from jumpramsey.core import PairColoring, all_triples
+from jumpramsey.core import (
+    PairColoring,
+    TripleColoring,
+    all_triples,
+    parse_triple_coloring,
+    serialize_triple_coloring,
+)
 from jumpramsey.detect import find_blue_jump_member, longest_red_path
 
 
@@ -106,6 +114,36 @@ def test_has_mono_clique_finds_planted():
     assert planted.color(a, b) == planted.color(b, c) == planted.color(a, c)
     with pytest.raises(ValueError):
         has_mono_clique(chi, 1)
+
+
+def lifted_by_rule(chi):
+    """The lift's bit line straight from its definition."""
+    return "".join(
+        "1" if chi.color(u, v) < chi.color(v, w) else "0"
+        for (u, v, w) in all_triples(chi.N)
+    )
+
+
+def test_lift_text_at_the_edges():
+    for N in range(4):
+        for colors in product((1, 2), repeat=comb(N, 2)):
+            chi = PairColoring(N, 2, colors)
+            text = serialize_triple_coloring(lift(chi))
+            assert text == f"triples {N}\n{lifted_by_rule(chi)}\n"
+            assert serialize_triple_coloring(parse_triple_coloring(text)) == text
+
+
+def test_lift_text_on_paley17_times_pentagon():
+    chi = product_coloring(paley_coloring(17), pentagon_coloring())
+    c = lift(chi)
+    text = serialize_triple_coloring(c)
+    assert text == f"triples 85\n{lifted_by_rule(chi)}\n"
+    assert parse_triple_coloring(text) == c
+    assert serialize_triple_coloring(parse_triple_coloring(text)) == text
+    assert TripleColoring.from_function(85, c.color) == c
+    # the first 60 vertices carry the lift of the first 60 of chi
+    head = PairColoring.from_function(60, chi.k, chi.color)
+    assert c.restrict(60) == lift(head)
 
 
 def test_lift_never_builds_deep_red_paths():

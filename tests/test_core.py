@@ -1,6 +1,7 @@
 """Ranking, container and file-format tests for the core module."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -69,6 +70,45 @@ def test_triple_coloring_restrict_agrees_on_prefix():
             assert r.N == M
             for t in all_triples(M):
                 assert r.is_red(*t) == c.is_red(*t)
+
+
+def test_triple_text_at_zero_and_one_triple():
+    pins = {
+        (0, 0): "triples 0\n\n",
+        (1, 0): "triples 1\n\n",
+        (2, 0): "triples 2\n\n",
+        (3, 0): "triples 3\n0\n",
+        (3, 1): "triples 3\n1\n",
+    }
+    for (N, bits), text in pins.items():
+        c = TripleColoring(N, bits)
+        assert serialize_triple_coloring(c) == text
+        assert parse_triple_coloring(text) == c
+        assert serialize_triple_coloring(parse_triple_coloring(text)) == text
+        assert TripleColoring.from_bitstring(N, c.bitstring()) == c
+        assert c.restrict(N) == c
+    for N in range(4):
+        assert TripleColoring.from_function(N, lambda a, b, cc: Color.RED) == (
+            TripleColoring.all_red(N)
+        )
+        assert TripleColoring.from_function(N, lambda a, b, cc: Color.BLUE) == (
+            TripleColoring.all_blue(N)
+        )
+
+
+def test_triple_text_puts_rank_zero_first():
+    rng = random.Random(13)
+    for N in (4, 9, 30):
+        c = TripleColoring(N, rng.getrandbits(comb(N, 3)))
+        marks = c.bitstring()
+        assert marks == "".join(
+            "1" if c.is_red(*t) else "0" for t in all_triples(N)
+        )
+        assert serialize_triple_coloring(c) == f"triples {N}\n{marks}\n"
+        assert TripleColoring.from_bitstring(N, marks) == c
+        assert TripleColoring.from_function(N, c.color) == c
+    with pytest.raises(ValueError):
+        TripleColoring.from_bitstring(4, "101")
 
 
 def test_pair_coloring_roundtrip():

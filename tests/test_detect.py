@@ -11,6 +11,7 @@ from jumpramsey.core import (
     Color,
     Embedding,
     OrderedTripleSystem,
+    PairColoring,
     TripleColoring,
     all_triples,
     lex_unrank,
@@ -25,6 +26,7 @@ from jumpramsey.family import jump_min, monotone_path, power_path
 from oracles import (
     alpha_map,
     longest_path,
+    naive_alpha_values,
     naive_embedding,
     naive_member,
     random_triples,
@@ -51,6 +53,32 @@ def test_alpha_table_blue_target():
         want = alpha_map(c, Color.BLUE)
         for (u, v), a in want.items():
             assert table.value(u, v) == a
+
+
+def random_lifts(seed, count):
+    """Lifts of seeded random k-colorings of the pairs, N = 20..40, k = 2..4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        N, k = rng.randint(20, 40), rng.randint(2, 4)
+        yield lift(PairColoring(N, k, tuple(rng.randint(1, k) for _ in range(comb(N, 2)))))
+
+
+def test_alpha_table_matches_pull_form_on_lifts():
+    for c in random_lifts(71, 6):
+        for target in (Color.RED, Color.BLUE):
+            assert alpha_table(c, target).values == naive_alpha_values(c, target)
+        depth, path = longest_red_path(c)
+        assert depth == max(naive_alpha_values(c)) == len(path) - 1
+        vs = path.vertices
+        assert all(c.is_red(*vs[i:i + 3]) for i in range(len(vs) - 2))
+
+
+def test_alpha_table_matches_pull_form_on_random_hosts():
+    rng = random.Random(73)
+    for N in (0, 1, 2, 3, 9, 16, 24):
+        c = random_triples(N, rng)
+        for target in (Color.RED, Color.BLUE):
+            assert alpha_table(c, target).values == naive_alpha_values(c, target)
 
 
 def test_alpha_extremes():
