@@ -98,19 +98,42 @@ def validate_beta_chain(c: TripleColoring, chain: BetaChain,
 class BetaTable:
     """Beta values in pair lex-rank order, with one optimal chain per pair.
 
-    chains[r] is None exactly when the pair's beta is 1.
+    pred[r] is (t, s) for the pair (u, v) of rank r: its last block is
+    (t, u, v), glued to the chain of (s, t), or to none when s is None;
+    None where beta is 1.  Chains are built from it on demand.
     """
 
     N: int
     alpha: AlphaTable
     betas: tuple[int, ...]
-    chains: tuple[BetaChain | None, ...]
+    pred: tuple[tuple[int, int | None] | None, ...]
 
     def beta(self, u: int, v: int) -> int:
         return self.betas[pair_rank(u, v, self.N)]
 
     def chain(self, u: int, v: int) -> BetaChain | None:
-        return self.chains[pair_rank(u, v, self.N)]
+        """The optimal chain ending at (u, v); None where beta is 1."""
+        blocks = self.betas[pair_rank(u, v, self.N)] - 1
+        if blocks == 0:
+            return None
+        row = pair_offsets(self.N)
+        back = []  # the chain's vertices, last first
+        while True:
+            t, s = self.pred[row[u] + v]
+            back += (v, u)
+            if s is None:
+                back.append(t)
+                break
+            u, v = s, t
+        verts = tuple(reversed(back))
+        al = self.alpha.values
+        values = tuple(al[row[verts[2 * i]] + verts[2 * i + 1]] for i in range(blocks))
+        return BetaChain(verts, values, blocks + 1)
+
+    @property
+    def chains(self) -> tuple[BetaChain | None, ...]:
+        """Every pair's chain, in pair lex-rank order."""
+        return tuple(self.chain(u, v) for u, v in all_pairs(self.N))
 
     @property
     def max_beta(self) -> int:
@@ -164,22 +187,7 @@ def beta_table(c: TripleColoring) -> BetaTable:
                         best, best_pred = 1 + ext, (t, ext_s)
             blocks[r] = best
             pred[r] = best_pred
-
-    def rebuild(u: int, v: int) -> tuple[int, ...]:
-        t, s = pred[row[u] + v]
-        if s is None:
-            return (t, u, v)
-        return rebuild(s, t) + (u, v)
-
-    chains: list[BetaChain | None] = []
-    for (u, v), b in zip(all_pairs(N), blocks):
-        if b == 0:
-            chains.append(None)
-            continue
-        verts = rebuild(u, v)
-        values = tuple(al[row[verts[2 * i]] + verts[2 * i + 1]] for i in range(b))
-        chains.append(BetaChain(verts, values, b + 1))
-    return BetaTable(N, alpha, tuple(b + 1 for b in blocks), tuple(chains))
+    return BetaTable(N, alpha, tuple(b + 1 for b in blocks), tuple(pred))
 
 
 def extract_blue_jump_witness(c: TripleColoring, chain: BetaChain) -> Embedding:

@@ -18,6 +18,7 @@ import contextlib
 import os
 import random
 import sys
+from functools import lru_cache
 
 from .certify import (
     BetaChain,
@@ -72,7 +73,12 @@ class _UsageError(Exception):
     pass
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+    parse_args keeps no state between calls, and it prints usage and help
+    to sys.stderr and sys.stdout as they are at the call, which dispatch
+    redirects."""
     p = argparse.ArgumentParser(prog="jumpramsey")
     sub = p.add_subparsers(dest="cmd", required=True)
 

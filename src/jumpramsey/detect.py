@@ -22,20 +22,6 @@ order and carries, per tuple, the set of feasible jump placements encoded
 as (last three flags, jumps used); every required edge of a jump pattern
 touches at most five consecutive positions, so this state plus the last
 four chosen vertices determines the future exactly.
-
-Both pattern detectors take an optional anchor last = (u, v, w), a host
-triple: only copies that map the lex-largest required edge onto it count.
-The avoidance search needs no more.  It colours triples in lex order,
-reads unassigned ones as red, and has checked every earlier blue triple,
-so before triple r turns blue the coloring holds no blue copy.  An
-order-preserving map keeps the lex order of triples and every triple
-after r is red, so a new copy must send its lex-largest edge E onto r.
-The embedding DP pins the positions of E to u, v and w and caps every
-earlier position below the next pinned image.  A jump member's E is its
-last three positions (no other edge starts at m - 2 and none later), so
-the member DP takes vertices up to u, then exactly v and w, and accepts
-only at w.  With u small the pinned search is tiny; an edgeless pattern
-has no E and never matches an anchor.
 """
 
 from __future__ import annotations
@@ -50,7 +36,6 @@ from .core import (
     OrderedTripleSystem,
     TripleColoring,
     all_pairs,
-    check_triple,
     lex_rank,
     pair_offsets,
     pair_rank,
@@ -60,16 +45,12 @@ from .family import JumpSpec, required_edges
 
 
 class _FastBits:
-    """O(1) red/blue lookups via precomputed rank offsets, without decoding
-    the coloring: the anchored detectors call it on small partial hosts."""
+    """O(1) blue lookups via precomputed rank offsets, without decoding
+    the coloring: the embedding and member searches read few triples."""
 
     def __init__(self, c: TripleColoring):
         self.bits = c.bits
         self.pref1, self.pref2 = rank_offsets(c.N)
-
-    def is_red(self, a: int, b: int, c: int) -> bool:
-        p2 = self.pref2
-        return bool((self.bits >> (self.pref1[a] + p2[b - 1] - p2[a] + c - b - 1)) & 1)
 
     def is_blue(self, a: int, b: int, c: int) -> bool:
         p2 = self.pref2
@@ -172,52 +153,16 @@ def _embedding_plan(pattern: OrderedTripleSystem):
     return pattern.width, tuple(map(tuple, needs))
 
 
-@lru_cache(maxsize=1024)
-def _embedding_ranges(pattern: OrderedTripleSystem, N: int,
-                      last: tuple[int, int, int] | None):
-    """Least and greatest host vertex of each position; None when last is
-    given and the pattern has no edge.  Position pos needs pos - 1 hosts
-    below it and m - pos above; with last, the lex-largest edge is pinned
-    onto last and every other position keeps room around the pinned
-    images."""
-    m = pattern.m
-    floor = list(range(m + 1))
-    ceil = [N - m + pos for pos in range(m + 1)]
-    if last is not None:
-        top = max(pattern.edges, default=None)
-        if top is None:
-            return None
-        for p, y in zip(top, last):
-            for q in range(1, m + 1):
-                if q <= p:
-                    ceil[q] = min(ceil[q], y - p + q)
-                if q >= p:
-                    floor[q] = max(floor[q], y - p + q)
-    return tuple(floor), tuple(ceil)
-
-
-def find_blue_embedding(
-    c: TripleColoring,
-    pattern: OrderedTripleSystem,
-    last: tuple[int, int, int] | None = None,
-) -> Embedding | None:
+def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embedding | None:
     """Least order-preserving embedding of pattern with every edge blue.
 
-    With last, only embeddings that map the pattern's lex-largest edge onto
-    the host triple last count; an edgeless pattern then has none.  None
-    when no embedding exists; patterns larger than the host never fit.
+    None when no embedding exists; patterns larger than the host never fit.
     """
     m, N = pattern.m, c.N
     if m > N:
         return None
-    if last is not None:
-        check_triple(*last, N)
-    ranges = _embedding_ranges(pattern, N, last)
-    if ranges is None:
-        return None
     if m == 0:
         return Embedding(())
-    floor, ceil = ranges
     w, needs = _embedding_plan(pattern)
     fast = _FastBits(c)
     failed: set[tuple[int, tuple[int, ...]]] = set()
@@ -229,10 +174,8 @@ def find_blue_embedding(
         window = tuple(prefix[max(0, len(prefix) - w):])
         if (pos, window) in failed:
             return None
-        lo = prefix[-1] + 1 if prefix else 1
-        if lo < floor[pos]:
-            lo = floor[pos]
-        for h in range(lo, ceil[pos] + 1):
+        # position pos leaves room for the m - pos positions after it
+        for h in range(prefix[-1] + 1 if prefix else 1, N - m + pos + 1):
             ok = True
             for (a, b) in needs[pos]:
                 if not fast.is_blue(prefix[a - 1], prefix[b - 1], h):
@@ -257,9 +200,9 @@ def find_blue_embedding(
     return Embedding(found)
 
 
-def _member_transitions(fast, n, top, prefix, alive, h):
-    """Feasible (flags, used) states after appending host vertex h, when no
-    vertex of the member may exceed top."""
+def _member_transitions(fast, n, N, prefix, alive, h):
+    """Feasible (flags, used) states after appending host vertex h, with
+    room left in [N] for the rest of the member."""
     p = len(prefix)
     if p >= 2 and not fast.is_blue(prefix[-2], prefix[-1], h):
         return frozenset()
@@ -280,7 +223,7 @@ def _member_transitions(fast, n, top, prefix, alive, h):
             used2 = used + f
             need = n - used2
             tail = 2 * need + f if need else (1 if f else 0)
-            if h + tail > top:
+            if h + tail > N:
                 continue
             out.add(((f3 + (f,))[-3:], used2))
     return frozenset(out)
@@ -322,52 +265,31 @@ def _minimal_jump_flags(fast, n, verts) -> tuple[int, ...]:
     return flags
 
 
-@lru_cache(maxsize=256)
-def _member_moves(N: int, last: tuple[int, int, int] | None):
-    """Per host x (0 for the empty prefix): the hosts that may follow x in a
-    member, and whether a member may end at x."""
-    if last is None:
-        return tuple(range(x + 1, N + 1) for x in range(N + 1)), (True,) * (N + 1)
-    u, v, w = last
-    nexts = [range(x + 1, u + 1) for x in range(N + 1)]  # empty from u on
-    nexts[u], nexts[v] = range(v, v + 1), range(w, w + 1)
-    ends = [False] * (N + 1)
-    ends[w] = True
-    return tuple(nexts), tuple(ends)
-
-
 def find_blue_jump_member(
-    c: TripleColoring, n: int, last: tuple[int, int, int] | None = None
+    c: TripleColoring, n: int
 ) -> tuple[tuple[int, ...], JumpSpec] | None:
     """Least blue-embedded member of the jump family with n jumps.
 
     Searches every host size from 2n+1 up to N.  The witness minimizes the
     host vertex tuple first and the jump position tuple second; None when
-    no member of the family embeds with all required edges blue.  With
-    last = (u, v, w), only members whose last three vertices are u, v, w
-    count.
+    no member of the family embeds with all required edges blue.
     """
     if n < 1:
         raise ValueError("need at least one jump")
     N = c.N
     if 2 * n + 1 > N:
         return None
-    if last is not None:
-        check_triple(*last, N)
     fast = _FastBits(c)
-    nexts, ends = _member_moves(N, last)
-    top = N if last is None else last[2]
     failed: set[tuple[tuple[int, ...], frozenset]] = set()
 
     def dfs(prefix: list[int], alive: frozenset) -> tuple[int, ...] | None:
-        x = prefix[-1] if prefix else 0
-        if ends[x] and any(used == n and f3 and not f3[-1] for f3, used in alive):
+        if any(used == n and f3 and not f3[-1] for f3, used in alive):
             return tuple(prefix)
         state = (tuple(prefix[-4:]), alive)
         if state in failed:
             return None
-        for h in nexts[x]:
-            nxt = _member_transitions(fast, n, top, prefix, alive, h)
+        for h in range(prefix[-1] + 1 if prefix else 1, N + 1):
+            nxt = _member_transitions(fast, n, N, prefix, alive, h)
             if not nxt:
                 continue
             prefix.append(h)

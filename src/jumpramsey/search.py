@@ -7,13 +7,22 @@ path: its presence is tracked by an incremental alpha table, and a branch
 dies the moment a pair's depth reaches the path length.  Lex order makes
 the table exact without cascades: every triple ending at a pair is decided
 before any triple starting there.  A blue monotone path gets the same
-treatment.  Other blue specs are pruned by a detector run on the partial
-coloring with unassigned triples read as red, which only ever prunes
-completed blue structures.  The run is anchored at the triple that just
-turned blue: every earlier blue node was checked and every later triple
-reads red, so a new copy must put its lex-largest edge there (see module
-detect), and the anchored answer equals a full re-run's.  The root probe
-and the witness re-check stay full detections.
+treatment.
+
+The other blue specs are tracked by tables too, pushed when a triple turns
+blue and popped when it is undone.  Each table rests on the same fact: a
+copy's lex-largest edge is its last three vertices, and every other edge
+of the copy, or of the window or member prefix being extended, has lower
+rank, so it is already coloured when that triple turns blue.  A power path
+of window t >= 4 is tracked per (t-1)-vertex key, the longest blue power
+path ending there; a jump-family member per last four vertices, the
+bitmask of (last three flags, jumps used) states of the blue member
+prefixes ending there (the state of detect.find_blue_jump_member).  A push
+that completes a copy prunes the branch; it finds exactly the copies a
+detector run would find, since every earlier blue node was checked and
+every later triple is red.  Generic patterns keep a full detector run on
+the partial coloring, unassigned triples read as red.  The root probe and
+the witness re-check are always full detector runs.
 
 One walker does all the branching: it runs over a range of ranks with an
 explicit stack, so search depth C(N, 3) is bounded by memory and the node
@@ -49,11 +58,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
-from .core import Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples, pair_rank
+from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
+                   lex_rank, pair_rank, rank_offsets)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, longest_red_path
-from .family import monotone_path
+from .family import monotone_path, power_path
 
 DEFAULT_BUDGET = 10**9
 SPLIT_DEPTH = 4
@@ -85,9 +96,18 @@ class AvoidanceProblem:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work counts of a search: nodes entered, the deepest rank reached,
+    and the pruned arrivals by reason: memo hits (a failed path/path state
+    seen again), red-dead and blue-dead (a pair's path table would reach
+    the path length) and blue hits (the new blue triple completes a blue
+    copy; its node is counted)."""
+
     nodes: int
     max_depth: int
     memo_hits: int = 0
+    red_dead: int = 0
+    blue_dead: int = 0
+    blue_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,15 +139,170 @@ class _Budget(Exception):
     pass
 
 
+class _PowerWindows:
+    """Blue power paths of window t >= 4, kept per (t-1)-vertex key.
+
+    best[key] is the most vertices of a blue power path on at least t
+    vertices whose last t - 1 vertices are key; a key holding none is
+    absent.  Window (x_1, ..., x_t) is all blue exactly when its triples
+    are, and its lex-largest triple is (x_{t-2}, x_{t-1}, x_t).  So the push
+    at (u, v, w) takes every (t-3)-subset S below u, checks the other
+    triples of S + (u, v, w), all of lower rank, and extends the path
+    ending at key S + (u, v) (t - 1 vertices when absent) to key
+    S[1:] + (u, v, w).  Each key it writes ends in (u, v, w), so it is the
+    only push that writes it, and the pop deletes them all.
+    """
+
+    def __init__(self, N: int, m: int, t: int, triples, colour):
+        self.N, self.m, self.t = N, m, t
+        self.triples = triples
+        self.colour = colour
+        self.best: dict[tuple[int, ...], int] = {}
+        self.moves = [None] * len(triples)
+
+    def _moves(self, rank: int):
+        """Per key the push at rank may write: (key, ((prev key, ranks of
+        the other window triples), ...)), built on first use."""
+        N = self.N
+        u, v, w = self.triples[rank]
+        groups: dict[tuple[int, ...], list] = {}
+        for lead in combinations(range(1, u), self.t - 3):
+            window = lead + (u, v, w)
+            checks = tuple(lex_rank(e, N) for e in combinations(window, 3)
+                           if e != (u, v, w))
+            groups.setdefault(window[1:], []).append((window[:-1], checks))
+        moves = self.moves[rank] = tuple((key, tuple(prevs))
+                                         for key, prevs in groups.items())
+        return moves
+
+    def push(self, rank: int) -> bool:
+        """Triple rank turned blue; True when a blue copy now ends there."""
+        moves = self.moves[rank]
+        if moves is None:
+            moves = self._moves(rank)
+        colour, best, short = self.colour, self.best, self.t - 1
+        for key, prevs in moves:
+            top = 0
+            for prev, checks in prevs:
+                for r in checks:
+                    if colour[r]:
+                        break
+                else:
+                    d = best.get(prev, short) + 1
+                    if d > top:
+                        top = d
+            if top:
+                best[key] = top
+                if top >= self.m:
+                    return True
+        return False
+
+    def pop(self, rank: int) -> None:
+        for key, _ in self.moves[rank]:
+            self.best.pop(key, None)
+
+
+class _JumpMembers:
+    """Blue member prefixes of the n-jump family, kept per last four
+    vertices.
+
+    A prefix's future depends only on its last four vertices and its state
+    (flags of its last three positions, jumps used), as in
+    detect.find_blue_jump_member; state (f, used) is bit 8 * used + f of a
+    mask, bit 0 of f the flag of the last position.  states[pair (u, v)]
+    maps y to {x: mask}, the states of the prefixes ending (x, y, u, v),
+    x = 0 for the prefix (y, u, v); every two-vertex prefix has the fixed
+    states START.  Appending w needs (u, v, w) blue, so the push at
+    (u, v, w) extends the prefixes ending (u, v), reading (y, u, w),
+    (y, v, w) and (x, u, w), all of lower rank, and writes
+    states[(v, w)][u]; the pop deletes that entry.  A prefix in an accepting
+    state (all n jumps used, last position no jump) is a member.
+    """
+
+    START = 1 | 1 << 9  # no jump yet, or a jump at position 2
+
+    def __init__(self, N: int, n: int, triples, pairs_idx, colour):
+        self.N, self.n = N, n
+        self.triples, self.pairs_idx = triples, pairs_idx
+        self.colour = colour
+        self.states: list[dict[int, dict[int, int]]] = [{} for _ in range(comb(N, 2))]
+        pref1, pref2 = rank_offsets(N)
+        # rank (y, b, c) is lead[y] + pref2[b - 1] + c - b - 1
+        self.lead = [pref1[y] - pref2[y] for y in range(N + 1)]
+        self.pref2 = pref2
+        self.accept = sum(1 << (8 * n + f) for f in range(0, 8, 2))
+        # fits[s]: the states that leave room for the rest of a member with
+        # s host vertices to spare: 2 per missing jump, 1 after a jump
+        self.fits = [sum(1 << (8 * used + f) for used in range(n + 1) for f in range(8)
+                         if 2 * (n - used) + (f & 1) <= s) for s in range(N + 1)]
+        self.steps: dict[int, int] = {}
+        # the three-vertex prefixes: START extended, no jump edge to check
+        self.third = self._step(self.START, 7)
+
+    def _step(self, mask: int, cond: int) -> int:
+        """States after appending a vertex; cond bits 0, 1, 2 say whether
+        the jump edges (y, u, w), (y, v, w) and (x, u, w) are blue."""
+        key = mask << 3 | cond
+        out = self.steps.get(key)
+        if out is None:
+            out = 0
+            for used in range(self.n + 1):
+                for f in range(8):
+                    if not mask >> (8 * used + f) & 1:
+                        continue
+                    if (f & 1 and not cond & 1 or f & 2 and not cond & 2
+                            or f & 5 == 5 and not cond & 4):
+                        continue
+                    out |= 1 << (8 * used + (f << 1 & 7))
+                    if not f & 1 and used < self.n:
+                        out |= 1 << (8 * (used + 1) + (f << 1 & 7 | 1))
+            self.steps[key] = out
+        return out
+
+    def push(self, rank: int) -> bool:
+        """Triple rank turned blue; True when a blue member now ends there."""
+        u, v, w = self.triples[rank]
+        iuv, ivw = self.pairs_idx[rank]
+        colour, lead, step = self.colour, self.lead, self._step
+        uw = self.pref2[u - 1] + w - u - 1
+        vw = self.pref2[v - 1] + w - v - 1
+        fits = self.fits[self.N - w]
+        seen = self.third & fits
+        out = {0: seen} if seen else {}
+        for y, xs in self.states[iuv].items():
+            cond = (not colour[lead[y] + uw]) | (not colour[lead[y] + vw]) << 1
+            free = held = 0
+            for x, mask in xs.items():
+                if x == 0 or not colour[lead[x] + uw]:
+                    free |= mask
+                else:
+                    held |= mask
+            got = step(free, cond | 4)
+            if held:
+                got |= step(held, cond)
+            got &= fits
+            if got:
+                out[y] = got
+                seen |= got
+        if out:
+            self.states[ivw][u] = out
+        return bool(seen & self.accept)
+
+    def pop(self, rank: int) -> None:
+        self.states[self.pairs_idx[rank][1]].pop(self.triples[rank][0], None)
+
+
 class _Engine:
     """One search lane: incremental tables, the partial-coloring bitmask and
     an explicit branch stack.
 
     bits starts all ones (red); a blue branch clears its rank bit, so the
-    mask always reads unassigned triples as red, which is what the blue
-    detectors need to stay sound on partial colorings.  The stack is two
-    per-rank arrays: the colour given to each rank on the current branch
-    and the table value it overwrote.
+    mask always reads unassigned triples as red, which is what a full blue
+    detector run needs to stay sound on a partial coloring.  The stack is
+    two per-rank arrays: the colour given to each rank on the current
+    branch and the path-table value it overwrote.  A blue spec other than
+    a path has a table (power windows or jump members, see the module
+    docstring) or, for a generic pattern, none: a detector run.
     """
 
     def __init__(self, problem: AvoidanceProblem, cap: int, memo: bool = False):
@@ -135,8 +310,8 @@ class _Engine:
         self.N = N
         self.red_m = problem.red.m
         self.blue = problem.blue
-        self.blue_kind = _blue_kind(problem.blue)
-        self.symmetric = self.blue_kind != "jumps" and problem.blue == problem.red
+        self.kind, self.blue_m, t = _blue_kind(problem.blue)
+        self.symmetric = self.kind != "jumps" and problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
         self.triples = list(all_triples(N))
@@ -145,15 +320,21 @@ class _Engine:
         ]
         npairs = comb(N, 2)
         self.ar = [1] * npairs
-        self.ab = [1] * npairs if self.blue_kind == "path" else None
+        self.ab = [1] * npairs if self.kind == "path" else None
         self.bits = (1 << self.total) - 1
         self.colour = [True] * self.total
         self.token = [0] * self.total
+        self.table = None
+        if self.kind == "power":
+            self.table = _PowerWindows(N, self.blue_m, t, self.triples, self.colour)
+        elif self.kind == "jumps":
+            self.table = _JumpMembers(N, self.blue_m, self.triples, self.pairs_idx,
+                                      self.colour)
         self.nodes = 0
         self.max_depth = 0
         self.hit = False
         self.memo = None
-        self.memo_hits = 0
+        self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
         self.front = [None] * self.total
         if memo and self.ab is not None:
             self._pack_front()
@@ -170,7 +351,7 @@ class _Engine:
         every pair still read.
         """
         N = self.N
-        rm, bm = self.red_m, self.blue.m
+        rm, bm = self.red_m, self.blue_m
         # live values never exceed m - 2: a larger one kills its branch first
         rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
         rfield, bfield, offset = [], [], []
@@ -213,16 +394,20 @@ class _Engine:
         if rank + 1 > self.max_depth:
             self.max_depth = rank + 1
 
-    def _apply(self, rank: int, red: bool) -> None:
+    def _apply(self, rank: int, red: bool) -> bool:
+        """Colour rank and push it onto the tables; True when that
+        completes a blue copy of a spec kept in a window or member table."""
         iuv, ivw = self.pairs_idx[rank]
         self.colour[rank] = red
         if red:
             table = self.ar
         else:
             self.bits &= ~(1 << rank)
+            if self.table is not None:
+                return self.table.push(rank)
             table = self.ab
             if table is None:
-                return
+                return False
         old = table[ivw]
         self.token[rank] = old
         cand = table[iuv] + 1
@@ -230,6 +415,7 @@ class _Engine:
             table[ivw] = cand
             if self.memo is not None:
                 self._repack(self.fields[red][ivw], old, cand)
+        return False
 
     def _undo(self, rank: int) -> None:
         ivw = self.pairs_idx[rank][1]
@@ -238,6 +424,9 @@ class _Engine:
             table = self.ar
         else:
             self.bits |= 1 << rank
+            if self.table is not None:
+                self.table.pop(rank)
+                return
             table = self.ab
             if table is None:
                 return
@@ -251,25 +440,28 @@ class _Engine:
         iuv = self.pairs_idx[rank][0]
         if red:
             if self.ar[iuv] + 1 >= self.red_m - 1:
+                self.red_dead += 1
                 return False
         elif rank == 0 and self.symmetric:
             return False
-        elif self.ab is not None and self.ab[iuv] + 1 >= self.blue.m - 1:
+        elif self.ab is not None and self.ab[iuv] + 1 >= self.blue_m - 1:
+            self.blue_dead += 1
             return False
         self._count(rank)
-        self._apply(rank, red)
-        if not red and self.ab is None and self.blue_present(self.triples[rank]):
+        if self._apply(rank, red) or (
+                not red and self.kind == "pattern" and self.blue_present()):
             self._undo(rank)
+            self.blue_hits += 1
             return False
         return True
 
-    def blue_present(self, last=None) -> bool:
-        """Detector run for the blue specs the tables do not track; with
-        last, only copies whose lex-largest edge is the triple last."""
-        if self.blue_kind == "path":
-            return False
-        return _has_blue(TripleColoring(self.N, self.bits), self.blue,
-                         self.blue_kind, last)
+    def blue_present(self) -> bool:
+        """Full detector run on the coloring so far, unassigned triples red."""
+        return _has_blue(TripleColoring(self.N, self.bits), self.blue, self.kind)
+
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, self.max_depth, self.memo_hits,
+                           self.red_dead, self.blue_dead, self.blue_hits)
 
     def walk(self, start: int, stop: int, leaf) -> None:
         """Depth-first over ranks start..stop-1, red before blue, calling
@@ -322,7 +514,7 @@ class _Engine:
         raise _Found(self.bits)
 
 
-def _run_split(args) -> tuple[int | None, int, bool, int, int]:
+def _run_split(args) -> tuple[int | None, bool, SearchStats]:
     problem, prefix, cap = args
     eng = _Engine(problem, cap, memo=True)
     eng.replay(prefix)
@@ -333,25 +525,33 @@ def _run_split(args) -> tuple[int | None, int, bool, int, int]:
         bits = f.bits
     except _Budget:
         pass
-    return bits, eng.nodes, eng.hit, eng.max_depth, eng.memo_hits
+    return bits, eng.hit, eng.stats()
 
 
-def _blue_kind(blue) -> str:
-    """How the engine prunes the blue side: path (incremental alpha table),
-    pattern or jumps (detector run anchored at each new blue triple)."""
+def _blue_kind(blue) -> tuple[str, int, int]:
+    """(kind, m, t): how the engine tracks the blue side.
+
+    path (alpha table, t = 3) and power (window table, t >= 4) for the power
+    paths on m vertices, t read off the widest edge; jumps (member table)
+    with m the jump count; pattern (detector run) for anything else, t = 0.
+    A degenerate power:m,t with m < t is the complete system on [m], which
+    is power:m,m.
+    """
     if isinstance(blue, JumpsFamily):
-        return "jumps"
-    if blue.edges and blue == monotone_path(blue.m):
-        return "path"
-    return "pattern"
+        return "jumps", blue.n, 0
+    t = blue.width + 1
+    if blue.edges and blue == power_path(blue.m, t):
+        return ("path" if t == 3 else "power"), blue.m, t
+    return "pattern", blue.m, 0
 
 
-def _has_blue(c: TripleColoring, blue, kind: str, last=None) -> bool:
+def _has_blue(c: TripleColoring, blue, kind: str) -> bool:
+    """Full detector run for the blue spec."""
     if kind == "path":
         return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
-    if kind == "pattern":
-        return find_blue_embedding(c, blue, last) is not None
-    return find_blue_jump_member(c, blue.n, last) is not None
+    if kind == "jumps":
+        return find_blue_jump_member(c, blue.n) is not None
+    return find_blue_embedding(c, blue) is not None
 
 
 def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
@@ -376,43 +576,43 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     try:
         prefixes = probe.decompose(min(SPLIT_DEPTH, probe.total))
     except _Budget:
-        return SearchOutcome("inconclusive", None, SearchStats(budget, probe.max_depth))
-    nodes_dec = probe.nodes
-    depth_dec = probe.max_depth
+        return SearchOutcome("inconclusive", None, probe.stats())
+    head = probe.stats()
 
-    payloads = [(problem, p, budget - nodes_dec) for p in prefixes]
+    payloads = [(problem, p, budget - head.nodes) for p in prefixes]
     # the pool forks all its workers up front: no more than there are splits
     workers = min(workers, len(payloads))
     if workers <= 1:
-        folded = _fold((_run_split(pl) for pl in payloads), budget, nodes_dec,
-                       depth_dec)
+        folded = _fold((_run_split(pl) for pl in payloads), budget, head)
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(_run_split, pl) for pl in payloads]
             try:
-                folded = _fold((f.result() for f in futures), budget, nodes_dec,
-                               depth_dec)
+                folded = _fold((f.result() for f in futures), budget, head)
             finally:
                 for f in futures:
                     f.cancel()
     return _finish(folded, problem)
 
 
-def _fold(results, budget: int, nodes_dec: int,
-          depth_dec: int) -> tuple[str, int | None, SearchStats]:
-    used = nodes_dec
-    depth = depth_dec
-    hits = 0
-    for bits, nodes_i, hit_i, depth_i, hits_i in results:
-        if depth_i > depth:
-            depth = depth_i
-        hits += hits_i
-        if hit_i or nodes_i > budget - used:
-            return "inconclusive", None, SearchStats(budget, depth, hits)
+def _fold(results, budget: int,
+          head: SearchStats) -> tuple[str, int | None, SearchStats]:
+    """Split results in prefix order, as one sequential run would meet
+    them, after the split enumeration's work head.  The prune counts add
+    up over every split read, the one that stops the fold included."""
+    used = head.nodes
+    depth = head.max_depth
+    counts = head.memo_hits, head.red_dead, head.blue_dead, head.blue_hits
+    for bits, hit_i, st in results:
+        depth = max(depth, st.max_depth)
+        counts = tuple(a + b for a, b in zip(counts, (
+            st.memo_hits, st.red_dead, st.blue_dead, st.blue_hits)))
+        if hit_i or st.nodes > budget - used:
+            return "inconclusive", None, SearchStats(budget, depth, *counts)
         if bits is not None:
-            return "sat", bits, SearchStats(used + nodes_i, depth, hits)
-        used += nodes_i
-    return "unsat", None, SearchStats(used, depth, hits)
+            return "sat", bits, SearchStats(used + st.nodes, depth, *counts)
+        used += st.nodes
+    return "unsat", None, SearchStats(used, depth, *counts)
 
 
 def _finish(folded: tuple[str, int | None, SearchStats],
@@ -424,7 +624,7 @@ def _finish(folded: tuple[str, int | None, SearchStats],
     depth, _ = longest_red_path(c)
     if depth >= problem.red.m - 1:
         raise RuntimeError("witness contains the red path; this is a bug")
-    if _has_blue(c, problem.blue, _blue_kind(problem.blue)):
+    if _has_blue(c, problem.blue, _blue_kind(problem.blue)[0]):
         raise RuntimeError("witness contains the blue spec; this is a bug")
     return SearchOutcome("sat", c, stats)
 

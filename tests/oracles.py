@@ -169,9 +169,8 @@ def jump_sets(m, n):
     ]
 
 
-def naive_member(c, n, last=None):
-    """Least (vertices, jumps) whose required triples are all blue; with
-    last, only vertex tuples that end with the triple last count."""
+def naive_member(c, n):
+    """Least (vertices, jumps) whose required triples are all blue."""
     N = c.N
     best_verts, best_jumps = None, None
     for m in range(2 * n + 1, N + 1):
@@ -179,8 +178,6 @@ def naive_member(c, n, last=None):
         needs = [member_edges(m, J) for J in jsets]
         for verts in combinations(range(1, N + 1), m):
             if best_verts is not None and verts >= best_verts:
-                continue
-            if last is not None and verts[-3:] != last:
                 continue
             good = [
                 J
@@ -198,20 +195,14 @@ def naive_member(c, n, last=None):
     return best_verts, best_jumps
 
 
-def naive_embedding(c, pattern, last=None):
-    """Least all-blue embedding by scanning vertex subsets in lex order;
-    with last, only embeddings that map the lex-largest edge onto last."""
+def naive_embedding(c, pattern):
+    """Least all-blue embedding by scanning vertex subsets in lex order."""
     m = pattern.m
-    top = max(pattern.edges, default=None)
-    if last is not None and top is None:
-        return None
     if m == 0:
         return ()
     if m > c.N:
         return None
     for verts in combinations(range(1, c.N + 1), m):
-        if last is not None and tuple(verts[p - 1] for p in top) != last:
-            continue
         if all(
             c.is_blue(verts[a - 1], verts[b - 1], verts[cc - 1])
             for (a, b, cc) in pattern.edges

@@ -78,6 +78,23 @@ def test_beta_table_matches_plain_dp_on_lifts():
         assert got == chains
 
 
+def test_beta_table_builds_chains_only_on_demand(monkeypatch):
+    built = []
+    check = BetaChain.__post_init__
+    monkeypatch.setattr(BetaChain, "__post_init__",
+                        lambda self: (built.append(self.vertices), check(self)))
+    c = random_lift(30, 3, random.Random(89))
+    table = beta_table(c)
+    assert built == []
+    pairs = [(u, v) for u in range(1, 31) for v in range(u + 1, 31)
+             if table.beta(u, v) >= 2]
+    u, v = pairs[-1]
+    chain = table.chain(u, v)
+    assert built == [chain.vertices]
+    assert len(table.chains) == comb(30, 2)
+    assert len(built) == 1 + len(pairs)
+
+
 def test_beta_table_on_small_lifts():
     rng = random.Random(83)
     for _ in range(12):

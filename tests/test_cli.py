@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from jumpramsey import cli
 from jumpramsey.cli import WORKERS_ENV, dispatch
 from jumpramsey.core import (
     PairColoring,
@@ -448,3 +449,17 @@ def test_verify_roundtrip_all_applicable():
 def test_usage_without_subcommand():
     code, _, _ = run([])
     assert code == 2
+
+
+def test_parser_is_built_once_and_reports_to_the_given_streams():
+    cli._build_parser.cache_clear()
+    assert run(["certify", "downsets", "--n", "2"])[:2] == (0, "6\n")
+    code, out, err = run(["certify", "downsets", "--n", "two"])
+    assert cli._build_parser.cache_info().misses == 1
+    assert code == 2 and out == ""
+    assert err.startswith("usage: jumpramsey certify downsets")
+    assert "invalid int value: 'two'" in err
+    # --help goes to the stdout given to this call, not to an earlier one's
+    code, out, err = run(["lift", "--help"])
+    assert code == 0 and out.startswith("usage: jumpramsey lift") and err == ""
+    assert cli._build_parser.cache_info().misses == 1

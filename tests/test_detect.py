@@ -10,11 +10,9 @@ from jumpramsey.construct import lift, pentagon_coloring
 from jumpramsey.core import (
     Color,
     Embedding,
-    OrderedTripleSystem,
     PairColoring,
     TripleColoring,
     all_triples,
-    lex_unrank,
 )
 from jumpramsey.detect import (
     alpha_table,
@@ -201,83 +199,3 @@ def test_pentagon_lift_defeats_both_detectors():
     assert depth == 2
     assert find_blue_jump_member(c, 2) is None
 
-
-ANCHOR_PATTERNS = [
-    power_path(4, 4),
-    power_path(5, 4),
-    jump_min(1)[0],
-    # lex-largest edge (2, 3, 4) is not on the last position
-    OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)})),
-]
-
-
-def _anchored(c, blue, last=None):
-    """Detector result in oracle form, for a pattern or a jump count."""
-    if isinstance(blue, int):
-        got = find_blue_jump_member(c, blue, last)
-        return None if got is None else (got[0], got[1].sorted_jumps)
-    got = find_blue_embedding(c, blue, last)
-    return None if got is None else got.vertices
-
-
-def _naive(c, blue, last=None):
-    if isinstance(blue, int):
-        return naive_member(c, blue, last)
-    return naive_embedding(c, blue, last)
-
-
-def test_anchored_detectors_match_oracle_at_every_triple():
-    rng = random.Random(47)
-    for _ in range(12):
-        N = rng.randint(5, 6)
-        c = TripleColoring(N, rng.getrandbits(comb(N, 3)) & rng.getrandbits(comb(N, 3)))
-        for blue in ANCHOR_PATTERNS + [1, 2]:
-            for last in all_triples(N):
-                assert _anchored(c, blue, last) == _naive(c, blue, last)
-
-
-def test_anchored_detection_equals_full_under_the_search_invariant():
-    # the engine's state at a blue node at rank r: every earlier blue rank
-    # was checked when it turned blue, and every later rank reads red.
-    # Every copy then ends at the triple of rank r.
-    rng = random.Random(53)
-    cases = hits = 0
-    for blue in ANCHOR_PATTERNS + [1, 2]:
-        hits_before = hits
-        for _ in range(500):
-            N = rng.randint(5, 7)
-            r = rng.randrange(comb(N, 3))
-            blue_share = rng.uniform(0.5, 1.0)
-            bits = (1 << comb(N, 3)) - 1
-            for i in range(r):
-                if rng.random() < blue_share and not _anchored(
-                    TripleColoring(N, bits & ~(1 << i)), blue
-                ):
-                    bits &= ~(1 << i)
-            c = TripleColoring(N, bits & ~(1 << r))
-            last = lex_unrank(r, N)
-            got = _anchored(c, blue, last)
-            assert got == _anchored(c, blue) == _naive(c, blue)
-            assert got == _naive(c, blue, last)
-            cases += 1
-            hits += got is not None
-        assert hits - hits_before >= 10, blue
-    assert hits >= cases // 5
-
-
-def test_anchored_edgeless_pattern_has_no_copy():
-    empty = OrderedTripleSystem(5, frozenset())
-    for c in (TripleColoring.all_blue(6), TripleColoring.all_red(6)):
-        assert find_blue_embedding(c, empty).vertices == (1, 2, 3, 4, 5)
-        for last in all_triples(6):
-            assert find_blue_embedding(c, empty, last) is None
-            assert naive_embedding(c, empty, last) is None
-
-
-def test_anchor_must_be_a_host_triple():
-    c = TripleColoring.all_blue(5)
-    for bad in ((1, 2, 6), (3, 2, 4), (0, 1, 2)):
-        with pytest.raises(ValueError):
-            find_blue_embedding(c, power_path(4, 4), bad)
-        with pytest.raises(ValueError):
-            find_blue_jump_member(c, 1, bad)

@@ -2,6 +2,7 @@
 hosts, the known path-vs-path values, budget semantics and worker
 invariance."""
 
+import random
 from concurrent.futures import Future
 
 import pytest
@@ -13,7 +14,7 @@ from jumpramsey.detect import (
     find_blue_jump_member,
     longest_red_path,
 )
-from jumpramsey.core import Color
+from jumpramsey.core import OrderedTripleSystem, TripleColoring, lex_rank
 from jumpramsey.family import jump_min, monotone_path, power_path
 from jumpramsey.search import (
     DEFAULT_BUDGET,
@@ -100,6 +101,98 @@ def test_blue_detector_searches_keep_their_outcomes():
             again.witness.bitstring()) == cases[2][3]
 
 
+def _blue(text):
+    kind, _, arg = text.partition(":")
+    if kind == "jumps":
+        return JumpsFamily(int(arg))
+    if kind == "power":
+        return power_path(*(int(x) for x in arg.split(",")))
+    if kind == "jmin":  # jump_min(1) is the path on 3 vertices, (2) is generic
+        return jump_min(int(arg))[0]
+    # lex-largest edge (2, 3, 4) is not on the last position
+    return OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))
+
+
+# (red m, blue spec, N, budget): (status, nodes, max-depth, witness), taken
+# from the engine that ran a blue detector at every blue node; every prune
+# decision, and so every count and witness, must stay as it was
+BLUE_GRID = {
+    (4, 'jumps:1', 4, 20000): ('unsat', 7, 4, None),
+    (4, 'jumps:1', 5, 20000): ('unsat', 13, 7, None),
+    (4, 'jumps:1', 6, 20000): ('unsat', 21, 11, None),
+    (4, 'jumps:1', 7, 20000): ('unsat', 31, 16, None),
+    (4, 'jumps:2', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'jumps:2', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'jumps:2', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
+    (4, 'jumps:2', 7, 20000): ('sat', 7786, 35, '11111101100111100000000000001101110'),
+    (4, 'power:4,4', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'power:4,4', 5, 20000): ('sat', 58, 10, '1110110001'),
+    (4, 'power:4,4', 6, 20000): ('sat', 1865, 20, '11010111110000011100'),
+    (4, 'power:4,4', 7, 20000): ('inconclusive', 20000, 32, None),
+    (4, 'power:5,4', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'power:5,4', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'power:5,4', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
+    (4, 'power:5,4', 7, 20000): ('sat', 3483, 35, '11111110101111100000000000000011100'),
+    (4, 'power:6,4', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'power:6,4', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'power:6,4', 6, 20000): ('sat', 46, 20, '11111111110000000000'),
+    (4, 'power:6,4', 7, 20000): ('sat', 148, 35, '11111111111101100000000000000000001'),
+    (4, 'power:6,5', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'power:6,5', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'power:6,5', 6, 20000): ('sat', 46, 20, '11111111110000000000'),
+    (4, 'power:6,5', 7, 20000): ('sat', 148, 35, '11111111111101100000000000000000001'),
+    (4, 'power:7,5', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'power:7,5', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'power:7,5', 6, 20000): ('sat', 46, 20, '11111111110000000000'),
+    (4, 'power:7,5', 7, 20000): ('sat', 61, 35, '11111111111111100000000000000000000'),
+    (4, 'power:4,5', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'power:4,5', 5, 20000): ('sat', 58, 10, '1110110001'),
+    (4, 'power:4,5', 6, 20000): ('sat', 1865, 20, '11010111110000011100'),
+    (4, 'power:4,5', 7, 20000): ('inconclusive', 20000, 32, None),
+    (5, 'jumps:2', 5, 20000): ('sat', 36, 10, '1111111110'),
+    (5, 'jumps:2', 6, 20000): ('sat', 46, 20, '11111111111111110000'),
+    (5, 'jumps:2', 7, 20000): ('sat', 108, 35, '11111111111111111111110110000000001'),
+    (5, 'jumps:2', 8, 20000): ('sat', 7807, 56, '11111111111111111111111111101100111100000000000001101110'),
+    (4, 'jumps:2', 8, 10000): ('inconclusive', 10000, 47, None),
+    (4, 'power:4,4', 8, 20000): ('inconclusive', 20000, 37, None),
+    (5, 'power:5,5', 8, 20000): ('sat', 3504, 56, '11111111111111111111111111110101111100000000000000011100'),
+    (5, 'power:6,5', 8, 20000): ('sat', 169, 56, '11111111111111111111111111111111101100000000000000000001'),
+    (5, 'jumps:3', 9, 20000): ('sat', 257, 84, '111111111111111111111111111111111111111111111101100000000000000000000000000000000001'),
+    (4, 'jmin:1', 4, 20000): ('unsat', 3, 3, None),
+    (4, 'jmin:1', 5, 20000): ('unsat', 6, 6, None),
+    (4, 'jmin:1', 6, 20000): ('unsat', 10, 10, None),
+    (4, 'jmin:2', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'jmin:2', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
+    (4, 'jmin:2', 7, 20000): ('sat', 7786, 35, '11111101100111100000000000001101110'),
+    (5, 'jmin:2', 7, 20000): ('sat', 108, 35, '11111111111111111111110110000000001'),
+    (4, 'pattern:', 4, 20000): ('sat', 26, 4, '1110'),
+    (4, 'pattern:', 5, 20000): ('sat', 36, 10, '1111110000'),
+    (4, 'pattern:', 6, 20000): ('sat', 333, 20, '11110111110000001100'),
+}
+
+
+def outcome_key(out):
+    bits = None if out.witness is None else out.witness.bitstring()
+    return (out.status, out.stats.nodes, out.stats.max_depth, bits)
+
+
+def test_blue_grid_keeps_every_outcome():
+    for (red_m, blue, N, budget), want in BLUE_GRID.items():
+        problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
+        out = decide(problem, budget=budget)
+        assert outcome_key(out) == want, (red_m, blue, N)
+        if out.status == "sat":
+            check_witness(out, problem)
+
+
+def test_blue_grid_at_two_workers():
+    for (red_m, blue, N, budget), want in BLUE_GRID.items():
+        if want[1] < 1000:
+            continue
+        problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
+        assert outcome_key(decide(problem, budget=budget, workers=2)) == want
+
+
 def test_unsat_is_monotone_in_host_size():
     red = monotone_path(4)
     seen_unsat = False
@@ -133,14 +226,21 @@ def test_worker_invariance():
         AvoidanceProblem(6, monotone_path(4), monotone_path(4)),
         AvoidanceProblem(7, monotone_path(4), monotone_path(4)),
         AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)),
+        AvoidanceProblem(6, monotone_path(4), power_path(4, 4)),
     ] + [problem for problem, _ in small]
+    prunes = {"red_dead": 0, "blue_dead": 0, "blue_hits": 0}
     for problem in problems:
         base = decide(problem, workers=1)
+        for name in prunes:
+            prunes[name] += getattr(base.stats, name)
         for workers in (2, 4):
             again = decide(problem, workers=workers)
             assert again.status == base.status
             assert again.stats == base.stats
+            for name in prunes:
+                assert getattr(again.stats, name) == getattr(base.stats, name)
             assert again.witness == base.witness
+    assert all(prunes.values()), prunes
 
 
 def test_pool_never_outnumbers_the_splits(monkeypatch):
@@ -253,3 +353,74 @@ def test_bracket_inconclusive_on_starved_budget():
     out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=5000)
     assert out.status == "inconclusive"
     assert out.levels[-1].outcome.status == "inconclusive"
+
+
+TRACKED = [
+    power_path(4, 4),
+    power_path(5, 4),
+    power_path(6, 5),
+    power_path(7, 5),
+    power_path(5, 5),
+    JumpsFamily(1),
+    JumpsFamily(2),
+    JumpsFamily(3),
+]
+
+
+def full_detection(c, blue):
+    if isinstance(blue, JumpsFamily):
+        return find_blue_jump_member(c, blue.n) is not None
+    return find_blue_embedding(c, blue) is not None
+
+
+def test_blue_tables_match_full_detection():
+    # colourings built the way the engine builds them: a lex-order prefix,
+    # each triple tried blue and kept blue unless that completes a blue
+    # copy, the rest read as red.  Half the prefixes try a planted copy's
+    # edges blue and end at its lex-largest edge, so that the last step
+    # often completes it.  Every blue step must prune exactly when a full
+    # detector run finds a copy, and popping every step must empty the table.
+    rng = random.Random(59)
+    for blue in TRACKED:
+        pattern = jump_min(blue.n)[0] if isinstance(blue, JumpsFamily) else blue
+        runs = last_hits = 0
+        for _ in range(100):
+            N = rng.randint(max(5, pattern.m), 8)
+            eng = search._Engine(
+                AvoidanceProblem(N, monotone_path(N + 2), blue), DEFAULT_BUDGET)
+            assert eng.kind in ("power", "jumps")
+            plant = set()
+            if rng.random() < 0.5:
+                verts = sorted(rng.sample(range(1, N + 1), pattern.m))
+                plant = {lex_rank(tuple(verts[p - 1] for p in e), N) for e in pattern.edges}
+            top = max(plant) if plant else rng.randrange(eng.total)
+            share = rng.uniform(0.3, 0.9)
+            for rank in range(top + 1):
+                if rank == top or rank in plant or rng.random() < share:
+                    c = TripleColoring(N, eng.bits & ~(1 << rank))
+                    found = full_detection(c, blue)
+                    assert eng._enter(rank, False) is not found, (blue, N, rank)
+                    if not found:
+                        continue
+                assert eng._enter(rank, True)
+            runs += 1
+            last_hits += found
+            for rank in reversed(range(top + 1)):
+                eng._undo(rank)
+            assert eng.bits == (1 << eng.total) - 1
+            if isinstance(blue, JumpsFamily):
+                assert not any(eng.table.states)
+            else:
+                assert not eng.table.best
+        assert last_hits > runs // 10, blue
+
+
+def test_blue_kind_reads_the_spec_once():
+    assert search._blue_kind(power_path(6, 3)) == ("path", 6, 3)
+    assert search._blue_kind(monotone_path(4)) == ("path", 4, 3)
+    assert search._blue_kind(power_path(6, 5)) == ("power", 6, 5)
+    # the degenerate power:4,5 is the complete system on [4], power:4,4
+    assert search._blue_kind(power_path(4, 5)) == ("power", 4, 4)
+    assert search._blue_kind(JumpsFamily(2)) == ("jumps", 2, 0)
+    assert search._blue_kind(jump_min(2)[0]) == ("pattern", 5, 0)
+    assert search._blue_kind(monotone_path(2)) == ("pattern", 2, 0)

@@ -108,9 +108,10 @@ def test_memo_keeps_every_status_and_witness():
         bits = None if out.witness is None else out.witness.bitstring()
         assert (out.status, bits) == PINNED[key], key
     # how far the clamp merges states shows only in the work done
-    assert outcomes[4, 4, 8].stats == SearchStats(385990, 52, 53826)
-    assert outcomes[4, 5, 8].stats == SearchStats(32557, 56, 7732)
-    assert outcomes[5, 4, 8].stats == SearchStats(50611, 56, 13241)
+    # and in the prune counts: red-dead, blue-dead, blue hits
+    assert outcomes[4, 4, 8].stats == SearchStats(385990, 52, 53826, 169886, 108453, 0)
+    assert outcomes[4, 5, 8].stats == SearchStats(32557, 56, 7732, 16224, 817, 0)
+    assert outcomes[5, 4, 8].stats == SearchStats(50611, 56, 13241, 13033, 11031, 0)
     w = outcomes[5, 4, 8].witness
     assert longest_path(w, Color.RED)[0] < 5 - 1
     assert longest_path(w, Color.BLUE)[0] < 4 - 1
