@@ -150,43 +150,66 @@ def beta_table(c: TripleColoring) -> BetaTable:
 
     The chain a block (t, u, v) extends depends only on t and
     a = alpha(u, v): the most blocks over the pairs (s, t) with alpha(s, t)
-    at least a, the smallest s on ties.  Pairs are filled in lex order, so
-    every (s, t) is final once the outer loop has passed t, and that scan
-    is memoised per (t, a).
+    at least a, the smallest s on ties; call that count ext(t, a).  Pairs
+    are filled in lex order, so every (s, t) is final when the outer loop
+    reaches u = t + 1; t is then filed, for every a, in the mask
+    filed[a][ext(t, a)].  The blocks (t, u, v) of a pair are the t in
+    column[u][a] & column[v][a], the t < u with alpha(t, u) = a and
+    alpha(t, v) = a; the best is the lowest bit of the highest level of
+    filed[a] that meets them.
     """
     N = c.N
     alpha = alpha_table(c, Color.RED)
     al = alpha.values
     row = pair_offsets(N)
-    # column v: alpha(t, v) for t = 1..v-1
-    column = [[al[row[t] + v] for t in range(1, v)] for v in range(N + 1)]
+    top = max(al, default=1)
+    # column[v][a]: bit t set when alpha(t, v) = a
+    column: list[dict[int, int]] = [{} for _ in range(N + 1)]
+    for (t, v), a in zip(all_pairs(N), al):
+        column[v][a] = column[v].get(a, 0) | 1 << t
     blocks = [0] * len(al)
     pred: list[tuple[int, int | None] | None] = [None] * len(al)
-    extension: dict[tuple[int, int], tuple[int, int | None]] = {}
+    filed = [[0] for _ in range(top + 1)]
+    # ext_s[t][a]: the s of ext(t, a), None when it is 0
+    ext_s: list[list[int | None]] = [[]] * (N + 1)
 
-    def extend(t: int, a: int) -> tuple[int, int | None]:
-        key = (t, a)
-        if key not in extension:
-            ext, ext_s = 0, None
-            for s in range(1, t):
-                rs = row[s] + t
-                if blocks[rs] > ext and al[rs] >= a:
-                    ext, ext_s = blocks[rs], s
-            extension[key] = ext, ext_s
-        return extension[key]
+    def file(t: int) -> None:
+        best: dict[int, tuple[int, int]] = {}  # alpha(s, t) -> (blocks, s)
+        for s in range(1, t):
+            rs = row[s] + t
+            if blocks[rs] > best.get(al[rs], (0,))[0]:
+                best[al[rs]] = blocks[rs], s
+        ext, s_ext = 0, None
+        s_at: list[int | None] = [None] * (top + 1)
+        for a in range(top, 0, -1):
+            if a in best:
+                b, s = best[a]
+                if b > ext or b == ext and s < s_ext:
+                    ext, s_ext = b, s
+            s_at[a] = s_ext
+            levels = filed[a]
+            levels += [0] * (ext + 1 - len(levels))
+            levels[ext] |= 1 << t
+        ext_s[t] = s_at
 
     for u in range(1, N + 1):
+        if u > 1:
+            file(u - 1)
+        cu = column[u]
         for v in range(u + 1, N + 1):
             r = row[u] + v
-            auv = al[r]
-            best, best_pred = 0, None
-            for t, (atu, atv) in enumerate(zip(column[u], column[v]), start=1):
-                if atu == auv == atv:
-                    ext, ext_s = extend(t, auv)
-                    if 1 + ext > best:
-                        best, best_pred = 1 + ext, (t, ext_s)
-            blocks[r] = best
-            pred[r] = best_pred
+            a = al[r]
+            ts = cu.get(a, 0) & column[v].get(a, 0)
+            if not ts:
+                continue
+            levels = filed[a]
+            for ext in range(len(levels) - 1, -1, -1):
+                hit = levels[ext] & ts
+                if hit:
+                    t = (hit & -hit).bit_length() - 1
+                    blocks[r] = ext + 1
+                    pred[r] = t, ext_s[t][a]
+                    break
     return BetaTable(N, alpha, tuple(b + 1 for b in blocks), tuple(pred))
 
 
@@ -247,12 +270,18 @@ def _profiles(table: BetaTable) -> dict[int, ProfileStaircase]:
     al, betas = table.alpha.values, table.betas
     out: dict[int, ProfileStaircase] = {}
     for v in range(1, table.N + 1):
-        pts = [(al[row[u] + v], betas[row[u] + v]) for u in range(1, v)]
-        width = max((a for a, _ in pts), default=0)
-        maxB = tuple(
-            max(b for a2, b in pts if a2 >= a) for a in range(1, width + 1)
-        )
-        out[v] = ProfileStaircase(maxB)
+        # deepest[a]: the largest beta(u, v) with alpha(u, v) = a; then one
+        # suffix max gives the deepest b at each width
+        deepest: dict[int, int] = {}
+        for u in range(1, v):
+            a, b = al[row[u] + v], betas[row[u] + v]
+            if b > deepest.get(a, 0):
+                deepest[a] = b
+        maxB, deep = [], 0
+        for a in range(max(deepest, default=0), 0, -1):
+            deep = max(deep, deepest.get(a, 0))
+            maxB.append(deep)
+        out[v] = ProfileStaircase(tuple(reversed(maxB)))
     return out
 
 
@@ -338,13 +367,7 @@ def verify_profile_property(c: TripleColoring, n: int) -> ProfileReport:
 
     if extended is None:
         overflow = next(
-            (
-                (u, v)
-                for u in range(1, N + 1)
-                for v in range(u + 1, N + 1)
-                if table.beta(u, v) >= n + 1
-            ),
-            None,
+            (pair for pair, b in zip(all_pairs(N), table.betas) if b >= n + 1), None
         )
         if overflow is not None:
             chain = table.chain(*overflow)

@@ -43,6 +43,7 @@ from .core import (
     FormatError,
     PairColoring,
     Witness,
+    all_pairs,
     pair_rank,
     parse_pair_coloring,
     parse_pattern,
@@ -269,24 +270,17 @@ def _cmd_detect(args, stdin, stdout) -> int:
 def _cmd_table(args, stdin, stdout) -> int:
     host = parse_triple_coloring(stdin.read())
     what = args.what
-    if what == "alpha":
-        table = alpha_table(host)
-        lines = [f"alpha {host.N}"]
-        for u in range(1, host.N + 1):
-            for v in range(u + 1, host.N + 1):
-                lines.append(f"{u} {v} {table.value(u, v)}")
-    elif what == "beta":
-        table = beta_table(host)
-        lines = [f"beta {host.N}"]
-        for u in range(1, host.N + 1):
-            for v in range(u + 1, host.N + 1):
-                lines.append(f"{u} {v} {table.beta(u, v)}")
-    else:
+    if what == "profiles":
         profiles = profile_table(host)
         lines = [f"profiles {host.N}"]
         for v in range(1, host.N + 1):
             stair = " ".join(str(b) for b in profiles[v].maxB)
             lines.append(f"{v} {stair}".rstrip())
+    else:
+        # values by pair rank, in the order all_pairs gives the pairs
+        values = alpha_table(host).values if what == "alpha" else beta_table(host).betas
+        lines = [f"{what} {host.N}"]
+        lines += [f"{u} {v} {x}" for (u, v), x in zip(all_pairs(host.N), values)]
     _emit("\n".join(lines) + "\n", args.output, stdout)
     return 0
 

@@ -19,18 +19,21 @@ from .core import PairColoring, TripleColoring, pair_offsets
 def lift(chi: PairColoring) -> TripleColoring:
     """Red where the pair colors strictly increase along the triple.
 
-    The triples (a, b, c) for c = b+1..N are consecutive in rank order and
-    so are the pairs (b, c), so each row is marked against one slice of
-    chi's colors."""
+    The triples (a, b, c) for c = b+1..N are consecutive in rank order, and
+    their marks depend only on b and x = chi(a, b): '1' where x is below
+    chi(b, c).  So each row is one string, built once per (b, x)."""
     N, colors = chi.N, chi.colors
     row = pair_offsets(N)
-    after = {b: colors[row[b] + b + 1: row[b] + N + 1] for b in range(1, N)}
-    return TripleColoring.from_bitstring(N, "".join(
-        "1" if colors[row[a] + b] < y else "0"
-        for a in range(1, N - 1)
-        for b in range(a + 1, N)
-        for y in after[b]
-    ))
+    rows: dict[tuple[int, int], str] = {}
+    marks = []
+    for a in range(1, N - 1):
+        for b in range(a + 1, N):
+            x = colors[row[a] + b]
+            if (b, x) not in rows:
+                rows[b, x] = "".join("1" if x < y else "0"
+                                     for y in colors[row[b] + b + 1: row[b] + N + 1])
+            marks.append(rows[b, x])
+    return TripleColoring.from_bitstring(N, "".join(marks))
 
 
 def pentagon_coloring() -> PairColoring:

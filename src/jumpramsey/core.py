@@ -338,7 +338,7 @@ def parse_triple_coloring(text: str) -> TripleColoring:
     if len(body) != 1:
         raise FormatError(f"expected exactly one bitstring line of length {want}")
     no, bitline = body[0]
-    if len(bitline) != want or set(bitline) - {"0", "1"}:
+    if len(bitline) != want or bitline.encode().translate(None, b"01"):
         raise FormatError(
             f"expected {want} characters over 0/1, got {len(bitline)}", no
         )

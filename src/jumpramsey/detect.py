@@ -5,10 +5,12 @@ target color, alpha(u, v) is one more than the number of triples in the
 longest target-colored monotone path that finishes with the pair (u, v).
 Assigning a triple (u, v, w) the target color always pushes alpha(v, w)
 above alpha(u, v), which is what the avoidance search in module search
-exploits for pruning.  The alpha table and the forward table of
-longest_red_path decode the coloring into one mark per triple once, then
-walk rows of consecutive triples (t, u, u+1..N) against the flat pair
-index row[u] + v, so a whole host costs one step per triple.
+exploits for pruning.  On a full host the tables work one row at a time,
+not one triple: the row (t, u, .) of red marks is one int, a bit per v,
+and a vertex's pairs are filled by ORing rows into one mask per table
+value and reading off, per pair, the best value whose mask holds it.  The
+alpha table and the forward table of longest_red_path cost a few integer
+operations per pair, and the coloring is decoded once per call.
 
 The second finds an order-preserving embedding of a fixed pattern with all
 edges blue.  Patterns of bounded width (largest span of an edge) admit a
@@ -21,7 +23,9 @@ fixing the member in advance.  It scans host vertex tuples in lexicographic
 order and carries, per tuple, the set of feasible jump placements encoded
 as (last three flags, jumps used); every required edge of a jump pattern
 touches at most five consecutive positions, so this state plus the last
-four chosen vertices determines the future exactly.
+four chosen vertices determines the future exactly.  The set is one
+bitmask (JumpStates), and its transition is one memoised function that
+the member table of module search steps through too.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .core import (
     OrderedTripleSystem,
     TripleColoring,
     all_pairs,
-    lex_rank,
     pair_offsets,
     pair_rank,
     rank_offsets,
@@ -73,29 +76,55 @@ class AlphaTable:
         return max(self.values, default=0)
 
 
+def _red_rows(c: TripleColoring) -> list[int]:
+    """Per pair (t, u), the red row (t, u, .) as one int: bit N - v is set
+    when (t, u, v) is red, v = u+1..N, at index row[t] + u; 0 for (t, N).
+
+    The triples (t, ., .) are consecutive in rank order, and within them
+    each row, so each block t is one slice of the decoded marks read as a
+    binary numeral, whose lowest bits hold its last row (t, N - 1, N)."""
+    N = c.N
+    marks = c.bitstring()
+    pref1, _ = rank_offsets(N)
+    row = pair_offsets(N)
+    full = [(1 << width) - 1 for width in range(N)]
+    rows = [0] * comb(N, 2)
+    for t in range(1, N - 1):
+        block = int(marks[pref1[t]:pref1[t + 1]], 2)
+        for u in range(N - 1, t, -1):
+            rows[row[t] + u] = block & full[N - u]
+            block >>= N - u
+    return rows
+
+
 def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
     """alpha(u, v) = 1 + max alpha(t, u) over t < u with (t, u, v) on target.
 
     The empty maximum gives alpha = 1: a bare pair ends a trivial path.
-    The coloring is decoded once and its triples are walked in rank order,
-    which is lex order: every triple (s, t, u) comes before the triples
-    (t, u, v), so alpha(t, u) is final when it is pushed onto the pairs
-    (u, v) that the row of (t, u, .) puts on target.
+    Vertex u's pairs (u, v) are filled after every alpha(t, u), t < u, is
+    final.  The rows (t, u, .) on target are ORed into one mask per value
+    alpha(t, u); going from the highest value down, each pair (u, v) takes
+    the first value whose mask holds v, so it is written once.
     """
     N = c.N
-    want = "1" if target is Color.RED else "0"
-    marks = c.bitstring()
+    rows = _red_rows(c)
     row = pair_offsets(N)
     values = [1] * comb(N, 2)
-    r = 0  # rank of (t, u, u + 1)
-    for t in range(1, N - 1):
-        for u in range(t + 1, N):
-            a = values[row[t] + u] + 1
-            # i runs over the pairs (u, v), v = u+1..N
-            for i, mark in enumerate(marks[r:r + N - u], row[u] + u + 1):
-                if mark == want and values[i] < a:
-                    values[i] = a
-            r += N - u
+    for u in range(2, N):
+        flip = 0 if target is Color.RED else (1 << (N - u)) - 1
+        by_value: dict[int, int] = {}
+        for t in range(1, u):
+            i = row[t] + u
+            by_value[values[i]] = by_value.get(values[i], 0) | rows[i] ^ flip
+        end = row[u] + N + 1  # values[end - bit_length] is pair (u, N - bit)
+        done = 0
+        for a in sorted(by_value, reverse=True):
+            vs = by_value[a] & ~done
+            done |= vs
+            while vs:
+                low = vs & -vs
+                values[end - low.bit_length()] = a + 1
+                vs ^= low
     return AlphaTable(N, target, tuple(values))
 
 
@@ -110,36 +139,36 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     if N < 2:
         return 0, Embedding(tuple(range(1, N + 1)))
     table = alpha_table(c, Color.RED)
-    marks = c.bitstring()
+    rows = _red_rows(c)
     row = pair_offsets(N)
-    # forward table: longest red continuation after starting with (u, v),
-    # filled in reverse lex order so that every cont(v, w) is final
+    # forward table: cont(u, v) is the longest red continuation after
+    # starting with (u, v).  levels[v] lists (k, mask of the w with
+    # cont(v, w) = k), k falling, filed once every cont(v, .) is final; so
+    # cont(u, v) is one more than the first k whose mask meets row (u, v).
     cont = [0] * comb(N, 2)
-    for u in range(N - 2, 0, -1):
-        for v in range(N - 1, u, -1):
-            r = lex_rank((u, v, v + 1), N)
-            best = 0
-            # i runs over the pairs (v, w), w = v+1..N
-            for i, mark in enumerate(marks[r:r + N - v], row[v] + v + 1):
-                if mark == "1" and cont[i] >= best:
-                    best = cont[i] + 1
-            cont[row[u] + v] = best
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
+    for u in range(N - 1, 0, -1):
+        for v in range(u + 1, N):
+            i = row[u] + v
+            for k, ws in levels[v]:
+                if rows[i] & ws:
+                    cont[i] = k + 1
+                    break
+        by_k: dict[int, int] = {}
+        for v in range(u + 1, N + 1):
+            k = cont[row[u] + v]
+            by_k[k] = by_k.get(k, 0) | 1 << (N - v)
+        levels[u] = sorted(by_k.items(), reverse=True)
     top = max(cont)
     if top + 1 != table.max_value:
         raise RuntimeError("path tables disagree; this is a bug")
     u, v = list(all_pairs(N))[cont.index(top)]
     path = [u, v]
-    remaining = top
-    while remaining:
-        u, v = path[-2], path[-1]
-        w = next(
-            w
-            for w in range(v + 1, N + 1)
-            if marks[lex_rank((u, v, w), N)] == "1"
-            and cont[row[v] + w] == remaining - 1
-        )
-        path.append(w)
-        remaining -= 1
+    for k in range(top - 1, -1, -1):
+        # the smallest w is the highest bit
+        ws = rows[row[u] + v] & dict(levels[v])[k]
+        u, v = v, N + 1 - ws.bit_length()
+        path.append(v)
     return table.max_value, Embedding(tuple(path))
 
 
@@ -200,33 +229,59 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
     return Embedding(found)
 
 
-def _member_transitions(fast, n, N, prefix, alive, h):
-    """Feasible (flags, used) states after appending host vertex h, with
-    room left in [N] for the rest of the member."""
-    p = len(prefix)
-    if p >= 2 and not fast.is_blue(prefix[-2], prefix[-1], h):
-        return frozenset()
-    one_a = p < 3 or fast.is_blue(prefix[-3], prefix[-2], h)
-    one_b = p < 3 or fast.is_blue(prefix[-3], prefix[-1], h)
-    two = p < 4 or fast.is_blue(prefix[-4], prefix[-2], h)
-    out = set()
-    for f3, used in alive:
-        for f in (False, True):
-            if f and (p == 0 or (f3 and f3[-1]) or used == n):
-                continue
-            if f3 and f3[-1] and not one_a:
-                continue
-            if len(f3) >= 2 and f3[-2] and not one_b:
-                continue
-            if len(f3) >= 3 and f3[-3] and f3[-1] and not two:
-                continue
-            used2 = used + f
-            need = n - used2
-            tail = 2 * need + f if need else (1 if f else 0)
-            if h + tail > N:
-                continue
-            out.add(((f3 + (f,))[-3:], used2))
-    return frozenset(out)
+class JumpStates:
+    """States of blue member prefixes of the n-jump family, as bitmasks.
+
+    A prefix's state is (f, used): f holds the jump flags of its last three
+    positions, bit 0 the last, and used counts its jumps.  State (f, used)
+    is bit 8 * used + f of a mask, so a set of states is one int; a
+    one-vertex prefix has the state set 1 (no jump, none used).  A prefix
+    accepts (is a member) in a state with all n jumps used and no jump at
+    its last position.  step is memoised over (mask, cond) for the process
+    and serves the detector below and the engine's member table in module
+    search alike.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.accept = sum(1 << (8 * n + f) for f in range(0, 8, 2))
+        # room[s]: the states that leave room for the rest of a member with
+        # s host vertices to spare: 2 per missing jump, 1 after a jump
+        self.room = [sum(1 << (8 * used + f) for used in range(n + 1) for f in range(8)
+                         if 2 * (n - used) + (f & 1) <= s) for s in range(2 * n + 2)]
+        self.steps: dict[int, int] = {}
+
+    def fits(self, spare: int) -> int:
+        """The states that fit with spare host vertices after the last."""
+        return self.room[min(spare, 2 * self.n + 1)]
+
+    def step(self, mask: int, cond: int) -> int:
+        """States after appending a vertex w to prefixes ending (x, y, u, v)
+        in the states of mask; cond bits 0, 1, 2 say whether the jump edges
+        (y, u, w), (y, v, w) and (x, u, w) are blue (set where a vertex is
+        missing).  The caller checks (u, v, w) itself."""
+        key = mask << 3 | cond
+        out = self.steps.get(key)
+        if out is None:
+            out = 0
+            for used in range(self.n + 1):
+                for f in range(8):
+                    if not mask >> (8 * used + f) & 1:
+                        continue
+                    if (f & 1 and not cond & 1 or f & 2 and not cond & 2
+                            or f & 5 == 5 and not cond & 4):
+                        continue
+                    out |= 1 << (8 * used + (f << 1 & 7))
+                    if not f & 1 and used < self.n:
+                        out |= 1 << (8 * (used + 1) + (f << 1 & 7 | 1))
+            self.steps[key] = out
+        return out
+
+
+@lru_cache(maxsize=16)
+def jump_states(n: int) -> JumpStates:
+    """The one JumpStates per jump count, shared by every caller."""
+    return JumpStates(n)
 
 
 def _minimal_jump_flags(fast, n, verts) -> tuple[int, ...]:
@@ -280,16 +335,28 @@ def find_blue_jump_member(
     if 2 * n + 1 > N:
         return None
     fast = _FastBits(c)
-    failed: set[tuple[tuple[int, ...], frozenset]] = set()
+    states = jump_states(n)
+    step, accept = states.step, states.accept
+    fits = [states.fits(N - h) for h in range(N + 1)]
+    failed: set[tuple[tuple[int, ...], int]] = set()
 
-    def dfs(prefix: list[int], alive: frozenset) -> tuple[int, ...] | None:
-        if any(used == n and f3 and not f3[-1] for f3, used in alive):
+    def dfs(prefix: list[int], alive: int) -> tuple[int, ...] | None:
+        if alive & accept:
             return tuple(prefix)
         state = (tuple(prefix[-4:]), alive)
         if state in failed:
             return None
-        for h in range(prefix[-1] + 1 if prefix else 1, N + 1):
-            nxt = _member_transitions(fast, n, N, prefix, alive, h)
+        p = len(prefix)
+        x, y, u, v = ([0, 0, 0, 0] + prefix)[-4:]
+        for h in range(v + 1, N + 1):
+            if p == 0:  # no jump at the first position
+                nxt = alive & fits[h]
+            elif p >= 2 and not fast.is_blue(u, v, h):
+                continue
+            else:
+                cond = 7 if p < 3 else (fast.is_blue(y, u, h) | fast.is_blue(y, v, h) << 1
+                                        | (p == 3 or fast.is_blue(x, u, h)) << 2)
+                nxt = step(alive, cond) & fits[h]
             if not nxt:
                 continue
             prefix.append(h)
@@ -300,7 +367,7 @@ def find_blue_jump_member(
         failed.add(state)
         return None
 
-    verts = dfs([], frozenset({((), 0)}))
+    verts = dfs([], 1)
     if verts is None:
         return None
     jumps = _minimal_jump_flags(fast, n, verts)

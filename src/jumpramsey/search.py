@@ -17,7 +17,8 @@ rank, so it is already coloured when that triple turns blue.  A power path
 of window t >= 4 is tracked per (t-1)-vertex key, the longest blue power
 path ending there; a jump-family member per last four vertices, the
 bitmask of (last three flags, jumps used) states of the blue member
-prefixes ending there (the state of detect.find_blue_jump_member).  A push
+prefixes ending there (detect.JumpStates, the state that
+detect.find_blue_jump_member carries, stepped by the same function).  A push
 that completes a copy prunes the branch; it finds exactly the copies a
 detector run would find, since every earlier blue node was checked and
 every later triple is red.  Generic patterns keep a full detector run on
@@ -63,7 +64,8 @@ from math import comb
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
                    lex_rank, pair_rank, rank_offsets)
-from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, longest_red_path
+from .detect import (alpha_table, find_blue_embedding, find_blue_jump_member, jump_states,
+                     longest_red_path)
 from .family import monotone_path, power_path
 
 DEFAULT_BUDGET = 10**9
@@ -207,22 +209,19 @@ class _JumpMembers:
     vertices.
 
     A prefix's future depends only on its last four vertices and its state
-    (flags of its last three positions, jumps used), as in
-    detect.find_blue_jump_member; state (f, used) is bit 8 * used + f of a
-    mask, bit 0 of f the flag of the last position.  states[pair (u, v)]
-    maps y to {x: mask}, the states of the prefixes ending (x, y, u, v),
-    x = 0 for the prefix (y, u, v); every two-vertex prefix has the fixed
-    states START.  Appending w needs (u, v, w) blue, so the push at
-    (u, v, w) extends the prefixes ending (u, v), reading (y, u, w),
-    (y, v, w) and (x, u, w), all of lower rank, and writes
-    states[(v, w)][u]; the pop deletes that entry.  A prefix in an accepting
-    state (all n jumps used, last position no jump) is a member.
+    set, a detect.JumpStates bitmask as in detect.find_blue_jump_member,
+    and both step through the same memoised JumpStates.step.
+    states[pair (u, v)] maps y to {x: mask}, the states of the prefixes
+    ending (x, y, u, v), x = 0 for the prefix (y, u, v); every two-vertex
+    prefix has the fixed states step(1, 7).  Appending w needs (u, v, w)
+    blue, so the push at (u, v, w) extends the prefixes ending (u, v),
+    reading (y, u, w), (y, v, w) and (x, u, w), all of lower rank, and
+    writes states[(v, w)][u]; the pop deletes that entry.  A prefix in an
+    accepting state (all n jumps used, last position no jump) is a member.
     """
 
-    START = 1 | 1 << 9  # no jump yet, or a jump at position 2
-
     def __init__(self, N: int, n: int, triples, pairs_idx, colour):
-        self.N, self.n = N, n
+        self.N = N
         self.triples, self.pairs_idx = triples, pairs_idx
         self.colour = colour
         self.states: list[dict[int, dict[int, int]]] = [{} for _ in range(comb(N, 2))]
@@ -230,40 +229,18 @@ class _JumpMembers:
         # rank (y, b, c) is lead[y] + pref2[b - 1] + c - b - 1
         self.lead = [pref1[y] - pref2[y] for y in range(N + 1)]
         self.pref2 = pref2
-        self.accept = sum(1 << (8 * n + f) for f in range(0, 8, 2))
-        # fits[s]: the states that leave room for the rest of a member with
-        # s host vertices to spare: 2 per missing jump, 1 after a jump
-        self.fits = [sum(1 << (8 * used + f) for used in range(n + 1) for f in range(8)
-                         if 2 * (n - used) + (f & 1) <= s) for s in range(N + 1)]
-        self.steps: dict[int, int] = {}
-        # the three-vertex prefixes: START extended, no jump edge to check
-        self.third = self._step(self.START, 7)
-
-    def _step(self, mask: int, cond: int) -> int:
-        """States after appending a vertex; cond bits 0, 1, 2 say whether
-        the jump edges (y, u, w), (y, v, w) and (x, u, w) are blue."""
-        key = mask << 3 | cond
-        out = self.steps.get(key)
-        if out is None:
-            out = 0
-            for used in range(self.n + 1):
-                for f in range(8):
-                    if not mask >> (8 * used + f) & 1:
-                        continue
-                    if (f & 1 and not cond & 1 or f & 2 and not cond & 2
-                            or f & 5 == 5 and not cond & 4):
-                        continue
-                    out |= 1 << (8 * used + (f << 1 & 7))
-                    if not f & 1 and used < self.n:
-                        out |= 1 << (8 * (used + 1) + (f << 1 & 7 | 1))
-            self.steps[key] = out
-        return out
+        jumps = jump_states(n)
+        self.step, self.accept = jumps.step, jumps.accept
+        self.fits = [jumps.fits(s) for s in range(N + 1)]
+        # the three-vertex prefixes: a one-vertex prefix extended twice,
+        # no jump edge to check
+        self.third = self.step(self.step(1, 7), 7)
 
     def push(self, rank: int) -> bool:
         """Triple rank turned blue; True when a blue member now ends there."""
         u, v, w = self.triples[rank]
         iuv, ivw = self.pairs_idx[rank]
-        colour, lead, step = self.colour, self.lead, self._step
+        colour, lead, step = self.colour, self.lead, self.step
         uw = self.pref2[u - 1] + w - u - 1
         vw = self.pref2[v - 1] + w - v - 1
         fits = self.fits[self.N - w]

@@ -118,6 +118,31 @@ def longest_path(c, target=Color.RED):
     return best_len - 1, best_seq
 
 
+def forward_red_path(c):
+    """(depth, witness) of the longest red path by the per-triple forward
+    table: cont(u, v), the most red triples that can follow the pair
+    (u, v), filled in reverse lex order from every red (u, v, w) one triple
+    at a time.  The witness starts at the first pair with the largest cont
+    and takes the smallest w each time."""
+    N = c.N
+    if N < 2:
+        return 0, tuple(range(1, N + 1))
+    cont = {}
+    for u in range(N - 1, 0, -1):
+        for v in range(N, u, -1):
+            cont[u, v] = max((cont[v, w] + 1 for w in range(v + 1, N + 1)
+                              if c.is_red(u, v, w)), default=0)
+    top = max(cont.values())
+    u, v = next(p for p in sorted(cont) if cont[p] == top)
+    path = [u, v]
+    for k in range(top - 1, -1, -1):
+        w = next(w for w in range(v + 1, N + 1)
+                 if c.is_red(u, v, w) and cont[v, w] == k)
+        u, v = v, w
+        path.append(w)
+    return top + 1, tuple(path)
+
+
 def chain_beta(c, u, v, alphas=None):
     """1 + the most blocks over every odd chain ending (u, v).
 

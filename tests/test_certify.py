@@ -78,6 +78,31 @@ def test_beta_table_matches_plain_dp_on_lifts():
         assert got == chains
 
 
+def test_beta_table_matches_plain_dp_on_random_hosts():
+    """Random triple colourings, not lifts, at five red densities from 1/8
+    to 7/8: the red-heavy ones give alpha up to about N, the blue-heavy
+    ones chains of several blocks."""
+    rng = random.Random(101)
+    deepest = widest = 0
+    for N in range(25):
+        T = comb(N, 3)
+        for density in range(5):
+            a, b, extra = rng.getrandbits(T), rng.getrandbits(T), rng.getrandbits(T)
+            bits = (a & b & extra, a & b, a, a | b, a | b | extra)[density]
+            c = TripleColoring(N, bits)
+            table = beta_table(c)
+            betas, chains = naive_beta_table(c)
+            assert table.betas == betas, (N, density)
+            got = tuple(
+                None if ch is None else (ch.vertices, ch.block_values)
+                for ch in table.chains
+            )
+            assert got == chains, (N, density)
+            deepest = max(deepest, table.max_beta)
+            widest = max(widest, table.alpha.max_value)
+    assert deepest >= 5 and widest >= 20
+
+
 def test_beta_table_builds_chains_only_on_demand(monkeypatch):
     built = []
     check = BetaChain.__post_init__

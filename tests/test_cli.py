@@ -107,6 +107,14 @@ def test_detect_jumps_on_all_blue_host():
     assert w.jumps == (2, 4)
 
 
+@pytest.mark.parametrize("bad", ["2", "_", " ", "\u00e9"])
+def test_host_line_of_the_right_length_with_a_stray_character(bad):
+    host = "triples 5\n01" + bad + "0101010\n"
+    code, out, err = run(["detect", "redpath", "--m", "3"], stdin=host)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: expected 10 characters over 0/1, got 10\n"
+
+
 def test_detect_redpath_truncates_to_requested_length():
     host = "triples 5\n" + "1" * 10 + "\n"
     code, out, _ = run(["detect", "redpath", "--m", "4"], stdin=host)
@@ -166,6 +174,9 @@ TABLE_PINS = {
         "certify profileprop --n 2": (0, "3c1ab59a34ea6e210ae5e4ef89977294fe45cb478db27544148d821c21ef0215"),
         "certify profileprop --n 3": (0, "8bcd50469f16cc4aafcbe4b3507b1cb30f1fc3ea81fecfa1ebcefe6fc4b0f153"),
         "detect redpath --m 5": (0, "7822efd65a99e23a84c340d7ad42667940b89a58329145b7945ae160553df7c4"),
+        "detect jumps --n 1": (0, "b492f95b0d9f4d59b16ad61ef428a0989a5a3dcd1362cf1d328ad18e5d84e9d4"),
+        "detect jumps --n 2": (0, "b00cdf3491796eff4dcf32078abaf203deb3b219d6c4db9ad4820e4025212bb7"),
+        "detect jumps --n 3": (0, "4ba2cd463a3a4b9fdb67638732f31e3678720dc74fd816e7fa45784eebdb99eb"),
     },
     "random-40-4": {
         "lift": (0, "bcb89e0a7152eeee0103292f7ba60198bb68913862b9cfcd703a824d6e545701"),
@@ -175,6 +186,9 @@ TABLE_PINS = {
         "certify profileprop --n 2": (0, "1dacccdcdb32c85024c71c444ab6292da4a52739938e87d75f0d2e51545210d7"),
         "certify profileprop --n 3": (0, "609c7a46316838f241f30a8a8b042ebccc6d5409c45c76964c7003058a681486"),
         "detect redpath --m 5": (0, "32a692c0af0c082aa8ebeea74496e068c2d7ebddba1bc654a9863b3e9575b820"),
+        "detect jumps --n 1": (0, "b492f95b0d9f4d59b16ad61ef428a0989a5a3dcd1362cf1d328ad18e5d84e9d4"),
+        "detect jumps --n 2": (0, "a0212c3f41c7bfa64d5d7a99814caf2e5c6d9ac73aadecb9d3f002e8e676ec89"),
+        "detect jumps --n 3": (0, "d04cb430a937408987b06f9806f84afb2f963f13ffb1f1017a9166158c980bdb"),
     },
 }
 

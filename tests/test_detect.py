@@ -23,6 +23,7 @@ from jumpramsey.detect import (
 from jumpramsey.family import jump_min, monotone_path, power_path
 from oracles import (
     alpha_map,
+    forward_red_path,
     longest_path,
     naive_alpha_values,
     naive_embedding,
@@ -114,6 +115,12 @@ def test_longest_red_path_matches_oracle():
         assert emb.vertices == want_seq
 
 
+def test_longest_red_path_matches_forward_table_on_lifts():
+    for c in random_lifts(113, 8):
+        depth, path = longest_red_path(c)
+        assert (depth, path.vertices) == forward_red_path(c)
+
+
 def test_longest_red_path_tiny_hosts():
     assert longest_red_path(TripleColoring(1, 0)) == (0, Embedding((1,)))
     depth, emb = longest_red_path(TripleColoring(2, 0))
@@ -175,6 +182,24 @@ def test_find_blue_jump_member_random_hosts():
         else:
             verts, spec = got
             assert (verts, spec.sorted_jumps) == want
+
+
+def test_find_blue_jump_member_three_jumps():
+    """n = 3 on hosts with a quarter of the triples red, N = 7..10."""
+    rng = random.Random(97)
+    found = 0
+    for _ in range(150):
+        N = rng.randint(7, 10)
+        c = TripleColoring(N, rng.getrandbits(comb(N, 3)) & rng.getrandbits(comb(N, 3)))
+        got = find_blue_jump_member(c, 3)
+        want = naive_member(c, 3)
+        if want is None:
+            assert got is None
+        else:
+            found += 1
+            verts, spec = got
+            assert (verts, spec.sorted_jumps) == want
+    assert 20 <= found <= 130
 
 
 def test_member_on_all_blue_hosts():

@@ -12,6 +12,7 @@ from jumpramsey.detect import (
     alpha_table,
     find_blue_embedding,
     find_blue_jump_member,
+    jump_states,
     longest_red_path,
 )
 from jumpramsey.core import OrderedTripleSystem, TripleColoring, lex_rank
@@ -413,6 +414,17 @@ def test_blue_tables_match_full_detection():
             else:
                 assert not eng.table.best
         assert last_hits > runs // 10, blue
+
+
+def test_member_table_and_detector_step_through_one_function():
+    states = jump_states(2)
+    assert jump_states(2) is states
+    eng = search._Engine(AvoidanceProblem(7, monotone_path(4), JumpsFamily(2)),
+                         DEFAULT_BUDGET)
+    assert eng.table.step == states.step
+    states.steps.clear()
+    find_blue_jump_member(TripleColoring.all_blue(7), 2)
+    assert states.steps
 
 
 def test_blue_kind_reads_the_spec_once():
