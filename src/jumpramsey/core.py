@@ -9,6 +9,7 @@ layer for every command-line tool in the package.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -290,7 +291,10 @@ def parse_pair_coloring(text: str) -> PairColoring:
     if N < 0 or k < 0:
         raise FormatError("N and k must be nonnegative", no)
     want = comb(N, 2)
-    seen: dict[int, int] = {}
+    # a line per pair and no duplicate is a total text; a shorter text is
+    # partial and goes into a dict, so that its header's N sizes no table
+    row = pair_offsets(N) if want < len(lines) else None
+    colors = [0] * want if row is not None else defaultdict(int)
     for no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
@@ -300,14 +304,14 @@ def parse_pair_coloring(text: str) -> PairColoring:
             raise FormatError(f"({u}, {v}) is not an increasing pair in [{N}]", no)
         if not 1 <= c <= k:
             raise FormatError(f"color {c} outside 1..{k}", no)
-        r = pair_rank(u, v, N)
-        if r in seen:
+        r = row[u] + v if row is not None else pair_rank(u, v, N)
+        if colors[r]:
             raise FormatError(f"duplicate entry for pair ({u}, {v})", no)
-        seen[r] = c
-    if len(seen) != want:
-        missing = next(p for p in all_pairs(N) if pair_rank(*p, N) not in seen)
+        colors[r] = c
+    if row is None:
+        missing = next(p for p in all_pairs(N) if not colors[pair_rank(*p, N)])
         raise FormatError(f"partial coloring: pair {missing} has no color")
-    return PairColoring(N, k, tuple(seen[r] for r in range(want)))
+    return PairColoring(N, k, tuple(colors))
 
 
 def serialize_pair_coloring(chi: PairColoring) -> str:

@@ -106,8 +106,11 @@ def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
     alpha(t, u); going from the highest value down, each pair (u, v) takes
     the first value whose mask holds v, so it is written once.
     """
-    N = c.N
-    rows = _red_rows(c)
+    return AlphaTable(c.N, target, _alpha_values(c.N, _red_rows(c), target))
+
+
+def _alpha_values(N: int, rows: list[int], target: Color) -> tuple[int, ...]:
+    """alpha_table's values from the red rows of _red_rows."""
     row = pair_offsets(N)
     values = [1] * comb(N, 2)
     for u in range(2, N):
@@ -125,7 +128,7 @@ def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
                 low = vs & -vs
                 values[end - low.bit_length()] = a + 1
                 vs ^= low
-    return AlphaTable(N, target, tuple(values))
+    return tuple(values)
 
 
 def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
@@ -138,8 +141,8 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     N = c.N
     if N < 2:
         return 0, Embedding(tuple(range(1, N + 1)))
-    table = alpha_table(c, Color.RED)
     rows = _red_rows(c)
+    depth = max(_alpha_values(N, rows, Color.RED))
     row = pair_offsets(N)
     # forward table: cont(u, v) is the longest red continuation after
     # starting with (u, v).  levels[v] lists (k, mask of the w with
@@ -160,7 +163,7 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
             by_k[k] = by_k.get(k, 0) | 1 << (N - v)
         levels[u] = sorted(by_k.items(), reverse=True)
     top = max(cont)
-    if top + 1 != table.max_value:
+    if top + 1 != depth:
         raise RuntimeError("path tables disagree; this is a bug")
     u, v = list(all_pairs(N))[cont.index(top)]
     path = [u, v]
@@ -169,7 +172,7 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
         ws = rows[row[u] + v] & dict(levels[v])[k]
         u, v = v, N + 1 - ws.bit_length()
         path.append(v)
-    return table.max_value, Embedding(tuple(path))
+    return depth, Embedding(tuple(path))
 
 
 @lru_cache(maxsize=256)

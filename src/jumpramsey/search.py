@@ -27,7 +27,9 @@ the witness re-check are always full detector runs.
 
 One walker does all the branching: it runs over a range of ranks with an
 explicit stack, so search depth C(N, 3) is bounded by memory and the node
-budget, not by the interpreter's recursion limit.  The split enumeration
+budget, not by the interpreter's recursion limit.  A node's whole job is
+done inline in its loop, on local variables, since a method call per step
+(apply, undo, count) was most of a node's cost.  The split enumeration
 walks the first ranks and collects the live prefixes; each split replays
 its prefix and walks the remaining ranks to a full coloring.
 
@@ -133,8 +135,7 @@ class BracketOutcome:
 
 
 class _Found(Exception):
-    def __init__(self, bits: int):
-        self.bits = bits
+    pass
 
 
 class _Budget(Exception):
@@ -271,7 +272,9 @@ class _JumpMembers:
 
 class _Engine:
     """One search lane: incremental tables, the partial-coloring bitmask and
-    an explicit branch stack.
+    an explicit branch stack, all worked by one loop, walk.  A node's whole
+    job, its dead checks, count, table writes and their undo, is inline
+    there: method dispatch was most of a node's cost.
 
     bits starts all ones (red); a blue branch clears its rank bit, so the
     mask always reads unassigned triples as red, which is what a full blue
@@ -307,17 +310,16 @@ class _Engine:
         elif self.kind == "jumps":
             self.table = _JumpMembers(N, self.blue_m, self.triples, self.pairs_idx,
                                       self.colour)
-        self.nodes = 0
-        self.max_depth = 0
-        self.hit = False
+        self.nodes = self.max_depth = 0
         self.memo = None
         self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
         self.front = [None] * self.total
+        self.packed, self.packs = 0, (None, None)
         if memo and self.ab is not None:
             self._pack_front()
 
     def _pack_front(self) -> None:
-        """Start the failed-state memo (path/path only).
+        """Start the failed-state memo on the current tables (path/path only).
 
         self.packed holds the clamped ar and ab value of every pair (x, y)
         with y < N, lowest pair rank in the lowest bits, under a sentinel
@@ -343,94 +345,15 @@ class _Engine:
             rfield.append((rm - 1 - (N - y), width))
             bfield.append((bm - 1 - (N - y), width + rwidth))
             width += rwidth + bwidth
-        self.packed = 1 << width
-        for field in rfield + bfield:
-            self._repack(field, 0, 1)  # every table starts at 1
         self.fields = (bfield, rfield)
+        # packs[red][pair][d]: what value d of that pair adds to packed
+        bpack, rpack = self.packs = tuple(
+            [tuple(d << shift if d >= thr else 0 for d in range(m)) for thr, shift in fields]
+            for m, fields in ((bm, bfield), (rm, rfield)))
+        self.packed = (1 << width) + sum(p[d] for p, d in zip(rpack + bpack, self.ar + self.ab))
         self.front = [offset[iuv] if w == v + 1 else None
                       for (_, v, w), (iuv, _) in zip(self.triples, self.pairs_idx)]
         self.memo = set()
-
-    def _repack(self, field, old: int, new: int) -> None:
-        """Move one pair's packed field from value old to value new."""
-        thr, shift = field
-        self.packed += ((new if new >= thr else 0)
-                        - (old if old >= thr else 0)) << shift
-
-    def _failed(self, rank: int) -> None:
-        """Record that the walk below rank failed in the current state."""
-        if len(self.memo) >= MEMO_CAP:
-            self.memo.clear()
-        self.memo.add(self.packed >> self.front[rank])
-
-    def _count(self, rank: int) -> None:
-        if self.nodes == self.cap:
-            self.hit = True
-            raise _Budget()
-        self.nodes += 1
-        if rank + 1 > self.max_depth:
-            self.max_depth = rank + 1
-
-    def _apply(self, rank: int, red: bool) -> bool:
-        """Colour rank and push it onto the tables; True when that
-        completes a blue copy of a spec kept in a window or member table."""
-        iuv, ivw = self.pairs_idx[rank]
-        self.colour[rank] = red
-        if red:
-            table = self.ar
-        else:
-            self.bits &= ~(1 << rank)
-            if self.table is not None:
-                return self.table.push(rank)
-            table = self.ab
-            if table is None:
-                return False
-        old = table[ivw]
-        self.token[rank] = old
-        cand = table[iuv] + 1
-        if cand > old:
-            table[ivw] = cand
-            if self.memo is not None:
-                self._repack(self.fields[red][ivw], old, cand)
-        return False
-
-    def _undo(self, rank: int) -> None:
-        ivw = self.pairs_idx[rank][1]
-        red = self.colour[rank]
-        if red:
-            table = self.ar
-        else:
-            self.bits |= 1 << rank
-            if self.table is not None:
-                self.table.pop(rank)
-                return
-            table = self.ab
-            if table is None:
-                return
-        old = self.token[rank]
-        if self.memo is not None and table[ivw] != old:
-            self._repack(self.fields[red][ivw], table[ivw], old)
-        table[ivw] = old
-
-    def _enter(self, rank: int, red: bool) -> bool:
-        """Colour rank and count the node, unless the branch is dead."""
-        iuv = self.pairs_idx[rank][0]
-        if red:
-            if self.ar[iuv] + 1 >= self.red_m - 1:
-                self.red_dead += 1
-                return False
-        elif rank == 0 and self.symmetric:
-            return False
-        elif self.ab is not None and self.ab[iuv] + 1 >= self.blue_m - 1:
-            self.blue_dead += 1
-            return False
-        self._count(rank)
-        if self._apply(rank, red) or (
-                not red and self.kind == "pattern" and self.blue_present()):
-            self._undo(rank)
-            self.blue_hits += 1
-            return False
-        return True
 
     def blue_present(self) -> bool:
         """Full detector run on the coloring so far, unassigned triples red."""
@@ -444,38 +367,116 @@ class _Engine:
         """Depth-first over ranks start..stop-1, red before blue, calling
         leaf() with ranks below stop coloured; returns with them undone.
 
+        Counters, bits and packed live in locals while it runs and go back
+        to the engine on every exit, _Budget and the leaf's _Found included.
+
         With the memo on (splits only, whose leaf never returns), a
         block-start rank whose front state failed before is backed out of at
         once, and one left with both colours tried is recorded as failed."""
-        colour = self.colour
-        front = self.front
+        colour, token, pairs_idx, front = self.colour, self.token, self.pairs_idx, self.front
+        ar, ab, table, memo, cap = self.ar, self.ab, self.table, self.memo, self.cap
+        red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
+        bpack, rpack = self.packs
+        nodes, max_depth, bits, packed = self.nodes, self.max_depth, self.bits, self.packed
+        memo_hits, red_dead, blue_dead, blue_hits = (
+            self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
         rank = start
         red = True  # the branch to try next at rank
-        while True:
-            if rank == stop:
-                leaf()
-            elif red and front[rank] is not None and self.packed >> front[rank] in self.memo:
-                self.memo_hits += 1
-            elif self._enter(rank, red):
-                rank += 1
-                red = True
-                continue
-            elif red:
-                red = False
-                continue
-            elif front[rank] is not None:
-                self._failed(rank)
-            # back up to the nearest rank whose blue branch is untried
+        try:
             while True:
-                if rank == start:
-                    return
-                rank -= 1
-                self._undo(rank)
-                if colour[rank]:
-                    red = False
-                    break
-                if front[rank] is not None:
-                    self._failed(rank)
+                if rank == stop:
+                    leaf()
+                elif red:
+                    at = front[rank]
+                    if at is not None and packed >> at in memo:
+                        memo_hits += 1
+                    else:
+                        iuv, ivw = pairs_idx[rank]
+                        cand = ar[iuv] + 1
+                        if cand >= red_top:
+                            red_dead += 1
+                            red = False
+                            continue
+                        if nodes == cap:
+                            raise _Budget()
+                        nodes += 1
+                        if rank >= max_depth:
+                            max_depth = rank + 1
+                        colour[rank] = True
+                        old = token[rank] = ar[ivw]
+                        if cand > old:
+                            ar[ivw] = cand
+                            if memo is not None:
+                                packed += rpack[ivw][cand] - rpack[ivw][old]
+                        rank += 1
+                        continue
+                else:
+                    iuv, ivw = pairs_idx[rank]
+                    if rank == 0 and symmetric:
+                        pass
+                    elif ab is not None and (cand := ab[iuv] + 1) >= blue_top:
+                        blue_dead += 1
+                    else:
+                        if nodes == cap:
+                            raise _Budget()
+                        nodes += 1
+                        if rank >= max_depth:
+                            max_depth = rank + 1
+                        colour[rank] = False
+                        bits ^= 1 << rank
+                        if ab is not None:
+                            old = token[rank] = ab[ivw]
+                            if cand > old:
+                                ab[ivw] = cand
+                                if memo is not None:
+                                    packed += bpack[ivw][cand] - bpack[ivw][old]
+                            hit = False
+                        elif table is not None:
+                            hit = table.push(rank)
+                        else:
+                            self.bits = bits
+                            hit = self.blue_present()
+                        if not hit:
+                            rank += 1
+                            red = True
+                            continue
+                        if table is not None:
+                            table.pop(rank)
+                        bits |= 1 << rank
+                        blue_hits += 1
+                # back up to the nearest rank whose blue branch is untried;
+                # red is False while rank has had both colours tried (not
+                # so at a leaf or a memo hit), and a block start is recorded
+                while True:
+                    if not red and front[rank] is not None:
+                        if len(memo) >= MEMO_CAP:
+                            memo.clear()
+                        memo.add(packed >> front[rank])
+                    if rank == start:
+                        return
+                    rank -= 1
+                    red = colour[rank]
+                    ivw = pairs_idx[rank][1]
+                    if red:
+                        values, packs = ar, rpack
+                    else:
+                        bits |= 1 << rank
+                        if table is not None:
+                            table.pop(rank)
+                        values, packs = ab, bpack
+                    if values is not None:
+                        old, cur = token[rank], values[ivw]
+                        if cur != old:
+                            values[ivw] = old
+                            if memo is not None:
+                                packed -= packs[ivw][cur] - packs[ivw][old]
+                    if red:
+                        red = False
+                        break
+        finally:
+            self.nodes, self.max_depth, self.bits, self.packed = nodes, max_depth, bits, packed
+            self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits = (
+                memo_hits, red_dead, blue_dead, blue_hits)
 
     def decompose(self, depth: int) -> list[tuple[bool, ...]]:
         """All live branch prefixes at the split depth, in DFS order."""
@@ -484,25 +485,37 @@ class _Engine:
         return prefixes
 
     def replay(self, prefix: tuple[bool, ...]) -> None:
+        """Colour a live prefix as the walk would, with nothing to check,
+        count or undo; a memo restarts on the replayed tables."""
         for rank, red in enumerate(prefix):
-            self._apply(rank, red)
+            iuv, ivw = self.pairs_idx[rank]
+            self.colour[rank] = red
+            values = self.ar if red else self.ab
+            if not red:
+                self.bits ^= 1 << rank
+                if self.table is not None:
+                    self.table.push(rank)
+            if values is not None:
+                values[ivw] = max(values[ivw], values[iuv] + 1)
+        if self.memo is not None:
+            self._pack_front()
 
     def found(self) -> None:
-        raise _Found(self.bits)
+        raise _Found()
 
 
 def _run_split(args) -> tuple[int | None, bool, SearchStats]:
     problem, prefix, cap = args
     eng = _Engine(problem, cap, memo=True)
     eng.replay(prefix)
-    bits = None
+    bits, hit = None, False
     try:
         eng.walk(len(prefix), eng.total, eng.found)
-    except _Found as f:
-        bits = f.bits
+    except _Found:
+        bits = eng.bits  # the walk's state at the leaf
     except _Budget:
-        pass
-    return bits, eng.hit, eng.stats()
+        hit = True
+    return bits, hit, eng.stats()
 
 
 def _blue_kind(blue) -> tuple[str, int, int]:

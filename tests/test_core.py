@@ -1,6 +1,7 @@
 """Ranking, container and file-format tests for the core module."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -143,6 +144,46 @@ def test_pair_coloring_parse_errors_carry_line_numbers():
     with pytest.raises(FormatError) as exc:
         parse_pair_coloring("coloring 3 2\n")
     assert exc.value.line_no == 1
+
+
+# malformed pair texts and the exact error each gives: a duplicate in a text
+# with a line per pair and in a shorter one, a missing pair, a pair out of
+# range or not increasing, a colour out of range, a wrong token count
+PAIR_TEXT_ERRORS = [
+    ("pairs 3 2\n1 2 1\n1 2 2\n2 3 1\n", "line 3: duplicate entry for pair (1, 2)"),
+    ("pairs 3 2\n1 2 1\n1 3 1\n2 3 1\n1 2 1\n", "line 5: duplicate entry for pair (1, 2)"),
+    ("pairs 4 2\n1 2 1\n1 2 2\n", "line 3: duplicate entry for pair (1, 2)"),
+    ("pairs 4 2\n1 2 1\n1 3 1\n1 4 1\n2 3 1\n3 4 1\n",
+     "partial coloring: pair (2, 4) has no color"),
+    ("pairs 2 1\n", "partial coloring: pair (1, 2) has no color"),
+    ("pairs 3 2\n1 2 1\n2 4 1\n1 3 1\n", "line 3: (2, 4) is not an increasing pair in [3]"),
+    ("pairs 3 2\n3 2 1\n", "line 2: (3, 2) is not an increasing pair in [3]"),
+    ("pairs 3 2\n1 2 1\n1 3 3\n2 3 1\n", "line 3: color 3 outside 1..2"),
+    ("pairs 3 2\n1 2 0\n", "line 2: color 0 outside 1..2"),
+    ("pairs 3 2\n1 2\n", "line 2: expected 'u v c', got '1 2'"),
+    ("pairs 3 2\n1 2 1 1\n1 3 1\n2 3 1\n", "line 2: expected 'u v c', got '1 2 1 1'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PAIR_TEXT_ERRORS)
+def test_pair_coloring_parse_error_messages(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_pair_coloring(text)
+    assert str(exc.value) == message
+
+
+def test_pair_coloring_header_alone_sizes_nothing():
+    # a partial text is reported from its lines: a header N of 3000 must
+    # not build a table of its 4.5M pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as exc:
+            parse_pair_coloring("pairs 3000 2\n1 2 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "partial coloring: pair (1, 3) has no color"
+    assert peak < 1 << 20
 
 
 def test_triple_coloring_roundtrip():

@@ -2,6 +2,7 @@
 hosts, the known path-vs-path values, budget semantics and worker
 invariance."""
 
+import copy
 import random
 from concurrent.futures import Future
 
@@ -379,8 +380,10 @@ def test_blue_tables_match_full_detection():
     # each triple tried blue and kept blue unless that completes a blue
     # copy, the rest read as red.  Half the prefixes try a planted copy's
     # edges blue and end at its lex-largest edge, so that the last step
-    # often completes it.  Every blue step must prune exactly when a full
-    # detector run finds a copy, and popping every step must empty the table.
+    # often completes it.  The engine's colour list, bits and table are
+    # driven here as its walker drives them.  Every blue push must report a
+    # copy exactly when a full detector run finds one, and popping every
+    # blue step must empty the table.
     rng = random.Random(59)
     for blue in TRACKED:
         pattern = jump_min(blue.n)[0] if isinstance(blue, JumpsFamily) else blue
@@ -400,20 +403,55 @@ def test_blue_tables_match_full_detection():
                 if rank == top or rank in plant or rng.random() < share:
                     c = TripleColoring(N, eng.bits & ~(1 << rank))
                     found = full_detection(c, blue)
-                    assert eng._enter(rank, False) is not found, (blue, N, rank)
+                    eng.colour[rank] = False
+                    assert eng.table.push(rank) is found, (blue, N, rank)
                     if not found:
+                        eng.bits = c.bits
                         continue
-                assert eng._enter(rank, True)
+                    eng.table.pop(rank)
+                eng.colour[rank] = True
             runs += 1
             last_hits += found
             for rank in reversed(range(top + 1)):
-                eng._undo(rank)
+                if not eng.colour[rank]:
+                    eng.table.pop(rank)
+                    eng.bits |= 1 << rank
             assert eng.bits == (1 << eng.total) - 1
             if isinstance(blue, JumpsFamily):
                 assert not any(eng.table.states)
             else:
                 assert not eng.table.best
         assert last_hits > runs // 10, blue
+
+
+def engine_state(eng):
+    """Copies of what the walker changes and must restore."""
+    table = {"power": "best", "jumps": "states"}.get(eng.kind)
+    table = None if table is None else getattr(eng.table, table)
+    return copy.deepcopy((eng.ar, eng.ab, eng.bits, eng.packed, table))
+
+
+# p4/p4 at N=7 is unsat, so each split walks its whole subtree with the memo
+# on; the power and jumps levels at N=6 are sat, and a leaf that returns
+# makes each split visit every avoiding colouring below its prefix
+@pytest.mark.parametrize("N, blue", [
+    (7, monotone_path(4)), (6, power_path(4, 4)), (6, JumpsFamily(2))])
+def test_walker_leaves_the_engine_as_it_found_it(N, blue):
+    problem = AvoidanceProblem(N, monotone_path(4), blue)
+    probe = search._Engine(problem, DEFAULT_BUDGET)
+    prefixes = probe.decompose(SPLIT_DEPTH)
+    assert engine_state(probe) == engine_state(search._Engine(problem, DEFAULT_BUDGET))
+    leaves = []
+    pruned = 0
+    for prefix in prefixes:
+        eng = search._Engine(problem, DEFAULT_BUDGET, memo=True)
+        eng.replay(prefix)
+        replayed = engine_state(eng)
+        eng.walk(len(prefix), eng.total, lambda: leaves.append(1))
+        assert engine_state(eng) == replayed
+        pruned += eng.memo_hits + eng.blue_hits
+    assert pruned > 0
+    assert bool(leaves) == (eng.kind != "path")
 
 
 def test_member_table_and_detector_step_through_one_function():
