@@ -299,7 +299,10 @@ def parse_pair_coloring(text: str) -> PairColoring:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"expected 'u v c', got {line!r}", no)
-        u, v, c = _ints(parts, no)
+        try:
+            u, v, c = map(int, parts)
+        except ValueError:
+            raise FormatError(f"expected integers, got {parts!r}", no) from None
         if not 1 <= u < v <= N:
             raise FormatError(f"({u}, {v}) is not an increasing pair in [{N}]", no)
         if not 1 <= c <= k:

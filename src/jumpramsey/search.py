@@ -7,7 +7,13 @@ path: its presence is tracked by an incremental alpha table, and a branch
 dies the moment a pair's depth reaches the path length.  Lex order makes
 the table exact without cascades: every triple ending at a pair is decided
 before any triple starting there.  A blue monotone path gets the same
-treatment.
+treatment.  Then a branch also dies when its write leaves a pair (v, w),
+w < N, at m - 2 in both tables (each with its m), where it starts no triple
+of either colour: values only rise along a branch, and rank (v, w, w+1)
+comes after every triple ending at (v, w), so it is still uncoloured and
+dead in both colours, and the subtree holds no leaf.  This pair lookahead
+checks at the write what that rank finds out, often hundreds of ranks
+later; the DFS order stays as it was.
 
 The other blue specs are tracked by tables too, pushed when a triple turns
 blue and popped when it is undone.  Each table rests on the same fact: a
@@ -37,16 +43,16 @@ Path/path splits also skip states that failed before.  At the start of
 block (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
 blue alpha values of pair (a, b) and of the pairs after it in pair lex
 order, a suffix.  Pairs (x, N) are never read, and a value d at pair (x, y)
-with d + (N - y) < m - 1 (m the path length of that colour) can never
-reach a dead check, directly or through a max, so it is packed as 0.  The
-clamped suffix is one int, kept up to date as values change; a block start
-whose walk failed in both colours records it, and a later arrival with the
-same int backs out at once and counts a memo hit, not a node.  Only failed
-subtrees are skipped, so the first sat leaf, every status and every
-witness stay as they were; only the node counts and depths move.  Each
-split has its own memo, so the worker count changes nothing, and a memo
-holding MEMO_CAP states is cleared.  The split enumeration has none: its
-leaf returns, so a subtree it leaves has not failed.
+with d + (N - y) < m - 1 (m the path length of that colour) can never reach
+a dead check, directly or through a max, nor the lookahead's m - 2, so it
+is packed as 0.  The clamped suffix is one int, kept up to date as values
+change; a block start whose walk failed in both colours records it, and a
+later arrival with the same int backs out at once and counts a memo hit,
+not a node.  Only failed subtrees are skipped, so the first sat leaf, every
+status and every witness stay as they were; only the node counts and depths
+move.  Each split has its own memo, so the worker count changes nothing,
+and a memo holding MEMO_CAP states is cleared.  The split enumeration has
+none: its leaf returns, so a subtree it leaves has not failed.
 
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
@@ -103,8 +109,9 @@ class SearchStats:
     """Work counts of a search: nodes entered, the deepest rank reached,
     and the pruned arrivals by reason: memo hits (a failed path/path state
     seen again), red-dead and blue-dead (a pair's path table would reach
-    the path length) and blue hits (the new blue triple completes a blue
-    copy; its node is counted)."""
+    the path length, or path/path leave a pair dead in both colours) and
+    blue hits (the new blue triple completes a blue copy; its node is
+    counted)."""
 
     nodes: int
     max_depth: int
@@ -272,9 +279,7 @@ class _JumpMembers:
 
 class _Engine:
     """One search lane: incremental tables, the partial-coloring bitmask and
-    an explicit branch stack, all worked by one loop, walk.  A node's whole
-    job, its dead checks, count, table writes and their undo, is inline
-    there: method dispatch was most of a node's cost.
+    an explicit branch stack, all worked by one loop, walk.
 
     bits starts all ones (red); a blue branch clears its rank bit, so the
     mask always reads unassigned triples as red, which is what a full blue
@@ -301,6 +306,10 @@ class _Engine:
         npairs = comb(N, 2)
         self.ar = [1] * npairs
         self.ab = [1] * npairs if self.kind == "path" else None
+        # per pair, the value m - 2 at which it starts no triple of that
+        # colour; unreachable for pairs (x, N) and without a blue alpha table
+        self.dead = tuple([m - 2 if self.ab is not None and y < N else self.red_m + self.blue_m
+                           for _, y in all_pairs(N)] for m in (self.blue_m, self.red_m))
         self.bits = (1 << self.total) - 1
         self.colour = [True] * self.total
         self.token = [0] * self.total
@@ -377,6 +386,7 @@ class _Engine:
         ar, ab, table, memo, cap = self.ar, self.ab, self.table, self.memo, self.cap
         red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
         bpack, rpack = self.packs
+        bdead, rdead = self.dead
         nodes, max_depth, bits, packed = self.nodes, self.max_depth, self.bits, self.packed
         memo_hits, red_dead, blue_dead, blue_hits = (
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
@@ -393,7 +403,7 @@ class _Engine:
                     else:
                         iuv, ivw = pairs_idx[rank]
                         cand = ar[iuv] + 1
-                        if cand >= red_top:
+                        if cand >= red_top or cand >= rdead[ivw] and ab[ivw] >= bdead[ivw]:
                             red_dead += 1
                             red = False
                             continue
@@ -414,7 +424,8 @@ class _Engine:
                     iuv, ivw = pairs_idx[rank]
                     if rank == 0 and symmetric:
                         pass
-                    elif ab is not None and (cand := ab[iuv] + 1) >= blue_top:
+                    elif ab is not None and ((cand := ab[iuv] + 1) >= blue_top or
+                                             cand >= bdead[ivw] and ar[ivw] >= rdead[ivw]):
                         blue_dead += 1
                     else:
                         if nodes == cap:

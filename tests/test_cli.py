@@ -291,7 +291,7 @@ def test_search_single_level_sat(tmp_path):
         ]
     )
     assert code == 0
-    assert "sat nodes=555" in err
+    assert "sat nodes=333" in err
     c = parse_triple_coloring(out_file.read_text())
     assert c.bitstring() == "10110011110001101110"
 
@@ -307,8 +307,8 @@ def test_search_single_level_unsat_certificate():
         "blue path:4\n"
         "budget 1000000000\n"
         "split-depth 4\n"
-        "nodes 9833\n"
-        "max-depth 34\n"
+        "nodes 4345\n"
+        "max-depth 31\n"
     )
 
 
@@ -421,7 +421,7 @@ def test_search_workers_env_and_flag(monkeypatch):
     code, out, _ = run(
         ["search", "--n", "7", "--red", "path:4", "--blue", "path:4"]
     )
-    assert code == 1 and "nodes 9833" in out
+    assert code == 1 and "nodes 4345" in out
 
 
 def test_verify_member_paths(tmp_path):

@@ -16,7 +16,7 @@ from jumpramsey.detect import (
     jump_states,
     longest_red_path,
 )
-from jumpramsey.core import OrderedTripleSystem, TripleColoring, lex_rank
+from jumpramsey.core import OrderedTripleSystem, TripleColoring, all_pairs, lex_rank
 from jumpramsey.family import jump_min, monotone_path, power_path
 from jumpramsey.search import (
     DEFAULT_BUDGET,
@@ -62,13 +62,13 @@ def test_engine_agrees_with_enumeration_on_tiny_hosts():
 def test_path_four_against_itself():
     out6 = decide(AvoidanceProblem(6, monotone_path(4), monotone_path(4)))
     assert out6.status == "sat"
-    assert out6.stats.nodes == 555
+    assert out6.stats.nodes == 333
     assert out6.stats.max_depth == 20
     assert out6.witness.bitstring() == "10110011110001101110"
     out7 = decide(AvoidanceProblem(7, monotone_path(4), monotone_path(4)))
     assert out7.status == "unsat"
-    assert out7.stats.nodes == 9833
-    assert out7.stats.max_depth == 34
+    assert out7.stats.nodes == 4345
+    assert out7.stats.max_depth == 31
     assert out7.stats.memo_hits > 0
 
 
@@ -117,7 +117,8 @@ def _blue(text):
 
 # (red m, blue spec, N, budget): (status, nodes, max-depth, witness), taken
 # from the engine that ran a blue detector at every blue node; every prune
-# decision, and so every count and witness, must stay as it was
+# decision, and so every count and witness, must stay as it was, except
+# that the path/path rows (jmin:1) also prune by the pair lookahead
 BLUE_GRID = {
     (4, 'jumps:1', 4, 20000): ('unsat', 7, 4, None),
     (4, 'jumps:1', 5, 20000): ('unsat', 13, 7, None),
@@ -160,9 +161,12 @@ BLUE_GRID = {
     (5, 'power:5,5', 8, 20000): ('sat', 3504, 56, '11111111111111111111111111110101111100000000000000011100'),
     (5, 'power:6,5', 8, 20000): ('sat', 169, 56, '11111111111111111111111111111111101100000000000000000001'),
     (5, 'jumps:3', 9, 20000): ('sat', 257, 84, '111111111111111111111111111111111111111111111101100000000000000000000000000000000001'),
-    (4, 'jmin:1', 4, 20000): ('unsat', 3, 3, None),
-    (4, 'jmin:1', 5, 20000): ('unsat', 6, 6, None),
-    (4, 'jmin:1', 6, 20000): ('unsat', 10, 10, None),
+    # jmin:1 is the blue path on 3 vertices: every blue triple is a copy and
+    # every pair starts at its blue dead level, so the pair lookahead kills
+    # every red write to a pair (v, w), w < N, rank 0's included: no node
+    (4, 'jmin:1', 4, 20000): ('unsat', 0, 0, None),
+    (4, 'jmin:1', 5, 20000): ('unsat', 0, 0, None),
+    (4, 'jmin:1', 6, 20000): ('unsat', 0, 0, None),
     (4, 'jmin:2', 5, 20000): ('sat', 36, 10, '1111110000'),
     (4, 'jmin:2', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
     (4, 'jmin:2', 7, 20000): ('sat', 7786, 35, '11111101100111100000000000001101110'),
@@ -285,11 +289,11 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
 
 def test_budget_starvation_is_deterministic():
     problem = AvoidanceProblem(7, monotone_path(4), monotone_path(4))
-    base = decide(problem, budget=5000, workers=1)
+    base = decide(problem, budget=2000, workers=1)
     assert base.status == "inconclusive"
-    assert base.stats.nodes == 5000
+    assert base.stats.nodes == 2000
     for workers in (2, 4):
-        again = decide(problem, budget=5000, workers=workers)
+        again = decide(problem, budget=2000, workers=workers)
         assert again.status == "inconclusive"
         assert again.stats == base.stats
     # a genuinely sufficient budget still finishes
@@ -352,7 +356,7 @@ def test_bracket_left_open_at_nmax():
 
 
 def test_bracket_inconclusive_on_starved_budget():
-    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=5000)
+    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=2000)
     assert out.status == "inconclusive"
     assert out.levels[-1].outcome.status == "inconclusive"
 
@@ -452,6 +456,32 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
         pruned += eng.memo_hits + eng.blue_hits
     assert pruned > 0
     assert bool(leaves) == (eng.kind != "path")
+
+
+# the probe engine has no memo, so walk(0, stop, leaf) calls the leaf at
+# every live prefix of length stop
+@pytest.mark.parametrize("red_m, blue_m, N, stops", [
+    (4, 4, 6, range(1, 21)), (4, 5, 6, range(1, 21)), (5, 4, 6, range(1, 21)),
+    (4, 4, 7, [24])])
+def test_no_live_prefix_has_a_pair_dead_in_both_colours(red_m, blue_m, N, stops):
+    # a pair (v, w), w < N, at both dead levels starts neither a red nor a
+    # blue triple, so rank (v, w, w+1) would be dead in both colours: the
+    # pair lookahead must have backed out at the write that put it there
+    eng = search._Engine(
+        AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m)), DEFAULT_BUDGET)
+    read = [i for i, (_, w) in enumerate(all_pairs(N)) if w < N]
+    half_dead = 0
+
+    def leaf():
+        nonlocal half_dead
+        for i in read:
+            red, blue = eng.ar[i] >= red_m - 2, eng.ab[i] >= blue_m - 2
+            assert not (red and blue), (eng.colour[:stop], i)
+            half_dead += red or blue
+
+    for stop in stops:
+        eng.walk(0, stop, leaf)
+    assert half_dead > 0
 
 
 def test_member_table_and_detector_step_through_one_function():

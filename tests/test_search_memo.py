@@ -10,7 +10,7 @@ brute-force path oracle.
 import pytest
 
 from jumpramsey import search
-from jumpramsey.core import Color
+from jumpramsey.core import Color, TripleColoring
 from jumpramsey.family import monotone_path
 from jumpramsey.search import AvoidanceProblem, SearchStats, decide
 from oracles import longest_path
@@ -109,12 +109,25 @@ def test_memo_keeps_every_status_and_witness():
         assert (out.status, bits) == PINNED[key], key
     # how far the clamp merges states shows only in the work done
     # and in the prune counts: red-dead, blue-dead, blue hits
-    assert outcomes[4, 4, 8].stats == SearchStats(385990, 52, 53826, 169886, 108453, 0)
-    assert outcomes[4, 5, 8].stats == SearchStats(32557, 56, 7732, 16224, 817, 0)
-    assert outcomes[5, 4, 8].stats == SearchStats(50611, 56, 13241, 13033, 11031, 0)
+    assert outcomes[4, 4, 8].stats == SearchStats(136936, 46, 43288, 33360, 17001, 0)
+    assert outcomes[4, 5, 8].stats == SearchStats(17917, 56, 2752, 11324, 1037, 0)
+    assert outcomes[5, 4, 8].stats == SearchStats(18117, 56, 6435, 3282, 1900, 0)
     w = outcomes[5, 4, 8].witness
     assert longest_path(w, Color.RED)[0] < 5 - 1
     assert longest_path(w, Color.BLUE)[0] < 4 - 1
+
+
+# p4/p5 at N=9: sat after 6,691,928 nodes, the first level the pair
+# lookahead decides; the walk is too long for this suite, so its witness
+# is pinned and checked with the brute-force path oracle
+P4_P5_N9 = ("111011101001110011000111111100000000000000011100010011000011111000001111"
+            "101111110000")
+
+
+def test_p4_p5_n9_witness_avoids_both_paths():
+    w = TripleColoring.from_bitstring(9, P4_P5_N9)
+    assert longest_path(w, Color.RED)[0] == 2 < 4 - 1
+    assert longest_path(w, Color.BLUE)[0] == 3 < 5 - 1
 
 
 @pytest.mark.parametrize("cap", [1, 4])
