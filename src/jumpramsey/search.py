@@ -11,9 +11,19 @@ treatment.  Then a branch also dies when its write leaves a pair (v, w),
 w < N, at m - 2 in both tables (each with its m), where it starts no triple
 of either colour: values only rise along a branch, and rank (v, w, w+1)
 comes after every triple ending at (v, w), so it is still uncoloured and
-dead in both colours, and the subtree holds no leaf.  This pair lookahead
+dead in both colours, and the subtree holds no leaf.  This lookahead
 checks at the write what that rank finds out, often hundreds of ranks
 later; the DFS order stays as it was.
+
+It also looks one step further.  A pair (x, w) at the red dead level
+starts only blue triples, so every pair (w, z) will end with a blue value
+of at least ab(x, w) + 1; fb[w] is the largest such bound, and fr[w] the
+same with the colours swapped.  Pair (v, w) counts as dead in a colour
+when its value or the bound of v in that colour is at the dead level.  A
+write that puts its pair at a dead level, or raises a value of a pair at
+one, raises a bound at w, and a bound that reaches its dead level puts
+every pair (w, z), z < N, at it, so the write dies when one of them is
+at the other dead level.  The bounds are undone with the values.
 
 The other blue specs are tracked by tables too, pushed when a triple turns
 blue and popped when it is undone.  Each table rests on the same fact: a
@@ -45,7 +55,10 @@ blue alpha values of pair (a, b) and of the pairs after it in pair lex
 order, a suffix.  Pairs (x, N) are never read, and a value d at pair (x, y)
 with d + (N - y) < m - 1 (m the path length of that colour) can never reach
 a dead check, directly or through a max, nor the lookahead's m - 2, so it
-is packed as 0.  The clamped suffix is one int, kept up to date as values
+is packed as 0; a value that raises a forced bound to its dead level,
+d >= m - 3 at y <= N - 2, is never clamped.  A bound from a pair before
+the block start is already in the suffix values: every triple it forces
+is coloured.  The clamped suffix is one int, kept up to date as values
 change; a block start whose walk failed in both colours records it, and a
 later arrival with the same int backs out at once and counts a memo hit,
 not a node.  Only failed subtrees are skipped, so the first sat leaf, every
@@ -67,11 +80,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
-                   lex_rank, pair_rank, rank_offsets)
+                   lex_rank, pair_offsets, rank_offsets)
 from .detect import (alpha_table, find_blue_embedding, find_blue_jump_member, jump_states,
                      longest_red_path)
 from .family import monotone_path, power_path
@@ -109,9 +123,10 @@ class SearchStats:
     """Work counts of a search: nodes entered, the deepest rank reached,
     and the pruned arrivals by reason: memo hits (a failed path/path state
     seen again), red-dead and blue-dead (a pair's path table would reach
-    the path length, or path/path leave a pair dead in both colours) and
-    blue hits (the new blue triple completes a blue copy; its node is
-    counted)."""
+    the path length, or path/path leave a pair dead in both colours,
+    counting the forced bounds, or raise a forced bound that does so to
+    a later pair) and blue hits (the new blue triple completes a blue copy;
+    its node is counted)."""
 
     nodes: int
     max_depth: int
@@ -284,13 +299,19 @@ class _Engine:
     bits starts all ones (red); a blue branch clears its rank bit, so the
     mask always reads unassigned triples as red, which is what a full blue
     detector run needs to stay sound on a partial coloring.  The stack is
-    two per-rank arrays: the colour given to each rank on the current
-    branch and the path-table value it overwrote.  A blue spec other than
-    a path has a table (power windows or jump members, see the module
-    docstring) or, for a generic pattern, none: a detector run.
+    per-rank arrays: the colour given to each rank on the current branch,
+    the path-table value it overwrote and the forced bound it raised.  A
+    blue spec other than a path has a table (power windows or jump members,
+    see the module docstring) or, for a generic pattern, none: a detector
+    run.
+
+    The probe (split None) starts on uncoloured tables with no memo; a
+    split engine replays its live prefix first, and a path/path split
+    starts its failed-state memo on the replayed tables.
     """
 
-    def __init__(self, problem: AvoidanceProblem, cap: int, memo: bool = False):
+    def __init__(self, problem: AvoidanceProblem, cap: int,
+                 split: tuple[bool, ...] | None = None):
         N = problem.N
         self.N = N
         self.red_m = problem.red.m
@@ -299,10 +320,7 @@ class _Engine:
         self.symmetric = self.kind != "jumps" and problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
-        self.triples = list(all_triples(N))
-        self.pairs_idx = [
-            (pair_rank(u, v, N), pair_rank(v, w, N)) for (u, v, w) in self.triples
-        ]
+        self.triples, self.pairs_idx = _ranks(N)
         npairs = comb(N, 2)
         self.ar = [1] * npairs
         self.ab = [1] * npairs if self.kind == "path" else None
@@ -310,6 +328,9 @@ class _Engine:
         # colour; unreachable for pairs (x, N) and without a blue alpha table
         self.dead = tuple([m - 2 if self.ab is not None and y < N else self.red_m + self.blue_m
                            for _, y in all_pairs(N)] for m in (self.blue_m, self.red_m))
+        # per rank, the forced bound its write raised (see _lookahead), as
+        # (bounds, w, old value), or None
+        self.lifts = [None] * self.total
         self.bits = (1 << self.total) - 1
         self.colour = [True] * self.total
         self.token = [0] * self.total
@@ -324,45 +345,77 @@ class _Engine:
         self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
         self.front = [None] * self.total
         self.packed, self.packs = 0, (None, None)
-        if memo and self.ab is not None:
-            self._pack_front()
+        if split is not None:
+            self._replay(split)
+        self.fb = self.fr = None
+        if self.ab is not None:
+            self._force()
+            # pair ranks of (w, w+1) .. (w, N-1), per w
+            row = pair_offsets(N)
+            self.rows = [(row[w] + w + 1, row[w] + N) for w in range(N + 1)]
+            if split is not None:
+                # a split's failed-state memo starts on the replayed tables
+                self.fields, self.packs, self.front, sentinel = _memo_layout(
+                    N, self.red_m, self.blue_m)
+                bpack, rpack = self.packs
+                self.packed = sentinel + sum(
+                    p[d] for p, d in zip(rpack + bpack, self.ar + self.ab))
+                self.memo = set()
 
-    def _pack_front(self) -> None:
-        """Start the failed-state memo on the current tables (path/path only).
+    def _force(self) -> None:
+        """The forced lower bounds, from the tables (path/path only).
 
-        self.packed holds the clamped ar and ab value of every pair (x, y)
-        with y < N, lowest pair rank in the lowest bits, under a sentinel
-        bit; fields[red][pair] is the clamp threshold and bit offset of that
-        pair's value in ar (red) or ab.  front[rank] is the offset of pair
-        (a, b) when rank is the block start (a, b, b+1), else None (always
-        None without the memo), so packed >> front[rank] is the state of
-        every pair still read.
+        A pair (x, w) at the red dead level starts only blue triples, so
+        once every (x, w, z) is coloured, pair (w, z) has a blue value of at
+        least ab(x, w) + 1: fb[w] is the largest such bound, and fr[w] the
+        same for the blue dead level and red.  Both only rise along a
+        branch, with the values they come from.
         """
-        N = self.N
-        rm, bm = self.red_m, self.blue_m
-        # live values never exceed m - 2: a larger one kills its branch first
-        rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
-        rfield, bfield, offset = [], [], []
-        width = 0
-        for _, y in all_pairs(N):
-            offset.append(width)
-            if y == N:  # never read again: every value packs as 0
-                rfield.append((rm + bm, 0))
-                bfield.append((rm + bm, 0))
-                continue
-            # a value d below m - 1 - (N - y) cannot reach a dead check
-            rfield.append((rm - 1 - (N - y), width))
-            bfield.append((bm - 1 - (N - y), width + rwidth))
-            width += rwidth + bwidth
-        self.fields = (bfield, rfield)
-        # packs[red][pair][d]: what value d of that pair adds to packed
-        bpack, rpack = self.packs = tuple(
-            [tuple(d << shift if d >= thr else 0 for d in range(m)) for thr, shift in fields]
-            for m, fields in ((bm, bfield), (rm, rfield)))
-        self.packed = (1 << width) + sum(p[d] for p, d in zip(rpack + bpack, self.ar + self.ab))
-        self.front = [offset[iuv] if w == v + 1 else None
-                      for (_, v, w), (iuv, _) in zip(self.triples, self.pairs_idx)]
-        self.memo = set()
+        bd, rd = self.dead
+        self.fb, self.fr = [0] * (self.N + 1), [0] * (self.N + 1)
+        for i, (_, w) in enumerate(all_pairs(self.N)):
+            if self.ar[i] >= rd[i]:
+                self.fb[w] = max(self.fb[w], self.ab[i] + 1)
+            if self.ab[i] >= bd[i]:
+                self.fr[w] = max(self.fr[w], self.ar[i] + 1)
+
+    def _lookahead(self, rank: int, cand: int, red: bool) -> bool:
+        """True when a write of cand at rank's pair (v, w), w < N, that
+        leaves (v, w) at a dead level is dead (path/path only).
+
+        At its own dead level (v, w) must not be at the other colour's,
+        counting that colour's forced bound at v; its triples (v, w, z)
+        all take the other colour, which raises that colour's bound at w.
+        At the other colour's dead level, a raise of this colour's value
+        raises this colour's bound at w.  A bound that reaches its dead
+        level puts every pair (w, z), z < N, at it, so none may be at the
+        other one.  A live write's raise is made here and kept in lifts
+        for the walk's undo; a budget stop after it abandons the engine.
+        """
+        _, v, w = self.triples[rank]
+        ivw = self.pairs_idx[rank][1]
+        rd, bd = self.red_m - 2, self.blue_m - 2
+        if red:
+            mine, theirs, fmine, ftheirs, md, od = self.ar, self.ab, self.fr, self.fb, rd, bd
+        else:
+            mine, theirs, fmine, ftheirs, md, od = self.ab, self.ar, self.fb, self.fr, bd, rd
+        if cand >= md:
+            if theirs[ivw] >= od or ftheirs[v] >= od:
+                return True
+            bounds, f, level, cross = ftheirs, theirs[ivw] + 1, od, (mine, fmine, md)
+        else:
+            bounds, f, level, cross = fmine, cand + 1, md, (theirs, ftheirs, od)
+        old = bounds[w]
+        if f <= old:
+            return False
+        if old < level <= f:
+            values, other, dead = cross
+            lo, hi = self.rows[w]
+            if lo < hi and (other[w] >= dead or max(values[lo:hi]) >= dead):
+                return True
+        self.lifts[rank] = bounds, w, old
+        bounds[w] = f
+        return False
 
     def blue_present(self) -> bool:
         """Full detector run on the coloring so far, unassigned triples red."""
@@ -383,6 +436,7 @@ class _Engine:
         block-start rank whose front state failed before is backed out of at
         once, and one left with both colours tried is recorded as failed."""
         colour, token, pairs_idx, front = self.colour, self.token, self.pairs_idx, self.front
+        lifts, lookahead = self.lifts, self._lookahead
         ar, ab, table, memo, cap = self.ar, self.ab, self.table, self.memo, self.cap
         red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
         bpack, rpack = self.packs
@@ -403,7 +457,10 @@ class _Engine:
                     else:
                         iuv, ivw = pairs_idx[rank]
                         cand = ar[iuv] + 1
-                        if cand >= red_top or cand >= rdead[ivw] and ab[ivw] >= bdead[ivw]:
+                        if cand >= red_top or (
+                                cand >= rdead[ivw] or ab is not None and
+                                cand > ar[ivw] and ab[ivw] >= bdead[ivw]) and lookahead(
+                                    rank, cand, True):
                             red_dead += 1
                             red = False
                             continue
@@ -424,8 +481,9 @@ class _Engine:
                     iuv, ivw = pairs_idx[rank]
                     if rank == 0 and symmetric:
                         pass
-                    elif ab is not None and ((cand := ab[iuv] + 1) >= blue_top or
-                                             cand >= bdead[ivw] and ar[ivw] >= rdead[ivw]):
+                    elif ab is not None and ((cand := ab[iuv] + 1) >= blue_top or (
+                            cand >= bdead[ivw] or cand > ab[ivw] and ar[ivw] >= rdead[ivw])
+                            and lookahead(rank, cand, False)):
                         blue_dead += 1
                     else:
                         if nodes == cap:
@@ -481,6 +539,11 @@ class _Engine:
                             values[ivw] = old
                             if memo is not None:
                                 packed -= packs[ivw][cur] - packs[ivw][old]
+                    lift = lifts[rank]
+                    if lift is not None:
+                        bounds, w, old = lift
+                        bounds[w] = old
+                        lifts[rank] = None
                     if red:
                         red = False
                         break
@@ -495,9 +558,9 @@ class _Engine:
         self.walk(0, depth, lambda: prefixes.append(tuple(self.colour[:depth])))
         return prefixes
 
-    def replay(self, prefix: tuple[bool, ...]) -> None:
+    def _replay(self, prefix: tuple[bool, ...]) -> None:
         """Colour a live prefix as the walk would, with nothing to check,
-        count or undo; a memo restarts on the replayed tables."""
+        count or undo."""
         for rank, red in enumerate(prefix):
             iuv, ivw = self.pairs_idx[rank]
             self.colour[rank] = red
@@ -508,17 +571,60 @@ class _Engine:
                     self.table.push(rank)
             if values is not None:
                 values[ivw] = max(values[ivw], values[iuv] + 1)
-        if self.memo is not None:
-            self._pack_front()
 
     def found(self) -> None:
         raise _Found()
 
 
+@lru_cache(maxsize=16)
+def _ranks(N: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
+    """Per lex rank, the triple (u, v, w) and the pair ranks of (u, v) and
+    (v, w)."""
+    triples = tuple(all_triples(N))
+    row = pair_offsets(N)
+    return triples, tuple((row[u] + v, row[v] + w) for u, v, w in triples)
+
+
+@lru_cache(maxsize=16)
+def _memo_layout(N: int, rm: int, bm: int):
+    """(fields, packs, front, sentinel): how the path/path memo packs its
+    state, built once per problem and shared by every split.
+
+    packed holds the clamped ar and ab value of every pair (x, y) with
+    y < N, lowest pair rank in the lowest bits, under the sentinel bit;
+    fields[red][pair] is the clamp threshold and bit offset of that pair's
+    value in ar (red) or ab, and packs[red][pair][d] what value d adds to
+    packed.  front[rank] is the offset of pair (a, b) when rank is the
+    block start (a, b, b+1), else None, so packed >> front[rank] is the
+    state of every pair still read.
+    """
+    # live values never exceed m - 2: a larger one kills its branch first
+    rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
+    rfield, bfield, offset = [], [], []
+    width = 0
+    for _, y in all_pairs(N):
+        offset.append(width)
+        if y == N:  # never read again: every value packs as 0
+            rfield.append((rm + bm, 0))
+            bfield.append((rm + bm, 0))
+            continue
+        # a value d below m - 1 - (N - y) cannot reach a dead check
+        rfield.append((rm - 1 - (N - y), width))
+        bfield.append((bm - 1 - (N - y), width + rwidth))
+        width += rwidth + bwidth
+    fields = (tuple(bfield), tuple(rfield))
+    packs = tuple(
+        tuple(tuple(d << shift if d >= thr else 0 for d in range(m)) for thr, shift in fs)
+        for m, fs in ((bm, bfield), (rm, rfield)))
+    triples, pairs_idx = _ranks(N)
+    front = tuple(offset[iuv] if w == v + 1 else None
+                  for (_, v, w), (iuv, _) in zip(triples, pairs_idx))
+    return fields, packs, front, 1 << width
+
+
 def _run_split(args) -> tuple[int | None, bool, SearchStats]:
     problem, prefix, cap = args
-    eng = _Engine(problem, cap, memo=True)
-    eng.replay(prefix)
+    eng = _Engine(problem, cap, prefix)
     bits, hit = None, False
     try:
         eng.walk(len(prefix), eng.total, eng.found)

@@ -62,13 +62,13 @@ def test_engine_agrees_with_enumeration_on_tiny_hosts():
 def test_path_four_against_itself():
     out6 = decide(AvoidanceProblem(6, monotone_path(4), monotone_path(4)))
     assert out6.status == "sat"
-    assert out6.stats.nodes == 333
+    assert out6.stats.nodes == 31
     assert out6.stats.max_depth == 20
     assert out6.witness.bitstring() == "10110011110001101110"
     out7 = decide(AvoidanceProblem(7, monotone_path(4), monotone_path(4)))
     assert out7.status == "unsat"
-    assert out7.stats.nodes == 4345
-    assert out7.stats.max_depth == 31
+    assert out7.stats.nodes == 43
+    assert out7.stats.max_depth == 9
     assert out7.stats.memo_hits > 0
 
 
@@ -288,12 +288,14 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
 
 
 def test_budget_starvation_is_deterministic():
+    # 43 nodes decide it: 15 in the split enumeration, then 8 splits of
+    # 2, 2, 2, 2, 3, 3, 7 and 7; a budget of 30 starves the seventh split
     problem = AvoidanceProblem(7, monotone_path(4), monotone_path(4))
-    base = decide(problem, budget=2000, workers=1)
+    base = decide(problem, budget=30, workers=1)
     assert base.status == "inconclusive"
-    assert base.stats.nodes == 2000
+    assert base.stats.nodes == 30
     for workers in (2, 4):
-        again = decide(problem, budget=2000, workers=workers)
+        again = decide(problem, budget=30, workers=workers)
         assert again.status == "inconclusive"
         assert again.stats == base.stats
     # a genuinely sufficient budget still finishes
@@ -356,7 +358,8 @@ def test_bracket_left_open_at_nmax():
 
 
 def test_bracket_inconclusive_on_starved_budget():
-    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=2000)
+    # N=6 is sat in 31 nodes, N=7 needs 43
+    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=35)
     assert out.status == "inconclusive"
     assert out.levels[-1].outcome.status == "inconclusive"
 
@@ -432,7 +435,8 @@ def engine_state(eng):
     """Copies of what the walker changes and must restore."""
     table = {"power": "best", "jumps": "states"}.get(eng.kind)
     table = None if table is None else getattr(eng.table, table)
-    return copy.deepcopy((eng.ar, eng.ab, eng.bits, eng.packed, table))
+    return copy.deepcopy(
+        (eng.ar, eng.ab, eng.fb, eng.fr, eng.lifts, eng.bits, eng.packed, table))
 
 
 # p4/p4 at N=7 is unsat, so each split walks its whole subtree with the memo
@@ -448,8 +452,7 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     leaves = []
     pruned = 0
     for prefix in prefixes:
-        eng = search._Engine(problem, DEFAULT_BUDGET, memo=True)
-        eng.replay(prefix)
+        eng = search._Engine(problem, DEFAULT_BUDGET, prefix)
         replayed = engine_state(eng)
         eng.walk(len(prefix), eng.total, lambda: leaves.append(1))
         assert engine_state(eng) == replayed
@@ -459,29 +462,44 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
 
 
 # the probe engine has no memo, so walk(0, stop, leaf) calls the leaf at
-# every live prefix of length stop
+# every live prefix of length stop; p4/p4 at N=7 reaches no rank past 8
 @pytest.mark.parametrize("red_m, blue_m, N, stops", [
     (4, 4, 6, range(1, 21)), (4, 5, 6, range(1, 21)), (5, 4, 6, range(1, 21)),
-    (4, 4, 7, [24])])
+    (4, 4, 7, range(1, 10))])
 def test_no_live_prefix_has_a_pair_dead_in_both_colours(red_m, blue_m, N, stops):
     # a pair (v, w), w < N, at both dead levels starts neither a red nor a
     # blue triple, so rank (v, w, w+1) would be dead in both colours: the
-    # pair lookahead must have backed out at the write that put it there
+    # lookahead must have backed out at the write that put it there.  A pair
+    # (x, v) at one dead level forces the other colour on every (x, v, w),
+    # so (v, w) counts at least the forced bound of v in that colour: the
+    # largest value + 1 over such pairs, recomputed here from the tables
     eng = search._Engine(
         AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m)), DEFAULT_BUDGET)
-    read = [i for i, (_, w) in enumerate(all_pairs(N)) if w < N]
-    half_dead = 0
+    rd, bd = red_m - 2, blue_m - 2
+    read = [(i, v) for i, (v, w) in enumerate(all_pairs(N)) if w < N]
+    half_dead = forced = 0
+    reached = set()
 
     def leaf():
-        nonlocal half_dead
-        for i in read:
-            red, blue = eng.ar[i] >= red_m - 2, eng.ab[i] >= blue_m - 2
+        nonlocal half_dead, forced
+        reached.add(stop)
+        fb, fr = [0] * (N + 1), [0] * (N + 1)
+        for i, (_, w) in enumerate(all_pairs(N)):
+            if w < N and eng.ar[i] >= rd:
+                fb[w] = max(fb[w], eng.ab[i] + 1)
+            if w < N and eng.ab[i] >= bd:
+                fr[w] = max(fr[w], eng.ar[i] + 1)
+        assert (eng.fb, eng.fr) == (fb, fr), eng.colour[:stop]
+        for i, v in read:
+            red, blue = max(eng.ar[i], fr[v]) >= rd, max(eng.ab[i], fb[v]) >= bd
             assert not (red and blue), (eng.colour[:stop], i)
             half_dead += red or blue
+            forced += eng.ar[i] < rd <= fr[v] or eng.ab[i] < bd <= fb[v]
 
     for stop in stops:
         eng.walk(0, stop, leaf)
-    assert half_dead > 0
+    assert reached == set(stops)
+    assert half_dead > 0 and forced > 0
 
 
 def test_member_table_and_detector_step_through_one_function():

@@ -7,6 +7,8 @@ memo decides, and the sat witness among them is re-checked against the
 brute-force path oracle.
 """
 
+import hashlib
+
 import pytest
 
 from jumpramsey import search
@@ -109,16 +111,16 @@ def test_memo_keeps_every_status_and_witness():
         assert (out.status, bits) == PINNED[key], key
     # how far the clamp merges states shows only in the work done
     # and in the prune counts: red-dead, blue-dead, blue hits
-    assert outcomes[4, 4, 8].stats == SearchStats(136936, 46, 43288, 33360, 17001, 0)
-    assert outcomes[4, 5, 8].stats == SearchStats(17917, 56, 2752, 11324, 1037, 0)
-    assert outcomes[5, 4, 8].stats == SearchStats(18117, 56, 6435, 3282, 1900, 0)
+    assert outcomes[4, 4, 8].stats == SearchStats(83, 11, 18, 32, 16, 0)
+    assert outcomes[4, 5, 8].stats == SearchStats(5954, 56, 1795, 1617, 695, 0)
+    assert outcomes[5, 4, 8].stats == SearchStats(329, 56, 60, 65, 79, 0)
     w = outcomes[5, 4, 8].witness
     assert longest_path(w, Color.RED)[0] < 5 - 1
     assert longest_path(w, Color.BLUE)[0] < 4 - 1
 
 
-# p4/p5 at N=9: sat after 6,691,928 nodes, the first level the pair
-# lookahead decides; the walk is too long for this suite, so its witness
+# p4/p5 at N=9: sat after 1,453,716 nodes, the first level the pair
+# lookahead decided; the walk is too long for this suite, so its witness
 # is pinned and checked with the brute-force path oracle
 P4_P5_N9 = ("111011101001110011000111111100000000000000011100010011000011111000001111"
             "101111110000")
@@ -128,6 +130,17 @@ def test_p4_p5_n9_witness_avoids_both_paths():
     w = TripleColoring.from_bitstring(9, P4_P5_N9)
     assert longest_path(w, Color.RED)[0] == 2 < 4 - 1
     assert longest_path(w, Color.BLUE)[0] == 3 < 5 - 1
+
+
+def test_p5_p4_n9_is_sat_with_the_forced_colour_lookahead():
+    # inconclusive at 20M nodes with only the pair lookahead
+    out = decide(AvoidanceProblem(9, monotone_path(5), monotone_path(4)))
+    assert out.status == "sat"
+    assert out.stats == SearchStats(221131, 84, 61520, 56213, 41793, 0)
+    digest = hashlib.sha256(out.witness.bitstring().encode()).hexdigest()
+    assert digest == "b518217a1d569cd00d86601c725825e12631794a157e243d2ccffc6469907bf6"
+    assert longest_path(out.witness, Color.RED)[0] < 5 - 1
+    assert longest_path(out.witness, Color.BLUE)[0] < 4 - 1
 
 
 @pytest.mark.parametrize("cap", [1, 4])
@@ -158,7 +171,7 @@ def test_clamp_keeps_exactly_the_values_that_can_still_kill():
     for N in range(3, 10):
         for red_m, blue_m in ((3, 5), (4, 4), (5, 4), (4, 6), (6, 5)):
             problem = AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m))
-            eng = search._Engine(problem, 0, memo=True)
+            eng = search._Engine(problem, 0, ())
             pairs = [(x, y) for x in range(1, N + 1) for y in range(x + 1, N + 1)]
             for i, (x, y) in enumerate(pairs):
                 if y == N:
