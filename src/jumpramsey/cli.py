@@ -8,7 +8,8 @@ search runs the avoidance engine, verify bundles consistency checks.
 Data flows through stdin/stdout in the formats of module core; --output
 redirects the primary artifact to a file.  Exit codes: 0 found/true/sat,
 1 not-found/false/unsat, 2 usage or format error, 3 inconclusive search,
-4 internal error (a failed self-check, RecursionError or MemoryError).
+4 internal error (a failed self-check, RecursionError or MemoryError),
+141 (128 + SIGPIPE) when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ from .search import (
 )
 
 WORKERS_ENV = "JUMPRAMSEY_WORKERS"
+
+# the shell's code for a writer killed by SIGPIPE; exit 1 would read as unsat
+EXIT_BROKEN_PIPE = 128 + 13
 
 _SCHUR_DEFAULT = "1,4,10,13/2,3,11,12/5,6,7,8,9"
 
@@ -302,14 +306,9 @@ def _cmd_certify(args, stdin, stdout) -> int:
         host = parse_triple_coloring(stdin.read())
         chain = BetaChain(w.vertices, w.blocks, len(w.blocks) + 1)
         emb = extract_blue_jump_witness(host, chain)
-        n = chain.ell - 1
-        _emit(
-            serialize_witness(
-                Witness(emb.vertices, jumps=tuple(2 * i for i in range(1, n + 1)))
-            ),
-            args.output,
-            stdout,
-        )
+        _, spec = jump_min(chain.ell - 1)
+        _emit(serialize_witness(Witness(emb.vertices, jumps=spec.sorted_jumps)),
+              args.output, stdout)
         return 0
     host = parse_triple_coloring(stdin.read())
     report = verify_profile_property(host, args.n)
@@ -529,6 +528,8 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
         if args.cmd == "search":
             return _cmd_search(args, stdin, stdout, stderr)
         return _cmd_verify(args, stdin, stdout)
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except (FormatError, _UsageError, CertificationError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
@@ -541,4 +542,13 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # what is left in the buffer goes nowhere, so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -278,18 +278,26 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
         raise FormatError(f"expected integers, got {tokens!r}", line_no) from None
 
 
-def parse_pair_coloring(text: str) -> PairColoring:
-    """Read the 'pairs N k' format; entry order is free, totality is not."""
+def _header(text: str, word: str, *names: str) -> tuple[list[tuple[int, str]], list[int]]:
+    """The nonblank lines of a text whose first line is 'word' followed by
+    one nonnegative integer per name, and those integers."""
     lines = _lines(text)
     if not lines:
         raise FormatError("empty input")
     no, header = lines[0]
     tok = header.split()
-    if len(tok) != 3 or tok[0] != "pairs":
-        raise FormatError(f"expected 'pairs N k' header, got {header!r}", no)
-    N, k = _ints(tok[1:], no)
-    if N < 0 or k < 0:
-        raise FormatError("N and k must be nonnegative", no)
+    if len(tok) != 1 + len(names) or tok[0] != word:
+        shape = " ".join((word,) + names)
+        raise FormatError(f"expected '{shape}' header, got {header!r}", no)
+    values = _ints(tok[1:], no)
+    if any(x < 0 for x in values):
+        raise FormatError(f"{' and '.join(names)} must be nonnegative", no)
+    return lines, values
+
+
+def parse_pair_coloring(text: str) -> PairColoring:
+    """Read the 'pairs N k' format; entry order is free, totality is not."""
+    lines, (N, k) = _header(text, "pairs", "N", "k")
     want = comb(N, 2)
     # a line per pair and no duplicate is a total text; a shorter text is
     # partial and goes into a dict, so that its header's N sizes no table
@@ -326,16 +334,7 @@ def serialize_pair_coloring(chi: PairColoring) -> str:
 
 def parse_triple_coloring(text: str) -> TripleColoring:
     """Read the 'triples N' format: a header and one bitstring line."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    no, header = lines[0]
-    tok = header.split()
-    if len(tok) != 2 or tok[0] != "triples":
-        raise FormatError(f"expected 'triples N' header, got {header!r}", no)
-    (N,) = _ints(tok[1:], no)
-    if N < 0:
-        raise FormatError("N must be nonnegative", no)
+    lines, (N,) = _header(text, "triples", "N")
     want = comb(N, 3)
     body = lines[1:]
     if want == 0:
@@ -363,16 +362,7 @@ def parse_pattern(text: str):
     positions when the optional trailing 'jumps ...' line is present,
     else None.
     """
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    no, header = lines[0]
-    tok = header.split()
-    if len(tok) != 2 or tok[0] != "pattern":
-        raise FormatError(f"expected 'pattern m' header, got {header!r}", no)
-    (m,) = _ints(tok[1:], no)
-    if m < 0:
-        raise FormatError("m must be nonnegative", no)
+    lines, (m,) = _header(text, "pattern", "m")
     edges: set[tuple[int, int, int]] = set()
     jumps: tuple[int, ...] | None = None
     for idx, (no, line) in enumerate(lines[1:], start=1):
@@ -404,12 +394,7 @@ def serialize_pattern(pattern: OrderedTripleSystem, jumps=None) -> str:
 
 def parse_witness(text: str) -> Witness:
     """Read a witness file: 'witness' header, then vertices/jumps/blocks lines."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    no, header = lines[0]
-    if header != "witness":
-        raise FormatError(f"expected 'witness' header, got {header!r}", no)
+    lines, _ = _header(text, "witness")
     fields: dict[str, tuple[int, ...]] = {}
     for no, line in lines[1:]:
         parts = line.split()

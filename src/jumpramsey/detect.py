@@ -288,36 +288,30 @@ def jump_states(n: int) -> JumpStates:
 
 
 def _minimal_jump_flags(fast, n, verts) -> tuple[int, ...]:
-    """Least jump set completing a known-good vertex tuple, jumps early first."""
+    """Least jump set completing a known-good vertex tuple, jumps early first.
+
+    One state at a time goes through JumpStates.step, with cond read off the
+    tuple as the detector reads it; of a state's two successors the jump
+    one is the higher bit and is tried first."""
+    states = jump_states(n)
     m = len(verts)
 
-    def walk(pos, f3, used, jumps):
-        if pos > m:
-            return jumps if used == n and not f3[-1] else None
-        p = pos - 1
-        for f in (True, False):
-            if f and (p == 0 or (f3 and f3[-1]) or used == n or pos == m):
-                continue
-            if f3 and f3[-1] and p >= 3 and not fast.is_blue(
-                verts[p - 3], verts[p - 2], verts[p]
-            ):
-                continue
-            if len(f3) >= 2 and f3[-2] and p >= 3 and not fast.is_blue(
-                verts[p - 3], verts[p - 1], verts[p]
-            ):
-                continue
-            if len(f3) >= 3 and f3[-3] and f3[-1] and p >= 4 and not fast.is_blue(
-                verts[p - 4], verts[p - 2], verts[p]
-            ):
-                continue
-            res = walk(
-                pos + 1, (f3 + (f,))[-3:], used + f, jumps + ((pos,) if f else ())
-            )
-            if res is not None:
-                return res
+    def walk(p, state):
+        if p == m:
+            return () if state & states.accept else None
+        x, y, u, v, w = ((0, 0, 0, 0) + verts[:p + 1])[-5:]
+        cond = 7 if p < 3 else (fast.is_blue(y, u, w) | fast.is_blue(y, v, w) << 1
+                                | (p == 3 or fast.is_blue(x, u, w)) << 2)
+        nxt = states.step(state, cond) & states.fits(m - 1 - p)
+        while nxt:
+            bit = nxt.bit_length() - 1
+            nxt ^= 1 << bit
+            rest = walk(p + 1, 1 << bit)
+            if rest is not None:
+                return (p + 1,) + rest if bit & 1 else rest
         return None
 
-    flags = walk(1, (), 0, ())
+    flags = walk(1, 1)
     if flags is None:
         raise RuntimeError("flag reconstruction failed; this is a bug")
     return flags

@@ -100,12 +100,9 @@ def _require_valid(spec: JumpSpec) -> JumpSpec:
 
 
 def monotone_path(m: int) -> OrderedTripleSystem:
-    """The tight path: edges (i, i+1, i+2).  No edges below m = 3."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return OrderedTripleSystem(
-        m, frozenset((i, i + 1, i + 2) for i in range(1, m - 1))
-    )
+    """The tight path: edges (i, i+1, i+2), the power path with t = 3.
+    No edges below m = 3."""
+    return power_path(m, 3)
 
 
 def power_path(m: int, t: int) -> OrderedTripleSystem:
@@ -127,24 +124,12 @@ def power_path(m: int, t: int) -> OrderedTripleSystem:
 
 
 def jump_min(n: int) -> tuple[OrderedTripleSystem, JumpSpec]:
-    """The minimal pattern with n jumps: 2n+1 vertices, jumps at 2, 4, ..., 2n.
-
-    Besides the consecutive triples it carries, for each i, the edges
-    (2i-1, 2i+1, 2i+2), (2i, 2i+1, 2i+3) and (2i-1, 2i+1, 2i+3), dropping
-    any instance that leaves [2n+1].
-    """
+    """The minimal pattern with n jumps: 2n+1 vertices, jumps at 2, 4, ..., 2n,
+    and exactly the edges those jumps require."""
     if n < 1:
         raise ValueError("need at least one jump")
-    m = 2 * n + 1
-    edges = set((i, i + 1, i + 2) for i in range(1, m - 1))
-    for i in range(1, n + 1):
-        for e in ((2 * i - 1, 2 * i + 1, 2 * i + 2),
-                  (2 * i, 2 * i + 1, 2 * i + 3),
-                  (2 * i - 1, 2 * i + 1, 2 * i + 3)):
-            if e[2] <= m:
-                edges.add(e)
-    spec = JumpSpec(m, frozenset(2 * i for i in range(1, n + 1)))
-    return OrderedTripleSystem(m, frozenset(edges)), spec
+    spec = JumpSpec(2 * n + 1, frozenset(range(2, 2 * n + 1, 2)))
+    return required_edges(spec.m, spec), spec
 
 
 def required_edges(m: int, jumps) -> OrderedTripleSystem:

@@ -78,11 +78,11 @@ how many workers finished their pieces.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from multiprocessing import Pool
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
                    lex_rank, pair_offsets, rank_offsets)
@@ -355,7 +355,7 @@ class _Engine:
             self.rows = [(row[w] + w + 1, row[w] + N) for w in range(N + 1)]
             if split is not None:
                 # a split's failed-state memo starts on the replayed tables
-                self.fields, self.packs, self.front, sentinel = _memo_layout(
+                self.packs, self.front, sentinel = _memo_layout(
                     N, self.red_m, self.blue_m)
                 bpack, rpack = self.packs
                 self.packed = sentinel + sum(
@@ -587,16 +587,15 @@ def _ranks(N: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, i
 
 @lru_cache(maxsize=16)
 def _memo_layout(N: int, rm: int, bm: int):
-    """(fields, packs, front, sentinel): how the path/path memo packs its
-    state, built once per problem and shared by every split.
+    """(packs, front, sentinel): how the path/path memo packs its state,
+    built once per problem and shared by every split.
 
     packed holds the clamped ar and ab value of every pair (x, y) with
     y < N, lowest pair rank in the lowest bits, under the sentinel bit;
-    fields[red][pair] is the clamp threshold and bit offset of that pair's
-    value in ar (red) or ab, and packs[red][pair][d] what value d adds to
-    packed.  front[rank] is the offset of pair (a, b) when rank is the
-    block start (a, b, b+1), else None, so packed >> front[rank] is the
-    state of every pair still read.
+    packs[red][pair][d] is what value d of that pair in ar (red) or ab adds
+    to packed, 0 below the pair's clamp threshold.  front[rank] is the
+    offset of pair (a, b) when rank is the block start (a, b, b+1), else
+    None, so packed >> front[rank] is the state of every pair still read.
     """
     # live values never exceed m - 2: a larger one kills its branch first
     rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
@@ -612,14 +611,13 @@ def _memo_layout(N: int, rm: int, bm: int):
         rfield.append((rm - 1 - (N - y), width))
         bfield.append((bm - 1 - (N - y), width + rwidth))
         width += rwidth + bwidth
-    fields = (tuple(bfield), tuple(rfield))
     packs = tuple(
         tuple(tuple(d << shift if d >= thr else 0 for d in range(m)) for thr, shift in fs)
         for m, fs in ((bm, bfield), (rm, rfield)))
     triples, pairs_idx = _ranks(N)
     front = tuple(offset[iuv] if w == v + 1 else None
                   for (_, v, w), (iuv, _) in zip(triples, pairs_idx))
-    return fields, packs, front, 1 << width
+    return packs, front, 1 << width
 
 
 def _run_split(args) -> tuple[int | None, bool, SearchStats]:
@@ -692,13 +690,10 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     if workers <= 1:
         folded = _fold((_run_split(pl) for pl in payloads), budget, head)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_run_split, pl) for pl in payloads]
-            try:
-                folded = _fold((f.result() for f in futures), budget, head)
-            finally:
-                for f in futures:
-                    f.cancel()
+        # leaving the block terminates the workers: a decided fold does
+        # not wait for the splits still running
+        with Pool(workers) as pool:
+            folded = _fold(pool.imap(_run_split, payloads), budget, head)
     return _finish(folded, problem)
 
 

@@ -2,8 +2,12 @@
 
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,28 @@ def test_internal_failure_exits_four(monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "RecursionError" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "9", "--red", "path:5", "--blue", "path:4"],
+    ["certify", "downsets", "--n", "3"],
+])
+def test_closed_stdout_exits_141(argv, unbuffered):
+    # a reader that has gone decides nothing, so it must not read as exit 1;
+    # unbuffered, the write in dispatch fails, buffered, the flush in main
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jumpramsey", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_certify_ghtriangle(tmp_path):

@@ -172,6 +172,43 @@ def test_pair_coloring_parse_error_messages(text, message):
     assert str(exc.value) == message
 
 
+# malformed headers of each format, one header reader for all four: the
+# text may be empty, name the wrong format, have the wrong token count, a
+# negative or non-integer size, or start after blank lines
+HEADER_TEXT_ERRORS = [
+    (parse_pair_coloring, "", "empty input"),
+    (parse_pair_coloring, "pairs 3\n", "line 1: expected 'pairs N k' header, got 'pairs 3'"),
+    (parse_pair_coloring, "pairs -1 2\n", "line 1: N and k must be nonnegative"),
+    (parse_pair_coloring, "\n\ncoloring 3 2\n",
+     "line 3: expected 'pairs N k' header, got 'coloring 3 2'"),
+    (parse_triple_coloring, "  \n", "empty input"),
+    (parse_triple_coloring, "triples\n", "line 1: expected 'triples N' header, got 'triples'"),
+    (parse_triple_coloring, "triples 3 1\n",
+     "line 1: expected 'triples N' header, got 'triples 3 1'"),
+    (parse_triple_coloring, "Triples 3\n", "line 1: expected 'triples N' header, got 'Triples 3'"),
+    (parse_triple_coloring, "triples -2\n", "line 1: N must be nonnegative"),
+    (parse_triple_coloring, "triples x\n", "line 1: expected integers, got ['x']"),
+    (parse_pattern, "", "empty input"),
+    (parse_pattern, "pattern 3 3\n", "line 1: expected 'pattern m' header, got 'pattern 3 3'"),
+    (parse_pattern, "patterns 3\n", "line 1: expected 'pattern m' header, got 'patterns 3'"),
+    (parse_pattern, "pattern -1\n", "line 1: m must be nonnegative"),
+    (parse_pattern, "\npattern 2.5\n", "line 2: expected integers, got ['2.5']"),
+    (parse_witness, "\n", "empty input"),
+    (parse_witness, "witness 3\n", "line 1: expected 'witness' header, got 'witness 3'"),
+    (parse_witness, "Witness\n", "line 1: expected 'witness' header, got 'Witness'"),
+    (parse_witness, "vertices 1 2\n", "line 1: expected 'witness' header, got 'vertices 1 2'"),
+    (parse_witness, "\n\nwitness extra\nvertices 1\n",
+     "line 3: expected 'witness' header, got 'witness extra'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", HEADER_TEXT_ERRORS)
+def test_header_parse_error_messages(parse, text, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_pair_coloring_header_alone_sizes_nothing():
     # a partial text is reported from its lines: a header N of 3000 must
     # not build a table of its 4.5M pairs

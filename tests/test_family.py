@@ -68,7 +68,9 @@ def test_jump_min_matches_required_edges():
         pattern, spec = jump_min(n)
         assert pattern.m == 2 * n + 1
         assert spec.sorted_jumps == tuple(2 * i for i in range(1, n + 1))
-        assert pattern.edges == required_edges(pattern.m, spec).edges
+        # the oracle's own copy of conditions 1-2, not required_edges,
+        # which jump_min is built from
+        assert pattern.sorted_edges == member_edges(pattern.m, spec.sorted_jumps)
 
 
 def test_jump_min_edge_counts():

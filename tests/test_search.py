@@ -4,7 +4,6 @@ invariance."""
 
 import copy
 import random
-from concurrent.futures import Future
 
 import pytest
 
@@ -251,12 +250,14 @@ def test_worker_invariance():
 
 def test_pool_never_outnumbers_the_splits(monkeypatch):
     seen = []
+    results = []
 
     class InlinePool:
-        """Records its size and runs every split in this process."""
+        """Records its size and runs each split in this process when the
+        fold asks for its result."""
 
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+        def __init__(self, processes):
+            seen.append(processes)
 
         def __enter__(self):
             return self
@@ -264,22 +265,25 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def imap(self, fn, iterable):
+            for args in iterable:
+                results.append(fn(args))
+                yield results[-1]
 
     def splits(problem):
         probe = search._Engine(problem, DEFAULT_BUDGET)
         return len(probe.decompose(min(SPLIT_DEPTH, probe.total)))
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "Pool", InlinePool)
     problem = AvoidanceProblem(6, monotone_path(4), monotone_path(4))
     base = decide(problem)
     assert seen == []
     out = decide(problem, workers=5000)
     assert seen == [splits(problem)]
     assert (out.status, out.stats, out.witness) == (base.status, base.stats, base.witness)
+    # the fold reads no split past the first sat one
+    sat = [i for i, (bits, _, _) in enumerate(results) if bits is not None]
+    assert out.status == "sat" and sat == [len(results) - 1] and len(results) < seen[0]
     # a single split runs in this process, with no pool at all
     tiny = AvoidanceProblem(3, monotone_path(4), monotone_path(4))
     assert splits(tiny) == 1

@@ -177,6 +177,7 @@ def test_clamp_keeps_exactly_the_values_that_can_still_kill():
                 if y == N:
                     continue
                 steps = longest_chain(y, N)
-                for m, (thr, _) in ((red_m, eng.fields[True][i]), (blue_m, eng.fields[False][i])):
+                # a value packs as nonzero exactly when the clamp keeps it
+                for m, pack in ((red_m, eng.packs[True][i]), (blue_m, eng.packs[False][i])):
                     for d in range(1, m - 1):
-                        assert (d >= thr) == (d + steps >= m - 2), (N, m, x, y, d)
+                        assert (pack[d] != 0) == (d + steps >= m - 2), (N, m, x, y, d)
