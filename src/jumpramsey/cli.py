@@ -249,9 +249,10 @@ def _cmd_detect(args, stdin, stdout) -> int:
         return 0
     host = parse_triple_coloring(stdin.read())
     if what == "redpath":
-        depth, path = longest_red_path(host)
-        if depth < args.m - 1:
+        # the depth alone decides the exit; the witness is built only to print
+        if alpha_table(host).max_value < args.m - 1:
             return 1
+        _, path = longest_red_path(host)
         _emit(serialize_witness(Witness(path.vertices[: args.m])), args.output,
               stdout)
         return 0

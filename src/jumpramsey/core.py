@@ -327,8 +327,8 @@ def parse_pair_coloring(text: str) -> PairColoring:
 
 def serialize_pair_coloring(chi: PairColoring) -> str:
     out = [f"pairs {chi.N} {chi.k}"]
-    for (u, v) in all_pairs(chi.N):
-        out.append(f"{u} {v} {chi.color(u, v)}")
+    for (u, v), x in zip(all_pairs(chi.N), chi.colors):
+        out.append(f"{u} {v} {x}")
     return "\n".join(out) + "\n"
 
 

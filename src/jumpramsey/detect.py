@@ -16,7 +16,11 @@ The second finds an order-preserving embedding of a fixed pattern with all
 edges blue.  Patterns of bounded width (largest span of an edge) admit a
 window DP: once the last w chosen host vertices are fixed, earlier choices
 cannot influence feasibility, so failed (position, window) states are
-cached and the search runs in polynomial time for fixed width.
+cached and the search runs in polynomial time for fixed width.  This
+search reads the host a triple at a time, the next one a row (a, b, .)
+at a time: each call decodes the coloring once into bytes, so a triple
+costs O(1) and a row one slice of N - b bits, not a shift of the whole
+host.
 
 The third finds a blue member of the jump family with n jumps without
 fixing the member in advance.  It scans host vertex tuples in lexicographic
@@ -48,16 +52,29 @@ from .family import JumpSpec, required_edges
 
 
 class _FastBits:
-    """O(1) blue lookups via precomputed rank offsets, without decoding
-    the coloring: the embedding and member searches read few triples."""
+    """Blue lookups from the coloring decoded once into bytes, least
+    significant first, so rank r is bit r & 7 of byte r >> 3: a read costs
+    O(1), where shifting the coloring int costs time linear in the host."""
 
     def __init__(self, c: TripleColoring):
-        self.bits = c.bits
+        self.N = c.N
+        self.data = c.bits.to_bytes((c.num_triples + 7) // 8, "little")
         self.pref1, self.pref2 = rank_offsets(c.N)
 
     def is_blue(self, a: int, b: int, c: int) -> bool:
         p2 = self.pref2
-        return not (self.bits >> (self.pref1[a] + p2[b - 1] - p2[a] + c - b - 1)) & 1
+        r = self.pref1[a] + p2[b - 1] - p2[a] + c - b - 1
+        return not self.data[r >> 3] >> (r & 7) & 1
+
+    def row(self, a: int, b: int) -> int:
+        """The blue triples (a, b, c), c = b+1..N, as one int with bit c
+        set when (a, b, c) is blue: one slice of the bytes, for a search
+        that reads every c after a fixed (a, b)."""
+        p2 = self.pref2
+        lo = self.pref1[a] + p2[b - 1] - p2[a]  # the rank of (a, b, b + 1)
+        width = self.N - b
+        red = int.from_bytes(self.data[lo >> 3:(lo + width + 7) >> 3], "little") >> (lo & 7)
+        return (~red & (1 << width) - 1) << (b + 1)
 
 
 @dataclass(frozen=True)
@@ -332,6 +349,7 @@ def find_blue_jump_member(
     if 2 * n + 1 > N:
         return None
     fast = _FastBits(c)
+    row = fast.row
     states = jump_states(n)
     step, accept = states.step, states.accept
     fits = [states.fits(N - h) for h in range(N + 1)]
@@ -345,14 +363,17 @@ def find_blue_jump_member(
             return None
         p = len(prefix)
         x, y, u, v = ([0, 0, 0, 0] + prefix)[-4:]
+        # the rows of the four edges that end at h; -1 where a vertex is missing
+        uv = row(u, v) if p >= 2 else -1
+        yu, yv = (row(y, u), row(y, v)) if p >= 3 else (-1, -1)
+        xu = row(x, u) if p >= 4 else -1
         for h in range(v + 1, N + 1):
             if p == 0:  # no jump at the first position
                 nxt = alive & fits[h]
-            elif p >= 2 and not fast.is_blue(u, v, h):
+            elif not uv >> h & 1:
                 continue
             else:
-                cond = 7 if p < 3 else (fast.is_blue(y, u, h) | fast.is_blue(y, v, h) << 1
-                                        | (p == 3 or fast.is_blue(x, u, h)) << 2)
+                cond = yu >> h & 1 | (yv >> h & 1) << 1 | (xu >> h & 1) << 2
                 nxt = step(alive, cond) & fits[h]
             if not nxt:
                 continue

@@ -86,8 +86,7 @@ from multiprocessing import Pool
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
                    lex_rank, pair_offsets, rank_offsets)
-from .detect import (alpha_table, find_blue_embedding, find_blue_jump_member, jump_states,
-                     longest_red_path)
+from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
 from .family import monotone_path, power_path
 
 DEFAULT_BUDGET = 10**9
@@ -723,8 +722,7 @@ def _finish(folded: tuple[str, int | None, SearchStats],
     if bits is None:
         return SearchOutcome(status, None, stats)
     c = TripleColoring(problem.N, bits)
-    depth, _ = longest_red_path(c)
-    if depth >= problem.red.m - 1:
+    if alpha_table(c, Color.RED).max_value >= problem.red.m - 1:
         raise RuntimeError("witness contains the red path; this is a bug")
     if _has_blue(c, problem.blue, _blue_kind(problem.blue)[0]):
         raise RuntimeError("witness contains the blue spec; this is a bug")

@@ -178,6 +178,9 @@ TABLE_PINS = {
         "certify profileprop --n 2": (0, "3c1ab59a34ea6e210ae5e4ef89977294fe45cb478db27544148d821c21ef0215"),
         "certify profileprop --n 3": (0, "8bcd50469f16cc4aafcbe4b3507b1cb30f1fc3ea81fecfa1ebcefe6fc4b0f153"),
         "detect redpath --m 5": (0, "7822efd65a99e23a84c340d7ad42667940b89a58329145b7945ae160553df7c4"),
+        # red depth 5: the last m that prints a witness, and the first that exits 1
+        "detect redpath --m 6": (0, "1a7669fcd4d2ec69d7f034c21f6fb42283ea473d322af59d022410693e4bffff"),
+        "detect redpath --m 7": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "detect jumps --n 1": (0, "b492f95b0d9f4d59b16ad61ef428a0989a5a3dcd1362cf1d328ad18e5d84e9d4"),
         "detect jumps --n 2": (0, "b00cdf3491796eff4dcf32078abaf203deb3b219d6c4db9ad4820e4025212bb7"),
         "detect jumps --n 3": (0, "4ba2cd463a3a4b9fdb67638732f31e3678720dc74fd816e7fa45784eebdb99eb"),

@@ -12,9 +12,11 @@ from jumpramsey.core import (
     Embedding,
     PairColoring,
     TripleColoring,
+    all_pairs,
     all_triples,
 )
 from jumpramsey.detect import (
+    _FastBits,
     alpha_table,
     find_blue_embedding,
     find_blue_jump_member,
@@ -52,6 +54,23 @@ def test_alpha_table_blue_target():
         want = alpha_map(c, Color.BLUE)
         for (u, v), a in want.items():
             assert table.value(u, v) == a
+
+
+def test_decoded_reads_match_the_coloring():
+    # N = 0..13 covers hosts with no triples and hosts whose last byte is
+    # only partly used, since C(N, 3) is a multiple of 8 only for some N
+    rng = random.Random(37)
+    for N in range(14):
+        hosts = [random_triples(N, rng) for _ in range(5)]
+        hosts += [TripleColoring.all_red(N), TripleColoring.all_blue(N)]
+        for c in hosts:
+            fast = _FastBits(c)
+            assert len(fast.data) == (comb(N, 3) + 7) // 8
+            for t in all_triples(N):
+                assert fast.is_blue(*t) == c.is_blue(*t), (N, t)
+            for a, b in all_pairs(N):
+                want = sum(1 << w for w in range(b + 1, N + 1) if c.is_blue(a, b, w))
+                assert fast.row(a, b) == want, (N, a, b)
 
 
 def random_lifts(seed, count):
