@@ -55,7 +55,7 @@ from .core import (
     serialize_triple_coloring,
     serialize_witness,
 )
-from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, longest_red_path
+from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, red_path
 from .family import associated_graph, jump_min, monotone_path, power_path, validate_jump_member
 from .search import (
     DEFAULT_BUDGET,
@@ -249,12 +249,10 @@ def _cmd_detect(args, stdin, stdout) -> int:
         return 0
     host = parse_triple_coloring(stdin.read())
     if what == "redpath":
-        # the depth alone decides the exit; the witness is built only to print
-        if alpha_table(host).max_value < args.m - 1:
+        path = red_path(host, args.m)
+        if path is None:
             return 1
-        _, path = longest_red_path(host)
-        _emit(serialize_witness(Witness(path.vertices[: args.m])), args.output,
-              stdout)
+        _emit(serialize_witness(Witness(path.vertices)), args.output, stdout)
         return 0
     if what == "pattern":
         pattern, _ = parse_pattern(_read_file(args.pattern))

@@ -155,11 +155,27 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     least m - 1.  The witness has depth + 1 vertices and is the
     lexicographically least such sequence (or all of [N] for N < 2).
     """
-    N = c.N
-    if N < 2:
-        return 0, Embedding(tuple(range(1, N + 1)))
     rows = _red_rows(c)
-    depth = max(_alpha_values(N, rows, Color.RED))
+    depth = max(_alpha_values(c.N, rows, Color.RED), default=0)
+    return depth, _red_path_witness(c.N, rows, depth)
+
+
+def red_path(c: TripleColoring, m: int) -> Embedding | None:
+    """The first m vertices of the longest_red_path witness, or None when
+    no red path has m vertices.  The coloring is decoded and the alpha
+    table filled once, and the witness is built only when there is one."""
+    rows = _red_rows(c)
+    depth = max(_alpha_values(c.N, rows, Color.RED), default=0)
+    if depth < m - 1:
+        return None
+    return Embedding(_red_path_witness(c.N, rows, depth).vertices[:m])
+
+
+def _red_path_witness(N: int, rows: list[int], depth: int) -> Embedding:
+    """The longest_red_path witness from the red rows and the alpha depth,
+    which the forward table must match."""
+    if N < 2:
+        return Embedding(tuple(range(1, N + 1)))
     row = pair_offsets(N)
     # forward table: cont(u, v) is the longest red continuation after
     # starting with (u, v).  levels[v] lists (k, mask of the w with
@@ -189,7 +205,7 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
         ws = rows[row[u] + v] & dict(levels[v])[k]
         u, v = v, N + 1 - ws.bit_length()
         path.append(v)
-    return depth, Embedding(tuple(path))
+    return Embedding(tuple(path))
 
 
 @lru_cache(maxsize=256)

@@ -7,23 +7,26 @@ path: its presence is tracked by an incremental alpha table, and a branch
 dies the moment a pair's depth reaches the path length.  Lex order makes
 the table exact without cascades: every triple ending at a pair is decided
 before any triple starting there.  A blue monotone path gets the same
-treatment.  Then a branch also dies when its write leaves a pair (v, w),
-w < N, at m - 2 in both tables (each with its m), where it starts no triple
-of either colour: values only rise along a branch, and rank (v, w, w+1)
-comes after every triple ending at (v, w), so it is still uncoloured and
-dead in both colours, and the subtree holds no leaf.  This lookahead
-checks at the write what that rank finds out, often hundreds of ranks
-later; the DFS order stays as it was.
+treatment, and then the two tables also follow forced colours.  A pair
+(x, y), y < N, at its red dead level m - 2 (m the red path length) starts
+no red triple, so every (x, y, z) is blue and the blue value of every
+(y, z) is at least ab(x, y) + 1; the same holds with the colours swapped.
+Each write raises its pair in its colour and follows these rules to a
+fixpoint, unit propagation: the write dies when a value reaches m - 1 in
+its colour, a path, which it does when a pair (x, y), y < N, is at both
+dead levels, as (x, y, y+1) then has no colour left.
 
-It also looks one step further.  A pair (x, w) at the red dead level
-starts only blue triples, so every pair (w, z) will end with a blue value
-of at least ab(x, w) + 1; fb[w] is the largest such bound, and fr[w] the
-same with the colours swapped.  Pair (v, w) counts as dead in a colour
-when its value or the bound of v in that colour is at the dead level.  A
-write that puts its pair at a dead level, or raises a value of a pair at
-one, raises a bound at w, and a bound that reaches its dead level puts
-every pair (w, z), z < N, at it, so the write dies when one of them is
-at the other dead level.  The bounds are undone with the values.
+This is exact.  The write at (u, v, w) raises (v, w), and a raise of
+(x, y) raises pairs (y, z) only, so every raised pair has its first vertex
+after u.  Every triple coloured so far has its first vertex at most u, so
+every triple a raise forces is still uncoloured, and no coloured triple
+starts at a raised pair.  The values are then the least fixpoint of the
+alpha recurrences and the forced rules over the coloured prefix, a function
+of the prefix, and lower bounds on the alpha values of every avoiding
+colouring that extends it: a write that fails has no leaf below it.  Only
+such subtrees are cut, so the DFS order and the first sat leaf stay as they
+were.  Each raise goes on a trail that the back-up unwinds.  A root whose
+own fixpoint fails (a side with m = 3 on enough vertices) is unsat at once.
 
 The other blue specs are tracked by tables too, pushed when a triple turns
 blue and popped when it is undone.  Each table rests on the same fact: a
@@ -52,20 +55,24 @@ its prefix and walks the remaining ranks to a full coloring.
 Path/path splits also skip states that failed before.  At the start of
 block (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
 blue alpha values of pair (a, b) and of the pairs after it in pair lex
-order, a suffix.  Pairs (x, N) are never read, and a value d at pair (x, y)
-with d + (N - y) < m - 1 (m the path length of that colour) can never reach
-a dead check, directly or through a max, nor the lookahead's m - 2, so it
-is packed as 0; a value that raises a forced bound to its dead level,
-d >= m - 3 at y <= N - 2, is never clamped.  A bound from a pair before
-the block start is already in the suffix values: every triple it forces
-is coloured.  The clamped suffix is one int, kept up to date as values
-change; a block start whose walk failed in both colours records it, and a
-later arrival with the same int backs out at once and counts a memo hit,
-not a node.  Only failed subtrees are skipped, so the first sat leaf, every
-status and every witness stay as they were; only the node counts and depths
-move.  Each split has its own memo, so the worker count changes nothing,
-and a memo holding MEMO_CAP states is cleared.  The split enumeration has
-none: its leaf returns, so a subtree it leaves has not failed.
+order, a suffix: a later write (a', v, w), a' >= a, reads (a', v) and
+raises pairs whose first vertex is after a'.  What pairs before the block
+start forced is already in the suffix values.  Pairs (x, N) are never
+read: a raise there fails exactly when it reaches m - 1, whatever value it
+raises.  A value d at pair (x, y) with d + (N - y) < m - 1 (m the path
+length of that colour) is packed as 0.  It is below the dead level, so no
+forced rule reads it, and a chain of raises adds one per pair along
+increasing vertices, so it carries at most d + (N - y) - 1 to a pair
+(., y'), y' < N, and d + (N - y) to a pair (., N): it reaches no dead level
+and no m - 1, directly or through a max.  The clamped suffix is one int,
+kept up to date with every raise and its undo; a block start whose walk
+failed in both colours records it, and a later arrival with the same int
+backs out at once and counts a memo hit, not a node.  Only failed
+subtrees are skipped, so the first sat leaf, every status and every witness
+stay as they were; only the node counts and depths move.  Each split has
+its own memo, so the worker count changes nothing, and a memo holding
+MEMO_CAP states is cleared.  The split enumeration has none: its leaf
+returns, so a subtree it leaves has not failed.
 
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
@@ -121,11 +128,10 @@ class AvoidanceProblem:
 class SearchStats:
     """Work counts of a search: nodes entered, the deepest rank reached,
     and the pruned arrivals by reason: memo hits (a failed path/path state
-    seen again), red-dead and blue-dead (a pair's path table would reach
-    the path length, or path/path leave a pair dead in both colours,
-    counting the forced bounds, or raise a forced bound that does so to
-    a later pair) and blue hits (the new blue triple completes a blue copy;
-    its node is counted)."""
+    seen again), red-dead and blue-dead (writes whose path table would
+    reach the path length; path/path counts the writes whose propagation
+    fails) and blue hits (the new blue triple completes a blue copy; its
+    node is counted)."""
 
     nodes: int
     max_depth: int
@@ -298,11 +304,11 @@ class _Engine:
     bits starts all ones (red); a blue branch clears its rank bit, so the
     mask always reads unassigned triples as red, which is what a full blue
     detector run needs to stay sound on a partial coloring.  The stack is
-    per-rank arrays: the colour given to each rank on the current branch,
-    the path-table value it overwrote and the forced bound it raised.  A
-    blue spec other than a path has a table (power windows or jump members,
-    see the module docstring) or, for a generic pattern, none: a detector
-    run.
+    per-rank arrays: the colour given to each rank on the current branch
+    and its token, what undoing it needs: the red value it overwrote, or
+    with a blue path table the trail length before its raises.  A blue spec
+    other than a path has a table (power windows or jump members, see the
+    module docstring) or, for a generic pattern, none: a detector run.
 
     The probe (split None) starts on uncoloured tables with no memo; a
     split engine replays its live prefix first, and a path/path split
@@ -323,13 +329,6 @@ class _Engine:
         npairs = comb(N, 2)
         self.ar = [1] * npairs
         self.ab = [1] * npairs if self.kind == "path" else None
-        # per pair, the value m - 2 at which it starts no triple of that
-        # colour; unreachable for pairs (x, N) and without a blue alpha table
-        self.dead = tuple([m - 2 if self.ab is not None and y < N else self.red_m + self.blue_m
-                           for _, y in all_pairs(N)] for m in (self.blue_m, self.red_m))
-        # per rank, the forced bound its write raised (see _lookahead), as
-        # (bounds, w, old value), or None
-        self.lifts = [None] * self.total
         self.bits = (1 << self.total) - 1
         self.colour = [True] * self.total
         self.token = [0] * self.total
@@ -343,78 +342,78 @@ class _Engine:
         self.memo = None
         self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
         self.front = [None] * self.total
-        self.packed, self.packs = 0, (None, None)
-        if split is not None:
-            self._replay(split)
-        self.fb = self.fr = None
+        self.packed, self.live = 0, True
+        # the path/path raises made so far, as (values, pair, old value, packed)
+        self.trail = []
         if self.ab is not None:
-            self._force()
-            # pair ranks of (w, w+1) .. (w, N-1), per w
+            self.packs, front, sentinel = _memo_layout(N, self.red_m, self.blue_m)
+            bpack, rpack = self.packs
+            self.packed = sentinel + sum(p[1] for p in rpack + bpack)
+            # per pair (x, y), the pair ranks of (y, y+1) .. (y, N)
             row = pair_offsets(N)
-            self.rows = [(row[w] + w + 1, row[w] + N) for w in range(N + 1)]
+            nexts = [range(row[y] + y + 1, row[y] + N + 1) for _, y in all_pairs(N)]
+            # what _settle reads; per colour its values, their packing and
+            # m - 1, a path, then the dead levels m - 2
+            self.spread = (self.ar, self.ab, self.trail, nexts,
+                           (self.ab, bpack, self.blue_m - 1),
+                           (self.ar, rpack, self.red_m - 1), self.red_m - 2, self.blue_m - 2)
+            # the root's fixpoint, from every pair
+            self.live = self._settle(True, None, 0, (1 << npairs) - 1)
             if split is not None:
                 # a split's failed-state memo starts on the replayed tables
-                self.packs, self.front, sentinel = _memo_layout(
-                    N, self.red_m, self.blue_m)
-                bpack, rpack = self.packs
-                self.packed = sentinel + sum(
-                    p[d] for p, d in zip(rpack + bpack, self.ar + self.ab))
-                self.memo = set()
+                self.front, self.memo = front, set()
+        if split is not None:
+            self._replay(split)
 
-    def _force(self) -> None:
-        """The forced lower bounds, from the tables (path/path only).
+    def _settle(self, red: bool, i: int | None, d: int, dirty: int = 0) -> bool:
+        """Raise pair i to at least d in red (blue if not red) and follow
+        the forced colours from it, and from the pairs in the bitmask dirty,
+        to a fixpoint (path/path only); i None raises nothing.
 
-        A pair (x, w) at the red dead level starts only blue triples, so
-        once every (x, w, z) is coloured, pair (w, z) has a blue value of at
-        least ab(x, w) + 1: fb[w] is the largest such bound, and fr[w] the
-        same for the blue dead level and red.  Both only rise along a
-        branch, with the values they come from.
+        A pair at the red dead level raises every pair after it, (y, z), to
+        its own blue value plus one, and one at the blue dead level the same
+        in red.  Raised pairs are taken in pair rank order: a raise only goes
+        to a later pair, so each is taken once, with its final values.  Every
+        raise goes on the trail; False, with them undone, when a value
+        reaches m - 1.
         """
-        bd, rd = self.dead
-        self.fb, self.fr = [0] * (self.N + 1), [0] * (self.N + 1)
-        for i, (_, w) in enumerate(all_pairs(self.N)):
-            if self.ar[i] >= rd[i]:
-                self.fb[w] = max(self.fb[w], self.ab[i] + 1)
-            if self.ab[i] >= bd[i]:
-                self.fr[w] = max(self.fr[w], self.ar[i] + 1)
-
-    def _lookahead(self, rank: int, cand: int, red: bool) -> bool:
-        """True when a write of cand at rank's pair (v, w), w < N, that
-        leaves (v, w) at a dead level is dead (path/path only).
-
-        At its own dead level (v, w) must not be at the other colour's,
-        counting that colour's forced bound at v; its triples (v, w, z)
-        all take the other colour, which raises that colour's bound at w.
-        At the other colour's dead level, a raise of this colour's value
-        raises this colour's bound at w.  A bound that reaches its dead
-        level puts every pair (w, z), z < N, at it, so none may be at the
-        other one.  A live write's raise is made here and kept in lifts
-        for the walk's undo; a budget stop after it abandons the engine.
-        """
-        _, v, w = self.triples[rank]
-        ivw = self.pairs_idx[rank][1]
-        rd, bd = self.red_m - 2, self.blue_m - 2
-        if red:
-            mine, theirs, fmine, ftheirs, md, od = self.ar, self.ab, self.fr, self.fb, rd, bd
-        else:
-            mine, theirs, fmine, ftheirs, md, od = self.ab, self.ar, self.fb, self.fr, bd, rd
-        if cand >= md:
-            if theirs[ivw] >= od or ftheirs[v] >= od:
+        ar, ab, trail, nexts, bside, rside, red_dead, blue_dead = self.spread
+        values, pack, top = side = rside if red else bside
+        mark, packed = len(trail), self.packed
+        targets = () if i is None else (i,)
+        while True:
+            for j in targets:
+                old = values[j]
+                if d > old:
+                    if d >= top:
+                        self._unwind(mark)
+                        return False
+                    trail.append((values, j, old, packed))
+                    values[j] = d
+                    packed += pack[j][d] - pack[j][old]
+                    dirty |= 1 << j
+            while dirty:
+                low = dirty & -dirty
+                dirty ^= low
+                i = low.bit_length() - 1
+                if ar[i] >= red_dead:
+                    side, d = bside, ab[i] + 1
+                    break
+                if ab[i] >= blue_dead:
+                    side, d = rside, ar[i] + 1
+                    break
+            else:
+                self.packed = packed
                 return True
-            bounds, f, level, cross = ftheirs, theirs[ivw] + 1, od, (mine, fmine, md)
-        else:
-            bounds, f, level, cross = fmine, cand + 1, md, (theirs, ftheirs, od)
-        old = bounds[w]
-        if f <= old:
-            return False
-        if old < level <= f:
-            values, other, dead = cross
-            lo, hi = self.rows[w]
-            if lo < hi and (other[w] >= dead or max(values[lo:hi]) >= dead):
-                return True
-        self.lifts[rank] = bounds, w, old
-        bounds[w] = f
-        return False
+            values, pack, top = side
+            targets = nexts[i]
+
+    def _unwind(self, mark: int) -> None:
+        """Undo the raises on the trail after mark, the latest first."""
+        trail = self.trail
+        while len(trail) > mark:
+            values, j, old, self.packed = trail.pop()
+            values[j] = old
 
     def blue_present(self) -> bool:
         """Full detector run on the coloring so far, unassigned triples red."""
@@ -428,19 +427,17 @@ class _Engine:
         """Depth-first over ranks start..stop-1, red before blue, calling
         leaf() with ranks below stop coloured; returns with them undone.
 
-        Counters, bits and packed live in locals while it runs and go back
-        to the engine on every exit, _Budget and the leaf's _Found included.
+        Counters and bits live in locals while it runs and go back to the
+        engine on every exit, _Budget and the leaf's _Found included.
 
         With the memo on (splits only, whose leaf never returns), a
         block-start rank whose front state failed before is backed out of at
         once, and one left with both colours tried is recorded as failed."""
         colour, token, pairs_idx, front = self.colour, self.token, self.pairs_idx, self.front
-        lifts, lookahead = self.lifts, self._lookahead
         ar, ab, table, memo, cap = self.ar, self.ab, self.table, self.memo, self.cap
+        settle, unwind, trail = self._settle, self._unwind, self.trail
         red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
-        bpack, rpack = self.packs
-        bdead, rdead = self.dead
-        nodes, max_depth, bits, packed = self.nodes, self.max_depth, self.bits, self.packed
+        nodes, max_depth, bits = self.nodes, self.max_depth, self.bits
         memo_hits, red_dead, blue_dead, blue_hits = (
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
         rank = start
@@ -451,15 +448,18 @@ class _Engine:
                     leaf()
                 elif red:
                     at = front[rank]
-                    if at is not None and packed >> at in memo:
+                    if at is not None and self.packed >> at in memo:
                         memo_hits += 1
                     else:
                         iuv, ivw = pairs_idx[rank]
                         cand = ar[iuv] + 1
-                        if cand >= red_top or (
-                                cand >= rdead[ivw] or ab is not None and
-                                cand > ar[ivw] and ab[ivw] >= bdead[ivw]) and lookahead(
-                                    rank, cand, True):
+                        if ab is None:
+                            live = cand < red_top
+                        else:
+                            token[rank] = len(trail)
+                            live = cand <= ar[ivw] or (
+                                cand < red_top and settle(True, ivw, cand))
+                        if not live:
                             red_dead += 1
                             red = False
                             continue
@@ -469,20 +469,22 @@ class _Engine:
                         if rank >= max_depth:
                             max_depth = rank + 1
                         colour[rank] = True
-                        old = token[rank] = ar[ivw]
-                        if cand > old:
-                            ar[ivw] = cand
-                            if memo is not None:
-                                packed += rpack[ivw][cand] - rpack[ivw][old]
+                        if ab is None:
+                            old = token[rank] = ar[ivw]
+                            if cand > old:
+                                ar[ivw] = cand
                         rank += 1
                         continue
-                else:
-                    iuv, ivw = pairs_idx[rank]
-                    if rank == 0 and symmetric:
-                        pass
-                    elif ab is not None and ((cand := ab[iuv] + 1) >= blue_top or (
-                            cand >= bdead[ivw] or cand > ab[ivw] and ar[ivw] >= rdead[ivw])
-                            and lookahead(rank, cand, False)):
+                elif rank or not symmetric:
+                    if ab is None:
+                        live = True
+                    else:
+                        iuv, ivw = pairs_idx[rank]
+                        token[rank] = len(trail)
+                        cand = ab[iuv] + 1
+                        live = cand <= ab[ivw] or (
+                            cand < blue_top and settle(False, ivw, cand))
+                    if not live:
                         blue_dead += 1
                     else:
                         if nodes == cap:
@@ -493,11 +495,6 @@ class _Engine:
                         colour[rank] = False
                         bits ^= 1 << rank
                         if ab is not None:
-                            old = token[rank] = ab[ivw]
-                            if cand > old:
-                                ab[ivw] = cand
-                                if memo is not None:
-                                    packed += bpack[ivw][cand] - bpack[ivw][old]
                             hit = False
                         elif table is not None:
                             hit = table.push(rank)
@@ -519,35 +516,23 @@ class _Engine:
                     if not red and front[rank] is not None:
                         if len(memo) >= MEMO_CAP:
                             memo.clear()
-                        memo.add(packed >> front[rank])
+                        memo.add(self.packed >> front[rank])
                     if rank == start:
                         return
                     rank -= 1
                     red = colour[rank]
-                    ivw = pairs_idx[rank][1]
+                    if ab is not None and len(trail) > token[rank]:
+                        unwind(token[rank])
                     if red:
-                        values, packs = ar, rpack
-                    else:
-                        bits |= 1 << rank
-                        if table is not None:
-                            table.pop(rank)
-                        values, packs = ab, bpack
-                    if values is not None:
-                        old, cur = token[rank], values[ivw]
-                        if cur != old:
-                            values[ivw] = old
-                            if memo is not None:
-                                packed -= packs[ivw][cur] - packs[ivw][old]
-                    lift = lifts[rank]
-                    if lift is not None:
-                        bounds, w, old = lift
-                        bounds[w] = old
-                        lifts[rank] = None
-                    if red:
+                        if ab is None:
+                            ar[pairs_idx[rank][1]] = token[rank]
                         red = False
                         break
+                    bits |= 1 << rank
+                    if table is not None:
+                        table.pop(rank)
         finally:
-            self.nodes, self.max_depth, self.bits, self.packed = nodes, max_depth, bits, packed
+            self.nodes, self.max_depth, self.bits = nodes, max_depth, bits
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits = (
                 memo_hits, red_dead, blue_dead, blue_hits)
 
@@ -558,18 +543,19 @@ class _Engine:
         return prefixes
 
     def _replay(self, prefix: tuple[bool, ...]) -> None:
-        """Colour a live prefix as the walk would, with nothing to check,
-        count or undo."""
+        """Colour a live prefix as the walk would, with nothing to check
+        or count."""
         for rank, red in enumerate(prefix):
-            iuv, ivw = self.pairs_idx[rank]
             self.colour[rank] = red
-            values = self.ar if red else self.ab
             if not red:
                 self.bits ^= 1 << rank
                 if self.table is not None:
                     self.table.push(rank)
-            if values is not None:
-                values[ivw] = max(values[ivw], values[iuv] + 1)
+            iuv, ivw = self.pairs_idx[rank]
+            if self.ab is not None:
+                self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
+            elif red:
+                self.ar[ivw] = max(self.ar[ivw], self.ar[iuv] + 1)
 
     def found(self) -> None:
         raise _Found()
@@ -674,8 +660,9 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
         raise ValueError("need at least one worker")
 
     probe = _Engine(problem, cap=budget)
-    if probe.blue_present():
-        # blue spec embeds with no blue triples at all: nothing to search
+    if not probe.live or probe.blue_present():
+        # no colouring avoids both, or the blue spec embeds with no blue
+        # triples at all: nothing to search
         return SearchOutcome("unsat", None, SearchStats(0, 0))
     try:
         prefixes = probe.decompose(min(SPLIT_DEPTH, probe.total))

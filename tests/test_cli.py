@@ -320,7 +320,7 @@ def test_search_single_level_sat(tmp_path):
         ]
     )
     assert code == 0
-    assert "sat nodes=31" in err
+    assert "sat nodes=24" in err
     c = parse_triple_coloring(out_file.read_text())
     assert c.bitstring() == "10110011110001101110"
 
@@ -336,8 +336,8 @@ def test_search_single_level_unsat_certificate():
         "blue path:4\n"
         "budget 1000000000\n"
         "split-depth 4\n"
-        "nodes 43\n"
-        "max-depth 9\n"
+        "nodes 0\n"
+        "max-depth 0\n"
     )
 
 
@@ -368,13 +368,13 @@ def test_search_inconclusive_exit_code():
         [
             "search",
             "--n",
-            "7",
+            "9",
             "--red",
             "path:4",
             "--blue",
-            "path:4",
+            "path:5",
             "--budget",
-            "30",
+            "1000",
         ]
     )
     assert code == 3 and "inconclusive" in err
@@ -450,7 +450,7 @@ def test_search_workers_env_and_flag(monkeypatch):
     code, out, _ = run(
         ["search", "--n", "7", "--red", "path:4", "--blue", "path:4"]
     )
-    assert code == 1 and "nodes 43\n" in out
+    assert code == 1 and "nodes 0\n" in out
 
 
 def test_verify_member_paths(tmp_path):

@@ -25,7 +25,7 @@ from jumpramsey.search import (
     bracket,
     decide,
 )
-from oracles import naive_decide
+from oracles import forced_alphas, naive_decide
 
 
 def check_witness(out, problem):
@@ -61,14 +61,13 @@ def test_engine_agrees_with_enumeration_on_tiny_hosts():
 def test_path_four_against_itself():
     out6 = decide(AvoidanceProblem(6, monotone_path(4), monotone_path(4)))
     assert out6.status == "sat"
-    assert out6.stats.nodes == 31
+    assert out6.stats.nodes == 24
     assert out6.stats.max_depth == 20
     assert out6.witness.bitstring() == "10110011110001101110"
+    # the first write's propagation fails, and its blue mirror is skipped
     out7 = decide(AvoidanceProblem(7, monotone_path(4), monotone_path(4)))
     assert out7.status == "unsat"
-    assert out7.stats.nodes == 43
-    assert out7.stats.max_depth == 9
-    assert out7.stats.memo_hits > 0
+    assert out7.stats == search.SearchStats(0, 0, 0, 1, 0, 0)
 
 
 def test_small_red_path_against_jumps():
@@ -229,7 +228,7 @@ def test_worker_invariance():
         assert (out.status, out.stats.nodes, out.stats.max_depth, bits) == want
     problems = [
         AvoidanceProblem(6, monotone_path(4), monotone_path(4)),
-        AvoidanceProblem(7, monotone_path(4), monotone_path(4)),
+        AvoidanceProblem(8, monotone_path(5), monotone_path(4)),
         AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)),
         AvoidanceProblem(6, monotone_path(4), power_path(4, 4)),
     ] + [problem for problem, _ in small]
@@ -292,18 +291,20 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
 
 
 def test_budget_starvation_is_deterministic():
-    # 43 nodes decide it: 15 in the split enumeration, then 8 splits of
-    # 2, 2, 2, 2, 3, 3, 7 and 7; a budget of 30 starves the seventh split
-    problem = AvoidanceProblem(7, monotone_path(4), monotone_path(4))
-    base = decide(problem, budget=30, workers=1)
+    # 42,272 nodes decide it: 30 in the split enumeration, then a split of
+    # 42,162 that fails and a sat one of 80; 40 nodes short starves the
+    # second split, while the workers run others beside the first
+    problem = AvoidanceProblem(9, monotone_path(4), monotone_path(5))
+    budget = 42_272 - 40
+    base = decide(problem, budget=budget, workers=1)
     assert base.status == "inconclusive"
-    assert base.stats.nodes == 30
+    assert base.stats.nodes == budget
     for workers in (2, 4):
-        again = decide(problem, budget=30, workers=workers)
+        again = decide(problem, budget=budget, workers=workers)
         assert again.status == "inconclusive"
         assert again.stats == base.stats
     # a genuinely sufficient budget still finishes
-    assert decide(problem, budget=300000).status == "unsat"
+    assert decide(problem, budget=300000).status == "sat"
 
 
 def test_symmetry_shortcut_only_for_identical_sides():
@@ -362,8 +363,8 @@ def test_bracket_left_open_at_nmax():
 
 
 def test_bracket_inconclusive_on_starved_budget():
-    # N=6 is sat in 31 nodes, N=7 needs 43
-    out = bracket(monotone_path(4), monotone_path(4), nmax=8, budget=35)
+    # N=8 is sat in 82 nodes, N=9 needs 42,272
+    out = bracket(monotone_path(4), monotone_path(5), nmax=10, budget=1000)
     assert out.status == "inconclusive"
     assert out.levels[-1].outcome.status == "inconclusive"
 
@@ -440,18 +441,21 @@ def engine_state(eng):
     table = {"power": "best", "jumps": "states"}.get(eng.kind)
     table = None if table is None else getattr(eng.table, table)
     return copy.deepcopy(
-        (eng.ar, eng.ab, eng.fb, eng.fr, eng.lifts, eng.bits, eng.packed, table))
+        (eng.ar, eng.ab, eng.trail, eng.bits, eng.packed, table))
 
 
-# p4/p4 at N=7 is unsat, so each split walks its whole subtree with the memo
-# on; the power and jumps levels at N=6 are sat, and a leaf that returns
-# makes each split visit every avoiding colouring below its prefix
+# the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
+# sat), so it walks its whole subtree with the memo on; the power and jumps
+# levels at N=6 are sat, and a leaf that returns makes each split visit
+# every avoiding colouring below its prefix
 @pytest.mark.parametrize("N, blue", [
-    (7, monotone_path(4)), (6, power_path(4, 4)), (6, JumpsFamily(2))])
+    (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     problem = AvoidanceProblem(N, monotone_path(4), blue)
     probe = search._Engine(problem, DEFAULT_BUDGET)
     prefixes = probe.decompose(SPLIT_DEPTH)
+    if probe.kind == "path":
+        prefixes = prefixes[:1]
     assert engine_state(probe) == engine_state(search._Engine(problem, DEFAULT_BUDGET))
     leaves = []
     pruned = 0
@@ -466,44 +470,57 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
 
 
 # the probe engine has no memo, so walk(0, stop, leaf) calls the leaf at
-# every live prefix of length stop; p4/p4 at N=7 reaches no rank past 8
+# every live prefix of length stop: 401 for p4/p4 at N=6, 927 for p4/p5
+# and p5/p4 at N=6, 3,343 at N=7
 @pytest.mark.parametrize("red_m, blue_m, N, stops", [
-    (4, 4, 6, range(1, 21)), (4, 5, 6, range(1, 21)), (5, 4, 6, range(1, 21)),
-    (4, 4, 7, range(1, 10))])
+    (4, 4, 6, range(21)), (4, 5, 6, range(10)), (5, 4, 6, range(10)),
+    (4, 5, 7, range(12)), (5, 4, 7, range(12))])
 def test_no_live_prefix_has_a_pair_dead_in_both_colours(red_m, blue_m, N, stops):
-    # a pair (v, w), w < N, at both dead levels starts neither a red nor a
-    # blue triple, so rank (v, w, w+1) would be dead in both colours: the
-    # lookahead must have backed out at the write that put it there.  A pair
-    # (x, v) at one dead level forces the other colour on every (x, v, w),
-    # so (v, w) counts at least the forced bound of v in that colour: the
-    # largest value + 1 over such pairs, recomputed here from the tables
+    # at every live prefix the path tables hold exactly the values the
+    # prefix forces, recomputed from scratch by the oracle, and packed their
+    # packing; so no pair (v, w), w < N, is at both dead levels, where
+    # (v, w, w+1) would have no colour.  The next write in either colour
+    # dies exactly when the oracle finds a path in the prefix plus that
+    # write, and a live one leaves the values the oracle gives for it,
+    # undone by unwinding the trail
     eng = search._Engine(
         AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m)), DEFAULT_BUDGET)
-    rd, bd = red_m - 2, blue_m - 2
-    read = [(i, v) for i, (v, w) in enumerate(all_pairs(N)) if w < N]
-    half_dead = forced = 0
+    bpack, rpack = eng.packs
+    sentinel = search._memo_layout(N, red_m, blue_m)[2]
+    seen = {True: 0, False: 0}
+    forced = 0
     reached = set()
 
     def leaf():
-        nonlocal half_dead, forced
+        nonlocal forced
         reached.add(stop)
-        fb, fr = [0] * (N + 1), [0] * (N + 1)
-        for i, (_, w) in enumerate(all_pairs(N)):
-            if w < N and eng.ar[i] >= rd:
-                fb[w] = max(fb[w], eng.ab[i] + 1)
-            if w < N and eng.ab[i] >= bd:
-                fr[w] = max(fr[w], eng.ar[i] + 1)
-        assert (eng.fb, eng.fr) == (fb, fr), eng.colour[:stop]
-        for i, v in read:
-            red, blue = max(eng.ar[i], fr[v]) >= rd, max(eng.ab[i], fb[v]) >= bd
-            assert not (red and blue), (eng.colour[:stop], i)
-            half_dead += red or blue
-            forced += eng.ar[i] < rd <= fr[v] or eng.ab[i] < bd <= fb[v]
+        prefix = tuple(eng.colour[:stop])
+        values = list(eng.ar), list(eng.ab)
+        assert values == forced_alphas(N, prefix, red_m, blue_m), prefix
+        for (_, w), r, b in zip(all_pairs(N), *values):
+            assert w == N or r < red_m - 2 or b < blue_m - 2
+        assert eng.packed == sentinel + sum(
+            p[d] for p, d in zip(rpack + bpack, eng.ar + eng.ab))
+        # the values from the coloured triples alone, nothing forced
+        forced += values != forced_alphas(N, prefix, N + 2, N + 2)
+        if stop == eng.total:
+            return
+        iuv, ivw = eng.pairs_idx[stop]
+        for red, table in ((True, eng.ar), (False, eng.ab)):
+            want = forced_alphas(N, prefix + (red,), red_m, blue_m)
+            mark = len(eng.trail)
+            live = eng._settle(red, ivw, table[iuv] + 1)
+            assert live == (want is not None), (prefix, red)
+            if live:
+                assert (eng.ar, eng.ab) == want
+                eng._unwind(mark)
+            assert (eng.ar, eng.ab) == values
+            seen[live] += 1
 
     for stop in stops:
         eng.walk(0, stop, leaf)
     assert reached == set(stops)
-    assert half_dead > 0 and forced > 0
+    assert seen[True] > 0 and seen[False] > 0 and forced > 0
 
 
 def test_member_table_and_detector_step_through_one_function():

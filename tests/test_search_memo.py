@@ -111,36 +111,58 @@ def test_memo_keeps_every_status_and_witness():
         assert (out.status, bits) == PINNED[key], key
     # how far the clamp merges states shows only in the work done
     # and in the prune counts: red-dead, blue-dead, blue hits
-    assert outcomes[4, 4, 8].stats == SearchStats(83, 11, 18, 32, 16, 0)
-    assert outcomes[4, 5, 8].stats == SearchStats(5954, 56, 1795, 1617, 695, 0)
-    assert outcomes[5, 4, 8].stats == SearchStats(329, 56, 60, 65, 79, 0)
+    assert outcomes[4, 4, 8].stats == SearchStats(0, 0, 0, 1, 0, 0)
+    assert outcomes[4, 5, 8].stats == SearchStats(82, 56, 0, 30, 0, 0)
+    assert outcomes[5, 4, 8].stats == SearchStats(109, 56, 10, 20, 4, 0)
     w = outcomes[5, 4, 8].witness
     assert longest_path(w, Color.RED)[0] < 5 - 1
     assert longest_path(w, Color.BLUE)[0] < 4 - 1
 
 
-# p4/p5 at N=9: sat after 1,453,716 nodes, the first level the pair
-# lookahead decided; the walk is too long for this suite, so its witness
-# is pinned and checked with the brute-force path oracle
+# p4/p5 at N=9: sat, the first level the pair lookahead decided, after
+# 1,453,716 nodes; propagation takes 42,272.  The witness is pinned and
+# checked with the brute-force path oracle
 P4_P5_N9 = ("111011101001110011000111111100000000000000011100010011000011111000001111"
             "101111110000")
 
 
 def test_p4_p5_n9_witness_avoids_both_paths():
     w = TripleColoring.from_bitstring(9, P4_P5_N9)
+    out = decide(AvoidanceProblem(9, monotone_path(4), monotone_path(5)))
+    assert out.witness == w
     assert longest_path(w, Color.RED)[0] == 2 < 4 - 1
     assert longest_path(w, Color.BLUE)[0] == 3 < 5 - 1
 
 
 def test_p5_p4_n9_is_sat_with_the_forced_colour_lookahead():
-    # inconclusive at 20M nodes with only the pair lookahead
+    # inconclusive at 20M nodes with only the pair lookahead, and 221,131
+    # nodes with the one-step forced-colour lookahead
     out = decide(AvoidanceProblem(9, monotone_path(5), monotone_path(4)))
     assert out.status == "sat"
-    assert out.stats == SearchStats(221131, 84, 61520, 56213, 41793, 0)
+    assert out.stats == SearchStats(41929, 84, 14610, 4938, 7686, 0)
     digest = hashlib.sha256(out.witness.bitstring().encode()).hexdigest()
     assert digest == "b518217a1d569cd00d86601c725825e12631794a157e243d2ccffc6469907bf6"
     assert longest_path(out.witness, Color.RED)[0] < 5 - 1
     assert longest_path(out.witness, Color.BLUE)[0] < 4 - 1
+
+
+# (red m, blue m, N): (nodes, witness sha256), levels propagation decides in
+# under 0.2 s; p4/p6 at N=10 took 5,785,659 nodes with the one-step
+# lookahead and gave the same witness
+QUICK = {
+    (4, 6, 10): (79429, "2cd3ada2a49e8a219b4fc0af7972c6ffcfe7dcc0f454bf3e4c72c4b0396010ef"),
+    (5, 5, 10): (42294, "b71ce2b9cd3d9d7fb86913327cbcbe53a72f99d49733cc603093315b4d4b7a77"),
+}
+
+
+@pytest.mark.parametrize("red_m, blue_m, N", list(QUICK))
+def test_propagation_decides_the_quick_levels(red_m, blue_m, N):
+    out = decide(AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m)))
+    assert out.status == "sat"
+    digest = hashlib.sha256(out.witness.bitstring().encode()).hexdigest()
+    assert (out.stats.nodes, digest) == QUICK[red_m, blue_m, N]
+    assert longest_path(out.witness, Color.RED)[0] < red_m - 1
+    assert longest_path(out.witness, Color.BLUE)[0] < blue_m - 1
 
 
 @pytest.mark.parametrize("cap", [1, 4])
@@ -152,6 +174,11 @@ def test_tiny_memo_cap_keeps_every_outcome(monkeypatch, cap):
         bits = None if out.witness is None else out.witness.bitstring()
         assert (out.status, bits) == PINNED[key], key
     assert sum(out.stats.memo_hits for out in outcomes.values()) > 0
+    # propagation leaves the grid 10 memo hits in all; p4/p5 at N=9 has
+    # thousands, and its first split fails, so the memo is cleared there
+    out = decide(AvoidanceProblem(9, monotone_path(4), monotone_path(5)))
+    assert out.witness.bitstring() == P4_P5_N9
+    assert out.stats.memo_hits > 1000
 
 
 def longest_chain(y, N):
