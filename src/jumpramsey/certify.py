@@ -101,12 +101,16 @@ class BetaTable:
     pred[r] is (t, s) for the pair (u, v) of rank r: its last block is
     (t, u, v), glued to the chain of (s, t), or to none when s is None;
     None where beta is 1.  Chains are built from it on demand.
+    deepest[v - 1][a - 1] is the largest beta(u, v) over the u < v with
+    alpha(u, v) = a, 1 where there is none, for a up to the largest
+    alpha(u, v); the profile staircases are read off it.
     """
 
     N: int
     alpha: AlphaTable
     betas: tuple[int, ...]
     pred: tuple[tuple[int, int | None] | None, ...]
+    deepest: tuple[tuple[int, ...], ...] = ()
 
     def beta(self, u: int, v: int) -> int:
         return self.betas[pair_rank(u, v, self.N)]
@@ -150,67 +154,73 @@ def beta_table(c: TripleColoring) -> BetaTable:
 
     The chain a block (t, u, v) extends depends only on t and
     a = alpha(u, v): the most blocks over the pairs (s, t) with alpha(s, t)
-    at least a, the smallest s on ties; call that count ext(t, a).  Pairs
-    are filled in lex order, so every (s, t) is final when the outer loop
-    reaches u = t + 1; t is then filed, for every a, in the mask
-    filed[a][ext(t, a)].  The blocks (t, u, v) of a pair are the t in
-    column[u][a] & column[v][a], the t < u with alpha(t, u) = a and
-    alpha(t, v) = a; the best is the lowest bit of the highest level of
-    filed[a] that meets them.
+    at least a, the smallest s on ties; call that count ext(t, a).  best[a][t]
+    holds the most blocks over the (s, t) with alpha exactly a, and its
+    first s, as one key; it is raised as pairs are written, so ext(t, a) is
+    a running max over the values from the top down when vertex t comes up,
+    and t is filed in the mask filed[a][ext(t, a)].  Vertex u is then filled
+    one value a at a time: the v with alpha(u, v) = a start open, and going
+    down the levels of filed[a], each t there with alpha(t, u) = a, lowest
+    first, claims the open v with alpha(t, v) = a.  Each pair is written
+    once, by its best block: highest level, then smallest t and s.
     """
     N = c.N
     alpha = alpha_table(c, Color.RED)
     al = alpha.values
     row = pair_offsets(N)
     top = max(al, default=1)
-    # column[v][a]: bit t set when alpha(t, v) = a
-    column: list[dict[int, int]] = [{} for _ in range(N + 1)]
-    for (t, v), a in zip(all_pairs(N), al):
-        column[v][a] = column[v].get(a, 0) | 1 << t
-    blocks = [0] * len(al)
+    # rows[a][t]: bit v set when alpha(t, v) = a; column[a][v]: bit t set
+    rows = [[0] * (N + 1) for _ in range(top + 1)]
+    column = [[0] * (N + 1) for _ in range(top + 1)]
+    for t in range(1, N):
+        bit = 1 << t
+        for v, a in enumerate(al[row[t] + t + 1:row[t] + N + 1], t + 1):
+            rows[a][t] |= 1 << v
+            column[a][v] |= bit
+    betas = [1] * len(al)
     pred: list[tuple[int, int | None] | None] = [None] * len(al)
+    # key (B + 1) * W - s: most blocks B first, then smallest s; 0 for none
+    W = N + 1
+    best = [[0] * (N + 1) for _ in range(top + 1)]
+    # link[a][t]: the pred (t, s) of every pair a block (t, u, v) at a ends
+    link = [[None] * (N + 1) for _ in range(top + 1)]
     filed = [[0] for _ in range(top + 1)]
-    # ext_s[t][a]: the s of ext(t, a), None when it is 0
-    ext_s: list[list[int | None]] = [[]] * (N + 1)
-
-    def file(t: int) -> None:
-        best: dict[int, tuple[int, int]] = {}  # alpha(s, t) -> (blocks, s)
-        for s in range(1, t):
-            rs = row[s] + t
-            if blocks[rs] > best.get(al[rs], (0,))[0]:
-                best[al[rs]] = blocks[rs], s
-        ext, s_ext = 0, None
-        s_at: list[int | None] = [None] * (top + 1)
+    for u in range(1, N + 1):
+        key = 0
         for a in range(top, 0, -1):
-            if a in best:
-                b, s = best[a]
-                if b > ext or b == ext and s < s_ext:
-                    ext, s_ext = b, s
-            s_at[a] = s_ext
+            key = max(key, best[a][u])
+            ext = key // W
+            link[a][u] = (u, W - key % W if key else None)
             levels = filed[a]
             levels += [0] * (ext + 1 - len(levels))
-            levels[ext] |= 1 << t
-        ext_s[t] = s_at
-
-    for u in range(1, N + 1):
-        if u > 1:
-            file(u - 1)
-        cu = column[u]
-        for v in range(u + 1, N + 1):
-            r = row[u] + v
-            a = al[r]
-            ts = cu.get(a, 0) & column[v].get(a, 0)
-            if not ts:
-                continue
-            levels = filed[a]
-            for ext in range(len(levels) - 1, -1, -1):
+            levels[ext] |= 1 << u
+        at = row[u]
+        for a in range(1, top + 1):
+            open_, ts = rows[a][u], column[a][u]
+            levels, claims, links, keys = filed[a], rows[a], link[a], best[a]
+            ext = len(levels)
+            while open_ and ts and ext:
+                ext -= 1
                 hit = levels[ext] & ts
-                if hit:
-                    t = (hit & -hit).bit_length() - 1
-                    blocks[r] = ext + 1
-                    pred[r] = t, ext_s[t][a]
-                    break
-    return BetaTable(N, alpha, tuple(b + 1 for b in blocks), tuple(pred))
+                while hit and open_:
+                    low = hit & -hit
+                    hit ^= low
+                    t = low.bit_length() - 1
+                    vs = open_ & claims[t]
+                    open_ ^= vs
+                    beta, by, mine = ext + 2, links[t], (ext + 2) * W - u
+                    while vs:
+                        low = vs & -vs
+                        vs ^= low
+                        v = low.bit_length() - 1
+                        betas[at + v], pred[at + v] = beta, by
+                        if mine > keys[v]:
+                            keys[v] = mine
+    deepest = []
+    for v in range(1, N + 1):
+        width = next((a for a in range(top, 0, -1) if column[a][v]), 0)
+        deepest.append(tuple(best[a][v] // W + 1 for a in range(1, width + 1)))
+    return BetaTable(N, alpha, tuple(betas), tuple(pred), tuple(deepest))
 
 
 def extract_blue_jump_witness(c: TripleColoring, chain: BetaChain) -> Embedding:
@@ -265,24 +275,13 @@ def profile_table(c: TripleColoring) -> dict[int, ProfileStaircase]:
 
 
 def _profiles(table: BetaTable) -> dict[int, ProfileStaircase]:
-    """profile_table's staircases from a beta table already built."""
-    row = pair_offsets(table.N)
-    al, betas = table.alpha.values, table.betas
-    out: dict[int, ProfileStaircase] = {}
-    for v in range(1, table.N + 1):
-        # deepest[a]: the largest beta(u, v) with alpha(u, v) = a; then one
-        # suffix max gives the deepest b at each width
-        deepest: dict[int, int] = {}
-        for u in range(1, v):
-            a, b = al[row[u] + v], betas[row[u] + v]
-            if b > deepest.get(a, 0):
-                deepest[a] = b
-        maxB, deep = [], 0
-        for a in range(max(deepest, default=0), 0, -1):
-            deep = max(deep, deepest.get(a, 0))
-            maxB.append(deep)
-        out[v] = ProfileStaircase(tuple(reversed(maxB)))
-    return out
+    """profile_table's staircases from a beta table already built: the
+    deepest b at width a is the largest beta at any value a' >= a, one
+    suffix max over the table's per-value deepest betas of each vertex."""
+    return {
+        v: ProfileStaircase(tuple(accumulate(reversed(deep), max))[::-1])
+        for v, deep in enumerate(table.deepest, 1)
+    }
 
 
 def count_downsets(n: int) -> int:

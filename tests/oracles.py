@@ -99,6 +99,23 @@ def naive_beta_table(c):
     return tuple(blocks[p] + 1 for p in pairs), tuple(chains)
 
 
+def naive_profiles(c):
+    """Staircase depths per vertex, from the definition: at v, width a
+    reaches b exactly when some u < v has alpha(u, v) >= a and
+    beta(u, v) >= b, for a up to the largest alpha(u, v)."""
+    pairs = list(combinations(range(1, c.N + 1), 2))
+    alpha = dict(zip(pairs, naive_alpha_values(c)))
+    beta = dict(zip(pairs, naive_beta_table(c)[0]))
+    out = {}
+    for v in range(1, c.N + 1):
+        pts = [(alpha[u, v], beta[u, v]) for u in range(1, v)]
+        width = max((a for a, _ in pts), default=0)
+        out[v] = tuple(
+            max(b for pa, b in pts if pa >= a) for a in range(1, width + 1)
+        )
+    return out
+
+
 def longest_path(c, target=Color.RED):
     """(depth, lex-least witness) over every increasing target sequence."""
     want_red = target is Color.RED

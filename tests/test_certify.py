@@ -28,6 +28,7 @@ from oracles import (
     grid_downsets,
     mono_triangles,
     naive_beta_table,
+    naive_profiles,
     random_triples,
 )
 
@@ -64,43 +65,68 @@ def random_lift(N, k, rng):
     return lift(PairColoring(N, k, tuple(rng.randint(1, k) for _ in range(comb(N, 2)))))
 
 
-def test_beta_table_matches_plain_dp_on_lifts():
+def lift_hosts():
     rng = random.Random(79)
-    for _ in range(6):
-        c = random_lift(rng.randint(20, 40), rng.randint(2, 4), rng)
-        table = beta_table(c)
-        betas, chains = naive_beta_table(c)
-        assert table.betas == betas
-        got = tuple(
-            None if ch is None else (ch.vertices, ch.block_values)
-            for ch in table.chains
-        )
-        assert got == chains
+    return [random_lift(rng.randint(20, 40), rng.randint(2, 4), rng) for _ in range(6)]
 
 
-def test_beta_table_matches_plain_dp_on_random_hosts():
+def density_hosts():
     """Random triple colourings, not lifts, at five red densities from 1/8
     to 7/8: the red-heavy ones give alpha up to about N, the blue-heavy
-    ones chains of several blocks."""
+    ones chains of several blocks.  Yields (N, density, coloring)."""
     rng = random.Random(101)
-    deepest = widest = 0
     for N in range(25):
         T = comb(N, 3)
         for density in range(5):
             a, b, extra = rng.getrandbits(T), rng.getrandbits(T), rng.getrandbits(T)
             bits = (a & b & extra, a & b, a, a | b, a | b | extra)[density]
-            c = TripleColoring(N, bits)
+            yield N, density, TripleColoring(N, bits)
+
+
+def plain_chains(table):
+    """The table's chains in naive_beta_table's form."""
+    return tuple(
+        None if ch is None else (ch.vertices, ch.block_values) for ch in table.chains
+    )
+
+
+def test_beta_table_matches_plain_dp_on_lifts():
+    for c in lift_hosts():
+        table = beta_table(c)
+        betas, chains = naive_beta_table(c)
+        assert table.betas == betas
+        assert plain_chains(table) == chains
+
+
+def test_beta_table_matches_plain_dp_on_random_hosts():
+    deepest = widest = 0
+    for N, density, c in density_hosts():
+        table = beta_table(c)
+        betas, chains = naive_beta_table(c)
+        assert table.betas == betas, (N, density)
+        assert plain_chains(table) == chains, (N, density)
+        deepest = max(deepest, table.max_beta)
+        widest = max(widest, table.alpha.max_value)
+    assert deepest >= 5 and widest >= 20
+
+
+def test_beta_table_breaks_ties_as_the_plain_dp():
+    # all blue: alpha is 1 on every pair, so every triple is a block and
+    # many t, and many s, tie; the smallest t, then the smallest s, must
+    # win.  All red: alpha(u, v) = u, and no triple is a block
+    for N in range(3, 15):
+        for c in (TripleColoring.all_blue(N), TripleColoring.all_red(N)):
             table = beta_table(c)
             betas, chains = naive_beta_table(c)
-            assert table.betas == betas, (N, density)
-            got = tuple(
-                None if ch is None else (ch.vertices, ch.block_values)
-                for ch in table.chains
-            )
-            assert got == chains, (N, density)
-            deepest = max(deepest, table.max_beta)
-            widest = max(widest, table.alpha.max_value)
-    assert deepest >= 5 and widest >= 20
+            assert table.betas == betas, N
+            assert plain_chains(table) == chains, N
+
+
+def test_profile_table_matches_definition():
+    hosts = [(c.N, None, c) for c in lift_hosts()] + list(density_hosts())
+    for N, density, c in hosts:
+        got = {v: stair.maxB for v, stair in profile_table(c).items()}
+        assert got == naive_profiles(c), (N, density)
 
 
 def test_beta_table_builds_chains_only_on_demand(monkeypatch):

@@ -25,6 +25,7 @@ from jumpramsey.core import (
 from jumpramsey.construct import (
     gf16_coloring,
     lift,
+    paley_coloring,
     pentagon_coloring,
     product_coloring,
 )
@@ -185,6 +186,14 @@ TABLE_PINS = {
         "detect jumps --n 2": (0, "b00cdf3491796eff4dcf32078abaf203deb3b219d6c4db9ad4820e4025212bb7"),
         "detect jumps --n 3": (0, "4ba2cd463a3a4b9fdb67638732f31e3678720dc74fd816e7fa45784eebdb99eb"),
     },
+    # the deepest chains of the pinned hosts: max beta 10 at N = 85
+    "paley17-x-pentagon": {
+        "lift": (0, "7d691eedcb8ccf91cddbd384d16cb630cf5656a2d30e31d49e803accca4ed768"),
+        "table beta": (0, "6b5609fb922c4a018f0dea4c6fb893d674e074ddb3019d777493a77c19f82d98"),
+        "table profiles": (0, "d1c913fd4a11c484debf03caa651ee978315098f1211a8dfa24720f22333a974"),
+        "certify profileprop --n 2": (0, "a8916c91aabee1bca784cfb46de6c07552f8dbb2d0ccbdd0ef45f5abd8727dd8"),
+        "certify profileprop --n 3": (0, "997d3ddcedef0a9447acf98d87697b489949499d73cadfa6d8fac937bfd989e8"),
+    },
     "random-40-4": {
         "lift": (0, "bcb89e0a7152eeee0103292f7ba60198bb68913862b9cfcd703a824d6e545701"),
         "table alpha": (0, "cd845043ca524dc2a66ec31b09488d556a7854d76c60267dae24caf0dce86ed1"),
@@ -204,6 +213,7 @@ def test_table_and_certify_bytes_are_pinned():
     rng = random.Random(40)
     hosts = {
         "gf16-x-pentagon": product_coloring(gf16_coloring(), pentagon_coloring()),
+        "paley17-x-pentagon": product_coloring(paley_coloring(17), pentagon_coloring()),
         "random-40-4": PairColoring(
             40, 4, tuple(rng.randint(1, 4) for _ in range(comb(40, 2)))
         ),
