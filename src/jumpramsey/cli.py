@@ -8,8 +8,9 @@ search runs the avoidance engine, verify bundles consistency checks.
 Data flows through stdin/stdout in the formats of module core; --output
 redirects the primary artifact to a file.  Exit codes: 0 found/true/sat,
 1 not-found/false/unsat, 2 usage or format error, 3 inconclusive search,
-4 internal error (a failed self-check, RecursionError or MemoryError),
-141 (128 + SIGPIPE) when stdout is closed before the output is written.
+4 internal error (a failed self-check, exhausted resources or any other
+exception a command raises), 141 (128 + SIGPIPE) when stdout is closed
+before the output is written.
 """
 
 from __future__ import annotations
@@ -532,10 +533,11 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
     except (FormatError, _UsageError, CertificationError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
-    except (RuntimeError, MemoryError) as exc:
-        # a failed self-check or exhausted resources decides nothing; it
-        # must not read as exit 1, "unsat / not found".  CertificationError
-        # is a RuntimeError too, so the handler above must stay first.
+    except Exception as exc:
+        # a failed self-check, exhausted resources or a bug decides nothing;
+        # it must not escape as exit 1, "unsat / not found".
+        # CertificationError is a RuntimeError, so the handler above must
+        # stay first; KeyboardInterrupt and SystemExit are not caught
         stderr.write(f"internal error: {exc!r}\n")
         return 4
 

@@ -29,20 +29,26 @@ were.  Each raise goes on a trail that the back-up unwinds.  A root whose
 own fixpoint fails (a side with m = 3 on enough vertices) is unsat at once.
 
 The other blue specs are tracked by tables too, pushed when a triple turns
-blue and popped when it is undone.  Each table rests on the same fact: a
-copy's lex-largest edge is its last three vertices, and every other edge
-of the copy, or of the window or member prefix being extended, has lower
-rank, so it is already coloured when that triple turns blue.  A power path
-of window t >= 4 is tracked per (t-1)-vertex key, the longest blue power
-path ending there; a jump-family member per last four vertices, the
-bitmask of (last three flags, jumps used) states of the blue member
-prefixes ending there (detect.JumpStates, the state that
-detect.find_blue_jump_member carries, stepped by the same function).  A push
-that completes a copy prunes the branch; it finds exactly the copies a
-detector run would find, since every earlier blue node was checked and
-every later triple is red.  Generic patterns keep a full detector run on
-the partial coloring, unassigned triples read as red.  The root probe and
-the witness re-check are always full detector runs.
+blue.  Each table rests on the same fact: a copy's lex-largest edge is its
+last three vertices, and every other edge of the copy, or of the window or
+member prefix being extended, has lower rank, so it is already coloured
+when that triple turns blue.  A power path of window t >= 4 is tracked per
+(t-1)-vertex key, the longest blue power path ending there; a jump-family
+member per last four vertices, the bitmask of (last three flags, jumps
+used) states of the blue member prefixes ending there (detect.JumpStates,
+the state that detect.find_blue_jump_member carries, stepped by the same
+function).  Every key or prefix a push writes ends in its own triple, so a
+table keeps them in one slot per rank, ends[rank], and the walker undoes a
+push by clearing that slot.  What a push at a rank reads and writes, the
+ranks of the triples it checks (as one bitmask per power window) and where
+the values it extends are held, depends only on N and the spec: it is
+planned once per (N, spec), cached, and shared by the probe and every split
+engine of the process, which keep only their ends.  A push that completes
+a copy prunes the branch; it finds exactly the copies a detector run would
+find, since every earlier blue node was checked and every later triple is
+red.  Generic patterns keep a full detector run on the partial coloring,
+unassigned triples read as red.  The root probe and the witness re-check
+are always full detector runs.
 
 One walker does all the branching: it runs over a range of ranks with an
 explicit stack, so search depth C(N, 3) is bounded by memory and the node
@@ -92,7 +98,7 @@ from math import comb
 from multiprocessing import Pool
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
-                   lex_rank, pair_offsets, rank_offsets)
+                   lex_rank, pair_offsets)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
 from .family import monotone_path, power_path
 
@@ -172,64 +178,46 @@ class _Budget(Exception):
 class _PowerWindows:
     """Blue power paths of window t >= 4, kept per (t-1)-vertex key.
 
-    best[key] is the most vertices of a blue power path on at least t
-    vertices whose last t - 1 vertices are key; a key holding none is
-    absent.  Window (x_1, ..., x_t) is all blue exactly when its triples
-    are, and its lex-largest triple is (x_{t-2}, x_{t-1}, x_t).  So the push
-    at (u, v, w) takes every (t-3)-subset S below u, checks the other
-    triples of S + (u, v, w), all of lower rank, and extends the path
-    ending at key S + (u, v) (t - 1 vertices when absent) to key
-    S[1:] + (u, v, w).  Each key it writes ends in (u, v, w), so it is the
-    only push that writes it, and the pop deletes them all.
+    A key's value is the most vertices of a blue power path on at least t
+    vertices whose last t - 1 vertices are the key; a key holding none
+    reads t - 1.  Window (x_1, ..., x_t) is all blue exactly when its
+    triples are, and its lex-largest triple is (x_{t-2}, x_{t-1}, x_t).  So
+    the push at (u, v, w) takes every (t-3)-subset S below u, checks the
+    other triples of S + (u, v, w), all of lower rank, and extends the path
+    ending at key S + (u, v) to key S[1:] + (u, v, w).  Each key it writes
+    ends in (u, v, w), so ends[rank of (u, v, w)] holds the values of all of
+    them, one list per push in the order of _window_plans, and clearing it
+    undoes the push.  A window's prev key ends in (x_{t-3}, u, v), one of
+    its other triples: when the window is blue, that rank is blue and its
+    push has stored its values.
     """
 
-    def __init__(self, N: int, m: int, t: int, triples, colour):
-        self.N, self.m, self.t = N, m, t
-        self.triples = triples
-        self.colour = colour
-        self.best: dict[tuple[int, ...], int] = {}
-        self.moves = [None] * len(triples)
+    def __init__(self, N: int, m: int, t: int):
+        self.m = m
+        self.plans = _window_plans(N, t)
+        self.ends: list[list[int] | tuple[int, ...] | None] = [None] * comb(N, 3)
 
-    def _moves(self, rank: int):
-        """Per key the push at rank may write: (key, ((prev key, ranks of
-        the other window triples), ...)), built on first use."""
-        N = self.N
-        u, v, w = self.triples[rank]
-        groups: dict[tuple[int, ...], list] = {}
-        for lead in combinations(range(1, u), self.t - 3):
-            window = lead + (u, v, w)
-            checks = tuple(lex_rank(e, N) for e in combinations(window, 3)
-                           if e != (u, v, w))
-            groups.setdefault(window[1:], []).append((window[:-1], checks))
-        moves = self.moves[rank] = tuple((key, tuple(prevs))
-                                         for key, prevs in groups.items())
-        return moves
-
-    def push(self, rank: int) -> bool:
-        """Triple rank turned blue; True when a blue copy now ends there."""
-        moves = self.moves[rank]
-        if moves is None:
-            moves = self._moves(rank)
-        colour, best, short = self.colour, self.best, self.t - 1
-        for key, prevs in moves:
+    def push(self, rank: int, bits: int) -> bool:
+        """Triple rank turned blue in bits, which reads uncoloured ranks as
+        red; True when a blue copy now ends there."""
+        ends = self.ends
+        keys, blank = self.plans[rank]
+        tops = None
+        for j, prevs in keys:
             top = 0
-            for prev, checks in prevs:
-                for r in checks:
-                    if colour[r]:
-                        break
-                else:
-                    d = best.get(prev, short) + 1
+            for owner, i, mask in prevs:
+                if not bits & mask:
+                    d = ends[owner][i] + 1
                     if d > top:
                         top = d
             if top:
-                best[key] = top
                 if top >= self.m:
                     return True
+                if tops is None:
+                    tops = list(blank)
+                tops[j] = top
+        ends[rank] = blank if tops is None else tops
         return False
-
-    def pop(self, rank: int) -> None:
-        for key, _ in self.moves[rank]:
-            self.best.pop(key, None)
 
 
 class _JumpMembers:
@@ -238,63 +226,61 @@ class _JumpMembers:
 
     A prefix's future depends only on its last four vertices and its state
     set, a detect.JumpStates bitmask as in detect.find_blue_jump_member,
-    and both step through the same memoised JumpStates.step.
-    states[pair (u, v)] maps y to {x: mask}, the states of the prefixes
-    ending (x, y, u, v), x = 0 for the prefix (y, u, v); every two-vertex
-    prefix has the fixed states step(1, 7).  Appending w needs (u, v, w)
-    blue, so the push at (u, v, w) extends the prefixes ending (u, v),
-    reading (y, u, w), (y, v, w) and (x, u, w), all of lower rank, and
-    writes states[(v, w)][u]; the pop deletes that entry.  A prefix in an
-    accepting state (all n jumps used, last position no jump) is a member.
+    and both step through the same memoised JumpStates.step.  ends[rank of
+    (u, v, w)] maps y to the states of the prefixes ending (y, u, v, w),
+    y = 0 for the prefix (u, v, w); every two-vertex prefix has the fixed
+    states step(1, 7).  Appending w needs (u, v, w) blue, so the push at
+    (u, v, w) extends the prefixes ending (y, u, v) for each y < u, reading
+    (y, u, w), (y, v, w) and (x, u, w), all of lower rank, and writes
+    ends[rank]; clearing it undoes the push.  A prefix in an accepting
+    state (all n jumps used, last position no jump) is a member.
     """
 
-    def __init__(self, N: int, n: int, triples, pairs_idx, colour):
-        self.N = N
-        self.triples, self.pairs_idx = triples, pairs_idx
+    def __init__(self, N: int, n: int, colour):
         self.colour = colour
-        self.states: list[dict[int, dict[int, int]]] = [{} for _ in range(comb(N, 2))]
-        pref1, pref2 = rank_offsets(N)
-        # rank (y, b, c) is lead[y] + pref2[b - 1] + c - b - 1
-        self.lead = [pref1[y] - pref2[y] for y in range(N + 1)]
-        self.pref2 = pref2
+        self.plans = _member_plans(N, n)
+        self.ends: list[dict[int, int] | None] = [None] * comb(N, 3)
         jumps = jump_states(n)
-        self.step, self.accept = jumps.step, jumps.accept
-        self.fits = [jumps.fits(s) for s in range(N + 1)]
-        # the three-vertex prefixes: a one-vertex prefix extended twice,
-        # no jump edge to check
-        self.third = self.step(self.step(1, 7), 7)
+        self.step, self.steps, self.accept = jumps.step, jumps.steps, jumps.accept
 
-    def push(self, rank: int) -> bool:
-        """Triple rank turned blue; True when a blue member now ends there."""
-        u, v, w = self.triples[rank]
-        iuv, ivw = self.pairs_idx[rank]
-        colour, lead, step = self.colour, self.lead, self.step
-        uw = self.pref2[u - 1] + w - u - 1
-        vw = self.pref2[v - 1] + w - v - 1
-        fits = self.fits[self.N - w]
-        seen = self.third & fits
-        out = {0: seen} if seen else {}
-        for y, xs in self.states[iuv].items():
-            cond = (not colour[lead[y] + uw]) | (not colour[lead[y] + vw]) << 1
+    def push(self, rank: int, bits: int) -> bool:
+        """Triple rank turned blue; True when a blue member now ends there.
+        The colour list reads faster than bits here, so bits is unused."""
+        sources, uw, fits, seen, entry, hit = self.plans[rank]
+        ends = self.ends
+        out = None
+        for src, y, yuw, yvw in sources:
+            xs = ends[src]
+            if xs is None:
+                continue
+            if out is None:
+                colour, steps = self.colour, self.steps
+                out = {0: seen} if seen else {}
+            cond = (not colour[yuw]) | (not colour[yvw]) << 1
             free = held = 0
             for x, mask in xs.items():
-                if x == 0 or not colour[lead[x] + uw]:
+                if x == 0 or not colour[uw[x]]:
                     free |= mask
                 else:
                     held |= mask
-            got = step(free, cond | 4)
+            # the step memo, read directly; step fills it on a miss
+            got = steps.get(free << 3 | cond | 4)
+            if got is None:
+                got = self.step(free, cond | 4)
             if held:
-                got |= step(held, cond)
+                more = steps.get(held << 3 | cond)
+                got |= self.step(held, cond) if more is None else more
             got &= fits
             if got:
                 out[y] = got
                 seen |= got
+        if out is None:
+            # no prefix ends (u, v): only the shared three-vertex entry
+            ends[rank] = entry
+            return hit
         if out:
-            self.states[ivw][u] = out
+            ends[rank] = out
         return bool(seen & self.accept)
-
-    def pop(self, rank: int) -> None:
-        self.states[self.pairs_idx[rank][1]].pop(self.triples[rank][0], None)
 
 
 class _Engine:
@@ -325,7 +311,7 @@ class _Engine:
         self.symmetric = self.kind != "jumps" and problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
-        self.triples, self.pairs_idx = _ranks(N)
+        self.pairs_idx = _ranks(N)[1]
         npairs = comb(N, 2)
         self.ar = [1] * npairs
         self.ab = [1] * npairs if self.kind == "path" else None
@@ -334,10 +320,9 @@ class _Engine:
         self.token = [0] * self.total
         self.table = None
         if self.kind == "power":
-            self.table = _PowerWindows(N, self.blue_m, t, self.triples, self.colour)
+            self.table = _PowerWindows(N, self.blue_m, t)
         elif self.kind == "jumps":
-            self.table = _JumpMembers(N, self.blue_m, self.triples, self.pairs_idx,
-                                      self.colour)
+            self.table = _JumpMembers(N, self.blue_m, self.colour)
         self.nodes = self.max_depth = 0
         self.memo = None
         self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
@@ -435,6 +420,8 @@ class _Engine:
         once, and one left with both colours tried is recorded as failed."""
         colour, token, pairs_idx, front = self.colour, self.token, self.pairs_idx, self.front
         ar, ab, table, memo, cap = self.ar, self.ab, self.table, self.memo, self.cap
+        if table is not None:
+            push, ends = table.push, table.ends
         settle, unwind, trail = self._settle, self._unwind, self.trail
         red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
         nodes, max_depth, bits = self.nodes, self.max_depth, self.bits
@@ -497,7 +484,7 @@ class _Engine:
                         if ab is not None:
                             hit = False
                         elif table is not None:
-                            hit = table.push(rank)
+                            hit = push(rank, bits)
                         else:
                             self.bits = bits
                             hit = self.blue_present()
@@ -506,7 +493,7 @@ class _Engine:
                             red = True
                             continue
                         if table is not None:
-                            table.pop(rank)
+                            ends[rank] = None
                         bits |= 1 << rank
                         blue_hits += 1
                 # back up to the nearest rank whose blue branch is untried;
@@ -530,7 +517,7 @@ class _Engine:
                         break
                     bits |= 1 << rank
                     if table is not None:
-                        table.pop(rank)
+                        ends[rank] = None
         finally:
             self.nodes, self.max_depth, self.bits = nodes, max_depth, bits
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits = (
@@ -550,7 +537,7 @@ class _Engine:
             if not red:
                 self.bits ^= 1 << rank
                 if self.table is not None:
-                    self.table.push(rank)
+                    self.table.push(rank, self.bits)
             iuv, ivw = self.pairs_idx[rank]
             if self.ab is not None:
                 self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
@@ -603,6 +590,63 @@ def _memo_layout(N: int, rm: int, bm: int):
     front = tuple(offset[iuv] if w == v + 1 else None
                   for (_, v, w), (iuv, _) in zip(triples, pairs_idx))
     return packs, front, 1 << width
+
+
+@lru_cache(maxsize=16)
+def _window_plans(N: int, t: int):
+    """Per lex rank (u, v, w), (keys, blank): what the window push there
+    reads and writes, built once per (N, t) and shared by every engine.
+
+    The keys of rank (a, b, c) are the (t-1)-tuples L + (a, b, c), L a
+    (t-4)-subset of [1, a-1] in combinations order, and key j of rank r is
+    read as ends[r][j]; blank is t - 1 per key.  keys holds (j, prevs) per
+    key, prevs (r, j', mask) per window S + (u, v, w) with S[1:] the key's
+    L: its prev key S + (u, v) is key j' of rank r, and mask has the bits
+    of the window's other triples.
+    """
+    triples = _ranks(N)[0]
+    slot = {}
+    for r, (a, b, c) in enumerate(triples):
+        for j, lead in enumerate(combinations(range(1, a), t - 4)):
+            slot[lead + (a, b, c)] = (r, j)
+    plans = []
+    for u, v, w in triples:
+        keys = {lead: [] for lead in combinations(range(1, u), t - 4)}
+        for lead in combinations(range(1, u), t - 3):
+            window = lead + (u, v, w)
+            mask = sum(1 << lex_rank(e, N) for e in combinations(window, 3)
+                       if e != (u, v, w))
+            keys[lead[1:]].append(slot[window[:-1]] + (mask,))
+        plans.append((tuple(enumerate(map(tuple, keys.values()))), (t - 1,) * len(keys)))
+    return tuple(plans)
+
+
+@lru_cache(maxsize=16)
+def _member_plans(N: int, n: int):
+    """Per lex rank (u, v, w), (sources, uw, fits, seen, entry, hit): what
+    the member push there reads and writes, built once per (N, n) and
+    shared by every engine.
+
+    sources holds (rank of (y, u, v), y, rank of (y, u, w), rank of
+    (y, v, w)) for 0 < y < u, and uw[x] is the rank of (x, u, w).  fits are
+    the states with room for the rest of a member after w, seen the fitting
+    states of the three-vertex prefix (u, v, w), and entry its ends value,
+    {0: seen}, or None when seen is 0; hit says whether seen accepts.  A push
+    with no prefix ending (u, v) stores that one entry, which no push
+    changes.
+    """
+    jumps = jump_states(n)
+    third = jumps.step(jumps.step(1, 7), 7)
+    plans = []
+    for u, v, w in _ranks(N)[0]:
+        uw = (None,) + tuple(lex_rank((x, u, w), N) for x in range(1, u))
+        sources = tuple((lex_rank((y, u, v), N), y, uw[y], lex_rank((y, v, w), N))
+                        for y in range(1, u))
+        fits = jumps.fits(N - w)
+        seen = third & fits
+        plans.append((sources, uw, fits, seen, {0: seen} if seen else None,
+                      bool(seen & jumps.accept)))
+    return tuple(plans)
 
 
 def _run_split(args) -> tuple[int | None, bool, SearchStats]:

@@ -15,6 +15,7 @@ from jumpramsey import cli
 from jumpramsey.cli import WORKERS_ENV, dispatch
 from jumpramsey.core import (
     PairColoring,
+    TripleColoring,
     parse_pair_coloring,
     parse_pattern,
     parse_triple_coloring,
@@ -248,6 +249,19 @@ def test_internal_failure_exits_four(monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "RecursionError" in err
+
+
+def test_any_command_exception_exits_four(monkeypatch):
+    # a bug in a table (here a TypeError) decides nothing either
+    def broken(host):
+        raise TypeError("planted")
+
+    monkeypatch.setattr("jumpramsey.cli.beta_table", broken)
+    host = serialize_triple_coloring(TripleColoring.all_blue(5))
+    code, out, err = run(["table", "beta"], stdin=host)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "TypeError" in err
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

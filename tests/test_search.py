@@ -4,6 +4,7 @@ invariance."""
 
 import copy
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,8 @@ from jumpramsey.detect import (
     jump_states,
     longest_red_path,
 )
-from jumpramsey.core import OrderedTripleSystem, TripleColoring, all_pairs, lex_rank
+from jumpramsey.core import (OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
+                             lex_rank)
 from jumpramsey.family import jump_min, monotone_path, power_path
 from jumpramsey.search import (
     DEFAULT_BUDGET,
@@ -392,54 +394,94 @@ def test_blue_tables_match_full_detection():
     # each triple tried blue and kept blue unless that completes a blue
     # copy, the rest read as red.  Half the prefixes try a planted copy's
     # edges blue and end at its lex-largest edge, so that the last step
-    # often completes it.  The engine's colour list, bits and table are
-    # driven here as its walker drives them.  Every blue push must report a
-    # copy exactly when a full detector run finds one, and popping every
-    # blue step must empty the table.
+    # often completes it.  Two engines of one problem, sharing its plans,
+    # are driven in lockstep with their own random choices, their colour
+    # lists, bits and tables as the walker drives them.  Every blue push
+    # must report a copy exactly when a full detector run on that engine's
+    # own bits finds one.  Clearing every blue step must empty both
+    # tables, and the shared plans must still equal freshly built ones.
     rng = random.Random(59)
     for blue in TRACKED:
         pattern = jump_min(blue.n)[0] if isinstance(blue, JumpsFamily) else blue
         runs = last_hits = 0
-        for _ in range(100):
+        for _ in range(50):
             N = rng.randint(max(5, pattern.m), 8)
-            eng = search._Engine(
-                AvoidanceProblem(N, monotone_path(N + 2), blue), DEFAULT_BUDGET)
-            assert eng.kind in ("power", "jumps")
-            plant = set()
-            if rng.random() < 0.5:
-                verts = sorted(rng.sample(range(1, N + 1), pattern.m))
-                plant = {lex_rank(tuple(verts[p - 1] for p in e), N) for e in pattern.edges}
-            top = max(plant) if plant else rng.randrange(eng.total)
-            share = rng.uniform(0.3, 0.9)
-            for rank in range(top + 1):
-                if rank == top or rank in plant or rng.random() < share:
-                    c = TripleColoring(N, eng.bits & ~(1 << rank))
-                    found = full_detection(c, blue)
-                    eng.colour[rank] = False
-                    assert eng.table.push(rank) is found, (blue, N, rank)
-                    if not found:
-                        eng.bits = c.bits
+            problem = AvoidanceProblem(N, monotone_path(N + 2), blue)
+            lanes = []
+            for _ in range(2):
+                eng = search._Engine(problem, DEFAULT_BUDGET)
+                assert eng.kind in ("power", "jumps")
+                plant = set()
+                if rng.random() < 0.5:
+                    verts = sorted(rng.sample(range(1, N + 1), pattern.m))
+                    plant = {lex_rank(tuple(verts[p - 1] for p in e), N)
+                             for e in pattern.edges}
+                top = max(plant) if plant else rng.randrange(eng.total)
+                lanes.append([eng, plant, top, rng.uniform(0.3, 0.9), False])
+            plans = lanes[0][0].table.plans
+            assert lanes[1][0].table.plans is plans
+            for rank in range(max(lane[2] for lane in lanes) + 1):
+                for lane in lanes:
+                    eng, plant, top, share, _ = lane
+                    if rank > top:
                         continue
-                    eng.table.pop(rank)
-                eng.colour[rank] = True
-            runs += 1
-            last_hits += found
-            for rank in reversed(range(top + 1)):
-                if not eng.colour[rank]:
-                    eng.table.pop(rank)
-                    eng.bits |= 1 << rank
-            assert eng.bits == (1 << eng.total) - 1
+                    if rank == top or rank in plant or rng.random() < share:
+                        eng.colour[rank] = False
+                        eng.bits ^= 1 << rank
+                        found = full_detection(TripleColoring(N, eng.bits), blue)
+                        assert eng.table.push(rank, eng.bits) is found, (blue, N, rank)
+                        lane[4] = found
+                        if not found:
+                            continue
+                        eng.table.ends[rank] = None
+                        eng.bits |= 1 << rank
+                    eng.colour[rank] = True
+            for eng, _, top, _, found in lanes:
+                runs += 1
+                last_hits += found
+                for rank in reversed(range(top + 1)):
+                    if not eng.colour[rank]:
+                        eng.table.ends[rank] = None
+                        eng.bits |= 1 << rank
+                assert eng.bits == (1 << eng.total) - 1
+                assert eng.table.ends == [None] * eng.total
             if isinstance(blue, JumpsFamily):
-                assert not any(eng.table.states)
+                assert plans == search._member_plans.__wrapped__(N, blue.n)
             else:
-                assert not eng.table.best
+                assert plans == search._window_plans.__wrapped__(N, blue.width + 1)
         assert last_hits > runs // 10, blue
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_plans_read_the_ranks_they_name(N):
+    # the member plan's ranks, and the window plan's key slots and masks,
+    # recomputed from the triples with lex_rank
+    for n in (1, 2, 3):
+        for (u, v, w), (sources, uw, *_) in zip(all_triples(N), search._member_plans(N, n)):
+            assert sources == tuple(
+                (lex_rank((y, u, v), N), y, lex_rank((y, u, w), N), lex_rank((y, v, w), N))
+                for y in range(1, u))
+            assert uw[1:] == tuple(lex_rank((x, u, w), N) for x in range(1, u))
+    for t in (4, 5):
+        for (u, v, w), (keys, blank) in zip(all_triples(N), search._window_plans(N, t)):
+            leads = list(combinations(range(1, u), t - 4))
+            assert blank == (t - 1,) * len(leads)
+            want = [[] for _ in leads]
+            for lead in combinations(range(1, u), t - 3):
+                window = lead + (u, v, w)
+                mask = 0
+                for e in combinations(window, 3):
+                    if e != (u, v, w):
+                        mask |= 1 << lex_rank(e, N)
+                x = window[t - 4]  # the prev key ends (x, u, v)
+                prev = list(combinations(range(1, x), t - 4)).index(window[:t - 4])
+                want[leads.index(lead[1:])].append((lex_rank((x, u, v), N), prev, mask))
+            assert keys == tuple(enumerate(map(tuple, want)))
 
 
 def engine_state(eng):
     """Copies of what the walker changes and must restore."""
-    table = {"power": "best", "jumps": "states"}.get(eng.kind)
-    table = None if table is None else getattr(eng.table, table)
+    table = None if eng.table is None else eng.table.ends
     return copy.deepcopy(
         (eng.ar, eng.ab, eng.trail, eng.bits, eng.packed, table))
 
