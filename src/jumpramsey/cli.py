@@ -45,7 +45,7 @@ from .core import (
     FormatError,
     PairColoring,
     Witness,
-    all_pairs,
+    pair_lines,
     pair_rank,
     parse_pair_coloring,
     parse_pattern,
@@ -280,12 +280,12 @@ def _cmd_table(args, stdin, stdout) -> int:
         for v in range(1, host.N + 1):
             stair = " ".join(str(b) for b in profiles[v].maxB)
             lines.append(f"{v} {stair}".rstrip())
+        text = "\n".join(lines) + "\n"
     else:
-        # values by pair rank, in the order all_pairs gives the pairs
+        # values by pair rank, the order pair_lines writes the pairs in
         values = alpha_table(host).values if what == "alpha" else beta_table(host).betas
-        lines = [f"{what} {host.N}"]
-        lines += [f"{u} {v} {x}" for (u, v), x in zip(all_pairs(host.N), values)]
-    _emit("\n".join(lines) + "\n", args.output, stdout)
+        text = f"{what} {host.N}\n" + pair_lines(host.N, values)
+    _emit(text, args.output, stdout)
     return 0
 
 

@@ -4,13 +4,17 @@ The lift turns a k-coloring chi of the pairs of [N] into a red-blue triple
 coloring: (u, v, w) is red exactly when chi(u, v) < chi(v, w).  A red
 monotone path on m vertices then forces m-1 strictly increasing colors, so
 lifts of k-colorings never contain a red path on k+2 vertices; the
-triangle-free constructions below feed the blue side.
+triangle-free constructions below feed the blue side.  The lift works a
+column at a time: one string per row (a, b, .) and colour chi(a, b), made
+by one translate when the colours are below 256, and one lookup pass over
+the colours of each vertex a's pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import getitem
 from typing import Callable
 
 from .core import PairColoring, TripleColoring, pair_offsets
@@ -21,19 +25,40 @@ def lift(chi: PairColoring) -> TripleColoring:
 
     The triples (a, b, c) for c = b+1..N are consecutive in rank order, and
     their marks depend only on b and x = chi(a, b): '1' where x is below
-    chi(b, c).  So each row is one string, built once per (b, x)."""
+    chi(b, c).  So each row is one string, built once per (b, x) on first
+    use, and a vertex a's run of rows is looked up with one map over the
+    colours of its pairs (a, a+1..N-1), a column at a time."""
     N, colors = chi.N, chi.colors
     row = pair_offsets(N)
-    rows: dict[tuple[int, int], str] = {}
-    marks = []
+    tails = [colors[row[b] + b + 1: row[b] + N + 1] for b in range(N)]
+    if max(colors, default=0) < 256:
+        tails = list(map(bytes, tails))
+    rows = list(map(_MarkRows, tails))
+    marks: list[str] = []
     for a in range(1, N - 1):
-        for b in range(a + 1, N):
-            x = colors[row[a] + b]
-            if (b, x) not in rows:
-                rows[b, x] = "".join("1" if x < y else "0"
-                                     for y in colors[row[b] + b + 1: row[b] + N + 1])
-            marks.append(rows[b, x])
+        marks += map(getitem, rows[a + 1:], colors[row[a] + a + 1: row[a] + N])
     return TripleColoring.from_bitstring(N, "".join(marks))
+
+
+class _MarkRows(dict):
+    """The mark rows (a, b, .) of the lift for one b, keyed by x = chi(a, b)
+    and built on first lookup: '1' where x is below chi(b, c).  A tail of
+    colours below 256 is held as bytes, and a row is then one translate."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, tail):
+        super().__init__()
+        self.tail = tail  # chi(b, c) for c = b+1..N
+
+    def __missing__(self, x: int) -> str:
+        tail = self.tail
+        if isinstance(tail, bytes):
+            marks = tail.translate(b"0" * (x + 1) + b"1" * (255 - x)).decode()
+        else:
+            marks = "".join("1" if x < y else "0" for y in tail)
+        self[x] = marks
+        return marks
 
 
 def pentagon_coloring() -> PairColoring:

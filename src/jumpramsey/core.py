@@ -4,7 +4,10 @@ Vertices are 1-based and triples are written (a, b, c) with a < b < c.
 Triple ranks are 0-based positions in the lexicographic enumeration of all
 C(N, 3) increasing triples; a red-blue triple coloring is stored as one bit
 per rank (1 = red).  The text formats defined here are the interchange
-layer for every command-line tool in the package.
+layer for every command-line tool in the package.  A 'pairs' text in the
+canonical layout, the one serialize_pair_coloring writes, is read a column
+at a time; any other layout goes through the line scanner, which also
+gives each error its line number.
 """
 
 from __future__ import annotations
@@ -103,6 +106,20 @@ def all_pairs(N: int):
     return combinations(range(1, N + 1), 2)
 
 
+def pair_lines(N: int, values) -> str:
+    """One 'u v x' line per pair of [N] in lex order, x from the sequence
+    values, each ending in a newline.  The lines of a vertex u are one
+    template, made by one join of the "v " heads, and one '%' fills in
+    their x, so no step is taken per pair in Python."""
+    heads = [f"{v} " for v in range(N + 1)]
+    row = pair_offsets(N)
+    return "".join([
+        (heads[u] + f"%s\n{u} ".join(heads[u + 1:]) + "%s\n")
+        % tuple(values[row[u] + u + 1: row[u] + N + 1])
+        for u in range(1, N)
+    ])
+
+
 @dataclass(frozen=True)
 class OrderedTripleSystem:
     """An ordered 3-uniform hypergraph: m vertices, a set of increasing triples."""
@@ -162,9 +179,10 @@ class PairColoring:
         want = comb(self.N, 2)
         if len(self.colors) != want:
             raise ValueError(f"expected {want} pair colors, got {len(self.colors)}")
-        for c in self.colors:
-            if not 1 <= c <= self.k:
-                raise ValueError(f"color {c} outside 1..{self.k}")
+        colors, k = self.colors, self.k
+        if colors and not (1 <= min(colors) and max(colors) <= k):
+            bad = next(c for c in colors if not 1 <= c <= k)
+            raise ValueError(f"color {bad} outside 1..{k}")
 
     @classmethod
     def from_function(cls, N: int, k: int, fn) -> "PairColoring":
@@ -219,6 +237,10 @@ class TripleColoring:
         """Inverse of bitstring: character r is '1' when rank r is red."""
         if len(marks) != comb(N, 3):
             raise ValueError(f"expected {comb(N, 3)} marks, got {len(marks)}")
+        # int(..., 2) alone would also take spaces, '_', a sign, a '0b'
+        # prefix and non-ASCII digits
+        if not marks.isascii() or marks.encode().translate(None, b"01"):
+            raise ValueError("marks must be '0' or '1'")
         return cls(N, int(marks[::-1] or "0", 2))
 
     def is_red_rank(self, rank: int) -> bool:
@@ -296,7 +318,50 @@ def _header(text: str, word: str, *names: str) -> tuple[list[tuple[int, str]], l
 
 
 def parse_pair_coloring(text: str) -> PairColoring:
-    """Read the 'pairs N k' format; entry order is free, totality is not."""
+    """Read the 'pairs N k' format; entry order is free, totality is not.
+
+    The canonical layout is read a column at a time; any other text, and
+    every malformed one, goes to the line scanner, which reads it or
+    raises the first error with its line number."""
+    chi = _read_pair_columns(text)
+    return chi if chi is not None else _scan_pair_coloring(text)
+
+
+def _read_pair_columns(text: str) -> PairColoring | None:
+    """The coloring of a text laid out exactly as serialize_pair_coloring
+    writes it, colours aside, or None.  The body is split into tokens in
+    bulk; rebuilding it from the colour column checks every line's u and v
+    against lex pair order and its token count.  Each distinct colour token
+    is converted once and the range checked with min and max over those."""
+    head, _, body = text.partition("\n")
+    tok = head.split(" ")
+    if len(tok) != 3 or tok[0] != "pairs":
+        return None
+    try:
+        N, k = int(tok[1]), int(tok[2])
+    except ValueError:
+        return None
+    if N < 0 or k < 0 or head != f"pairs {N} {k}":
+        return None
+    want = comb(N, 2)
+    cells = body.split()
+    # the count comes first, so that a header's N sizes nothing
+    if len(cells) != 3 * want:
+        return None
+    column = cells[2::3]
+    if body != pair_lines(N, column):
+        return None
+    try:
+        value = {token: int(token) for token in set(column)}
+    except ValueError:
+        return None
+    if value and not (1 <= min(value.values()) and max(value.values()) <= k):
+        return None
+    return PairColoring(N, k, tuple(map(value.__getitem__, column)))
+
+
+def _scan_pair_coloring(text: str) -> PairColoring:
+    """The line scanner: any entry order and spacing, one line at a time."""
     lines, (N, k) = _header(text, "pairs", "N", "k")
     want = comb(N, 2)
     # a line per pair and no duplicate is a total text; a shorter text is
@@ -326,10 +391,7 @@ def parse_pair_coloring(text: str) -> PairColoring:
 
 
 def serialize_pair_coloring(chi: PairColoring) -> str:
-    out = [f"pairs {chi.N} {chi.k}"]
-    for (u, v), x in zip(all_pairs(chi.N), chi.colors):
-        out.append(f"{u} {v} {x}")
-    return "\n".join(out) + "\n"
+    return f"pairs {chi.N} {chi.k}\n" + pair_lines(chi.N, chi.colors)
 
 
 def parse_triple_coloring(text: str) -> TripleColoring:
@@ -344,11 +406,12 @@ def parse_triple_coloring(text: str) -> TripleColoring:
     if len(body) != 1:
         raise FormatError(f"expected exactly one bitstring line of length {want}")
     no, bitline = body[0]
-    if len(bitline) != want or bitline.encode().translate(None, b"01"):
+    try:
+        return TripleColoring.from_bitstring(N, bitline)
+    except ValueError:
         raise FormatError(
             f"expected {want} characters over 0/1, got {len(bitline)}", no
-        )
-    return TripleColoring.from_bitstring(N, bitline)
+        ) from None
 
 
 def serialize_triple_coloring(c: TripleColoring) -> str:

@@ -164,6 +164,8 @@ def red_path(c: TripleColoring, m: int) -> Embedding | None:
     """The first m vertices of the longest_red_path witness, or None when
     no red path has m vertices.  The coloring is decoded and the alpha
     table filled once, and the witness is built only when there is one."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     rows = _red_rows(c)
     depth = max(_alpha_values(c.N, rows, Color.RED), default=0)
     if depth < m - 1:

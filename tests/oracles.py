@@ -7,7 +7,7 @@ memo tables, no dynamic programming.  Exponential, so hosts stay small.
 from itertools import combinations
 from math import comb
 
-from jumpramsey.core import Color, TripleColoring
+from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring
 
 
 def random_triples(N, rng):
@@ -340,3 +340,43 @@ def naive_decide(N, red_m, blue_kind, blue_arg):
                 continue
         return c
     return None
+
+
+def scan_pair_coloring(text):
+    """The 'pairs N k' text read one line at a time, in any order: the
+    twin of the column reader, with the first error and its line number."""
+    lines = [(no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip()]
+    if not lines:
+        raise FormatError("empty input")
+    no, header = lines[0]
+    tok = header.split()
+    if len(tok) != 3 or tok[0] != "pairs":
+        raise FormatError(f"expected 'pairs N k' header, got {header!r}", no)
+    try:
+        N, k = int(tok[1]), int(tok[2])
+    except ValueError:
+        raise FormatError(f"expected integers, got {tok[1:]!r}", no) from None
+    if N < 0 or k < 0:
+        raise FormatError("N and k must be nonnegative", no)
+    colors = {}
+    for no, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"expected 'u v c', got {line!r}", no)
+        try:
+            u, v, c = map(int, parts)
+        except ValueError:
+            raise FormatError(f"expected integers, got {parts!r}", no) from None
+        if not 1 <= u < v <= N:
+            raise FormatError(f"({u}, {v}) is not an increasing pair in [{N}]", no)
+        if not 1 <= c <= k:
+            raise FormatError(f"color {c} outside 1..{k}", no)
+        if (u, v) in colors:
+            raise FormatError(f"duplicate entry for pair ({u}, {v})", no)
+        colors[u, v] = c
+    pairs = list(combinations(range(1, N + 1), 2))
+    for pair in pairs:
+        if pair not in colors:
+            raise FormatError(f"partial coloring: pair {pair} has no color")
+    return PairColoring(N, k, tuple(colors[pair] for pair in pairs))

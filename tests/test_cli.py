@@ -130,6 +130,17 @@ def test_detect_redpath_truncates_to_requested_length():
     assert code == 1
 
 
+def test_detect_redpath_rejects_negative_m():
+    # a negative m would slice the witness from its end
+    host = "triples 5\n" + "1" * 10 + "\n"
+    for m in ("-1", "-5"):
+        assert run(["detect", "redpath", "--m", m], stdin=host) == (
+            2, "", "error: m must be nonnegative\n")
+    assert run(["gen", "path", "--m", "-1"]) == (2, "", "error: m must be nonnegative\n")
+    code, out, _ = run(["detect", "redpath", "--m", "0"], stdin=host)
+    assert code == 0 and parse_witness(out).vertices == ()
+
+
 def test_detect_pattern_subcommand(tmp_path):
     _, pat, _ = run(["gen", "imin", "--n", "2"])
     patfile = tmp_path / "i2.pattern"

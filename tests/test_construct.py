@@ -21,7 +21,9 @@ from jumpramsey.core import (
     PairColoring,
     TripleColoring,
     all_triples,
+    parse_pair_coloring,
     parse_triple_coloring,
+    serialize_pair_coloring,
     serialize_triple_coloring,
 )
 from jumpramsey.detect import find_blue_jump_member, longest_red_path
@@ -144,6 +146,33 @@ def test_lift_text_on_paley17_times_pentagon():
     # the first 60 vertices carry the lift of the first 60 of chi
     head = PairColoring.from_function(60, chi.k, chi.color)
     assert c.restrict(60) == lift(head)
+
+
+def seeded_colorings(rng):
+    """Pair colorings at the lift's edge cases: one colour, more colours
+    than vertices, palettes with unused colours, colours past one byte,
+    and N <= 3."""
+    for N in range(9):
+        for k in (1, 2, N + 3, 300):
+            palette = list(range(1, k + 1))
+            if k > 2:
+                # leave some colours unused; past 255 the rows are not bytes
+                palette = rng.sample(palette, rng.randint(1, min(k, 6)))
+            for _ in range(3 if N > 3 else 6):
+                colors = tuple(rng.choice(palette) for _ in range(comb(N, 2)))
+                yield PairColoring(N, k, colors)
+
+
+def test_lift_matches_its_definition_on_seeded_colorings():
+    rng = random.Random(1602)
+    seen = 0
+    for chi in seeded_colorings(rng):
+        assert lift(chi).bitstring() == lifted_by_rule(chi), chi
+        text = serialize_pair_coloring(chi)
+        assert parse_pair_coloring(text) == chi
+        assert serialize_pair_coloring(parse_pair_coloring(text)) == text
+        seen += max(chi.colors, default=0) > 255
+    assert seen > 0
 
 
 def test_lift_never_builds_deep_red_paths():

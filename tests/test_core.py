@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from jumpramsey import core
 from jumpramsey.core import (
     Color,
     Embedding,
@@ -28,6 +29,7 @@ from jumpramsey.core import (
     serialize_triple_coloring,
     serialize_witness,
 )
+from oracles import scan_pair_coloring
 
 
 def test_lex_rank_unrank_inverse_exhaustive():
@@ -162,6 +164,8 @@ PAIR_TEXT_ERRORS = [
     ("pairs 3 2\n1 2 0\n", "line 2: color 0 outside 1..2"),
     ("pairs 3 2\n1 2\n", "line 2: expected 'u v c', got '1 2'"),
     ("pairs 3 2\n1 2 1 1\n1 3 1\n2 3 1\n", "line 2: expected 'u v c', got '1 2 1 1'"),
+    # the token count of the body is right, but not each line's
+    ("pairs 3 2\n1 2 1 1\n3 1\n2 3 1\n", "line 2: expected 'u v c', got '1 2 1 1'"),
 ]
 
 
@@ -207,6 +211,120 @@ def test_header_parse_error_messages(parse, text, message):
     with pytest.raises(FormatError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line_no
+
+
+def _pair_text(rng):
+    """A seeded 'pairs' text: canonical, in another layout or order, with
+    other integer spellings, or broken in one of the ways the scanner
+    reports."""
+    N, k = rng.randint(0, 6), rng.randint(0, 4)
+    rows = [[str(u), str(v), str(rng.randint(1, max(k, 1)))]
+            for u, v in all_pairs(N)]
+    head = ["pairs", str(N), str(k)]
+    shape = rng.choice(["canonical"] * 4 + ["layout", "broken", "both"])
+    if shape in ("broken", "both"):
+        cut = rng.choice(["drop", "dup", "swap", "color", "vertex", "extra",
+                          "short", "balance", "word", "header"])
+        i = rng.randrange(len(rows)) if rows else None
+        if cut == "header":
+            head[rng.randint(1, 2)] = str(max(0, int(head[1]) + rng.choice((-1, 1))))
+        elif cut == "word":
+            (rows[i] if rows else head)[-1] = rng.choice(["x", "1.0", "", "1e0", "-"])
+        elif rows and cut == "drop":
+            del rows[i]
+        elif rows and cut == "dup":
+            rows.insert(rng.randrange(len(rows) + 1), list(rows[i]))
+        elif rows and cut == "swap":
+            rows[i][:2] = rows[i][1::-1]
+        elif rows and cut == "color":
+            rows[i][2] = str(rng.choice([0, k + 1, -1]))
+        elif rows and cut == "vertex":
+            rows[i][rng.randint(0, 1)] = str(rng.choice([0, N + 1]))
+        elif rows and cut == "extra":
+            rows[i].append(rng.choice(["1", "x"]))
+        elif rows and cut == "short":
+            rows[i].pop(rng.randrange(3))
+        elif len(rows) > 1 and cut == "balance":
+            j = rng.randrange(len(rows) - 1)
+            rows[j + 1].insert(0, rows[j].pop())
+    if shape == "canonical" or (shape == "broken" and rng.random() < 0.7):
+        return "\n".join(" ".join(r) for r in [head] + rows) + "\n"
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    for r in rows:
+        for t in range(3 if len(r) == 3 else 0):
+            if rng.random() < 0.1:
+                r[t] = rng.choice(["+", "0", "00"]) + r[t]
+    lines = [rng.choice([" ", "\t", "  ", " \t "]).join(r) for r in [head] + rows]
+    out = []
+    for line in lines:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", " ", "\t"]))
+        out.append(rng.choice(["", " ", "\t"]) * (rng.random() < 0.2) + line)
+    return rng.choice(["\n", "\r\n"]).join(out) + rng.choice(["\n", "\r\n", "", "\n\n"])
+
+
+def test_pair_reader_matches_the_line_scanner():
+    # the column reader's result, or its exact error, is the scanner's; it
+    # returns a coloring only where the scanner reads the same one
+    rng = random.Random(1601)
+    read = 0
+    for _ in range(3000):
+        text = _pair_text(rng)
+        want = _outcome(scan_pair_coloring, text)
+        assert _outcome(parse_pair_coloring, text) == want, text
+        chi = core._read_pair_columns(text)
+        if chi is not None:
+            assert chi == want, text
+            read += 1
+    assert read > 1000
+
+
+@pytest.mark.parametrize("text", [text for text, _ in PAIR_TEXT_ERRORS] + [
+    text for parse, text, _ in HEADER_TEXT_ERRORS if parse is parse_pair_coloring])
+def test_pair_text_errors_match_the_line_scanner(text):
+    assert _outcome(scan_pair_coloring, text) == _outcome(parse_pair_coloring, text)
+    assert core._read_pair_columns(text) is None
+
+
+def test_pair_reader_takes_other_spellings_and_layouts():
+    want = PairColoring(3, 2, (1, 2, 1))
+    for text in ["pairs 3 2\n1 2 1\n1 3 2\n2 3 1\n",
+                 "pairs 3 2\n1 2 +1\n1 3 02\n2 3 1\n",
+                 "pairs 3 2\r\n1 2 1\r\n1 3 2\r\n2 3 1\r\n",
+                 "pairs 3 2\n\n2 3 1\n1\t3  2\n 1 2 1 \n",
+                 "pairs 03 2\n1 2 1\n1 3 2\n2 3 1"]:
+        assert parse_pair_coloring(text) == want == scan_pair_coloring(text), text
+    # only the layout the writer makes is read a column at a time
+    assert core._read_pair_columns("pairs 3 2\n1 2 1\n1 3 2\n2 3 1\n") == want
+    assert core._read_pair_columns("pairs 3 2\n1 2 1\n1 3 2\n2 3 1") is None
+
+
+def test_pair_coloring_checks_its_colour_range():
+    with pytest.raises(ValueError, match="^color 0 outside 1..2$"):
+        PairColoring(3, 2, (1, 0, 3))
+    with pytest.raises(ValueError, match="^color 3 outside 1..2$"):
+        PairColoring(3, 2, (1, 3, 0))
+    assert PairColoring(3, 2, (2, 1, 2)).colors == (2, 1, 2)
+    assert PairColoring(1, 0, ()).colors == ()
+
+
+def test_from_bitstring_takes_only_zeros_and_ones():
+    # int(..., 2) alone skips spaces and '_' and reads other digits
+    for marks in (" 101", "1_01", "10 1", "1201", "+101", "11b0", "\u0661010", "\ud800101"):
+        with pytest.raises(ValueError, match="marks must be '0' or '1'"):
+            TripleColoring.from_bitstring(4, marks)
+    assert TripleColoring.from_bitstring(4, "1010").bits == 0b0101
+    with pytest.raises(FormatError) as exc:
+        parse_triple_coloring("triples 4\n1_01\n")
+    assert str(exc.value) == "line 2: expected 4 characters over 0/1, got 4"
 
 
 def test_pair_coloring_header_alone_sizes_nothing():
