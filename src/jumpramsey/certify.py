@@ -12,6 +12,10 @@ closed staircase built from (alpha, beta) pairs of its predecessors, and
 verify_profile_property checks that no group of same-staircase vertices
 carries a monochromatic triangle under alpha.  Chains are the reason: such
 a triangle would extend a chain by one block and push beta past itself.
+
+The beta table reads its per-value masks off the alpha pass of module
+detect and keeps, per (value, vertex), the length of the longest chain a
+block there extends; a chain is rebuilt from those only when asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .core import Color, Embedding, TripleColoring, all_pairs, pair_offsets, pair_rank
-from .detect import AlphaTable, alpha_table, find_blue_jump_member
+from .detect import AlphaTable, _alpha_pass, alpha_table, find_blue_jump_member
 from .family import JumpSpec, associated_graph, jump_min, required_edges, _as_spec, _require_valid
 
 
@@ -96,43 +100,50 @@ def validate_beta_chain(c: TripleColoring, chain: BetaChain,
 
 @dataclass(frozen=True)
 class BetaTable:
-    """Beta values in pair lex-rank order, with one optimal chain per pair.
+    """Beta values in pair lex-rank order, and what rebuilds a chain.
 
-    pred[r] is (t, s) for the pair (u, v) of rank r: its last block is
-    (t, u, v), glued to the chain of (s, t), or to none when s is None;
-    None where beta is 1.  Chains are built from it on demand.
-    deepest[v - 1][a - 1] is the largest beta(u, v) over the u < v with
-    alpha(u, v) = a, 1 where there is none, for a up to the largest
-    alpha(u, v); the profile staircases are read off it.
+    ext[a][t] is the most blocks over the pairs (s, t) with alpha(s, t) at
+    least a, 0 where there is none: a block (t, u, v) at value a extends a
+    chain of that many blocks.  chain rebuilds a pair's chain from it on
+    demand.  deepest[v - 1][a - 1] is the largest beta(u, v) over the
+    u < v with alpha(u, v) = a, 1 where there is none, for a up to the
+    largest alpha(u, v); the profile staircases are read off it.
     """
 
     N: int
     alpha: AlphaTable
     betas: tuple[int, ...]
-    pred: tuple[tuple[int, int | None] | None, ...]
+    ext: tuple[tuple[int, ...], ...]
     deepest: tuple[tuple[int, ...], ...] = ()
 
     def beta(self, u: int, v: int) -> int:
         return self.betas[pair_rank(u, v, self.N)]
 
     def chain(self, u: int, v: int) -> BetaChain | None:
-        """The optimal chain ending at (u, v); None where beta is 1."""
-        blocks = self.betas[pair_rank(u, v, self.N)] - 1
+        """The optimal chain ending at (u, v); None where beta is 1.  Its
+        last block (t, u, v) at a = alpha(u, v) has the smallest t with
+        alpha(t, u) = alpha(t, v) = a and ext[a][t] = beta(u, v) - 2, glued
+        to the chain of (s, t) for the smallest s with alpha(s, t) >= a and
+        beta(s, t) - 1 = ext[a][t]: the per-pair DP's tie-breaks."""
+        row, al, betas = pair_offsets(self.N), self.alpha.values, self.betas
+        blocks = B = betas[row[u] + v] - 1
         if blocks == 0:
             return None
-        row = pair_offsets(self.N)
-        back = []  # the chain's vertices, last first
+        back, values = [], []  # the chain's vertices and values, last first
         while True:
-            t, s = self.pred[row[u] + v]
+            a = al[row[u] + v]
+            ext = self.ext[a]
+            t = next(t for t in range(1, u) if ext[t] == B - 1
+                     and al[row[t] + u] == a == al[row[t] + v])
             back += (v, u)
-            if s is None:
+            values.append(a)
+            B -= 1
+            if not B:
                 back.append(t)
                 break
-            u, v = s, t
-        verts = tuple(reversed(back))
-        al = self.alpha.values
-        values = tuple(al[row[verts[2 * i]] + verts[2 * i + 1]] for i in range(blocks))
-        return BetaChain(verts, values, blocks + 1)
+            u, v = next(s for s in range(1, t)
+                        if betas[row[s] + t] - 1 == B and al[row[s] + t] >= a), t
+        return BetaChain(tuple(reversed(back)), tuple(reversed(values)), blocks + 1)
 
     @property
     def chains(self) -> tuple[BetaChain | None, ...]:
@@ -150,77 +161,66 @@ def beta_table(c: TripleColoring) -> BetaTable:
     A block (t, u, v) requires alpha(t,u) = alpha(u,v) = alpha(t,v); chains
     glue blocks at a shared vertex with non-increasing alpha.  B counts
     blocks; beta = B + 1.  Ties break toward the smallest predecessor, so
-    the reconstructed chain is deterministic.
+    the chain BetaTable.chain rebuilds is deterministic.
 
-    The chain a block (t, u, v) extends depends only on t and
-    a = alpha(u, v): the most blocks over the pairs (s, t) with alpha(s, t)
-    at least a, the smallest s on ties; call that count ext(t, a).  best[a][t]
-    holds the most blocks over the (s, t) with alpha exactly a, and its
-    first s, as one key; it is raised as pairs are written, so ext(t, a) is
-    a running max over the values from the top down when vertex t comes up,
-    and t is filed in the mask filed[a][ext(t, a)].  Vertex u is then filled
-    one value a at a time: the v with alpha(u, v) = a start open, and going
-    down the levels of filed[a], each t there with alpha(t, u) = a, lowest
-    first, claims the open v with alpha(t, v) = a.  Each pair is written
-    once, by its best block: highest level, then smallest t and s.
+    The value masks rows and cols come from the alpha pass itself.  The
+    chain a block (t, u, v) extends depends only on t and a = alpha(u, v):
+    its length is ext[a][t].  claimed[a][B] holds the v of the pairs (u, v)
+    at value a written with B blocks, so when vertex t comes up, the
+    largest B whose mask holds t, per value, is deepest, and ext is its
+    running max over the values from the top down; t is filed in the mask
+    filed[a][ext[a][t]].  Vertex u is then filled one value a at a time:
+    the v with alpha(u, v) = a start open, and going down the levels of
+    filed[a], each t there with alpha(t, u) = a, lowest first, claims the
+    open v with alpha(t, v) = a.  Each pair is written once, by its best
+    block: highest level, then smallest t.
     """
     N = c.N
-    alpha = alpha_table(c, Color.RED)
-    al = alpha.values
+    al, rows, cols = _alpha_pass(c, Color.RED, masks=True)
+    top = len(rows) - 1
     row = pair_offsets(N)
-    top = max(al, default=1)
-    # rows[a][t]: bit v set when alpha(t, v) = a; column[a][v]: bit t set
-    rows = [[0] * (N + 1) for _ in range(top + 1)]
-    column = [[0] * (N + 1) for _ in range(top + 1)]
-    for t in range(1, N):
-        bit = 1 << t
-        for v, a in enumerate(al[row[t] + t + 1:row[t] + N + 1], t + 1):
-            rows[a][t] |= 1 << v
-            column[a][v] |= bit
     betas = [1] * len(al)
-    pred: list[tuple[int, int | None] | None] = [None] * len(al)
-    # key (B + 1) * W - s: most blocks B first, then smallest s; 0 for none
-    W = N + 1
-    best = [[0] * (N + 1) for _ in range(top + 1)]
-    # link[a][t]: the pred (t, s) of every pair a block (t, u, v) at a ends
-    link = [[None] * (N + 1) for _ in range(top + 1)]
+    claimed = [[0] for _ in range(top + 1)]
+    ext = [[0] * (N + 1) for _ in range(top + 1)]
     filed = [[0] for _ in range(top + 1)]
+    deepest = []
     for u in range(1, N + 1):
-        key = 0
+        bit, most, deep = 1 << u, 0, []
         for a in range(top, 0, -1):
-            key = max(key, best[a][u])
-            ext = key // W
-            link[a][u] = (u, W - key % W if key else None)
+            marks = claimed[a]
+            B = len(marks) - 1
+            while B and not marks[B] & bit:
+                B -= 1
+            deep.append(B + 1)
+            most = max(most, B)
+            ext[a][u] = most
             levels = filed[a]
-            levels += [0] * (ext + 1 - len(levels))
-            levels[ext] |= 1 << u
-        at = row[u]
+            levels += [0] * (most + 1 - len(levels))
+            levels[most] |= bit
+        width = next((a for a in range(top, 0, -1) if cols[a][u]), 0)
+        deepest.append(tuple(deep[::-1][:width]))
+        at = row[u] - 1
         for a in range(1, top + 1):
-            open_, ts = rows[a][u], column[a][u]
-            levels, claims, links, keys = filed[a], rows[a], link[a], best[a]
-            ext = len(levels)
-            while open_ and ts and ext:
-                ext -= 1
-                hit = levels[ext] & ts
+            open_, ts = rows[a][u], cols[a][u]
+            levels, claims, marks = filed[a], rows[a], claimed[a]
+            marks += [0] * (len(levels) + 1 - len(marks))
+            B = len(levels)
+            while open_ and ts and B:
+                B -= 1
+                hit = levels[B] & ts
                 while hit and open_:
                     low = hit & -hit
                     hit ^= low
-                    t = low.bit_length() - 1
-                    vs = open_ & claims[t]
+                    vs = open_ & claims[low.bit_length() - 1]
                     open_ ^= vs
-                    beta, by, mine = ext + 2, links[t], (ext + 2) * W - u
+                    marks[B + 1] |= vs
+                    beta = B + 2
                     while vs:
                         low = vs & -vs
                         vs ^= low
-                        v = low.bit_length() - 1
-                        betas[at + v], pred[at + v] = beta, by
-                        if mine > keys[v]:
-                            keys[v] = mine
-    deepest = []
-    for v in range(1, N + 1):
-        width = next((a for a in range(top, 0, -1) if column[a][v]), 0)
-        deepest.append(tuple(best[a][v] // W + 1 for a in range(1, width + 1)))
-    return BetaTable(N, alpha, tuple(betas), tuple(pred), tuple(deepest))
+                        betas[at + low.bit_length()] = beta  # pair (u, bit_length - 1)
+    return BetaTable(N, AlphaTable(N, Color.RED, tuple(al)), tuple(betas),
+                     tuple(map(tuple, ext)), tuple(deepest))
 
 
 def extract_blue_jump_witness(c: TripleColoring, chain: BetaChain) -> Embedding:

@@ -218,10 +218,11 @@ def _cmd_gen(args, stdin, stdout) -> int:
     elif what == "gf16":
         out = serialize_pair_coloring(gf16_coloring())
     elif what == "schur":
-        classes = [
-            [int(x) for x in part.split(",") if x]
-            for part in args.classes.split("/")
-        ]
+        try:
+            classes = [[int(x) for x in part.split(",") if x]
+                       for part in args.classes.split("/")]
+        except ValueError:
+            raise _UsageError(f"bad class list {args.classes!r}")
         out = serialize_pair_coloring(schur_coloring(classes))
     elif what == "paley":
         out = serialize_pair_coloring(paley_coloring(args.q))
@@ -471,6 +472,9 @@ def _cmd_verify(args, stdin, stdout) -> int:
         stdout.write(f"invalid: {report.reason}\n")
         return 1
 
+    for name, least in (("n", 1), ("count", 0), ("hosts", 3)):
+        if getattr(args, name) < least:
+            raise _UsageError(f"{name} must be at least {least}")
     rng = random.Random(args.seed)
     applicable = verified = 0
     for _ in range(args.count):

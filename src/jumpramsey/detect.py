@@ -6,11 +6,14 @@ longest target-colored monotone path that finishes with the pair (u, v).
 Assigning a triple (u, v, w) the target color always pushes alpha(v, w)
 above alpha(u, v), which is what the avoidance search in module search
 exploits for pruning.  On a full host the tables work one row at a time,
-not one triple: the row (t, u, .) of red marks is one int, a bit per v,
-and a vertex's pairs are filled by ORing rows into one mask per table
-value and reading off, per pair, the best value whose mask holds it.  The
-alpha table and the forward table of longest_red_path cost a few integer
-operations per pair, and the coloring is decoded once per call.
+not one triple.  The red triples (t, ., .) are one int per first vertex t,
+cut from the coloring in rank order, and the row (t, u, .) is its lowest
+bits once the rows before it are shifted out.  One alpha pass fills a
+vertex u's pairs by ORing the rows (t, u, .) into one mask per value
+alpha(t, u) and reading off, per pair, the best value whose mask holds
+it; on request it also returns those masks per value, which the beta
+table of module certify reads.  The alpha table and the forward table of
+longest_red_path cost a few integer operations per pair.
 
 The second finds an order-preserving embedding of a fixed pattern with all
 edges blue.  Patterns of bounded width (largest span of an edge) admit a
@@ -93,59 +96,76 @@ class AlphaTable:
         return max(self.values, default=0)
 
 
-def _red_rows(c: TripleColoring) -> list[int]:
-    """Per pair (t, u), the red row (t, u, .) as one int: bit N - v is set
-    when (t, u, v) is red, v = u+1..N, at index row[t] + u; 0 for (t, N).
+def _red_blocks(c: TripleColoring) -> list[int]:
+    """Per first vertex t, the red triples (t, ., .) as one int, in rank
+    order from bit 0; 0 where there are none.
 
-    The triples (t, ., .) are consecutive in rank order, and within them
-    each row, so each block t is one slice of the decoded marks read as a
-    binary numeral, whose lowest bits hold its last row (t, N - 1, N)."""
-    N = c.N
-    marks = c.bitstring()
-    pref1, _ = rank_offsets(N)
-    row = pair_offsets(N)
-    full = [(1 << width) - 1 for width in range(N)]
-    rows = [0] * comb(N, 2)
-    for t in range(1, N - 1):
-        block = int(marks[pref1[t]:pref1[t + 1]], 2)
-        for u in range(N - 1, t, -1):
-            rows[row[t] + u] = block & full[N - u]
-            block >>= N - u
-    return rows
+    Row (t, u, .) comes after the rows (t, t + 1, .), ..., (t, u - 1, .),
+    so once those are shifted out it is the lowest N - u bits, bit
+    v - u - 1 for (t, u, v)."""
+    pref1, _ = rank_offsets(c.N)
+    return [c.bits >> lo & (1 << hi - lo) - 1 for lo, hi in zip(pref1, pref1[1:])]
 
 
 def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
     """alpha(u, v) = 1 + max alpha(t, u) over t < u with (t, u, v) on target.
 
     The empty maximum gives alpha = 1: a bare pair ends a trivial path.
-    Vertex u's pairs (u, v) are filled after every alpha(t, u), t < u, is
-    final.  The rows (t, u, .) on target are ORed into one mask per value
-    alpha(t, u); going from the highest value down, each pair (u, v) takes
-    the first value whose mask holds v, so it is written once.
     """
-    return AlphaTable(c.N, target, _alpha_values(c.N, _red_rows(c), target))
+    return AlphaTable(c.N, target, tuple(_alpha_pass(c, target)[0]))
 
 
-def _alpha_values(N: int, rows: list[int], target: Color) -> tuple[int, ...]:
-    """alpha_table's values from the red rows of _red_rows."""
+def _alpha_pass(c: TripleColoring, target: Color = Color.RED, masks: bool = False):
+    """(values, rows, cols): alpha in pair lex-rank order, in one pass over
+    the blocks of _red_blocks, complemented for a blue target.
+
+    Vertex u's pairs are filled after every alpha(t, u), t < u, is final.
+    Each row (t, u, .), the low bits of block t, is ORed into the mask
+    acc[alpha(t, u) + 1] and shifted out; going from the highest value
+    down, each v takes the first value whose mask holds it, and the rest
+    keep the value 1 unvisited.  With masks, rows[a][u] holds the v with
+    alpha(u, v) = a at bit v, and cols[a][v] the t with alpha(t, v) = a
+    at bit t, for a up to the largest value; else both are None.
+    """
+    N = c.N
+    blocks = _red_blocks(c)
+    if target is Color.BLUE:
+        # ~b & m and ~b >> k read and drop the complemented rows
+        blocks = [~b for b in blocks]
     row = pair_offsets(N)
     values = [1] * comb(N, 2)
-    for u in range(2, N):
-        flip = 0 if target is Color.RED else (1 << (N - u)) - 1
-        by_value: dict[int, int] = {}
+    rows = [[0] * (N + 1) for _ in range(N + 2)] if masks else None
+    cols = [[0] * (N + 1) for _ in range(N + 2)] if masks else None
+    for u in range(1, N):
+        w = N - u
+        rest, start = (1 << w) - 1, row[u] + u  # values[start + i]: pair (u, u + i)
+        acc = [0] * (u + 1)
         for t in range(1, u):
-            i = row[t] + u
-            by_value[values[i]] = by_value.get(values[i], 0) | rows[i] ^ flip
-        end = row[u] + N + 1  # values[end - bit_length] is pair (u, N - bit)
-        done = 0
-        for a in sorted(by_value, reverse=True):
-            vs = by_value[a] & ~done
-            done |= vs
+            b = blocks[t]
+            acc[values[row[t] + u] + 1] |= b & rest
+            blocks[t] = b >> w
+        for a in range(u, 1, -1):
+            vs = acc[a] & rest
+            if not vs:
+                continue
+            rest ^= vs
+            if masks:
+                rows[a][u], col, bit = vs << u + 1, cols[a], 1 << u
             while vs:
                 low = vs & -vs
-                values[end - low.bit_length()] = a + 1
                 vs ^= low
-    return tuple(values)
+                i = low.bit_length()
+                values[start + i] = a
+                if masks:
+                    col[u + i] |= bit
+        if masks:
+            rows[1][u] = rest << u + 1
+    if masks:
+        top = max(values, default=1)
+        del rows[top + 1:], cols[top + 1:]
+        for v in range(2, N + 1):  # the disjoint masks of the other values
+            cols[1][v] = (1 << v) - 2 - sum(cols[a][v] for a in range(2, top + 1))
+    return values, rows, cols
 
 
 def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
@@ -155,57 +175,62 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     least m - 1.  The witness has depth + 1 vertices and is the
     lexicographically least such sequence (or all of [N] for N < 2).
     """
-    rows = _red_rows(c)
-    depth = max(_alpha_values(c.N, rows, Color.RED), default=0)
-    return depth, _red_path_witness(c.N, rows, depth)
+    depth = max(_alpha_pass(c)[0], default=0)
+    return depth, _red_path_witness(c, depth)
 
 
 def red_path(c: TripleColoring, m: int) -> Embedding | None:
     """The first m vertices of the longest_red_path witness, or None when
-    no red path has m vertices.  The coloring is decoded and the alpha
-    table filled once, and the witness is built only when there is one."""
+    no red path has m vertices.  The alpha table is filled once, and the
+    witness is built only when there is one."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    rows = _red_rows(c)
-    depth = max(_alpha_values(c.N, rows, Color.RED), default=0)
+    depth = max(_alpha_pass(c)[0], default=0)
     if depth < m - 1:
         return None
-    return Embedding(_red_path_witness(c.N, rows, depth).vertices[:m])
+    return Embedding(_red_path_witness(c, depth).vertices[:m])
 
 
-def _red_path_witness(N: int, rows: list[int], depth: int) -> Embedding:
-    """The longest_red_path witness from the red rows and the alpha depth,
-    which the forward table must match."""
+def _red_path_witness(c: TripleColoring, depth: int) -> Embedding:
+    """The longest_red_path witness, from the alpha depth that the forward
+    table must match."""
+    N = c.N
     if N < 2:
         return Embedding(tuple(range(1, N + 1)))
     row = pair_offsets(N)
+    blocks = _red_blocks(c)
     # forward table: cont(u, v) is the longest red continuation after
     # starting with (u, v).  levels[v] lists (k, mask of the w with
-    # cont(v, w) = k), k falling, filed once every cont(v, .) is final; so
-    # cont(u, v) is one more than the first k whose mask meets row (u, v).
+    # cont(v, w) = k at bit w - v - 1), k falling, filed once every
+    # cont(v, .) is final; so cont(u, v) is one more than the first k
+    # whose mask meets row (u, v), the low bits of the block of u once the
+    # rows before it are shifted out.
     cont = [0] * comb(N, 2)
     levels: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
     for u in range(N - 1, 0, -1):
+        block = blocks[u]
         for v in range(u + 1, N):
-            i = row[u] + v
             for k, ws in levels[v]:
-                if rows[i] & ws:
-                    cont[i] = k + 1
+                if block & ws:
+                    cont[row[u] + v] = k + 1
                     break
+            block >>= N - v
         by_k: dict[int, int] = {}
         for v in range(u + 1, N + 1):
             k = cont[row[u] + v]
-            by_k[k] = by_k.get(k, 0) | 1 << (N - v)
+            by_k[k] = by_k.get(k, 0) | 1 << (v - u - 1)
         levels[u] = sorted(by_k.items(), reverse=True)
     top = max(cont)
     if top + 1 != depth:
         raise RuntimeError("path tables disagree; this is a bug")
     u, v = list(all_pairs(N))[cont.index(top)]
     path = [u, v]
+    pref2 = rank_offsets(N)[1]
     for k in range(top - 1, -1, -1):
-        # the smallest w is the highest bit
-        ws = rows[row[u] + v] & dict(levels[v])[k]
-        u, v = v, N + 1 - ws.bit_length()
+        # row (u, v, .) starts pref2[v - 1] - pref2[u] bits into the block;
+        # the smallest w is the lowest bit
+        ws = blocks[u] >> pref2[v - 1] - pref2[u] & dict(levels[v])[k]
+        u, v = v, v + (ws & -ws).bit_length()
         path.append(v)
     return Embedding(tuple(path))
 

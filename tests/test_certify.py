@@ -19,14 +19,15 @@ from jumpramsey.certify import (
     verify_profile_property,
 )
 from jumpramsey.construct import lift, pentagon_coloring
-from jumpramsey.core import PairColoring, TripleColoring
-from jumpramsey.detect import alpha_table, find_blue_jump_member
+from jumpramsey.core import Color, PairColoring, TripleColoring, all_pairs
+from jumpramsey.detect import _alpha_pass, alpha_table, find_blue_jump_member
 from jumpramsey.family import associated_graph, jump_min, required_edges
 from oracles import (
     alpha_map,
     chain_beta,
     grid_downsets,
     mono_triangles,
+    naive_alpha_values,
     naive_beta_table,
     naive_profiles,
     random_triples,
@@ -81,6 +82,25 @@ def density_hosts():
             a, b, extra = rng.getrandbits(T), rng.getrandbits(T), rng.getrandbits(T)
             bits = (a & b & extra, a & b, a, a | b, a | b | extra)[density]
             yield N, density, TripleColoring(N, bits)
+
+
+def test_alpha_pass_masks_match_the_alpha_values():
+    # the masks the beta table reads off the alpha pass: rows[a][u] holds
+    # v, and cols[a][v] holds t, exactly where alpha is a
+    hosts = lift_hosts() + [c for _, _, c in density_hosts()]
+    for c in hosts:
+        N = c.N
+        values, rows, cols = _alpha_pass(c, Color.RED, masks=True)
+        alpha = dict(zip(all_pairs(N), naive_alpha_values(c)))
+        assert tuple(values) == tuple(alpha.values())
+        top = max(alpha.values(), default=1)
+        assert len(rows) == len(cols) == top + 1
+        for a in range(1, top + 1):
+            assert rows[a][0] == cols[a][0] == 0
+            for u in range(1, N + 1):
+                assert rows[a][u] == sum(1 << v for v in range(u + 1, N + 1) if alpha[u, v] == a)
+                assert cols[a][u] == sum(1 << t for t in range(1, u) if alpha[t, u] == a)
+    assert _alpha_pass(hosts[0])[1:] == (None, None)
 
 
 def plain_chains(table):

@@ -71,6 +71,10 @@ def test_gen_schur_default_and_custom():
     assert code == 2 and "error:" in err
 
 
+def test_gen_schur_rejects_a_bad_class_list():
+    assert run(["gen", "schur", "--classes", "1,x"]) == (2, "", "error: bad class list '1,x'\n")
+
+
 def test_gen_paley_argument_check():
     code, _, err = run(["gen", "paley", "--q", "15"])
     assert code == 2 and "error:" in err
@@ -201,6 +205,9 @@ TABLE_PINS = {
     # the deepest chains of the pinned hosts: max beta 10 at N = 85
     "paley17-x-pentagon": {
         "lift": (0, "7d691eedcb8ccf91cddbd384d16cb630cf5656a2d30e31d49e803accca4ed768"),
+        "table alpha": (0, "f9fcedc51191d01966bdaf7ebf1949e4ac280011d9ed2d62d1c099b6bbf14a1f"),
+        # the witness 1 6 21 22 24
+        "detect redpath --m 5": (0, "cf670cb2ab1a4582e889a7ccdf9043e11571ef26f18aed85b1c0fb6df4eda304"),
         "table beta": (0, "6b5609fb922c4a018f0dea4c6fb893d674e074ddb3019d777493a77c19f82d98"),
         "table profiles": (0, "d1c913fd4a11c484debf03caa651ee978315098f1211a8dfa24720f22333a974"),
         "certify profileprop --n 2": (0, "a8916c91aabee1bca784cfb46de6c07552f8dbb2d0ccbdd0ef45f5abd8727dd8"),
@@ -522,6 +529,15 @@ def test_verify_roundtrip_all_applicable():
     )
     assert code == 0
     assert out == "count 50 applicable 50 verified 50\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "-3"], "count must be at least 0"),
+    (["--hosts", "2"], "hosts must be at least 3"),
+    (["--n", "0"], "n must be at least 1"),
+])
+def test_verify_roundtrip_rejects_bad_arguments(args, message):
+    assert run(["verify", "roundtrip", "--seed", "7", *args]) == (2, "", f"error: {message}\n")
 
 
 def test_usage_without_subcommand():
