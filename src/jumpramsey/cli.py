@@ -183,8 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: str | None, stdout) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _write_file(output, text)
     else:
         stdout.write(text)
 
@@ -195,6 +194,14 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}")
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 def _positions(text: str) -> frozenset[int]:
@@ -429,12 +436,12 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
         for level in out.levels:
             stdout.write(f"N={level.N} {level.outcome.status}\n")
             if args.output and level.outcome.status == "sat":
-                with open(f"{args.output}-N{level.N}.triples", "w") as fh:
-                    fh.write(serialize_triple_coloring(level.outcome.witness))
+                _write_file(f"{args.output}-N{level.N}.triples",
+                            serialize_triple_coloring(level.outcome.witness))
             if args.output and level.outcome.status == "unsat":
-                with open(f"{args.output}-N{level.N}.cert", "w") as fh:
-                    fh.write(_certificate(level.N, red_text, blue_text,
-                                          args.budget, level.outcome))
+                _write_file(f"{args.output}-N{level.N}.cert",
+                            _certificate(level.N, red_text, blue_text,
+                                         args.budget, level.outcome))
         stdout.write(f"largest-sat {out.largest_sat}\n")
         stdout.write(f"status {out.status}\n")
         return 3 if out.status == "inconclusive" else 0

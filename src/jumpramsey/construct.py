@@ -192,10 +192,6 @@ def _two_vertex_one_color() -> PairColoring:
     return PairColoring(2, 1, (1,))
 
 
-def _schur_14() -> PairColoring:
-    return schur_coloring([{1, 4, 10, 13}, {2, 3, 11, 12}, {5, 6, 7, 8, 9}])
-
-
 KNOWN_VALUES: dict[tuple[int, int], KnownValue] = {
     (3, 1): KnownValue(3, "re-verified here by exhaustion", _two_vertex_one_color),
     (3, 2): KnownValue(6, "re-verified here by exhaustion", pentagon_coloring),

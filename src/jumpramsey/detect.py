@@ -5,13 +5,14 @@ target color, alpha(u, v) is one more than the number of triples in the
 longest target-colored monotone path that finishes with the pair (u, v).
 Assigning a triple (u, v, w) the target color always pushes alpha(v, w)
 above alpha(u, v), which is what the avoidance search in module search
-exploits for pruning.  On a full host the tables work one row at a time,
-not one triple.  The red triples (t, ., .) are one int per first vertex t,
-cut from the coloring in rank order, and the row (t, u, .) is its lowest
-bits once the rows before it are shifted out.  One alpha pass fills a
-vertex u's pairs by ORing the rows (t, u, .) into one mask per value
-alpha(t, u) and reading off, per pair, the best value whose mask holds
-it; on request it also returns those masks per value, which the beta
+exploits for pruning.  On a full host every detector works one row at a
+time, not one triple, and reads its rows off one decoding of the host: the
+red triples (t, ., .) are one int per first vertex t, cut from the coloring
+in rank order, and the row (t, u, .) is its lowest bits once the rows
+before it are shifted out; a blue row is its complement.  One alpha pass
+fills a vertex u's pairs by ORing the rows (t, u, .) into one mask per
+value alpha(t, u) and reading off, per pair, the best value whose mask
+holds it; on request it also returns those masks per value, which the beta
 table of module certify reads.  The alpha table and the forward table of
 longest_red_path cost a few integer operations per pair.
 
@@ -19,11 +20,8 @@ The second finds an order-preserving embedding of a fixed pattern with all
 edges blue.  Patterns of bounded width (largest span of an edge) admit a
 window DP: once the last w chosen host vertices are fixed, earlier choices
 cannot influence feasibility, so failed (position, window) states are
-cached and the search runs in polynomial time for fixed width.  This
-search reads the host a triple at a time, the next one a row (a, b, .)
-at a time: each call decodes the coloring once into bytes, so a triple
-costs O(1) and a row one slice of N - b bits, not a shift of the whole
-host.
+cached and the search runs in polynomial time for fixed width.  The
+candidates for a position are one AND of the blue rows of its edges.
 
 The third finds a blue member of the jump family with n jumps without
 fixing the member in advance.  It scans host vertex tuples in lexicographic
@@ -54,32 +52,6 @@ from .core import (
 from .family import JumpSpec, required_edges
 
 
-class _FastBits:
-    """Blue lookups from the coloring decoded once into bytes, least
-    significant first, so rank r is bit r & 7 of byte r >> 3: a read costs
-    O(1), where shifting the coloring int costs time linear in the host."""
-
-    def __init__(self, c: TripleColoring):
-        self.N = c.N
-        self.data = c.bits.to_bytes((c.num_triples + 7) // 8, "little")
-        self.pref1, self.pref2 = rank_offsets(c.N)
-
-    def is_blue(self, a: int, b: int, c: int) -> bool:
-        p2 = self.pref2
-        r = self.pref1[a] + p2[b - 1] - p2[a] + c - b - 1
-        return not self.data[r >> 3] >> (r & 7) & 1
-
-    def row(self, a: int, b: int) -> int:
-        """The blue triples (a, b, c), c = b+1..N, as one int with bit c
-        set when (a, b, c) is blue: one slice of the bytes, for a search
-        that reads every c after a fixed (a, b)."""
-        p2 = self.pref2
-        lo = self.pref1[a] + p2[b - 1] - p2[a]  # the rank of (a, b, b + 1)
-        width = self.N - b
-        red = int.from_bytes(self.data[lo >> 3:(lo + width + 7) >> 3], "little") >> (lo & 7)
-        return (~red & (1 << width) - 1) << (b + 1)
-
-
 @dataclass(frozen=True)
 class AlphaTable:
     """Path-depth table for one target color, in pair lex-rank order."""
@@ -105,6 +77,19 @@ def _red_blocks(c: TripleColoring) -> list[int]:
     v - u - 1 for (t, u, v)."""
     pref1, _ = rank_offsets(c.N)
     return [c.bits >> lo & (1 << hi - lo) - 1 for lo, hi in zip(pref1, pref1[1:])]
+
+
+def _blue_rows(c: TripleColoring):
+    """row(a, b): the blue triples (a, b, c) as one int with bit c set, read
+    from block a of _red_blocks, pref2[b - 1] - pref2[a] bits in."""
+    N = c.N
+    blue = [~b for b in _red_blocks(c)]
+    p2 = rank_offsets(N)[1]
+
+    def row(a: int, b: int) -> int:
+        return (blue[a] >> p2[b - 1] - p2[a] & (1 << N - b) - 1) << b + 1
+
+    return row
 
 
 def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
@@ -256,7 +241,7 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
     if m == 0:
         return Embedding(())
     w, needs = _embedding_plan(pattern)
-    fast = _FastBits(c)
+    row = _blue_rows(c)
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def dfs(prefix: list[int]) -> tuple[int, ...] | None:
@@ -266,16 +251,14 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
         window = tuple(prefix[max(0, len(prefix) - w):])
         if (pos, window) in failed:
             return None
-        # position pos leaves room for the m - pos positions after it
-        for h in range(prefix[-1] + 1 if prefix else 1, N - m + pos + 1):
-            ok = True
-            for (a, b) in needs[pos]:
-                if not fast.is_blue(prefix[a - 1], prefix[b - 1], h):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            prefix.append(h)
+        # bit h: h after the last vertex, with room for m - pos more after it
+        hs = (1 << N - m + pos + 1) - (1 << (prefix[-1] + 1 if prefix else 1))
+        for (a, b) in needs[pos]:
+            hs &= row(prefix[a - 1], prefix[b - 1])
+        while hs:
+            low = hs & -hs
+            hs ^= low
+            prefix.append(low.bit_length() - 1)
             res = dfs(prefix)
             prefix.pop()
             if res is not None:
@@ -287,7 +270,7 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
     if found is None:
         return None
     for (a, b, cc) in pattern.edges:
-        if not fast.is_blue(found[a - 1], found[b - 1], found[cc - 1]):
+        if not row(found[a - 1], found[b - 1]) >> found[cc - 1] & 1:
             raise RuntimeError("embedding failed recheck; this is a bug")
     return Embedding(found)
 
@@ -347,7 +330,7 @@ def jump_states(n: int) -> JumpStates:
     return JumpStates(n)
 
 
-def _minimal_jump_flags(fast, n, verts) -> tuple[int, ...]:
+def _minimal_jump_flags(row, n, verts) -> tuple[int, ...]:
     """Least jump set completing a known-good vertex tuple, jumps early first.
 
     One state at a time goes through JumpStates.step, with cond read off the
@@ -360,8 +343,8 @@ def _minimal_jump_flags(fast, n, verts) -> tuple[int, ...]:
         if p == m:
             return () if state & states.accept else None
         x, y, u, v, w = ((0, 0, 0, 0) + verts[:p + 1])[-5:]
-        cond = 7 if p < 3 else (fast.is_blue(y, u, w) | fast.is_blue(y, v, w) << 1
-                                | (p == 3 or fast.is_blue(x, u, w)) << 2)
+        cond = 7 if p < 3 else (row(y, u) >> w & 1 | (row(y, v) >> w & 1) << 1
+                                | (p == 3 or row(x, u) >> w & 1) << 2)
         nxt = states.step(state, cond) & states.fits(m - 1 - p)
         while nxt:
             bit = nxt.bit_length() - 1
@@ -391,8 +374,7 @@ def find_blue_jump_member(
     N = c.N
     if 2 * n + 1 > N:
         return None
-    fast = _FastBits(c)
-    row = fast.row
+    row = _blue_rows(c)
     states = jump_states(n)
     step, accept = states.step, states.accept
     fits = [states.fits(N - h) for h in range(N + 1)]
@@ -431,9 +413,9 @@ def find_blue_jump_member(
     verts = dfs([], 1)
     if verts is None:
         return None
-    jumps = _minimal_jump_flags(fast, n, verts)
+    jumps = _minimal_jump_flags(row, n, verts)
     spec = JumpSpec(len(verts), frozenset(jumps))
     for (a, b, cc) in required_edges(len(verts), spec).edges:
-        if not fast.is_blue(verts[a - 1], verts[b - 1], verts[cc - 1]):
+        if not row(verts[a - 1], verts[b - 1]) >> verts[cc - 1] & 1:
             raise RuntimeError("member witness failed recheck; this is a bug")
     return verts, spec

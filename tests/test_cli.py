@@ -212,6 +212,10 @@ TABLE_PINS = {
         "table profiles": (0, "d1c913fd4a11c484debf03caa651ee978315098f1211a8dfa24720f22333a974"),
         "certify profileprop --n 2": (0, "a8916c91aabee1bca784cfb46de6c07552f8dbb2d0ccbdd0ef45f5abd8727dd8"),
         "certify profileprop --n 3": (0, "997d3ddcedef0a9447acf98d87697b489949499d73cadfa6d8fac937bfd989e8"),
+        "detect jumps --n 1": (0, "b492f95b0d9f4d59b16ad61ef428a0989a5a3dcd1362cf1d328ad18e5d84e9d4"),
+        "detect jumps --n 2": (0, "b00cdf3491796eff4dcf32078abaf203deb3b219d6c4db9ad4820e4025212bb7"),
+        # the witness 1 2 3 4 5 6 11 16 with jumps 2 5 7
+        "detect jumps --n 3": (0, "276c55c1e83e7bf35dad992ca97908362d91f81f9d9b748e469a31e0c40dcd00"),
     },
     "random-40-4": {
         "lift": (0, "bcb89e0a7152eeee0103292f7ba60198bb68913862b9cfcd703a824d6e545701"),
@@ -244,6 +248,27 @@ def test_table_and_certify_bytes_are_pinned():
             code, out, err = run(command.split(), stdin=stdin)
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert (code, digest, err) == (want_code, want_digest, ""), (label, command)
+
+
+# sha256 of the detect pattern witness on the paley17 x pentagon lift per
+# pattern from gen
+PATTERN_PINS = {
+    "power --m 6 --t 4": "93dd2cec2f965424cdc1abd96d92b1dd04fe645640bf55c78fb884b2c179f3ee",
+    "power --m 9 --t 4": "21e69b29100449163607c2c2da5ae80fa3dab7cb984c031d56fcbd5f2d34c4df",
+    "imin --n 3": "5d5b6e03581e14e791cfd4ba591debd73de370c99973c303bd497c899dcc3d0c",
+}
+
+
+def test_detect_pattern_bytes_are_pinned(tmp_path):
+    chi = product_coloring(paley_coloring(17), pentagon_coloring())
+    _, triples, _ = run(["lift"], stdin=serialize_pair_coloring(chi))
+    patfile = tmp_path / "p.pattern"
+    for gen_args, want_digest in PATTERN_PINS.items():
+        _, pattern, _ = run(["gen", *gen_args.split()])
+        patfile.write_text(pattern)
+        code, out, err = run(["detect", "pattern", "--pattern", str(patfile)], stdin=triples)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, err) == (0, want_digest, ""), gen_args
 
 
 def test_certify_downsets():
@@ -448,6 +473,19 @@ def test_search_bracket_writes_level_files(tmp_path):
     cert = (tmp_path / "lv-N3.cert").read_text()
     assert cert.startswith("unsat N=3\n")
     assert "blue jumps:1" in cert
+
+
+@pytest.mark.parametrize("argv, out, written", [
+    (["gen", "pentagon", "--output", "x"], "", "x"),
+    # the bracket prints each level as it goes, so the first one is out
+    (["search", "--nmax", "4", "--red", "path:3", "--blue", "path:3", "--output", "pre"],
+     "N=2 sat\n", "pre-N2.triples"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, argv, out, written):
+    missing = tmp_path / "missing"
+    code, got, err = run([*argv[:-1], str(missing / argv[-1])])
+    assert (code, got) == (2, out)
+    assert err == f"error: cannot write {missing / written}: No such file or directory\n"
 
 
 def test_search_usage_errors():

@@ -10,13 +10,14 @@ from jumpramsey.construct import lift, pentagon_coloring
 from jumpramsey.core import (
     Color,
     Embedding,
+    OrderedTripleSystem,
     PairColoring,
     TripleColoring,
     all_pairs,
     all_triples,
 )
 from jumpramsey.detect import (
-    _FastBits,
+    _blue_rows,
     alpha_table,
     find_blue_embedding,
     find_blue_jump_member,
@@ -57,20 +58,17 @@ def test_alpha_table_blue_target():
 
 
 def test_decoded_reads_match_the_coloring():
-    # N = 0..13 covers hosts with no triples and hosts whose last byte is
-    # only partly used, since C(N, 3) is a multiple of 8 only for some N
+    # N = 0..13 covers hosts with no triples, blocks with no triples and
+    # rows of every width
     rng = random.Random(37)
     for N in range(14):
         hosts = [random_triples(N, rng) for _ in range(5)]
         hosts += [TripleColoring.all_red(N), TripleColoring.all_blue(N)]
         for c in hosts:
-            fast = _FastBits(c)
-            assert len(fast.data) == (comb(N, 3) + 7) // 8
-            for t in all_triples(N):
-                assert fast.is_blue(*t) == c.is_blue(*t), (N, t)
+            row = _blue_rows(c)
             for a, b in all_pairs(N):
                 want = sum(1 << w for w in range(b + 1, N + 1) if c.is_blue(a, b, w))
-                assert fast.row(a, b) == want, (N, a, b)
+                assert row(a, b) == want, (N, a, b)
 
 
 def random_lifts(seed, count):
@@ -153,9 +151,13 @@ def test_find_blue_embedding_matches_oracle():
         monotone_path(5),
         power_path(6, 4),
         jump_min(2)[0],
+        # no edge ends at positions 1-3: their candidates are the plain range
+        OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)})),
+        power_path(4, 5),  # the complete system on [4]
+        monotone_path(2),  # edgeless
     ]
     for _ in range(60):
-        N = rng.randint(4, 8)
+        N = rng.randint(2, 8)  # m > N too
         c = random_triples(N, rng)
         for pattern in patterns:
             emb = find_blue_embedding(c, pattern)
