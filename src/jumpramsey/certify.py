@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import comb
 
 from .core import Color, Embedding, TripleColoring, all_pairs, pair_offsets, pair_rank
 from .detect import AlphaTable, _alpha_pass, alpha_table, find_blue_jump_member
@@ -285,16 +286,12 @@ def _profiles(table: BetaTable) -> dict[int, ProfileStaircase]:
 
 
 def count_downsets(n: int) -> int:
-    """Downward-closed subsets of the n-by-n grid: a subset is a
-    non-increasing depth vector over the n columns.  ways[d] counts the
-    vectors so far whose last depth is d; a column may take any depth up to
-    the one before it, so each column is one suffix sum, O(n^2) in all."""
+    """Downward-closed subsets of the n-by-n grid.  The boundary of one is a
+    monotone lattice path of n steps right and n down, so there are
+    C(2n, n)."""
     if n < 0:
         raise ValueError("grid size must be nonnegative")
-    ways = [0] * n + [1]  # before the first column the cap is depth n
-    for _ in range(n):
-        ways = list(accumulate(reversed(ways)))[::-1]
-    return sum(ways)
+    return comb(2 * n, n)
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,6 @@ class ProfileReport:
     red_depth: int
     blue_member: tuple[tuple[int, ...], JumpSpec] | None
     triangle: tuple[int, int, int] | None = None
-    triangle_alpha: int | None = None
     extended_chain: BetaChain | None = None
 
     @property
@@ -352,13 +348,13 @@ def verify_profile_property(c: TripleColoring, n: int) -> ProfileReport:
     depth = alpha.max_value
     member = find_blue_jump_member(c, n)
 
-    triangle = triangle_alpha = None
+    triangle = None
     extended = None
     for vs in groups:
         for (u, v, w) in combinations(vs, 3):
             a = alpha.value(u, v)
             if alpha.value(u, w) == a and alpha.value(v, w) == a:
-                triangle, triangle_alpha = (u, v, w), a
+                triangle = (u, v, w)
                 extended = _extend_chain(table, u, v, w)
                 break
         if triangle:
@@ -382,7 +378,6 @@ def verify_profile_property(c: TripleColoring, n: int) -> ProfileReport:
         red_depth=depth,
         blue_member=member,
         triangle=triangle,
-        triangle_alpha=triangle_alpha,
         extended_chain=extended,
     )
 

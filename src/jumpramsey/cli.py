@@ -73,6 +73,8 @@ WORKERS_ENV = "JUMPRAMSEY_WORKERS"
 EXIT_BROKEN_PIPE = 128 + 13
 
 _SCHUR_DEFAULT = "1,4,10,13/2,3,11,12/5,6,7,8,9"
+# the spec forms search takes on each side
+_SPEC_FORMS = {"red": "path:<m>", "blue": "path:<m> | power:<m>,<t> | jumps:<n>"}
 
 
 class _UsageError(Exception):
@@ -160,9 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     se = sub.add_parser("search", help="avoidance search / bracketing")
     se.add_argument("--n", type=int, help="host size for a single decision")
     se.add_argument("--nmax", type=int, help="bracket up to this host size")
-    se.add_argument("--red", required=True, help="path:<m>")
-    se.add_argument("--blue", required=True,
-                    help="path:<m> | power:<m>,<t> | jumps:<n>")
+    se.add_argument("--red", required=True, help=_SPEC_FORMS["red"])
+    se.add_argument("--blue", required=True, help=_SPEC_FORMS["blue"])
     se.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     se.add_argument("--workers", type=int, default=None)
     se.add_argument("--output")
@@ -366,38 +367,32 @@ def _parse_gh_coloring(text: str) -> dict[tuple[int, int], int]:
     return chi
 
 
-def _parse_red(text: str):
-    """The red pattern and its canonical spec text."""
+def _parse_spec(text: str, side: str, N: int):
+    """The --red or --blue spec for hosts of up to N vertices, and its text
+    as certificates print it, with the numbers given.  No copy larger than
+    the host fits in it, so a path or power path is built on at most
+    max(N + 1, 3) vertices and a jump count is capped at N // 2 + 1 (a
+    member with n jumps has 2n + 1 vertices).  The search walks the same
+    tree: no table can report a copy, and a path value at pair (x, y), at
+    most y - 1, reaches neither the capped path's dead level N - 1 nor its
+    length, and packs as 0 either way."""
     kind, _, rest = text.partition(":")
-    if kind != "path":
-        raise _UsageError(f"red spec must be path:<m>, got {text!r}")
-    try:
-        m = int(rest)
-    except ValueError:
-        raise _UsageError(f"bad red spec {text!r}")
-    if m < 3:
-        raise _UsageError("red path needs at least 3 vertices")
-    return monotone_path(m), f"path:{m}"
-
-
-def _parse_blue(text: str):
-    """The blue spec and its canonical text, as certificates print it."""
-    kind, _, rest = text.partition(":")
+    if kind != "path" and (side == "red" or kind not in ("power", "jumps")):
+        raise _UsageError(f"{side} spec must be {_SPEC_FORMS[side]}, got {text!r}")
+    top = max(N + 1, 3)
     try:
         if kind == "path":
             m = int(rest)
             if m < 3:
-                raise _UsageError("blue path needs at least 3 vertices")
-            return monotone_path(m), f"path:{m}"
+                raise _UsageError(f"{side} path needs at least 3 vertices")
+            return monotone_path(min(m, top)), f"path:{m}"
         if kind == "power":
             m, t = (int(x) for x in rest.split(","))
-            return power_path(m, t), f"power:{m},{t}"
-        if kind == "jumps":
-            n = int(rest)
-            return JumpsFamily(n), f"jumps:{n}"
+            return power_path(min(m, top), t), f"power:{m},{t}"
+        n = int(rest)
+        return JumpsFamily(min(n, N // 2 + 1)), f"jumps:{n}"
     except (ValueError, TypeError) as exc:
-        raise _UsageError(f"bad blue spec {text!r}: {exc}")
-    raise _UsageError(f"blue spec must be path:, power: or jumps:, got {text!r}")
+        raise _UsageError(f"bad {side} spec {text!r}: {exc}")
 
 
 def _resolve_workers(args) -> int:
@@ -426,11 +421,12 @@ def _certificate(N: int, red_text: str, blue_text: str, budget: int,
 
 
 def _cmd_search(args, stdin, stdout, stderr) -> int:
-    red, red_text = _parse_red(args.red)
-    blue, blue_text = _parse_blue(args.blue)
-    workers = _resolve_workers(args)
     if (args.n is None) == (args.nmax is None):
         raise _UsageError("give exactly one of --n and --nmax")
+    N = max(args.nmax if args.n is None else args.n, 0)
+    red, red_text = _parse_spec(args.red, "red", N)
+    blue, blue_text = _parse_spec(args.blue, "blue", N)
+    workers = _resolve_workers(args)
     if args.nmax is not None:
         out = bracket(red, blue, args.nmax, budget=args.budget, workers=workers)
         for level in out.levels:

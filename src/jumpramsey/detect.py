@@ -156,8 +156,8 @@ def _alpha_pass(c: TripleColoring, target: Color = Color.RED, masks: bool = Fals
 def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     """Maximum alpha over all pairs and a path witness of that depth.
 
-    A red monotone path on m vertices exists iff the returned depth is at
-    least m - 1.  The witness has depth + 1 vertices and is the
+    A red monotone path on m vertices exists iff m <= N and the returned
+    depth is at least m - 1.  The witness has depth + 1 vertices and is the
     lexicographically least such sequence (or all of [N] for N < 2).
     """
     depth = max(_alpha_pass(c)[0], default=0)
@@ -171,7 +171,7 @@ def red_path(c: TripleColoring, m: int) -> Embedding | None:
     if m < 0:
         raise ValueError("m must be nonnegative")
     depth = max(_alpha_pass(c)[0], default=0)
-    if depth < m - 1:
+    if m > c.N or depth < m - 1:
         return None
     return Embedding(_red_path_witness(c, depth).vertices[:m])
 

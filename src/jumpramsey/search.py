@@ -46,9 +46,10 @@ planned once per (N, spec), cached, and shared by the probe and every split
 engine of the process, which keep only their ends.  A push that completes
 a copy prunes the branch; it finds exactly the copies a detector run would
 find, since every earlier blue node was checked and every later triple is
-red.  Generic patterns keep a full detector run on the partial coloring,
-unassigned triples read as red.  The root probe and the witness re-check
-are always full detector runs.
+red.  A generic pattern has a table too, whose push is a full detector run
+on the partial coloring, unassigned triples read as red, and which keeps
+nothing.  The root probe and the witness re-check are always full detector
+runs.
 
 One walker does all the branching: it runs over a range of ranks with an
 explicit stack, so search depth C(N, 3) is bounded by memory and the node
@@ -100,7 +101,7 @@ from multiprocessing import Pool
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
                    lex_rank, pair_offsets)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
-from .family import monotone_path, power_path
+from .family import power_path
 
 DEFAULT_BUDGET = 10**9
 SPLIT_DEPTH = 4
@@ -283,6 +284,18 @@ class _JumpMembers:
         return bool(seen & self.accept)
 
 
+class _Embeddings:
+    """A generic blue pattern: each push is a full detector run on the
+    coloring so far, unassigned triples red; ends stays all None."""
+
+    def __init__(self, N: int, pattern: OrderedTripleSystem):
+        self.N, self.pattern = N, pattern
+        self.ends = [None] * comb(N, 3)
+
+    def push(self, rank: int, bits: int) -> bool:
+        return find_blue_embedding(TripleColoring(self.N, bits), self.pattern) is not None
+
+
 class _Engine:
     """One search lane: incremental tables, the partial-coloring bitmask and
     an explicit branch stack, all worked by one loop, walk.
@@ -293,8 +306,8 @@ class _Engine:
     per-rank arrays: the colour given to each rank on the current branch
     and its token, what undoing it needs: the red value it overwrote, or
     with a blue path table the trail length before its raises.  A blue spec
-    other than a path has a table (power windows or jump members, see the
-    module docstring) or, for a generic pattern, none: a detector run.
+    other than a path has a table (power windows, jump members or, for a
+    generic pattern, a detector run; see the module docstring).
 
     The probe (split None) starts on uncoloured tables with no memo; a
     split engine replays its live prefix first, and a path/path split
@@ -306,23 +319,17 @@ class _Engine:
         N = problem.N
         self.N = N
         self.red_m = problem.red.m
-        self.blue = problem.blue
-        self.kind, self.blue_m, t = _blue_kind(problem.blue)
-        self.symmetric = self.kind != "jumps" and problem.blue == problem.red
+        self.symmetric = problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
         self.pairs_idx = _ranks(N)[1]
         npairs = comb(N, 2)
         self.ar = [1] * npairs
-        self.ab = [1] * npairs if self.kind == "path" else None
+        self.ab = None
         self.bits = (1 << self.total) - 1
         self.colour = [True] * self.total
         self.token = [0] * self.total
-        self.table = None
-        if self.kind == "power":
-            self.table = _PowerWindows(N, self.blue_m, t)
-        elif self.kind == "jumps":
-            self.table = _JumpMembers(N, self.blue_m, self.colour)
+        self.table = _blue_table(N, problem.blue, self.colour)
         self.nodes = self.max_depth = 0
         self.memo = None
         self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
@@ -330,7 +337,9 @@ class _Engine:
         self.packed, self.live = 0, True
         # the path/path raises made so far, as (values, pair, old value, packed)
         self.trail = []
-        if self.ab is not None:
+        if self.table is None:
+            # a blue path has an alpha table instead, of path length blue_m
+            self.ab, self.blue_m = [1] * npairs, problem.blue.m
             self.packs, front, sentinel = _memo_layout(N, self.red_m, self.blue_m)
             bpack, rpack = self.packs
             self.packed = sentinel + sum(p[1] for p in rpack + bpack)
@@ -400,10 +409,6 @@ class _Engine:
             values, j, old, self.packed = trail.pop()
             values[j] = old
 
-    def blue_present(self) -> bool:
-        """Full detector run on the coloring so far, unassigned triples red."""
-        return _has_blue(TripleColoring(self.N, self.bits), self.blue, self.kind)
-
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.max_depth, self.memo_hits,
                            self.red_dead, self.blue_dead, self.blue_hits)
@@ -420,10 +425,12 @@ class _Engine:
         once, and one left with both colours tried is recorded as failed."""
         colour, token, pairs_idx, front = self.colour, self.token, self.pairs_idx, self.front
         ar, ab, table, memo, cap = self.ar, self.ab, self.table, self.memo, self.cap
-        if table is not None:
+        if table is None:
+            blue_top = self.blue_m - 1
+        else:
             push, ends = table.push, table.ends
         settle, unwind, trail = self._settle, self._unwind, self.trail
-        red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
+        red_top, symmetric = self.red_m - 1, self.symmetric
         nodes, max_depth, bits = self.nodes, self.max_depth, self.bits
         memo_hits, red_dead, blue_dead, blue_hits = (
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
@@ -481,19 +488,11 @@ class _Engine:
                             max_depth = rank + 1
                         colour[rank] = False
                         bits ^= 1 << rank
-                        if ab is not None:
-                            hit = False
-                        elif table is not None:
-                            hit = push(rank, bits)
-                        else:
-                            self.bits = bits
-                            hit = self.blue_present()
-                        if not hit:
+                        if table is None or not push(rank, bits):
                             rank += 1
                             red = True
                             continue
-                        if table is not None:
-                            ends[rank] = None
+                        ends[rank] = None
                         bits |= 1 << rank
                         blue_hits += 1
                 # back up to the nearest rank whose blue branch is untried;
@@ -530,19 +529,19 @@ class _Engine:
         return prefixes
 
     def _replay(self, prefix: tuple[bool, ...]) -> None:
-        """Colour a live prefix as the walk would, with nothing to check
-        or count."""
+        """Colour a live prefix as the walk would, with nothing to count;
+        no write of it dies and no push of it finds a copy."""
         for rank, red in enumerate(prefix):
             self.colour[rank] = red
             if not red:
                 self.bits ^= 1 << rank
-                if self.table is not None:
-                    self.table.push(rank, self.bits)
             iuv, ivw = self.pairs_idx[rank]
-            if self.ab is not None:
+            if self.table is None:
                 self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
             elif red:
                 self.ar[ivw] = max(self.ar[ivw], self.ar[iuv] + 1)
+            else:
+                self.table.push(rank, self.bits)
 
     def found(self) -> None:
         raise _Found()
@@ -662,29 +661,34 @@ def _run_split(args) -> tuple[int | None, bool, SearchStats]:
     return bits, hit, eng.stats()
 
 
-def _blue_kind(blue) -> tuple[str, int, int]:
-    """(kind, m, t): how the engine tracks the blue side.
+@lru_cache(maxsize=16)
+def _power_window(pattern: OrderedTripleSystem) -> int:
+    """t when pattern is power_path(m, t), t read off its widest edge (3 is
+    the monotone path), else 0.  A degenerate power:m,t with m < t is the
+    complete system on [m], which reads as power:m,m."""
+    t = pattern.width + 1
+    return t if pattern.edges and pattern == power_path(pattern.m, t) else 0
 
-    path (alpha table, t = 3) and power (window table, t >= 4) for the power
-    paths on m vertices, t read off the widest edge; jumps (member table)
-    with m the jump count; pattern (detector run) for anything else, t = 0.
-    A degenerate power:m,t with m < t is the complete system on [m], which
-    is power:m,m.
-    """
+
+def _blue_table(N: int, blue, colour: list[bool]):
+    """The table the walker pushes each blue triple to, None for a monotone
+    path, which the engine tracks by its alpha table."""
     if isinstance(blue, JumpsFamily):
-        return "jumps", blue.n, 0
-    t = blue.width + 1
-    if blue.edges and blue == power_path(blue.m, t):
-        return ("path" if t == 3 else "power"), blue.m, t
-    return "pattern", blue.m, 0
+        return _JumpMembers(N, blue.n, colour)
+    t = _power_window(blue)
+    if t == 3:
+        return None
+    if t:
+        return _PowerWindows(N, blue.m, t)
+    return _Embeddings(N, blue)
 
 
-def _has_blue(c: TripleColoring, blue, kind: str) -> bool:
+def _has_blue(c: TripleColoring, blue) -> bool:
     """Full detector run for the blue spec."""
-    if kind == "path":
-        return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
-    if kind == "jumps":
+    if isinstance(blue, JumpsFamily):
         return find_blue_jump_member(c, blue.n) is not None
+    if _power_window(blue) == 3:
+        return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
     return find_blue_embedding(c, blue) is not None
 
 
@@ -696,7 +700,7 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     found witness is re-verified with the full detectors before return;
     running out of node budget reports inconclusive, never a guess.
     """
-    if problem.red != monotone_path(problem.red.m) or problem.red.m < 3:
+    if _power_window(problem.red) != 3:
         raise ValueError("red pattern must be a monotone path on >= 3 vertices")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -704,7 +708,7 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
         raise ValueError("need at least one worker")
 
     probe = _Engine(problem, cap=budget)
-    if not probe.live or probe.blue_present():
+    if not probe.live or _has_blue(TripleColoring(problem.N, probe.bits), problem.blue):
         # no colouring avoids both, or the blue spec embeds with no blue
         # triples at all: nothing to search
         return SearchOutcome("unsat", None, SearchStats(0, 0))
@@ -755,7 +759,7 @@ def _finish(folded: tuple[str, int | None, SearchStats],
     c = TripleColoring(problem.N, bits)
     if alpha_table(c, Color.RED).max_value >= problem.red.m - 1:
         raise RuntimeError("witness contains the red path; this is a bug")
-    if _has_blue(c, problem.blue, _blue_kind(problem.blue)[0]):
+    if _has_blue(c, problem.blue):
         raise RuntimeError("witness contains the blue spec; this is a bug")
     return SearchOutcome("sat", c, stats)
 

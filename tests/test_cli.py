@@ -145,6 +145,15 @@ def test_detect_redpath_rejects_negative_m():
     assert code == 0 and parse_witness(out).vertices == ()
 
 
+def test_detect_redpath_needs_m_vertices():
+    # the empty host has depth 0, which alone would pass for a path on 1 vertex
+    assert run(["detect", "redpath", "--m", "1"], stdin="triples 0\n\n") == (1, "", "")
+    assert run(["detect", "redpath", "--m", "0"], stdin="triples 0\n\n") == (
+        0, "witness\nvertices \n", "")
+    assert run(["detect", "redpath", "--m", "1"], stdin="triples 1\n\n") == (
+        0, "witness\nvertices 1\n", "")
+
+
 def test_detect_pattern_subcommand(tmp_path):
     _, pat, _ = run(["gen", "imin", "--n", "2"])
     patfile = tmp_path / "i2.pattern"
@@ -277,7 +286,7 @@ def test_certify_downsets():
 
 
 def test_certify_downsets_large_grid():
-    # the count is one suffix sum per column, so no stack depth grows with n
+    # the count is the closed form C(2n, n), so no stack depth grows with n
     code, out, _ = run(["certify", "downsets", "--n", "1500"])
     assert code == 0 and out == f"{comb(3000, 1500)}\n"
 
@@ -503,6 +512,38 @@ def test_search_usage_errors():
         ["search", "--n", "5", "--red", "path:4", "--blue", "path:2"]
     )
     assert code == 2
+
+
+# (oversized spec, host-sized twin, stderr): no copy larger than the host
+# fits in it, so the spec is built on the host's scale and walks the same
+# tree; each of these hung building the full-size pattern before
+OVERSIZED_SPECS = [
+    (["--n", "8", "--red", "path:4", "--blue", "path:1000000000"],
+     ["--n", "8", "--red", "path:4", "--blue", "path:9"], "sat nodes=82 max-depth=56\n"),
+    (["--n", "8", "--red", "path:4", "--blue", "jumps:1000000000"],
+     ["--n", "8", "--red", "path:4", "--blue", "jumps:5"], "sat nodes=82 max-depth=56\n"),
+    (["--n", "8", "--red", "path:4", "--blue", "power:1000000000,4"],
+     ["--n", "8", "--red", "path:4", "--blue", "power:9,4"], "sat nodes=82 max-depth=56\n"),
+    (["--n", "7", "--red", "path:1000000000", "--blue", "path:4"],
+     ["--n", "7", "--red", "path:8", "--blue", "path:4"], "sat nodes=61 max-depth=35\n"),
+    (["--nmax", "6", "--red", "path:4", "--blue", "path:1000000000"],
+     ["--nmax", "6", "--red", "path:4", "--blue", "path:7"], ""),
+]
+
+
+@pytest.mark.parametrize("big, twin, err", OVERSIZED_SPECS)
+def test_oversized_spec_searches_as_its_host_sized_twin(big, twin, err):
+    got = run(["search", *big])
+    assert got == run(["search", *twin])
+    assert got[0] == 0 and got[2] == err
+
+
+def test_oversized_red_spec_keeps_its_numbers_in_the_certificate():
+    code, out, _ = run(
+        ["search", "--n", "5", "--red", "path:1000000000", "--blue", "power:2,4"])
+    assert code == 1
+    assert out.startswith("unsat N=5\nred path:1000000000\nblue power:2,4\n")
+    assert "\nnodes 0\n" in out
 
 
 def test_search_workers_env_and_flag(monkeypatch):

@@ -80,8 +80,8 @@ def test_small_red_path_against_jumps():
 
 
 def test_blue_detector_searches_keep_their_outcomes():
-    # the engine runs the blue detectors anchored at the triple that just
-    # turned blue; every prune, node count and witness is pinned here
+    # the engine pushes each triple that turns blue to its blue table;
+    # every prune, node count and witness is pinned here
     cases = [
         (7, JumpsFamily(2), DEFAULT_BUDGET,
          ("sat", 7786, 35, "11111101100111100000000000001101110")),
@@ -410,7 +410,7 @@ def test_blue_tables_match_full_detection():
             lanes = []
             for _ in range(2):
                 eng = search._Engine(problem, DEFAULT_BUDGET)
-                assert eng.kind in ("power", "jumps")
+                assert isinstance(eng.table, (search._PowerWindows, search._JumpMembers))
                 plant = set()
                 if rng.random() < 0.5:
                     verts = sorted(rng.sample(range(1, N + 1), pattern.m))
@@ -496,7 +496,7 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     problem = AvoidanceProblem(N, monotone_path(4), blue)
     probe = search._Engine(problem, DEFAULT_BUDGET)
     prefixes = probe.decompose(SPLIT_DEPTH)
-    if probe.kind == "path":
+    if probe.table is None:  # a blue path: only the first split
         prefixes = prefixes[:1]
     assert engine_state(probe) == engine_state(search._Engine(problem, DEFAULT_BUDGET))
     leaves = []
@@ -508,7 +508,7 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
         assert engine_state(eng) == replayed
         pruned += eng.memo_hits + eng.blue_hits
     assert pruned > 0
-    assert bool(leaves) == (eng.kind != "path")
+    assert bool(leaves) == (eng.table is not None)
 
 
 # the probe engine has no memo, so walk(0, stop, leaf) calls the leaf at
@@ -576,12 +576,22 @@ def test_member_table_and_detector_step_through_one_function():
     assert states.steps
 
 
-def test_blue_kind_reads_the_spec_once():
-    assert search._blue_kind(power_path(6, 3)) == ("path", 6, 3)
-    assert search._blue_kind(monotone_path(4)) == ("path", 4, 3)
-    assert search._blue_kind(power_path(6, 5)) == ("power", 6, 5)
+def test_one_recogniser_reads_the_spec():
+    assert search._power_window(power_path(6, 3)) == 3
+    assert search._power_window(monotone_path(4)) == 3
+    assert search._power_window(power_path(6, 5)) == 5
     # the degenerate power:4,5 is the complete system on [4], power:4,4
-    assert search._blue_kind(power_path(4, 5)) == ("power", 4, 4)
-    assert search._blue_kind(JumpsFamily(2)) == ("jumps", 2, 0)
-    assert search._blue_kind(jump_min(2)[0]) == ("pattern", 5, 0)
-    assert search._blue_kind(monotone_path(2)) == ("pattern", 2, 0)
+    assert search._power_window(power_path(4, 5)) == 4
+    assert search._power_window(jump_min(2)[0]) == 0
+    assert search._power_window(monotone_path(2)) == 0
+    # the engine's table follows the recogniser; the jump family has its own
+    tables = [type(search._blue_table(7, blue, [True] * 35)).__name__
+              for blue in (power_path(6, 3), power_path(4, 5), JumpsFamily(2),
+                           jump_min(2)[0], monotone_path(2))]
+    assert tables == [
+        "NoneType", "_PowerWindows", "_JumpMembers", "_Embeddings", "_Embeddings"]
+    # one build of a spec is read once per process
+    search._power_window.cache_clear()
+    for _ in range(3):
+        search._power_window(power_path(6, 5))
+    assert search._power_window.cache_info().misses == 1
