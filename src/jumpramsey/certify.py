@@ -20,11 +20,11 @@ block there extends; a chain is rebuilt from those only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
 
-from .core import Color, Embedding, TripleColoring, all_pairs, pair_offsets, pair_rank
+from .core import (Color, Embedding, TripleColoring, all_pairs, pair_offsets, pair_rank,
+                   record)
 from .detect import AlphaTable, _alpha_pass, alpha_table, find_blue_jump_member
 from .family import JumpSpec, associated_graph, jump_min, required_edges, _as_spec, _require_valid
 
@@ -37,7 +37,7 @@ class CertificationError(RuntimeError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
+@record
 class BetaChain:
     """Block chain of odd length: block i is (v_{2i-1}, v_{2i}, v_{2i+1}).
 
@@ -99,7 +99,7 @@ def validate_beta_chain(c: TripleColoring, chain: BetaChain,
                 )
 
 
-@dataclass(frozen=True)
+@record
 class BetaTable:
     """Beta values in pair lex-rank order, and what rebuilds a chain.
 
@@ -247,7 +247,7 @@ def extract_blue_jump_witness(c: TripleColoring, chain: BetaChain) -> Embedding:
     return Embedding(verts)
 
 
-@dataclass(frozen=True)
+@record
 class ProfileStaircase:
     """Downward-closed profile: maxB[a-1] is the deepest b at width a.
 
@@ -294,7 +294,7 @@ def count_downsets(n: int) -> int:
     return comb(2 * n, n)
 
 
-@dataclass(frozen=True)
+@record
 class ProfileReport:
     """Outcome of the same-profile triangle scan."""
 

@@ -12,12 +12,11 @@ the colours of each vertex a's pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import combinations
 from operator import getitem
-from typing import Callable
 
-from .core import PairColoring, TripleColoring, pair_offsets
+from .core import PairColoring, TripleColoring, pair_offsets, record
 
 
 def lift(chi: PairColoring) -> TripleColoring:
@@ -179,7 +178,7 @@ def has_mono_clique(chi: PairColoring, m: int) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class KnownValue:
     """A recorded clique Ramsey value r(m; n) with its witness coloring."""
 

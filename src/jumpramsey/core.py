@@ -7,17 +7,20 @@ per rank (1 = red).  The text formats defined here are the interchange
 layer for every command-line tool in the package.  A 'pairs' text in the
 canonical layout, the one serialize_pair_coloring writes, is read a column
 at a time; any other layout goes through the line scanner, which also
-gives each error its line number.
+gives each error its line number.  The value classes of the package are
+made by the record decorator defined here: frozen, compared and hashed
+by their fields, as dataclass(frozen=True) makes them, but without the
+source dataclass generates and compiles for each class at import.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 
 
 class FormatError(ValueError):
@@ -120,7 +123,118 @@ def pair_lines(N: int, values) -> str:
     ])
 
 
-@dataclass(frozen=True)
+_MISSING = object()
+
+
+def record(cls):
+    """Make cls an immutable value class over its annotated fields.
+
+    The fields are the class's own annotations in order; a class attribute
+    of a field's name is its default.  The methods are those of
+    dataclass(frozen=True): __init__ taking the fields positionally or by
+    keyword and then calling __post_init__ if the class has one, __eq__
+    and __hash__ over the tuple of fields, __repr__, and __match_args__.
+    Assigning or deleting an attribute raises AttributeError.  The methods
+    are closures over the field names, so decorating a class generates
+    and compiles no source, which is most of what dataclass costs at
+    import time.  A call with every field given positionally skips the
+    argument binding; with one or two fields __init__ also takes them as
+    parameters, not as a tuple, which keeps it as cheap as dataclass's.
+    """
+    name = cls.__qualname__
+    fields = tuple(cls.__annotations__)
+    n = len(fields)
+    given = [f for f in fields if f in cls.__dict__]
+    required = n - len(given)
+    if given != list(fields[required:]):
+        raise TypeError(f"{name}: a field without a default follows one with a default")
+    defaults = tuple(cls.__dict__[f] for f in given)
+    post_init = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__
+
+    def bind(args: tuple, kwargs: dict) -> tuple | list:
+        """The field values of a call that is not all-positional."""
+        if not kwargs and required <= len(args) < n:
+            return args + defaults[len(args) - required:]
+        args = [a for a in args if a is not _MISSING]
+        if len(args) > n:
+            raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
+        for i in range(len(args), n):
+            f = fields[i]
+            if f in kwargs:
+                args.append(kwargs.pop(f))
+            elif i >= required:
+                args.append(defaults[i - required])
+            else:
+                raise TypeError(f"{name}() missing argument {f!r}")
+        if kwargs:
+            f = next(iter(kwargs))
+            what = "multiple values for" if f in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {what} argument {f!r}")
+        return args
+
+    # __post_init__ is looked up at each call, so a patched one is the one run
+    if n == 1:
+        (f0,) = fields
+
+        def __init__(self, a=_MISSING, /, **kwargs):
+            if kwargs or a is _MISSING:
+                (a,) = bind((a,), kwargs)
+            set_field(self, f0, a)
+            if post_init:
+                self.__post_init__()
+    elif n == 2:
+        f0, f1 = fields
+
+        def __init__(self, a=_MISSING, b=_MISSING, /, **kwargs):
+            if kwargs or b is _MISSING:
+                a, b = bind((a, b), kwargs)
+            set_field(self, f0, a)
+            set_field(self, f1, b)
+            if post_init:
+                self.__post_init__()
+    else:
+        slots = tuple(enumerate(fields))
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != n:
+                args = bind(args, kwargs)
+            # object.__setattr__ bound once: each field then costs one call
+            set_own = set_field.__get__(self)
+            for i, f in slots:
+                set_own(f, args[i])
+            if post_init:
+                self.__post_init__()
+
+    get = attrgetter(*fields)
+    values = get if n > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values(self)))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to {name}.{attr}: records are immutable")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete {name}.{attr}: records are immutable")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{name}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = fields
+    return cls
+
+
+@record
 class OrderedTripleSystem:
     """An ordered 3-uniform hypergraph: m vertices, a set of increasing triples."""
 
@@ -143,7 +257,7 @@ class OrderedTripleSystem:
         return max((c - a for (a, _, c) in self.edges), default=0)
 
 
-@dataclass(frozen=True)
+@record
 class Embedding:
     """An order-preserving vertex map, recorded as its increasing image."""
 
@@ -162,7 +276,7 @@ class Embedding:
         return self.vertices[position - 1]
 
 
-@dataclass(frozen=True)
+@record
 class PairColoring:
     """A total coloring of the pairs of [N] with colors 1..k.
 
@@ -200,7 +314,7 @@ class PairColoring:
         return set(self.colors)
 
 
-@dataclass(frozen=True)
+@record
 class TripleColoring:
     """A red-blue coloring of all triples of [N], one bit per lex rank (1 = red)."""
 
@@ -275,7 +389,7 @@ class TripleColoring:
         return TripleColoring.from_bitstring(M, "".join(rows))
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """Contents of a witness file: vertices plus optional jumps and blocks."""
 

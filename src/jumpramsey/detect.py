@@ -35,7 +35,6 @@ the member table of module search steps through too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -48,11 +47,12 @@ from .core import (
     pair_offsets,
     pair_rank,
     rank_offsets,
+    record,
 )
 from .family import JumpSpec, required_edges
 
 
-@dataclass(frozen=True)
+@record
 class AlphaTable:
     """Path-depth table for one target color, in pair lex-rank order."""
 

@@ -16,13 +16,12 @@ positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import OrderedTripleSystem
+from .core import OrderedTripleSystem, record
 
 
-@dataclass(frozen=True)
+@record
 class JumpSpec:
     """A set of jump positions on [m].  Condition 0 is checked on demand,
     not at construction, so that validators can report violations."""
@@ -58,7 +57,7 @@ class JumpSpec:
         return tuple(sorted(self.jumps))
 
 
-@dataclass(frozen=True)
+@record
 class OrderedGraph:
     """An ordered graph on [m], used for the pair skeleton of a jump pattern."""
 
@@ -75,7 +74,7 @@ class OrderedGraph:
         return sorted(self.pairs)
 
 
-@dataclass(frozen=True)
+@record
 class MemberReport:
     """Outcome of a membership check; reason is None exactly when valid."""
 

@@ -92,14 +92,12 @@ how many workers finished their pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from multiprocessing import Pool
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
-                   lex_rank, pair_offsets)
+                   lex_rank, pair_offsets, record)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
 from .family import power_path
 
@@ -109,7 +107,7 @@ SPLIT_DEPTH = 4
 MEMO_CAP = 1 << 19
 
 
-@dataclass(frozen=True)
+@record
 class JumpsFamily:
     """Blue-side selector: any member of the n-jump family counts."""
 
@@ -120,7 +118,7 @@ class JumpsFamily:
             raise ValueError("need at least one jump")
 
 
-@dataclass(frozen=True)
+@record
 class AvoidanceProblem:
     N: int
     red: OrderedTripleSystem
@@ -131,7 +129,7 @@ class AvoidanceProblem:
             raise ValueError("N must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record
 class SearchStats:
     """Work counts of a search: nodes entered, the deepest rank reached,
     and the pruned arrivals by reason: memo hits (a failed path/path state
@@ -148,20 +146,20 @@ class SearchStats:
     blue_hits: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class SearchOutcome:
     status: str  # sat | unsat | inconclusive
     witness: TripleColoring | None
     stats: SearchStats
 
 
-@dataclass(frozen=True)
+@record
 class BracketLevel:
     N: int
     outcome: SearchOutcome
 
 
-@dataclass(frozen=True)
+@record
 class BracketOutcome:
     levels: tuple[BracketLevel, ...]
     largest_sat: int | None
@@ -672,9 +670,12 @@ def _power_window(pattern: OrderedTripleSystem) -> int:
 
 def _blue_table(N: int, blue, colour: list[bool]):
     """The table the walker pushes each blue triple to, None for a monotone
-    path, which the engine tracks by its alpha table."""
+    path, which the engine tracks by its alpha table.  A member with n
+    jumps has 2n + 1 vertices, so no family with more than N // 2 jumps
+    fits in [N]; the member table is built for at most N // 2 + 1 jumps,
+    as the command line caps its specs, and walks the same tree."""
     if isinstance(blue, JumpsFamily):
-        return _JumpMembers(N, blue.n, colour)
+        return _JumpMembers(N, min(blue.n, N // 2 + 1), colour)
     t = _power_window(blue)
     if t == 3:
         return None
@@ -690,6 +691,14 @@ def _has_blue(c: TripleColoring, blue) -> bool:
     if _power_window(blue) == 3:
         return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
     return find_blue_embedding(c, blue) is not None
+
+
+def Pool(processes: int):
+    """A process pool of that many workers.  multiprocessing is imported
+    here, when decide first starts a pool, not with the package, so a
+    process that never starts one does not pay for it."""
+    from multiprocessing import Pool
+    return Pool(processes)
 
 
 def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,

@@ -2,12 +2,23 @@
 
 Everything here enumerates straight from the definitions: no windows, no
 memo tables, no dynamic programming.  Exponential, so hosts stay small.
+The value classes have a twin too: the frozen dataclass of their fields.
 """
 
+import dataclasses
 from itertools import combinations
 from math import comb
 
 from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring
+
+
+def dataclass_twin(cls):
+    """A frozen dataclass with cls's name, annotations and defaults, and
+    nothing else: what the record decorator's methods must agree with."""
+    fields = [(name, kind, dataclasses.field(default=vars(cls)[name]))
+              if name in vars(cls) else (name, kind)
+              for name, kind in cls.__annotations__.items()]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
 def random_triples(N, rng):

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from jumpramsey import search
+from jumpramsey import detect, search
 from jumpramsey.detect import (
     alpha_table,
     find_blue_embedding,
@@ -329,6 +329,28 @@ def test_blue_pattern_present_at_root_is_instant():
     out = decide(AvoidanceProblem(5, monotone_path(3), monotone_path(2)))
     assert out.status == "unsat"
     assert out.stats.nodes == 0
+
+
+def test_oversized_jump_family_is_searched_on_the_hosts_scale(monkeypatch):
+    # a member with n jumps has 2n + 1 vertices, so at N = 8 no family past
+    # 4 jumps fits and the member table stops at N // 2 + 1 = 5 jumps; the
+    # guard fails before a larger table, O(n^2) in size, is built
+    built = []
+
+    def guarded(n):
+        assert n <= 8 // 2 + 1, n
+        built.append(n)
+        return jump_states(n)
+
+    monkeypatch.setattr(search, "jump_states", guarded)
+    monkeypatch.setattr(detect, "jump_states", guarded)
+    huge = decide(AvoidanceProblem(8, monotone_path(4), JumpsFamily(10**9)))
+    small = decide(AvoidanceProblem(8, monotone_path(4), JumpsFamily(5)))
+    assert huge.status == small.status == "sat"
+    assert huge.stats == small.stats
+    assert huge.stats.nodes == 82
+    assert huge.witness == small.witness
+    assert set(built) == {5}
 
 
 def test_argument_validation():
