@@ -115,7 +115,7 @@ class BetaTable:
     alpha: AlphaTable
     betas: tuple[int, ...]
     ext: tuple[tuple[int, ...], ...]
-    deepest: tuple[tuple[int, ...], ...] = ()
+    deepest: tuple[tuple[int, ...], ...]
 
     def beta(self, u: int, v: int) -> int:
         return self.betas[pair_rank(u, v, self.N)]
@@ -304,8 +304,8 @@ class ProfileReport:
     group_profiles: tuple[ProfileStaircase, ...]
     red_depth: int
     blue_member: tuple[tuple[int, ...], JumpSpec] | None
-    triangle: tuple[int, int, int] | None = None
-    extended_chain: BetaChain | None = None
+    triangle: tuple[int, int, int] | None
+    extended_chain: BetaChain | None
 
     @property
     def has_red_path(self) -> bool:

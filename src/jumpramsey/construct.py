@@ -184,7 +184,7 @@ class KnownValue:
 
     value: int
     provenance: str
-    witness: Callable[[], PairColoring] | None = None
+    witness: Callable[[], PairColoring]
 
 
 def _two_vertex_one_color() -> PairColoring:

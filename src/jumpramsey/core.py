@@ -15,12 +15,10 @@ source dataclass generates and compiles for each class at import.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import attrgetter
 
 
 class FormatError(ValueError):
@@ -123,9 +121,6 @@ def pair_lines(N: int, values) -> str:
     ])
 
 
-_MISSING = object()
-
-
 def record(cls):
     """Make cls an immutable value class over its annotated fields.
 
@@ -138,8 +133,7 @@ def record(cls):
     are closures over the field names, so decorating a class generates
     and compiles no source, which is most of what dataclass costs at
     import time.  A call with every field given positionally skips the
-    argument binding; with one or two fields __init__ also takes them as
-    parameters, not as a tuple, which keeps it as cheap as dataclass's.
+    argument binding.
     """
     name = cls.__qualname__
     fields = tuple(cls.__annotations__)
@@ -152,62 +146,33 @@ def record(cls):
     post_init = hasattr(cls, "__post_init__")
     set_field = object.__setattr__
 
-    def bind(args: tuple, kwargs: dict) -> tuple | list:
-        """The field values of a call that is not all-positional."""
-        if not kwargs and required <= len(args) < n:
-            return args + defaults[len(args) - required:]
-        args = [a for a in args if a is not _MISSING]
-        if len(args) > n:
-            raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
-        for i in range(len(args), n):
-            f = fields[i]
-            if f in kwargs:
-                args.append(kwargs.pop(f))
-            elif i >= required:
-                args.append(defaults[i - required])
-            else:
-                raise TypeError(f"{name}() missing argument {f!r}")
-        if kwargs:
-            f = next(iter(kwargs))
-            what = "multiple values for" if f in fields else "an unexpected keyword"
-            raise TypeError(f"{name}() got {what} argument {f!r}")
-        return args
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            if len(args) > n:
+                raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
+            args = list(args)
+            for i in range(len(args), n):
+                f = fields[i]
+                if f in kwargs:
+                    args.append(kwargs.pop(f))
+                elif i >= required:
+                    args.append(defaults[i - required])
+                else:
+                    raise TypeError(f"{name}() missing argument {f!r}")
+            if kwargs:
+                f = next(iter(kwargs))
+                what = "multiple values for" if f in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {what} argument {f!r}")
+        # object.__setattr__ bound once: each field then costs one call
+        set_own = set_field.__get__(self)
+        for f, a in zip(fields, args):
+            set_own(f, a)
+        # looked up at each call, so a patched __post_init__ is the one run
+        if post_init:
+            self.__post_init__()
 
-    # __post_init__ is looked up at each call, so a patched one is the one run
-    if n == 1:
-        (f0,) = fields
-
-        def __init__(self, a=_MISSING, /, **kwargs):
-            if kwargs or a is _MISSING:
-                (a,) = bind((a,), kwargs)
-            set_field(self, f0, a)
-            if post_init:
-                self.__post_init__()
-    elif n == 2:
-        f0, f1 = fields
-
-        def __init__(self, a=_MISSING, b=_MISSING, /, **kwargs):
-            if kwargs or b is _MISSING:
-                a, b = bind((a, b), kwargs)
-            set_field(self, f0, a)
-            set_field(self, f1, b)
-            if post_init:
-                self.__post_init__()
-    else:
-        slots = tuple(enumerate(fields))
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = bind(args, kwargs)
-            # object.__setattr__ bound once: each field then costs one call
-            set_own = set_field.__get__(self)
-            for i, f in slots:
-                set_own(f, args[i])
-            if post_init:
-                self.__post_init__()
-
-    get = attrgetter(*fields)
-    values = get if n > 1 else lambda self: (get(self),)
+    def values(self):
+        return tuple([getattr(self, f) for f in fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -244,6 +209,8 @@ class OrderedTripleSystem:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("vertex count must be nonnegative")
+        # a set or list of edges is stored frozen, so the pattern hashes
+        object.__setattr__(self, "edges", frozenset(self.edges))
         for (a, b, c) in self.edges:
             check_triple(a, b, c, self.m)
 
@@ -475,13 +442,11 @@ def _read_pair_columns(text: str) -> PairColoring | None:
 
 
 def _scan_pair_coloring(text: str) -> PairColoring:
-    """The line scanner: any entry order and spacing, one line at a time."""
+    """The line scanner: any entry order and spacing, one line at a time.
+    The colours go into a dict by pair rank, so that a header's N sizes
+    nothing."""
     lines, (N, k) = _header(text, "pairs", "N", "k")
-    want = comb(N, 2)
-    # a line per pair and no duplicate is a total text; a shorter text is
-    # partial and goes into a dict, so that its header's N sizes no table
-    row = pair_offsets(N) if want < len(lines) else None
-    colors = [0] * want if row is not None else defaultdict(int)
+    colors = {}
     for no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
@@ -494,14 +459,15 @@ def _scan_pair_coloring(text: str) -> PairColoring:
             raise FormatError(f"({u}, {v}) is not an increasing pair in [{N}]", no)
         if not 1 <= c <= k:
             raise FormatError(f"color {c} outside 1..{k}", no)
-        r = row[u] + v if row is not None else pair_rank(u, v, N)
-        if colors[r]:
+        r = pair_rank(u, v, N)
+        if r in colors:
             raise FormatError(f"duplicate entry for pair ({u}, {v})", no)
         colors[r] = c
-    if row is None:
-        missing = next(p for p in all_pairs(N) if not colors[pair_rank(*p, N)])
+    want = comb(N, 2)
+    if len(colors) < want:
+        missing = next(p for p in all_pairs(N) if pair_rank(*p, N) not in colors)
         raise FormatError(f"partial coloring: pair {missing} has no color")
-    return PairColoring(N, k, tuple(colors))
+    return PairColoring(N, k, tuple(map(colors.__getitem__, range(want))))
 
 
 def serialize_pair_coloring(chi: PairColoring) -> str:

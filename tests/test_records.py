@@ -125,13 +125,14 @@ def check_against_twin(cls, xs):
                 setattr(x, f, None)
             with pytest.raises(AttributeError):
                 delattr(x, f)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"missing argument '{fields[required - 1]}'"):
             cls(*head[:-1])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
             cls(*values(x), bogus=1)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"takes {len(fields)} arguments but "
+                                            f"{len(fields) + 1} were given"):
             cls(*values(x), None)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"multiple values for argument '{fields[0]}'"):
             cls(*values(x), **{fields[0]: values(x)[0]})
     for x, y in product(xs, repeat=2):
         assert (x == y) == (twin(*values(x)) == twin(*values(y)))

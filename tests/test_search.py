@@ -353,6 +353,19 @@ def test_oversized_jump_family_is_searched_on_the_hosts_scale(monkeypatch):
     assert set(built) == {5}
 
 
+@pytest.mark.parametrize("N", [5, 6])
+def test_patterns_built_from_a_set_or_list_decide_like_their_frozen_twins(N):
+    # the cached plans hash the patterns, so their edges are stored frozen
+    red, blue = monotone_path(4), jump_min(2)[0]
+    loose_red = OrderedTripleSystem(red.m, set(red.edges))
+    loose_blue = OrderedTripleSystem(blue.m, sorted(blue.edges))
+    want = outcome_key(decide(AvoidanceProblem(N, red, blue)))
+    assert outcome_key(decide(AvoidanceProblem(N, loose_red, blue))) == want
+    assert outcome_key(decide(AvoidanceProblem(N, red, loose_blue))) == want
+    assert type(loose_red.edges) is type(loose_blue.edges) is frozenset
+    assert (loose_red, loose_blue) == (red, blue)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         decide(AvoidanceProblem(5, power_path(5, 4), monotone_path(4)))
