@@ -5,12 +5,16 @@ pair coloring into a triple coloring, detect looks for structures in a
 host coloring, table prints the pair tables, certify checks certificates,
 search runs the avoidance engine, verify bundles consistency checks.
 
-Data flows through stdin/stdout in the formats of module core; --output
-redirects the primary artifact to a file.  Exit codes: 0 found/true/sat,
-1 not-found/false/unsat, 2 usage or format error, 3 inconclusive search,
-4 internal error (a failed self-check, exhausted resources or any other
-exception a command raises), 141 (128 + SIGPIPE) when stdout is closed
-before the output is written.
+Data flows through stdin/stdout in the formats of module core.  Each
+command's handler sits on its parser and returns the text to print (None
+for nothing) and the exit code; dispatch writes the text once.  --output
+receives exactly what stdout would, and a run that prints nothing writes
+no file.  search --nmax alone prints its levels as it goes and takes
+--output as a prefix, one file per level.
+Exit codes: 0 found/true/sat, 1 not-found/false/unsat, 2 usage or format
+error, 3 inconclusive search, 4 internal error (a failed self-check,
+exhausted resources or any other exception a command raises), 141
+(128 + SIGPIPE) when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .construct import (
     schur_coloring,
 )
 from .core import (
+    Embedding,
     FormatError,
     PairColoring,
     Witness,
@@ -86,99 +91,95 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process.
     parse_args keeps no state between calls, and it prints usage and help
     to sys.stderr and sys.stdout as they are at the call, which dispatch
-    redirects."""
+    redirects.  Each leaf carries its handler as ``run``: a function of
+    this module, which looks up what it calls at call time."""
     p = argparse.ArgumentParser(prog="jumpramsey")
     sub = p.add_subparsers(dest="cmd", required=True)
+    # --output is added to these last, so that it ends usage and help
+    outputs = []
+
+    def leaf(group, name, run, output=True, **kwargs):
+        q = group.add_parser(name, **kwargs)
+        q.set_defaults(run=run, output=None)
+        if output:
+            outputs.append(q)
+        return q
 
     gen = sub.add_parser("gen", help="write a coloring or pattern")
     gsub = gen.add_subparsers(dest="what", required=True)
-    g = gsub.add_parser("path")
+    g = leaf(gsub, "path", _gen_path)
     g.add_argument("--m", type=int, required=True)
-    g.add_argument("--output")
-    g = gsub.add_parser("power")
+    g = leaf(gsub, "power", _gen_power)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--t", type=int, required=True)
-    g.add_argument("--output")
-    g = gsub.add_parser("imin")
+    g = leaf(gsub, "imin", _gen_imin)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--output")
-    for name in ("pentagon", "gf16"):
-        g = gsub.add_parser(name)
-        g.add_argument("--output")
-    g = gsub.add_parser("schur")
+    leaf(gsub, "pentagon", _gen_pentagon)
+    leaf(gsub, "gf16", _gen_gf16)
+    g = leaf(gsub, "schur", _gen_schur)
     g.add_argument("--classes", default=_SCHUR_DEFAULT,
                    help="difference classes, e.g. 1,4/2,3 (default: 14-vertex)")
-    g.add_argument("--output")
-    g = gsub.add_parser("paley")
+    g = leaf(gsub, "paley", _gen_paley)
     g.add_argument("--q", type=int, required=True)
-    g.add_argument("--output")
-    g = gsub.add_parser("product")
+    g = leaf(gsub, "product", _gen_product)
     g.add_argument("--left", required=True)
     g.add_argument("--right", required=True)
-    g.add_argument("--output")
 
-    li = sub.add_parser("lift", help="triple coloring from a pair coloring")
-    li.add_argument("--output")
+    leaf(sub, "lift", _lift, help="triple coloring from a pair coloring")
 
     det = sub.add_parser("detect", help="find a structure in a host coloring")
     dsub = det.add_subparsers(dest="what", required=True)
-    d = dsub.add_parser("redpath")
+    d = leaf(dsub, "redpath", _detect_redpath)
     d.add_argument("--m", type=int, required=True)
-    d.add_argument("--output")
-    d = dsub.add_parser("pattern")
+    d = leaf(dsub, "pattern", _detect_pattern)
     d.add_argument("--pattern", required=True, help="pattern file")
-    d.add_argument("--output")
-    d = dsub.add_parser("jumps")
+    d = leaf(dsub, "jumps", _detect_jumps)
     d.add_argument("--n", type=int, required=True)
-    d.add_argument("--output")
-    d = dsub.add_parser("clique")
+    d = leaf(dsub, "clique", _detect_clique)
     d.add_argument("--m", type=int, required=True)
-    d.add_argument("--output")
 
     tab = sub.add_parser("table", help="print pair tables of a host coloring")
     tsub = tab.add_subparsers(dest="what", required=True)
-    for name in ("alpha", "beta", "profiles"):
-        t = tsub.add_parser(name)
-        t.add_argument("--output")
+    leaf(tsub, "alpha", _table_alpha)
+    leaf(tsub, "beta", _table_beta)
+    leaf(tsub, "profiles", _table_profiles)
 
     cert = sub.add_parser("certify", help="check or emit certificates")
     csub = cert.add_subparsers(dest="what", required=True)
-    c = csub.add_parser("ghtriangle")
+    c = leaf(csub, "ghtriangle", _certify_ghtriangle)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--jumps", required=True, help="comma-separated positions")
     c.add_argument("--chi", required=True, help="file of 'u v c' lines")
-    c.add_argument("--output")
-    c = csub.add_parser("witness")
+    c = leaf(csub, "witness", _certify_witness)
     c.add_argument("--chain", required=True,
                    help="witness file with vertices and blocks")
-    c.add_argument("--output")
-    c = csub.add_parser("profileprop")
+    c = leaf(csub, "profileprop", _certify_profileprop)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--output")
-    c = csub.add_parser("downsets")
+    c = leaf(csub, "downsets", _certify_downsets)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--output")
 
-    se = sub.add_parser("search", help="avoidance search / bracketing")
+    se = leaf(sub, "search", _search, help="avoidance search / bracketing")
     se.add_argument("--n", type=int, help="host size for a single decision")
     se.add_argument("--nmax", type=int, help="bracket up to this host size")
     se.add_argument("--red", required=True, help=_SPEC_FORMS["red"])
     se.add_argument("--blue", required=True, help=_SPEC_FORMS["blue"])
     se.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     se.add_argument("--workers", type=int, default=None)
-    se.add_argument("--output")
 
+    # the verify checks print their verdict to stdout only
     ver = sub.add_parser("verify", help="consistency checks")
     vsub = ver.add_subparsers(dest="what", required=True)
-    v = vsub.add_parser("member")
+    v = leaf(vsub, "member", _verify_member, output=False)
     v.add_argument("--pattern", required=True, help="pattern file")
     v.add_argument("--jumps", help="comma-separated; default: file's jumps line")
-    v = vsub.add_parser("roundtrip")
+    v = leaf(vsub, "roundtrip", _verify_roundtrip, output=False)
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--count", type=int, default=200)
     v.add_argument("--hosts", type=int, default=9)
 
+    for q in outputs:
+        q.add_argument("--output")
     return p
 
 
@@ -212,113 +213,123 @@ def _positions(text: str) -> frozenset[int]:
         raise _UsageError(f"bad position list {text!r}")
 
 
-def _cmd_gen(args, stdin, stdout) -> int:
-    what = args.what
-    if what == "path":
-        out = serialize_pattern(monotone_path(args.m))
-    elif what == "power":
-        out = serialize_pattern(power_path(args.m, args.t))
-    elif what == "imin":
-        pattern, spec = jump_min(args.n)
-        out = serialize_pattern(pattern, spec.sorted_jumps)
-    elif what == "pentagon":
-        out = serialize_pair_coloring(pentagon_coloring())
-    elif what == "gf16":
-        out = serialize_pair_coloring(gf16_coloring())
-    elif what == "schur":
-        try:
-            classes = [[int(x) for x in part.split(",") if x]
-                       for part in args.classes.split("/")]
-        except ValueError:
-            raise _UsageError(f"bad class list {args.classes!r}")
-        out = serialize_pair_coloring(schur_coloring(classes))
-    elif what == "paley":
-        out = serialize_pair_coloring(paley_coloring(args.q))
-    else:
-        left = parse_pair_coloring(_read_file(args.left))
-        right = parse_pair_coloring(_read_file(args.right))
-        out = serialize_pair_coloring(product_coloring(left, right))
-    _emit(out, args.output, stdout)
-    return 0
+def _witness(emb: Embedding | None, jumps=None):
+    """A found structure's witness and exit 0, or nothing and exit 1."""
+    if emb is None:
+        return None, 1
+    return serialize_witness(Witness(emb.vertices, jumps=jumps)), 0
 
 
-def _cmd_lift(args, stdin, stdout) -> int:
+def _gen_path(args, stdin, stdout):
+    return serialize_pattern(monotone_path(args.m)), 0
+
+
+def _gen_power(args, stdin, stdout):
+    return serialize_pattern(power_path(args.m, args.t)), 0
+
+
+def _gen_imin(args, stdin, stdout):
+    pattern, spec = jump_min(args.n)
+    return serialize_pattern(pattern, spec.sorted_jumps), 0
+
+
+def _gen_pentagon(args, stdin, stdout):
+    return serialize_pair_coloring(pentagon_coloring()), 0
+
+
+def _gen_gf16(args, stdin, stdout):
+    return serialize_pair_coloring(gf16_coloring()), 0
+
+
+def _gen_schur(args, stdin, stdout):
+    try:
+        classes = [[int(x) for x in part.split(",") if x]
+                   for part in args.classes.split("/")]
+    except ValueError:
+        raise _UsageError(f"bad class list {args.classes!r}")
+    return serialize_pair_coloring(schur_coloring(classes)), 0
+
+
+def _gen_paley(args, stdin, stdout):
+    return serialize_pair_coloring(paley_coloring(args.q)), 0
+
+
+def _gen_product(args, stdin, stdout):
+    left = parse_pair_coloring(_read_file(args.left))
+    right = parse_pair_coloring(_read_file(args.right))
+    return serialize_pair_coloring(product_coloring(left, right)), 0
+
+
+def _lift(args, stdin, stdout):
     chi = parse_pair_coloring(stdin.read())
-    _emit(serialize_triple_coloring(lift(chi)), args.output, stdout)
-    return 0
+    return serialize_triple_coloring(lift(chi)), 0
 
 
-def _cmd_detect(args, stdin, stdout) -> int:
-    what = args.what
-    if what == "clique":
-        chi = parse_pair_coloring(stdin.read())
-        found = has_mono_clique(chi, args.m)
-        if found is None:
-            return 1
-        _emit(serialize_witness(Witness(found)), args.output, stdout)
-        return 0
+def _detect_redpath(args, stdin, stdout):
     host = parse_triple_coloring(stdin.read())
-    if what == "redpath":
-        path = red_path(host, args.m)
-        if path is None:
-            return 1
-        _emit(serialize_witness(Witness(path.vertices)), args.output, stdout)
-        return 0
-    if what == "pattern":
-        pattern, _ = parse_pattern(_read_file(args.pattern))
-        emb = find_blue_embedding(host, pattern)
-        if emb is None:
-            return 1
-        _emit(serialize_witness(Witness(emb.vertices)), args.output, stdout)
-        return 0
+    return _witness(red_path(host, args.m))
+
+
+def _detect_pattern(args, stdin, stdout):
+    host = parse_triple_coloring(stdin.read())
+    pattern, _ = parse_pattern(_read_file(args.pattern))
+    return _witness(find_blue_embedding(host, pattern))
+
+
+def _detect_jumps(args, stdin, stdout):
+    host = parse_triple_coloring(stdin.read())
     found = find_blue_jump_member(host, args.n)
     if found is None:
-        return 1
+        return None, 1
     verts, spec = found
-    _emit(serialize_witness(Witness(verts, jumps=spec.sorted_jumps)),
-          args.output, stdout)
-    return 0
+    return _witness(Embedding(verts), spec.sorted_jumps)
 
 
-def _cmd_table(args, stdin, stdout) -> int:
+def _detect_clique(args, stdin, stdout):
+    chi = parse_pair_coloring(stdin.read())
+    found = has_mono_clique(chi, args.m)
+    return _witness(None if found is None else Embedding(found))
+
+
+# alpha and beta print their values by pair rank, the order of pair_lines
+def _table_alpha(args, stdin, stdout):
     host = parse_triple_coloring(stdin.read())
-    what = args.what
-    if what == "profiles":
-        profiles = profile_table(host)
-        lines = [f"profiles {host.N}"]
-        for v in range(1, host.N + 1):
-            stair = " ".join(str(b) for b in profiles[v].maxB)
-            lines.append(f"{v} {stair}".rstrip())
-        text = "\n".join(lines) + "\n"
-    else:
-        # values by pair rank, the order pair_lines writes the pairs in
-        values = alpha_table(host).values if what == "alpha" else beta_table(host).betas
-        text = f"{what} {host.N}\n" + pair_lines(host.N, values)
-    _emit(text, args.output, stdout)
-    return 0
+    return f"alpha {host.N}\n" + pair_lines(host.N, alpha_table(host).values), 0
 
 
-def _cmd_certify(args, stdin, stdout) -> int:
-    what = args.what
-    if what == "downsets":
-        _emit(f"{count_downsets(args.n)}\n", args.output, stdout)
-        return 0
-    if what == "ghtriangle":
-        chi = _parse_gh_coloring(_read_file(args.chi))
-        tri = gh_triangle_finder(args.m, _positions(args.jumps), chi)
-        _emit(" ".join(str(v) for v in tri) + "\n", args.output, stdout)
-        return 0
-    if what == "witness":
-        w = parse_witness(_read_file(args.chain))
-        if w.blocks is None:
-            raise _UsageError("chain witness needs a 'blocks' field")
-        host = parse_triple_coloring(stdin.read())
-        chain = BetaChain(w.vertices, w.blocks, len(w.blocks) + 1)
-        emb = extract_blue_jump_witness(host, chain)
-        _, spec = jump_min(chain.ell - 1)
-        _emit(serialize_witness(Witness(emb.vertices, jumps=spec.sorted_jumps)),
-              args.output, stdout)
-        return 0
+def _table_beta(args, stdin, stdout):
+    host = parse_triple_coloring(stdin.read())
+    return f"beta {host.N}\n" + pair_lines(host.N, beta_table(host).betas), 0
+
+
+def _table_profiles(args, stdin, stdout):
+    host = parse_triple_coloring(stdin.read())
+    profiles = profile_table(host)
+    lines = [f"profiles {host.N}"]
+    for v in range(1, host.N + 1):
+        stair = " ".join(str(b) for b in profiles[v].maxB)
+        lines.append(f"{v} {stair}".rstrip())
+    return "\n".join(lines) + "\n", 0
+
+
+def _certify_ghtriangle(args, stdin, stdout):
+    chi = _parse_gh_coloring(_read_file(args.chi))
+    tri = gh_triangle_finder(args.m, _positions(args.jumps), chi)
+    return " ".join(str(v) for v in tri) + "\n", 0
+
+
+def _certify_witness(args, stdin, stdout):
+    w = parse_witness(_read_file(args.chain))
+    if w.blocks is None:
+        raise _UsageError("chain witness needs a 'blocks' field")
+    host = parse_triple_coloring(stdin.read())
+    chain = BetaChain(w.vertices, w.blocks, len(w.blocks) + 1)
+    emb = extract_blue_jump_witness(host, chain)
+    _, spec = jump_min(chain.ell - 1)
+    return _witness(emb, spec.sorted_jumps)
+
+
+def _certify_profileprop(args, stdin, stdout):
     host = parse_triple_coloring(stdin.read())
     report = verify_profile_property(host, args.n)
     lines = [f"profileprop N={report.N} n={report.n}"]
@@ -344,8 +355,11 @@ def _cmd_certify(args, stdin, stdout) -> int:
             + " blocks " + " ".join(str(b) for b in ch.block_values)
         )
     lines.append("status " + ("clean" if report.clean else "triangle"))
-    _emit("\n".join(lines) + "\n", args.output, stdout)
-    return 0 if report.clean else 1
+    return "\n".join(lines) + "\n", 0 if report.clean else 1
+
+
+def _certify_downsets(args, stdin, stdout):
+    return f"{count_downsets(args.n)}\n", 0
 
 
 def _parse_gh_coloring(text: str) -> dict[tuple[int, int], int]:
@@ -371,11 +385,11 @@ def _parse_spec(text: str, side: str, N: int):
     """The --red or --blue spec for hosts of up to N vertices, and its text
     as certificates print it, with the numbers given.  No copy larger than
     the host fits in it, so a path or power path is built on at most
-    max(N + 1, 3) vertices and a jump count is capped at N // 2 + 1 (a
-    member with n jumps has 2n + 1 vertices).  The search walks the same
-    tree: no table can report a copy, and a path value at pair (x, y), at
-    most y - 1, reaches neither the capped path's dead level N - 1 nor its
-    length, and packs as 0 either way."""
+    max(N + 1, 3) vertices.  The search walks the same tree: no table can
+    report a copy, and a path value at pair (x, y), at most y - 1, reaches
+    neither the capped path's dead level N - 1 nor its length, and packs as
+    0 either way.  A jump family is only its count, so it is kept as
+    given; the search caps the count where it builds its member table."""
     kind, _, rest = text.partition(":")
     if kind != "path" and (side == "red" or kind not in ("power", "jumps")):
         raise _UsageError(f"{side} spec must be {_SPEC_FORMS[side]}, got {text!r}")
@@ -390,7 +404,7 @@ def _parse_spec(text: str, side: str, N: int):
             m, t = (int(x) for x in rest.split(","))
             return power_path(min(m, top), t), f"power:{m},{t}"
         n = int(rest)
-        return JumpsFamily(min(n, N // 2 + 1)), f"jumps:{n}"
+        return JumpsFamily(n), f"jumps:{n}"
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad {side} spec {text!r}: {exc}")
 
@@ -420,7 +434,7 @@ def _certificate(N: int, red_text: str, blue_text: str, budget: int,
     )
 
 
-def _cmd_search(args, stdin, stdout, stderr) -> int:
+def _search(args, stdin, stdout):
     if (args.n is None) == (args.nmax is None):
         raise _UsageError("give exactly one of --n and --nmax")
     N = max(args.nmax if args.n is None else args.n, 0)
@@ -440,41 +454,33 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
                                          args.budget, level.outcome))
         stdout.write(f"largest-sat {out.largest_sat}\n")
         stdout.write(f"status {out.status}\n")
-        return 3 if out.status == "inconclusive" else 0
+        return None, 3 if out.status == "inconclusive" else 0
 
     outcome = decide(AvoidanceProblem(args.n, red, blue), budget=args.budget,
                      workers=workers)
     if outcome.status == "sat":
-        _emit(serialize_triple_coloring(outcome.witness), args.output, stdout)
-        stderr.write(
-            f"sat nodes={outcome.stats.nodes} "
-            f"max-depth={outcome.stats.max_depth}\n"
-        )
-        return 0
+        note = f"sat nodes={outcome.stats.nodes} max-depth={outcome.stats.max_depth}\n"
+        return serialize_triple_coloring(outcome.witness), 0, note
     if outcome.status == "unsat":
-        _emit(_certificate(args.n, red_text, blue_text, args.budget, outcome),
-              args.output, stdout)
-        return 1
-    stderr.write(f"inconclusive budget={args.budget}\n")
-    return 3
+        return _certificate(args.n, red_text, blue_text, args.budget, outcome), 1
+    return None, 3, f"inconclusive budget={args.budget}\n"
 
 
-def _cmd_verify(args, stdin, stdout) -> int:
-    if args.what == "member":
-        pattern, file_jumps = parse_pattern(_read_file(args.pattern))
-        if args.jumps is not None:
-            jumps = _positions(args.jumps)
-        elif file_jumps is not None:
-            jumps = frozenset(file_jumps)
-        else:
-            raise _UsageError("no jump set: pass --jumps or a file jumps line")
-        report = validate_jump_member(pattern, jumps)
-        if report.valid:
-            stdout.write("valid\n")
-            return 0
-        stdout.write(f"invalid: {report.reason}\n")
-        return 1
+def _verify_member(args, stdin, stdout):
+    pattern, file_jumps = parse_pattern(_read_file(args.pattern))
+    if args.jumps is not None:
+        jumps = _positions(args.jumps)
+    elif file_jumps is not None:
+        jumps = frozenset(file_jumps)
+    else:
+        raise _UsageError("no jump set: pass --jumps or a file jumps line")
+    report = validate_jump_member(pattern, jumps)
+    if report.valid:
+        return "valid\n", 0
+    return f"invalid: {report.reason}\n", 1
 
+
+def _verify_roundtrip(args, stdin, stdout):
     for name, least in (("n", 1), ("count", 0), ("hosts", 3)):
         if getattr(args, name) < least:
             raise _UsageError(f"{name} must be at least {least}")
@@ -496,9 +502,8 @@ def _cmd_verify(args, stdin, stdout) -> int:
         hx, hy, hz = verts[x - 1], verts[y - 1], verts[z - 1]
         if chi.color(hx, hy) == chi.color(hy, hz) == chi.color(hx, hz):
             verified += 1
-    stdout.write(f"count {args.count} applicable {applicable} "
-                 f"verified {verified}\n")
-    return 0 if verified == applicable else 1
+    return (f"count {args.count} applicable {applicable} verified {verified}\n",
+            0 if verified == applicable else 1)
 
 
 def _planted_coloring(N: int, k: int, rng: random.Random) -> PairColoring:
@@ -522,19 +527,12 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.cmd == "gen":
-            return _cmd_gen(args, stdin, stdout)
-        if args.cmd == "lift":
-            return _cmd_lift(args, stdin, stdout)
-        if args.cmd == "detect":
-            return _cmd_detect(args, stdin, stdout)
-        if args.cmd == "table":
-            return _cmd_table(args, stdin, stdout)
-        if args.cmd == "certify":
-            return _cmd_certify(args, stdin, stdout)
-        if args.cmd == "search":
-            return _cmd_search(args, stdin, stdout, stderr)
-        return _cmd_verify(args, stdin, stdout)
+        # search's note for stderr follows the text, so a failed write leaves none
+        text, code, *note = args.run(args, stdin, stdout)
+        if text is not None:
+            _emit(text, args.output, stdout)
+        stderr.writelines(note)
+        return code
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
     except (FormatError, _UsageError, CertificationError, ValueError) as exc:

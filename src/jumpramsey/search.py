@@ -672,8 +672,8 @@ def _blue_table(N: int, blue, colour: list[bool]):
     """The table the walker pushes each blue triple to, None for a monotone
     path, which the engine tracks by its alpha table.  A member with n
     jumps has 2n + 1 vertices, so no family with more than N // 2 jumps
-    fits in [N]; the member table is built for at most N // 2 + 1 jumps,
-    as the command line caps its specs, and walks the same tree."""
+    fits in [N]; the member table, the one cap on a jump count, is built
+    for at most N // 2 + 1 jumps and walks the same tree."""
     if isinstance(blue, JumpsFamily):
         return _JumpMembers(N, min(blue.n, N // 2 + 1), colour)
     t = _power_window(blue)

@@ -1,5 +1,6 @@
 """End-to-end command tests through dispatch with in-memory streams."""
 
+import argparse
 import hashlib
 import io
 import os
@@ -497,6 +498,66 @@ def test_unwritable_output_is_a_usage_error(tmp_path, argv, out, written):
     assert err == f"error: cannot write {missing / written}: No such file or directory\n"
 
 
+ALL_BLUE_5 = "triples 5\n" + "0" * 10 + "\n"
+
+# one run of every command that takes --output, with its exit code; the
+# last two print nothing.  {name} is a file written by the test, and the
+# stdin is a pair coloring, the gf16 lift or ALL_BLUE_5
+OUTPUT_RUNS = [
+    ("gen path --m 5", None, 0),
+    ("gen power --m 6 --t 4", None, 0),
+    ("gen imin --n 2", None, 0),
+    ("gen pentagon", None, 0),
+    ("gen gf16", None, 0),
+    ("gen schur --classes 1/2", None, 0),
+    ("gen paley --q 13", None, 0),
+    ("gen product --left {pentagon} --right {pentagon}", None, 0),
+    ("lift", "pentagon", 0),
+    ("detect redpath --m 4", "gf16-lift", 0),
+    ("detect pattern --pattern {imin}", "all-blue", 0),
+    ("detect jumps --n 2", "gf16-lift", 0),
+    ("detect clique --m 2", "pentagon", 0),
+    ("table alpha", "gf16-lift", 0),
+    ("table beta", "gf16-lift", 0),
+    ("table profiles", "gf16-lift", 0),
+    ("certify ghtriangle --m 3 --jumps 2 --chi {chi}", None, 0),
+    ("certify witness --chain {chain}", "all-blue", 0),
+    ("certify profileprop --n 2", "gf16-lift", 0),
+    ("certify downsets --n 4", None, 0),
+    ("search --n 6 --red path:4 --blue path:4", None, 0),
+    ("search --n 7 --red path:4 --blue path:4", None, 1),
+    ("detect jumps --n 3", "gf16-lift", 1),
+    ("search --n 9 --red path:4 --blue path:5 --budget 1000", None, 3),
+]
+
+
+@pytest.mark.parametrize("command, stdin, want", OUTPUT_RUNS)
+def test_output_file_holds_what_stdout_would(tmp_path, command, stdin, want):
+    files = {
+        "pentagon": serialize_pair_coloring(pentagon_coloring()),
+        "imin": run(["gen", "imin", "--n", "2"])[1],
+        "chi": "1 2 1\n2 3 1\n1 3 1\n",
+        "chain": "witness\nvertices 1 2 3 4 5\nblocks 1 1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = command.format(**{name: tmp_path / name for name in files}).split()
+    text = {
+        None: "",
+        "pentagon": files["pentagon"],
+        "gf16-lift": serialize_triple_coloring(lift(gf16_coloring())),
+        "all-blue": ALL_BLUE_5,
+    }[stdin]
+    code, out, err = run(argv, stdin=text)
+    assert code == want
+    target = tmp_path / "out"
+    assert run([*argv, "--output", str(target)], stdin=text) == (code, "", err)
+    if out:
+        assert target.read_bytes() == out.encode()
+    else:
+        assert not target.exists()
+
+
 def test_search_usage_errors():
     code, _, err = run(["search", "--red", "path:4", "--blue", "path:4"])
     assert code == 2 and "exactly one" in err
@@ -566,7 +627,7 @@ def test_search_workers_env_and_flag(monkeypatch):
             "1",
         ]
     )
-    assert code == 0 or "sat" in err
+    assert code == 0 and err == "sat nodes=36 max-depth=10\n"
     monkeypatch.setenv(WORKERS_ENV, "2")
     code, out, _ = run(
         ["search", "--n", "7", "--red", "path:4", "--blue", "path:4"]
@@ -636,3 +697,20 @@ def test_parser_is_built_once_and_reports_to_the_given_streams():
     code, out, err = run(["lift", "--help"])
     assert code == 0 and out.startswith("usage: jumpramsey lift") and err == ""
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_every_leaf_has_a_handler_and_all_but_verify_take_output():
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for sub in subs:
+            for name, child in sub.choices.items():
+                yield from leaves(child, (*path, name))
+
+    found = dict(leaves(cli._build_parser(), ()))
+    assert len(found) == 23
+    for path, parser in found.items():
+        assert callable(parser.get_default("run")), path
+        takes_output = any("--output" in a.option_strings for a in parser._actions)
+        assert takes_output == (path[0] != "verify"), path
