@@ -10,7 +10,8 @@ command's handler sits on its parser and returns the text to print (None
 for nothing) and the exit code; dispatch writes the text once.  --output
 receives exactly what stdout would, and a run that prints nothing writes
 no file.  search --nmax alone prints its levels as it goes and takes
---output as a prefix, one file per level.
+--output as a prefix, one file per level.  An --output that cannot be
+written is a usage error before the command runs.
 Exit codes: 0 found/true/sat, 1 not-found/false/unsat, 2 usage or format
 error, 3 inconclusive search, 4 internal error (a failed self-check,
 exhausted resources or any other exception a command raises), 141
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import random
 import sys
@@ -196,6 +198,24 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}")
+
+
+def _check_output(path: str, prefix: bool) -> None:
+    """Fail as a write to path would, before the command runs: its folder
+    must exist and be writable, and path must not be a folder.  A prefix
+    (search --nmax) names files path-N..., so only its folder is checked.
+    Nothing is created; the write itself still reports what this misses."""
+    folder = os.path.dirname(path) or "."
+    try:
+        if not os.path.isdir(folder):
+            os.stat(folder)  # the reason it is missing, if it is
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(folder, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        if not prefix and os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 def _write_file(path: str, text: str) -> None:
@@ -527,6 +547,9 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.output:
+            # search --nmax takes --output as a prefix
+            _check_output(args.output, getattr(args, "nmax", None) is not None)
         # search's note for stderr follows the text, so a failed write leaves none
         text, code, *note = args.run(args, stdin, stdout)
         if text is not None:

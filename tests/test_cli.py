@@ -487,15 +487,47 @@ def test_search_bracket_writes_level_files(tmp_path):
 
 @pytest.mark.parametrize("argv, out, written", [
     (["gen", "pentagon", "--output", "x"], "", "x"),
-    # the bracket prints each level as it goes, so the first one is out
+    # the bracket's prefix is checked before its first level is printed
     (["search", "--nmax", "4", "--red", "path:3", "--blue", "path:3", "--output", "pre"],
-     "N=2 sat\n", "pre-N2.triples"),
+     "", "pre"),
 ])
 def test_unwritable_output_is_a_usage_error(tmp_path, argv, out, written):
     missing = tmp_path / "missing"
     code, got, err = run([*argv[:-1], str(missing / argv[-1])])
     assert (code, got) == (2, out)
     assert err == f"error: cannot write {missing / written}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, target, reason", [
+    (["--n", "6"], "missing/x", "No such file or directory"),
+    (["--n", "6"], "file/x", "Not a directory"),
+    (["--n", "6"], "folder", "Is a directory"),
+    (["--nmax", "6"], "missing/pre", "No such file or directory"),
+])
+def test_unwritable_output_fails_before_the_search_runs(monkeypatch, tmp_path, argv,
+                                                         target, reason):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "decide", refuse)
+    monkeypatch.setattr(cli, "bracket", refuse)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    path = tmp_path / target
+    code, out, err = run(["search", *argv, "--red", "path:4", "--blue", "path:4",
+                          "--output", str(path)])
+    assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_folder_is_a_bracket_prefix(tmp_path):
+    # --nmax writes folder-N2.triples and so on beside the folder, not in it
+    (tmp_path / "lv").mkdir()
+    code, out, _ = run(["search", "--nmax", "4", "--red", "path:3", "--blue", "path:3",
+                        "--output", str(tmp_path / "lv")])
+    assert code == 0 and out.endswith("status closed\n")
+    assert (tmp_path / "lv-N2.triples").exists() and (tmp_path / "lv-N3.cert").exists()
 
 
 ALL_BLUE_5 = "triples 5\n" + "0" * 10 + "\n"

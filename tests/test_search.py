@@ -79,28 +79,48 @@ def test_small_red_path_against_jumps():
     assert out.witness.bitstring() == "1111110000"
 
 
+# (N, blue, budget): (status, SearchStats fields, witness) for red path:4;
+# budget stops after 1 to 50 nodes land in the split enumeration or the
+# first split, the larger ones deep in the search, where red is dead at
+# nearly every node
+BLUE_STATS = {
+    (7, JumpsFamily(2), DEFAULT_BUDGET):
+        ("sat", (7786, 35, 0, 5375, 0, 1184), "11111101100111100000000000001101110"),
+    (6, power_path(4, 4), DEFAULT_BUDGET):
+        ("sat", (1865, 20, 0, 1127, 0, 352), "11010111110000011100"),
+    (7, power_path(5, 4), DEFAULT_BUDGET):
+        ("sat", (3483, 35, 0, 2737, 0, 352), "11111110101111100000000000000011100"),
+    (8, JumpsFamily(2), 1): ("inconclusive", (1, 1, 0, 0, 0, 0), None),
+    (8, JumpsFamily(2), 2): ("inconclusive", (2, 2, 0, 0, 0, 0), None),
+    (8, JumpsFamily(2), 3): ("inconclusive", (3, 3, 0, 0, 0, 0), None),
+    (8, JumpsFamily(2), 7): ("inconclusive", (7, 4, 0, 0, 0, 0), None),
+    (8, JumpsFamily(2), 50): ("inconclusive", (50, 24, 0, 4, 0, 0), None),
+    (8, JumpsFamily(2), 10_000): ("inconclusive", (10000, 47, 0, 9249, 0, 355), None),
+    (7, power_path(4, 4), 1): ("inconclusive", (1, 1, 0, 0, 0, 0), None),
+    (7, power_path(4, 4), 2): ("inconclusive", (2, 2, 0, 0, 0, 0), None),
+    (7, power_path(4, 4), 3): ("inconclusive", (3, 3, 0, 0, 0, 0), None),
+    (7, power_path(4, 4), 7): ("inconclusive", (7, 4, 0, 0, 0, 0), None),
+    (7, power_path(4, 4), 50): ("inconclusive", (50, 24, 0, 10, 0, 0), None),
+    (7, power_path(4, 4), 20_000): ("inconclusive", (20000, 32, 0, 13211, 0, 3377), None),
+    (9, JumpsFamily(2), 200_000): ("inconclusive", (200000, 65, 0, 189699, 0, 5126), None),
+    (9, power_path(4, 4), 200_000): ("inconclusive", (200000, 50, 0, 183290, 0, 8331), None),
+}
+
+
 def test_blue_detector_searches_keep_their_outcomes():
     # the engine pushes each triple that turns blue to its blue table;
-    # every prune, node count and witness is pinned here
-    cases = [
-        (7, JumpsFamily(2), DEFAULT_BUDGET,
-         ("sat", 7786, 35, "11111101100111100000000000001101110")),
-        (6, power_path(4, 4), DEFAULT_BUDGET,
-         ("sat", 1865, 20, "11010111110000011100")),
-        (7, power_path(5, 4), DEFAULT_BUDGET,
-         ("sat", 3483, 35, "11111110101111100000000000000011100")),
-        (8, JumpsFamily(2), 10_000, ("inconclusive", 10000, 47, None)),
-        (7, power_path(4, 4), 20_000, ("inconclusive", 20000, 32, None)),
-    ]
-    for N, blue, budget, want in cases:
+    # every prune counter, node count and witness is pinned here
+    for (N, blue, budget), (status, stats, bits) in BLUE_STATS.items():
         problem = AvoidanceProblem(N, monotone_path(4), blue)
         out = decide(problem, budget=budget)
-        bits = None if out.witness is None else out.witness.bitstring()
-        assert (out.status, out.stats.nodes, out.stats.max_depth, bits) == want
+        got = None if out.witness is None else out.witness.bitstring()
+        assert (out.status, out.stats, got) == (
+            status, search.SearchStats(*stats), bits), (N, blue, budget)
     problem = AvoidanceProblem(7, monotone_path(4), power_path(5, 4))
     again = decide(problem, workers=2)
-    assert (again.status, again.stats.nodes, again.stats.max_depth,
-            again.witness.bitstring()) == cases[2][3]
+    assert (again.status, again.stats, again.witness.bitstring()) == (
+        "sat", search.SearchStats(3483, 35, 0, 2737, 0, 352),
+        "11111110101111100000000000000011100")
 
 
 def _blue(text):
@@ -307,6 +327,19 @@ def test_budget_starvation_is_deterministic():
         assert again.stats == base.stats
     # a genuinely sufficient budget still finishes
     assert decide(problem, budget=300000).status == "sat"
+
+
+def test_a_split_out_of_budget_at_its_start_has_no_depth():
+    # red path:3 is dead at every rank, so each split starts with a run of
+    # blue nodes; with no budget left the run stops before its first node,
+    # after counting that rank red-dead, and the split reaches no depth
+    problem = AvoidanceProblem(8, monotone_path(3), JumpsFamily(2))
+    prefixes = search._Engine(problem, DEFAULT_BUDGET).decompose(SPLIT_DEPTH)
+    assert prefixes == [(False,) * SPLIT_DEPTH]
+    assert search._run_split((problem, prefixes[0], 0)) == (
+        None, True, search.SearchStats(0, 0, 0, 1, 0, 0))
+    assert search._run_split((problem, prefixes[0], 3)) == (
+        None, True, search.SearchStats(3, SPLIT_DEPTH + 3, 0, 4, 0, 0))
 
 
 def test_symmetry_shortcut_only_for_identical_sides():
@@ -522,17 +555,27 @@ def engine_state(eng):
 
 
 # the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
-# sat), so it walks its whole subtree with the memo on; the power and jumps
-# levels at N=6 are sat, and a leaf that returns makes each split visit
-# every avoiding colouring below its prefix
+# sat), so it walks its whole subtree with the memo on.  The table levels
+# are sat, and a leaf that returns makes each split visit every avoiding
+# colouring below its prefix, so at most 32 splits, spread over the DFS
+# order, are walked, and two levels split deeper, at WALK_DEPTHS, where the
+# subtrees are smaller.  The generic jump_min(2) member's push is a full
+# detector run on bits.  jumps:2 at N=7 splits before rank 12, (1, 5, 6):
+# from block (2, 3, .) on red is dead at most nodes, and a run of blue
+# nodes covers up to 4 ranks
+WALK_DEPTHS = {(6, jump_min(2)[0]): 9, (7, JumpsFamily(2)): 12}
+
+
 @pytest.mark.parametrize("N, blue", [
-    (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2))])
+    (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
+    (6, jump_min(2)[0]), (7, JumpsFamily(2))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     problem = AvoidanceProblem(N, monotone_path(4), blue)
     probe = search._Engine(problem, DEFAULT_BUDGET)
-    prefixes = probe.decompose(SPLIT_DEPTH)
+    prefixes = probe.decompose(WALK_DEPTHS.get((N, blue), SPLIT_DEPTH))
     if probe.table is None:  # a blue path: only the first split
         prefixes = prefixes[:1]
+    prefixes = prefixes[::-(-len(prefixes) // 32)]
     assert engine_state(probe) == engine_state(search._Engine(problem, DEFAULT_BUDGET))
     leaves = []
     pruned = 0
