@@ -9,8 +9,9 @@ Data flows through stdin/stdout in the formats of module core.  Each
 command's handler sits on its parser and returns the text to print (None
 for nothing) and the exit code; dispatch writes the text once.  --output
 receives exactly what stdout would, and a run that prints nothing writes
-no file.  search --nmax alone prints its levels as it goes and takes
---output as a prefix, one file per level.  An --output that cannot be
+no file.  search --nmax alone writes its own output once every level is
+decided: a line per level and, with --output as a prefix, one file per
+level.  An --output that cannot be
 written is a usage error before the command runs.
 Exit codes: 0 found/true/sat, 1 not-found/false/unsat, 2 usage or format
 error, 3 inconclusive search, 4 internal error (a failed self-check,

@@ -53,26 +53,25 @@ runs.
 
 The walker runs over a range of ranks with an explicit stack, so search
 depth C(N, 3) is bounded by memory and the node budget, not by the
-interpreter's recursion limit.  A node's whole job is done inline in its
-loop, on local variables, since a method call per step (apply, undo,
-count) was most of a node's cost.  The blue spec picks one of two loops.
-Path/path backs up one rank at a time: each write may have raised pairs
-that its rank's trail unwinds, and the memo below records a block start
-from the packed state as the back-up passes it.  With a table, undoing a
-blue rank only sets its bit and clears its ends slot, and undoing a red
-one restores one alpha value.  So that loop keeps a stack of the red
-ranks of its branch, the ones whose blue is untried, and a dead end backs
-up to the last of them in one step: one OR restores the bits and one slice
-clears the ends of every rank above it.  Red at (u, v, w) is dead exactly
+interpreter's recursion limit.  A node's whole job is done inline in one
+loop for every blue spec, on local variables, since a method call per step
+(apply, undo, count) was most of a node's cost.  Its stack is the red ranks
+of the branch whose blue is untried; every other rank of the branch is
+blue.  A dead end backs up to the last of them, c, in one step: one OR
+restores the bits and one slice clears the ends of every rank above c, and
+c's own undo, one alpha value or with a blue path an unwind of the trail
+to c's mark, takes their raises with it.  Red at (u, v, w) is dead exactly
 when ar(u, v) is at the red dead level, and no write in block (u, v, .)
 raises ar(u, v); so the rest of such a block, up to the end of the walk,
-goes blue in one inner loop.  Each rank of the run still counts as a
-red-dead write and a node, the run ends at the first push that finds a
-copy, and the budget stops it on the node where a walk of one rank at a
-time would stop.  Most nodes of the table levels fall in such runs: red is
-dead at 189,699 of the first 200,000 for p4 vs jumps:2 at N=9.  The split
-enumeration walks the first ranks and collects the live prefixes; each
-split replays its prefix and walks the remaining ranks to a full coloring.
+goes blue in one inner loop.  With a blue path each of its writes is alive
+and raises nothing, as the fixpoint already holds ab(v, z) > ab(u, v) for
+every z.  Each rank of the run still counts as a red-dead write and a node,
+the run ends at the first push that finds a copy, and the budget stops it
+on the node where a walk of one rank at a time would stop.  Most nodes fall
+in such runs: 189,699 of the first 200,000 for p4 vs jumps:2 at N=9, and
+25,304 of the 42,272 of p4/p5 at N=9.  The split enumeration walks the
+first ranks and collects the live prefixes; each split replays its prefix
+and walks the remaining ranks to a full coloring.
 
 Path/path splits also skip states that failed before.  At the start of
 block (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
@@ -87,8 +86,9 @@ forced rule reads it, and a chain of raises adds one per pair along
 increasing vertices, so it carries at most d + (N - y) - 1 to a pair
 (., y'), y' < N, and d + (N - y) to a pair (., N): it reaches no dead level
 and no m - 1, directly or through a max.  The clamped suffix is one int,
-kept up to date with every raise and its undo; a block start whose walk
-failed in both colours records it, and a later arrival with the same int
+kept up to date with every raise and its undo.  The back-up records each
+block start of the branch it passes that is blue or had both colours
+tried, on the int it had on arrival, and a later arrival with the same int
 backs out at once and counts a memo hit, not a node.  Only failed
 subtrees are skipped, so the first sat leaf, every status and every witness
 stay as they were; only the node counts and depths move.  Each split has
@@ -102,11 +102,13 @@ the worker count), each subproblem runs under the same node cap, and the
 results fold in prefix order exactly as a single-threaded run would have
 encountered them; the budget accounting replays sequential semantics, so
 a run that would have starved sequentially reports inconclusive no matter
-how many workers finished their pieces.
+how many workers finished their pieces.  Each worker has a pipe of its
+own, and the workers are killed as soon as the fold decides.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -315,12 +317,12 @@ class _Engine:
 
     bits starts all ones (red); a blue branch clears its rank bit, so the
     mask always reads unassigned triples as red, which is what a full blue
-    detector run needs to stay sound on a partial coloring.  The stack is
-    per-rank arrays: the colour given to each rank on the current branch
-    and its token, what undoing it needs: the red value it overwrote, or
-    with a blue path table the trail length before its raises.  A blue spec
-    other than a path has a table (power windows, jump members or, for a
-    generic pattern, a detector run; see the module docstring).
+    detector run needs to stay sound on a partial coloring.  Per rank it
+    keeps the colour given on the current branch and its token, what
+    undoing it needs: the red value it overwrote, or with a blue path the
+    trail length before its raises.  A blue spec other than a path has a
+    table (power windows, jump members or, for a generic pattern, a
+    detector run; see the module docstring).
 
     The probe (split None) starts on uncoloured tables with no memo; a
     split engine replays its live prefix first, and a path/path split
@@ -430,187 +432,135 @@ class _Engine:
         """Depth-first over ranks start..stop-1, red before blue, calling
         leaf() with ranks below stop coloured; returns with them undone.
 
-        Counters and bits live in locals while it runs and go back to the
-        engine on every exit, _Budget and the leaf's _Found included.  The
-        spec picks the loop: a blue path walks with the alpha tables and
-        the memo, every other blue spec with its table."""
-        if self.table is None:
-            self._walk_paths(start, stop, leaf)
-        else:
-            self._walk_table(start, stop, leaf)
-
-    def _walk_paths(self, start: int, stop: int, leaf) -> None:
-        """walk for path/path.  Every write raises pairs through _settle, so
-        the back-up goes one rank at a time and unwinds each rank's trail.
-
-        With the memo on (splits only, whose leaf never returns), a
-        block-start rank whose front state failed before is backed out of at
-        once, and one left with both colours tried is recorded as failed."""
-        colour, token, pairs_idx, front = self.colour, self.token, self.pairs_idx, self.front
-        ar, ab, memo, cap = self.ar, self.ab, self.memo, self.cap
-        settle, unwind, trail = self._settle, self._unwind, self.trail
-        red_top, blue_top, symmetric = self.red_m - 1, self.blue_m - 1, self.symmetric
-        nodes, max_depth, bits = self.nodes, self.max_depth, self.bits
-        memo_hits, red_dead, blue_dead = self.memo_hits, self.red_dead, self.blue_dead
-        rank = start
-        red = True  # the branch to try next at rank
-        try:
-            while True:
-                if rank == stop:
-                    leaf()
-                elif red:
-                    at = front[rank]
-                    if at is not None and self.packed >> at in memo:
-                        memo_hits += 1
-                    else:
-                        iuv, ivw = pairs_idx[rank]
-                        token[rank] = len(trail)
-                        cand = ar[iuv] + 1
-                        if not (cand <= ar[ivw] or (
-                                cand < red_top and settle(True, ivw, cand))):
-                            red_dead += 1
-                            red = False
-                            continue
-                        if nodes == cap:
-                            raise _Budget()
-                        nodes += 1
-                        if rank >= max_depth:
-                            max_depth = rank + 1
-                        colour[rank] = True
-                        rank += 1
-                        continue
-                elif rank or not symmetric:
-                    iuv, ivw = pairs_idx[rank]
-                    token[rank] = len(trail)
-                    cand = ab[iuv] + 1
-                    if cand <= ab[ivw] or (cand < blue_top and settle(False, ivw, cand)):
-                        if nodes == cap:
-                            raise _Budget()
-                        nodes += 1
-                        if rank >= max_depth:
-                            max_depth = rank + 1
-                        colour[rank] = False
-                        bits ^= 1 << rank
-                        rank += 1
-                        red = True
-                        continue
-                    blue_dead += 1
-                # back up to the nearest rank whose blue branch is untried;
-                # red is False while rank has had both colours tried (not
-                # so at a leaf or a memo hit), and a block start is recorded
-                while True:
-                    if not red and front[rank] is not None:
-                        if len(memo) >= MEMO_CAP:
-                            memo.clear()
-                        memo.add(self.packed >> front[rank])
-                    if rank == start:
-                        return
-                    rank -= 1
-                    red = colour[rank]
-                    if len(trail) > token[rank]:
-                        unwind(token[rank])
-                    if red:
-                        red = False
-                        break
-                    bits |= 1 << rank
-        finally:
-            self.nodes, self.max_depth, self.bits = nodes, max_depth, bits
-            self.memo_hits, self.red_dead, self.blue_dead = memo_hits, red_dead, blue_dead
-
-    def _walk_table(self, start: int, stop: int, leaf) -> None:
-        """walk for a blue spec with a table.  Every rank between two red
-        ranks of the branch is blue, and undoing it only sets its bit and
-        clears its ends slot, so reds, the red ranks of the branch, the ones
-        whose blue is untried, is the whole stack.  A dead end (a push that
-        completes a copy, or a leaf that returns) pops the last of them, c,
-        restores the bits and clears the ends of every rank above c at
-        once, restores ar from c's token and tries blue at c.
-
-        ar(u, v) is fixed in block (u, v, .): only a red write at (x, u, v)
-        raises it.  So when red is dead at (u, v, w), the rest of the block,
-        up to stop, is one run of blue nodes, each counted red-dead first,
-        which ends at the first push that completes a copy."""
-        colour, token, pairs_idx, cap = self.colour, self.token, self.pairs_idx, self.cap
-        ar, push, ends = self.ar, self.table.push, self.table.ends
+        reds is the branch stack of the module docstring: a dead end (a
+        write that dies, a push that completes a copy, a memo hit, or a leaf
+        that returns) pops its last rank, c, and tries blue at c.  A red
+        write that fails to propagate goes onto reds too.  starts holds the
+        branch's block starts for the memo (path/path splits), each recorded
+        at its own mark as the back-up passes it.  Counters and bits live in
+        locals and go back to the engine on every exit, _Budget and the
+        leaf's _Found included."""
+        colour, token, pairs_idx, front, cap = (
+            self.colour, self.token, self.pairs_idx, self.front, self.cap)
+        ar, ab, memo, trail = self.ar, self.ab, self.memo, self.trail
+        settle, unwind = self._settle, self._unwind
+        push, ends = (None, None) if self.table is None else (self.table.push, self.table.ends)
         block_end = _block_ends(self.N)
         red_top = self.red_m - 1
+        blue_top = self.blue_m - 1 if push is None else None
+        # the blue of rank 0 is the colour swap of its red when the sides agree
+        first = 1 if self.symmetric else 0
         nodes, max_depth, bits = self.nodes, self.max_depth, self.bits
-        red_dead, blue_hits = self.red_dead, self.blue_hits
-        reds = []
+        memo_hits, red_dead, blue_dead, blue_hits = (
+            self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
+        reds, starts, base = [], [], len(trail)
         rank = start
         try:
             while True:
                 if rank == stop:
                     leaf()
                     top = stop  # ranks below top and above the next red are blue
+                elif front[rank] is not None and self.packed >> front[rank] in memo:
+                    memo_hits += 1
+                    top = rank
                 else:
                     iuv, ivw = pairs_idx[rank]
                     cand = ar[iuv] + 1
                     if cand < red_top:
-                        if nodes == cap:
-                            raise _Budget()
-                        nodes += 1
-                        if rank >= max_depth:
-                            max_depth = rank + 1
-                        colour[rank] = True
-                        old = token[rank] = ar[ivw]
-                        if cand > old:
-                            ar[ivw] = cand
-                        reds.append(rank)
-                        rank += 1
-                        continue
-                    # red is dead for the rest of the block: a run of blue nodes
-                    end = block_end[rank]
-                    if end > stop:
-                        end = stop
-                    limit = rank + cap - nodes  # the budget stops the run there
-                    if limit > end:
-                        limit = end
-                    r = rank
-                    while r < limit:
-                        colour[r] = False
-                        bits ^= 1 << r
-                        if push(r, bits):
-                            break
-                        r += 1
+                        if push is None:
+                            token[rank] = len(trail)
+                        else:
+                            old = token[rank] = ar[ivw]
+                            if cand > old:
+                                ar[ivw] = cand
+                        if rank >= first:
+                            reds.append(rank)
+                        # with a table the write is done and holds
+                        if cand <= ar[ivw] or settle(True, ivw, cand):
+                            if nodes == cap:
+                                raise _Budget()
+                            nodes += 1
+                            if rank >= max_depth:
+                                max_depth = rank + 1
+                            colour[rank] = True
+                            rank += 1
+                            continue
+                        red_dead += 1
+                        top = rank + 1
                     else:
-                        # no copy: ranks rank..limit-1 were nodes
-                        nodes += limit - rank
-                        red_dead += limit - rank
-                        if limit > max_depth and limit > rank:
-                            max_depth = limit
-                        if limit < end:  # out of budget; red at limit is dead too
-                            red_dead += 1
-                            raise _Budget()
-                        rank = end
-                        continue
-                    top = r + 1  # the copy's rank is the last node of the run
-                    nodes += top - rank
-                    red_dead += top - rank
-                    if top > max_depth:
-                        max_depth = top
-                    blue_hits += 1
+                        # red is dead for the rest of the block: a run of blue nodes
+                        if front[rank] is not None:
+                            token[rank] = len(trail)
+                            starts.append(rank)
+                        end = block_end[rank]
+                        if end > stop:
+                            end = stop
+                        limit = rank + cap - nodes  # the budget stops the run there
+                        if limit > end:
+                            limit = end
+                        r = rank
+                        while r < limit:
+                            colour[r] = False
+                            bits ^= 1 << r
+                            if push is not None and push(r, bits):
+                                break
+                            r += 1
+                        top = r + (r < limit)  # past the copy's rank, its last node
+                        nodes += top - rank
+                        red_dead += top - rank
+                        if top > max_depth and top > rank:
+                            max_depth = top
+                        if r == limit:  # no copy
+                            if limit < end:  # out of budget; red at limit is dead too
+                                red_dead += 1
+                                raise _Budget()
+                            rank = end
+                            continue
+                        blue_hits += 1
                 # a dead end: back up to the last red rank and try its blue
                 while True:
                     c = reds.pop() if reds else start - 1
+                    while starts and starts[-1] > c:
+                        s = starts.pop()
+                        unwind(token[s])
+                        if len(memo) >= MEMO_CAP:
+                            memo.clear()
+                        memo.add(self.packed >> front[s])
                     bits |= (1 << top) - (1 << (c + 1))
-                    ends[c + 1:top] = [None] * (top - c - 1)
+                    if push is not None:
+                        ends[c + 1:top] = [None] * (top - c - 1)
                     if c < start:
+                        unwind(base)
                         return
-                    ar[pairs_idx[c][1]] = token[c]
+                    iuv, ivw = pairs_idx[c]
+                    colour[c] = False
+                    bits ^= 1 << c
+                    top = c + 1
+                    if push is None:
+                        unwind(token[c])
+                        if front[c] is not None:
+                            starts.append(c)
+                        cand = ab[iuv] + 1
+                        if not (cand <= ab[ivw] or (cand < blue_top and settle(False, ivw, cand))):
+                            blue_dead += 1
+                            continue
+                        hit = False
+                    else:
+                        ar[ivw] = token[c]
+                        hit = push(c, bits)
                     if nodes == cap:
                         raise _Budget()
                     nodes += 1
-                    colour[c] = False
-                    bits ^= 1 << c
-                    if not push(c, bits):
-                        rank = c + 1
+                    if c >= max_depth:
+                        max_depth = top
+                    if not hit:
+                        rank = top
                         break
                     blue_hits += 1
-                    top = c + 1
         finally:
             self.nodes, self.max_depth, self.bits = nodes, max_depth, bits
-            self.red_dead, self.blue_hits = red_dead, blue_hits
+            self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits = (
+                memo_hits, red_dead, blue_dead, blue_hits)
 
     def decompose(self, depth: int) -> list[tuple[bool, ...]]:
         """All live branch prefixes at the split depth, in DFS order."""
@@ -792,12 +742,62 @@ def _has_blue(c: TripleColoring, blue) -> bool:
     return find_blue_embedding(c, blue) is not None
 
 
-def Pool(processes: int):
-    """A process pool of that many workers.  multiprocessing is imported
-    here, when decide first starts a pool, not with the package, so a
-    process that never starts one does not pay for it."""
-    from multiprocessing import Pool
-    return Pool(processes)
+def _serve(conn, parent_end) -> None:
+    """A worker: run each split that arrives on conn and send back its
+    result, or the exception it raised.  A forked worker inherits
+    parent_end, the parent's end of the pipe, and closes it first, so that
+    it sees a parent that dies without killing it go."""
+    parent_end.close()
+    while True:
+        try:
+            args = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = _run_split(args)
+        except Exception as exc:
+            result = exc
+        conn.send(result)
+
+
+def _pool(payloads: list, workers: int):
+    """The split results in prefix order, from that many worker processes
+    with a pipe each; the splits go out in prefix order as workers come
+    free.  Closing the generator kills the workers, which share no queue or
+    lock that a killed one could leave held.  A split that raises in a
+    worker raises RuntimeError here.  multiprocessing is imported here, as
+    most processes never start a pool."""
+    from multiprocessing import Pipe, Process
+    from multiprocessing.connection import wait
+    pool, running, done = [], {}, {}
+    try:
+        for _ in range(workers):
+            conn, child = Pipe()
+            proc = Process(target=_serve, args=(child, conn), daemon=True)
+            proc.start()
+            pool.append((proc, conn))
+            child.close()
+        free, sent = [conn for _, conn in pool], 0
+        for i in range(len(payloads)):
+            while i not in done:
+                for conn in free[:len(payloads) - sent]:
+                    conn.send(payloads[sent])
+                    running[conn] = sent
+                    sent += 1
+                free = wait(list(running))
+                for conn in free:
+                    done[running.pop(conn)] = conn.recv()
+            result = done.pop(i)
+            if isinstance(result, Exception):
+                raise RuntimeError(f"split {i} failed in a worker: {result!r}") from result
+            yield result
+    finally:
+        # the pipes close after the kills, so no worker wakes to a closed one
+        for proc, conn in pool:
+            proc.kill()
+            proc.join()
+            proc.close()
+            conn.close()
 
 
 def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
@@ -827,15 +827,14 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     head = probe.stats()
 
     payloads = [(problem, p, budget - head.nodes) for p in prefixes]
-    # the pool forks all its workers up front: no more than there are splits
+    # the pool starts all its workers up front: no more than there are splits
     workers = min(workers, len(payloads))
     if workers <= 1:
-        folded = _fold((_run_split(pl) for pl in payloads), budget, head)
+        folded = _fold(map(_run_split, payloads), budget, head)
     else:
-        # leaving the block terminates the workers: a decided fold does
-        # not wait for the splits still running
-        with Pool(workers) as pool:
-            folded = _fold(pool.imap(_run_split, payloads), budget, head)
+        # leaving the block kills the workers, so a decided fold waits for no split
+        with closing(_pool(payloads, workers)) as results:
+            folded = _fold(results, budget, head)
     return _finish(folded, problem)
 
 

@@ -3,12 +3,15 @@ hosts, the known path-vs-path values, budget semantics and worker
 invariance."""
 
 import copy
+import io
+import multiprocessing
 import random
 from itertools import combinations
 
 import pytest
 
 from jumpramsey import detect, search
+from jumpramsey.cli import dispatch
 from jumpramsey.detect import (
     alpha_table,
     find_blue_embedding,
@@ -273,29 +276,19 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
     seen = []
     results = []
 
-    class InlinePool:
+    def inline_pool(payloads, workers):
         """Records its size and runs each split in this process when the
         fold asks for its result."""
-
-        def __init__(self, processes):
-            seen.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, iterable):
-            for args in iterable:
-                results.append(fn(args))
-                yield results[-1]
+        seen.append(workers)
+        for args in payloads:
+            results.append(search._run_split(args))
+            yield results[-1]
 
     def splits(problem):
         probe = search._Engine(problem, DEFAULT_BUDGET)
         return len(probe.decompose(min(SPLIT_DEPTH, probe.total)))
 
-    monkeypatch.setattr(search, "Pool", InlinePool)
+    monkeypatch.setattr(search, "_pool", inline_pool)
     problem = AvoidanceProblem(6, monotone_path(4), monotone_path(4))
     base = decide(problem)
     assert seen == []
@@ -310,6 +303,45 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
     assert splits(tiny) == 1
     assert decide(tiny, workers=5000).status == "sat"
     assert seen == [splits(problem)]
+
+
+def test_a_split_that_raises_in_a_worker_is_an_error(monkeypatch):
+    # the split enumeration runs in this process, so a prefix longer than
+    # the host has triples, put first, reaches a worker, whose replay
+    # raises IndexError under every start method; the error must come back
+    # through decide and the CLI (exit 4, never a hang or exit 1), and the
+    # pool must leave no worker behind
+    enumerate_splits = search._Engine.decompose
+
+    def decompose(self, depth):
+        return [(True,) * (self.total + 1)] + enumerate_splits(self, depth)
+
+    monkeypatch.setattr(search._Engine, "decompose", decompose)
+    problem = AvoidanceProblem(6, monotone_path(4), monotone_path(4))
+    with pytest.raises(RuntimeError) as err:
+        decide(problem, workers=2)
+    assert isinstance(err.value.__cause__, IndexError)
+    assert multiprocessing.active_children() == []
+    stderr = io.StringIO()
+    argv = ["search", "--n", "6", "--red", "path:4", "--blue", "path:4", "--workers", "2"]
+    assert dispatch(argv, io.StringIO(), io.StringIO(), stderr) == 4
+    assert stderr.getvalue().startswith("internal error: RuntimeError")
+    assert multiprocessing.active_children() == []
+
+
+def test_path_budget_stops_keep_their_stats():
+    # a budget stop early in a path/path walk, where red dies at single
+    # writes and the back-up tries their blue: every counter is pinned,
+    # max_depth included
+    for red_m, blue_m, N, budget, stats in [
+            (4, 4, 5, 7, (7, 4, 0, 2, 0, 0)),
+            (4, 4, 6, 2, (2, 2, 0, 1, 0, 0)),
+            (4, 5, 9, 50, (50, 24, 0, 8, 0, 0)),
+            (4, 6, 9, 50, (50, 24, 0, 5, 0, 0))]:
+        problem = AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m))
+        out = decide(problem, budget=budget)
+        assert (out.status, out.stats, out.witness) == (
+            "inconclusive", search.SearchStats(*stats), None), (red_m, blue_m, N)
 
 
 def test_budget_starvation_is_deterministic():
