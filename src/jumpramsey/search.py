@@ -32,24 +32,22 @@ The other blue specs are tracked by tables too, pushed when a triple turns
 blue.  Each table rests on the same fact: a copy's lex-largest edge is its
 last three vertices, and every other edge of the copy, or of the window or
 member prefix being extended, has lower rank, so it is already coloured
-when that triple turns blue.  A power path of window t >= 4 is tracked per
-(t-1)-vertex key, the longest blue power path ending there; a jump-family
-member per last four vertices, the bitmask of (last three flags, jumps
-used) states of the blue member prefixes ending there (detect.JumpStates,
-the state that detect.find_blue_jump_member carries, stepped by the same
-function).  Every key or prefix a push writes ends in its own triple, so a
-table keeps them in one slot per rank, ends[rank], and the walker undoes a
-push by clearing that slot.  What a push at a rank reads and writes, the
-ranks of the triples it checks (as one bitmask per power window) and where
-the values it extends are held, depends only on N and the spec: it is
+when that triple turns blue.  A pattern of width W >= 3 that holds every
+consecutive triple, a power path or a fixed member of J_n, is tracked per
+W-vertex key (_Windows), a jump-family member per last four vertices
+(_JumpMembers).  Every key or prefix a push writes ends in its own triple,
+so a table keeps them in one slot per rank, ends[rank], and the walker
+undoes a push by clearing that slot.  What a push at a rank reads and
+writes, the ranks of the triples it checks (as bitmasks per window) and
+where the values it extends are held, depends only on N and the spec: it is
 planned once per (N, spec), cached, and shared by the probe and every split
-engine of the process, which keep only their ends.  A push that completes
-a copy prunes the branch; it finds exactly the copies a detector run would
+engine of the process, which keep only their ends.  A push that completes a
+copy prunes the branch; it finds exactly the copies a detector run would
 find, since every earlier blue node was checked and every later triple is
-red.  A generic pattern has a table too, whose push is a full detector run
-on the partial coloring, unassigned triples read as red, and which keeps
-nothing.  The root probe and the witness re-check are always full detector
-runs.
+red.  A pattern lacking a consecutive triple has a table too, whose push is
+a full detector run on the partial coloring, unassigned triples read as
+red, and which keeps nothing.  The root probe and the witness re-check are
+always full detector runs.
 
 The walker runs over a range of ranks with an explicit stack, so search
 depth C(N, 3) is bounded by memory and the node budget, not by the
@@ -108,7 +106,7 @@ own, and the workers are killed as soon as the fold decides.
 
 from __future__ import annotations
 
-from contextlib import closing
+from contextlib import closing, suppress
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -116,7 +114,6 @@ from math import comb
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
                    lex_rank, pair_offsets, record)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
-from .family import power_path
 
 DEFAULT_BUDGET = 10**9
 SPLIT_DEPTH = 4
@@ -191,26 +188,26 @@ class _Budget(Exception):
     pass
 
 
-class _PowerWindows:
-    """Blue power paths of window t >= 4, kept per (t-1)-vertex key.
+class _Windows:
+    """Blue copies of a pattern of width W >= 3 that holds every
+    consecutive triple, kept per W-vertex key.
 
-    A key's value is the most vertices of a blue power path on at least t
-    vertices whose last t - 1 vertices are the key; a key holding none
-    reads t - 1.  Window (x_1, ..., x_t) is all blue exactly when its
-    triples are, and its lex-largest triple is (x_{t-2}, x_{t-1}, x_t).  So
-    the push at (u, v, w) takes every (t-3)-subset S below u, checks the
-    other triples of S + (u, v, w), all of lower rank, and extends the path
-    ending at key S + (u, v) to key S[1:] + (u, v, w).  Each key it writes
-    ends in (u, v, w), so ends[rank of (u, v, w)] holds the values of all of
-    them, one list per push in the order of _window_plans, and clearing it
-    undoes the push.  A window's prev key ends in (x_{t-3}, u, v), one of
-    its other triples: when the window is blue, that rank is blue and its
-    push has stored its values.
+    Position k + 1 shares edges only with the W positions before it, so a
+    key holds the bitmask of the k for which a blue copy of positions 1..k
+    ends there; bit W is always held, as its step checks every edge of
+    positions 1..W + 1.  Window S + (u, v, w), at positions k - W + 1 to
+    k + 1, ends in its lex-largest triple, the edge (u, v, w).  So the push
+    there takes every (W-2)-subset S below u and, per group of k with the
+    same edges in the window, checks those edges, all of lower rank, and
+    steps the group's k at key S + (u, v) to k + 1 at key S[1:] + (u, v, w),
+    a copy at m.  ends[rank of (u, v, w)] holds the keys ending there, and
+    clearing it undoes the push.  A prev key ends in (S[-1], u, v), an edge
+    the window checks, so its push has stored its values.
     """
 
-    def __init__(self, N: int, m: int, t: int):
-        self.m = m
-        self.plans = _window_plans(N, t)
+    def __init__(self, N: int, pattern: OrderedTripleSystem):
+        self.last, self.held = 1 << (pattern.m - 1), 1 << pattern.width
+        self.plans = _window_plans(N, pattern)
         self.ends: list[list[int] | tuple[int, ...] | None] = [None] * comb(N, 3)
 
     def push(self, rank: int, bits: int) -> bool:
@@ -221,17 +218,15 @@ class _PowerWindows:
         tops = None
         for j, prevs in keys:
             top = 0
-            for owner, i, mask in prevs:
+            for owner, i, span, mask in prevs:
                 if not bits & mask:
-                    d = ends[owner][i] + 1
-                    if d > top:
-                        top = d
+                    top |= ends[owner][i] & span
             if top:
-                if top >= self.m:
+                if top & self.last:  # a copy of positions 1..m - 1 steps to m
                     return True
                 if tops is None:
                     tops = list(blank)
-                tops[j] = top
+                tops[j] = top << 1 | self.held
         ends[rank] = blank if tops is None else tops
         return False
 
@@ -300,8 +295,8 @@ class _JumpMembers:
 
 
 class _Embeddings:
-    """A generic blue pattern: each push is a full detector run on the
-    coloring so far, unassigned triples red; ends stays all None."""
+    """A pattern lacking a consecutive triple: each push is a full detector
+    run on the coloring so far, unassigned triples red; ends stays None."""
 
     def __init__(self, N: int, pattern: OrderedTripleSystem):
         self.N, self.pattern = N, pattern
@@ -321,8 +316,8 @@ class _Engine:
     keeps the colour given on the current branch and its token, what
     undoing it needs: the red value it overwrote, or with a blue path the
     trail length before its raises.  A blue spec other than a path has a
-    table (power windows, jump members or, for a generic pattern, a
-    detector run; see the module docstring).
+    table (windows, jump members or, for a pattern lacking a consecutive
+    triple, a detector run; see the module docstring).
 
     The probe (split None) starts on uncoloured tables with no memo; a
     split engine replays its live prefix first, and a path/path split
@@ -639,31 +634,36 @@ def _memo_layout(N: int, rm: int, bm: int):
 
 
 @lru_cache(maxsize=16)
-def _window_plans(N: int, t: int):
+def _window_plans(N: int, pattern: OrderedTripleSystem):
     """Per lex rank (u, v, w), (keys, blank): what the window push there
-    reads and writes, built once per (N, t) and shared by every engine.
+    reads and writes, built once per (N, pattern) and shared by every engine.
 
-    The keys of rank (a, b, c) are the (t-1)-tuples L + (a, b, c), L a
-    (t-4)-subset of [1, a-1] in combinations order, and key j of rank r is
-    read as ends[r][j]; blank is t - 1 per key.  keys holds (j, prevs) per
-    key, prevs (r, j', mask) per window S + (u, v, w) with S[1:] the key's
-    L: its prev key S + (u, v) is key j' of rank r, and mask has the bits
-    of the window's other triples.
+    The keys of rank (a, b, c) are the W-tuples L + (a, b, c), L a
+    (W-3)-subset of [1, a-1] in combinations order, and key j of rank r is
+    read as ends[r][j]; blank is bit W per key.  keys holds (j, prevs) per
+    key, prevs (r, j', span, mask) per window S + (u, v, w) with S[1:] the
+    key's L and per group: its prev key S + (u, v) is key j' of rank r, span
+    has the group's k < N, and mask the ranks of the group's edges.
     """
-    triples = _ranks(N)[0]
-    slot = {}
-    for r, (a, b, c) in enumerate(triples):
-        for j, lead in enumerate(combinations(range(1, a), t - 4)):
-            slot[lead + (a, b, c)] = (r, j)
-    plans = []
-    for u, v, w in triples:
-        keys = {lead: [] for lead in combinations(range(1, u), t - 4)}
-        for lead in combinations(range(1, u), t - 3):
+    W = pattern.width
+    # each group's edges at positions k - W + 1 .. k + 1, as 0..W, -> its k
+    groups = {}
+    for k in range(W, min(pattern.m, N)):
+        low = k - W + 1
+        edges = frozenset((a - low, b - low, c - low) for a, b, c in pattern.edges
+                          if a >= low and c <= k + 1) - {(W - 2, W - 1, W)}
+        groups[edges] = groups.get(edges, 0) | 1 << k
+    slot, plans = {}, []
+    for r, (u, v, w) in enumerate(_ranks(N)[0]):
+        keys = {lead: [] for lead in combinations(range(1, u), W - 3)}
+        for lead in combinations(range(1, u), W - 2):
             window = lead + (u, v, w)
-            mask = sum(1 << lex_rank(e, N) for e in combinations(window, 3)
-                       if e != (u, v, w))
-            keys[lead[1:]].append(slot[window[:-1]] + (mask,))
-        plans.append((tuple(enumerate(map(tuple, keys.values()))), (t - 1,) * len(keys)))
+            for edges, span in groups.items():
+                mask = sum(1 << lex_rank((window[a], window[b], window[c]), N)
+                           for a, b, c in edges)
+                keys[lead[1:]].append(slot[window[:-1]] + (span, mask))
+        slot.update((lead + (u, v, w), (r, j)) for j, lead in enumerate(keys))
+        plans.append((tuple(enumerate(map(tuple, keys.values()))), (1 << W,) * len(keys)))
     return tuple(plans)
 
 
@@ -709,12 +709,12 @@ def _run_split(args) -> tuple[int | None, bool, SearchStats]:
 
 
 @lru_cache(maxsize=16)
-def _power_window(pattern: OrderedTripleSystem) -> int:
-    """t when pattern is power_path(m, t), t read off its widest edge (3 is
-    the monotone path), else 0.  A degenerate power:m,t with m < t is the
-    complete system on [m], which reads as power:m,m."""
-    t = pattern.width + 1
-    return t if pattern.edges and pattern == power_path(pattern.m, t) else 0
+def _consecutive(pattern: OrderedTripleSystem) -> int:
+    """The width of pattern when it holds every consecutive triple (i, i+1,
+    i+2), else 0, which is also the width with no edge.  Width 2 is exactly
+    the monotone path; a wider one has a window table."""
+    consecutive = all((i, i + 1, i + 2) in pattern.edges for i in range(1, pattern.m - 1))
+    return pattern.width if consecutive else 0
 
 
 def _blue_table(N: int, blue, colour: list[bool]):
@@ -725,11 +725,11 @@ def _blue_table(N: int, blue, colour: list[bool]):
     for at most N // 2 + 1 jumps and walks the same tree."""
     if isinstance(blue, JumpsFamily):
         return _JumpMembers(N, min(blue.n, N // 2 + 1), colour)
-    t = _power_window(blue)
-    if t == 3:
+    width = _consecutive(blue)
+    if width == 2:
         return None
-    if t:
-        return _PowerWindows(N, blue.m, t)
+    if width:
+        return _Windows(N, blue)
     return _Embeddings(N, blue)
 
 
@@ -737,27 +737,26 @@ def _has_blue(c: TripleColoring, blue) -> bool:
     """Full detector run for the blue spec."""
     if isinstance(blue, JumpsFamily):
         return find_blue_jump_member(c, blue.n) is not None
-    if _power_window(blue) == 3:
+    if _consecutive(blue) == 2:
         return alpha_table(c, Color.BLUE).max_value >= blue.m - 1
     return find_blue_embedding(c, blue) is not None
 
 
 def _serve(conn, parent_end) -> None:
     """A worker: run each split that arrives on conn and send back its
-    result, or the exception it raised.  A forked worker inherits
-    parent_end, the parent's end of the pipe, and closes it first, so that
-    it sees a parent that dies without killing it go."""
+    result, or the exception it raised and its traceback.  A forked worker
+    inherits parent_end, the parent's end of the pipe, and closes it first,
+    so that it sees a parent that dies without killing it go, and returns."""
     parent_end.close()
-    while True:
-        try:
+    with suppress(EOFError, OSError):
+        while True:
             args = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = _run_split(args)
-        except Exception as exc:
-            result = exc
-        conn.send(result)
+            try:
+                result = _run_split(args)
+            except Exception as exc:
+                from traceback import format_exc  # most workers never need it
+                result = exc, format_exc()
+            conn.send(result)
 
 
 def _pool(payloads: list, workers: int):
@@ -765,8 +764,8 @@ def _pool(payloads: list, workers: int):
     with a pipe each; the splits go out in prefix order as workers come
     free.  Closing the generator kills the workers, which share no queue or
     lock that a killed one could leave held.  A split that raises in a
-    worker raises RuntimeError here.  multiprocessing is imported here, as
-    most processes never start a pool."""
+    worker raises RuntimeError here, with its traceback.  multiprocessing
+    is imported here, as most processes never start a pool."""
     from multiprocessing import Pipe, Process
     from multiprocessing.connection import wait
     pool, running, done = [], {}, {}
@@ -788,8 +787,8 @@ def _pool(payloads: list, workers: int):
                 for conn in free:
                     done[running.pop(conn)] = conn.recv()
             result = done.pop(i)
-            if isinstance(result, Exception):
-                raise RuntimeError(f"split {i} failed in a worker: {result!r}") from result
+            if isinstance(result[0], Exception):
+                raise RuntimeError(f"split {i} failed in a worker:\n{result[1]}") from result[0]
             yield result
     finally:
         # the pipes close after the kills, so no worker wakes to a closed one
@@ -808,7 +807,7 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     found witness is re-verified with the full detectors before return;
     running out of node budget reports inconclusive, never a guess.
     """
-    if _power_window(problem.red) != 3:
+    if _consecutive(problem.red) != 2:
         raise ValueError("red pattern must be a monotone path on >= 3 vertices")
     if budget < 0:
         raise ValueError("budget must be nonnegative")

@@ -21,7 +21,7 @@ from jumpramsey.detect import (
 )
 from jumpramsey.core import (OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
                              lex_rank)
-from jumpramsey.family import jump_min, monotone_path, power_path
+from jumpramsey.family import jump_min, monotone_path, power_path, required_edges
 from jumpramsey.search import (
     DEFAULT_BUDGET,
     SPLIT_DEPTH,
@@ -321,12 +321,26 @@ def test_a_split_that_raises_in_a_worker_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         decide(problem, workers=2)
     assert isinstance(err.value.__cause__, IndexError)
+    # the worker's traceback names the frame that raised
+    assert "in _replay" in str(err.value)
     assert multiprocessing.active_children() == []
     stderr = io.StringIO()
     argv = ["search", "--n", "6", "--red", "path:4", "--blue", "path:4", "--workers", "2"]
     assert dispatch(argv, io.StringIO(), io.StringIO(), stderr) == 4
     assert stderr.getvalue().startswith("internal error: RuntimeError")
+    assert "in _replay" in stderr.getvalue()
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_whose_parent_has_gone_exits_quietly(capfd):
+    # the worker closes the only parent end of its pipe, as a forked one
+    # does, so the split it reads has nowhere to go: sending its result
+    # fails, and the worker must return with nothing on stderr
+    parent, child = multiprocessing.Pipe()
+    parent.send((AvoidanceProblem(4, monotone_path(4), monotone_path(4)), (), DEFAULT_BUDGET))
+    search._serve(child, parent)
+    child.close()
+    assert capfd.readouterr().err == ""
 
 
 def test_path_budget_stops_keep_their_stats():
@@ -480,6 +494,9 @@ TRACKED = [
     JumpsFamily(1),
     JumpsFamily(2),
     JumpsFamily(3),
+    jump_min(2)[0],
+    jump_min(3)[0],
+    required_edges(7, {3, 5}),
 ]
 
 
@@ -510,7 +527,7 @@ def test_blue_tables_match_full_detection():
             lanes = []
             for _ in range(2):
                 eng = search._Engine(problem, DEFAULT_BUDGET)
-                assert isinstance(eng.table, (search._PowerWindows, search._JumpMembers))
+                assert isinstance(eng.table, (search._Windows, search._JumpMembers))
                 plant = set()
                 if rng.random() < 0.5:
                     verts = sorted(rng.sample(range(1, N + 1), pattern.m))
@@ -548,7 +565,7 @@ def test_blue_tables_match_full_detection():
             if isinstance(blue, JumpsFamily):
                 assert plans == search._member_plans.__wrapped__(N, blue.n)
             else:
-                assert plans == search._window_plans.__wrapped__(N, blue.width + 1)
+                assert plans == search._window_plans.__wrapped__(N, blue)
         assert last_hits > runs // 10, blue
 
 
@@ -562,20 +579,32 @@ def test_plans_read_the_ranks_they_name(N):
                 (lex_rank((y, u, v), N), y, lex_rank((y, u, w), N), lex_rank((y, v, w), N))
                 for y in range(1, u))
             assert uw[1:] == tuple(lex_rank((x, u, w), N) for x in range(1, u))
-    for t in (4, 5):
-        for (u, v, w), (keys, blank) in zip(all_triples(N), search._window_plans(N, t)):
-            leads = list(combinations(range(1, u), t - 4))
-            assert blank == (t - 1,) * len(leads)
+    for pattern in (power_path(5, 4), power_path(7, 5), jump_min(3)[0]):
+        W = pattern.width
+        for (u, v, w), (keys, blank) in zip(all_triples(N), search._window_plans(N, pattern)):
+            leads = list(combinations(range(1, u), W - 3))
+            assert blank == (1 << W,) * len(leads)
             want = [[] for _ in leads]
-            for lead in combinations(range(1, u), t - 3):
+            for lead in combinations(range(1, u), W - 2):
                 window = lead + (u, v, w)
-                mask = 0
-                for e in combinations(window, 3):
-                    if e != (u, v, w):
-                        mask |= 1 << lex_rank(e, N)
-                x = window[t - 4]  # the prev key ends (x, u, v)
-                prev = list(combinations(range(1, x), t - 4)).index(window[:t - 4])
-                want[leads.index(lead[1:])].append((lex_rank((x, u, v), N), prev, mask))
+                x = window[W - 3]  # the prev key ends (x, u, v)
+                prev = list(combinations(range(1, x), W - 3)).index(window[:W - 3])
+                # per k, the window's other triples that are edges when it
+                # is positions k - W + 1 .. k + 1; the k with one mask share
+                # an entry, in order of first k
+                spans = {}
+                for k in range(W, min(pattern.m, N)):
+                    mask = 0
+                    for a, b, c in pattern.edges:
+                        if a > k - W and c <= k + 1:
+                            e = tuple(window[p - (k - W + 1)] for p in (a, b, c))
+                            if e != (u, v, w):
+                                mask |= 1 << lex_rank(e, N)
+                    spans[mask] = spans.get(mask, 0) | 1 << k
+                # a power path has one group, so one entry per window
+                assert len(spans) <= 1 or pattern == jump_min(3)[0]
+                want[leads.index(lead[1:])] += [
+                    (lex_rank((x, u, v), N), prev, span, mask) for mask, span in spans.items()]
             assert keys == tuple(enumerate(map(tuple, want)))
 
 
@@ -591,16 +620,16 @@ def engine_state(eng):
 # are sat, and a leaf that returns makes each split visit every avoiding
 # colouring below its prefix, so at most 32 splits, spread over the DFS
 # order, are walked, and two levels split deeper, at WALK_DEPTHS, where the
-# subtrees are smaller.  The generic jump_min(2) member's push is a full
-# detector run on bits.  jumps:2 at N=7 splits before rank 12, (1, 5, 6):
-# from block (2, 3, .) on red is dead at most nodes, and a run of blue
-# nodes covers up to 4 ranks
+# subtrees are smaller.  The jump_min(2) member has a window table; the
+# pattern lacking (1, 2, 3) runs a full detector on bits at each push.
+# jumps:2 at N=7 splits before rank 12, (1, 5, 6): from block (2, 3, .) on
+# red is dead at most nodes, and a run of blue nodes covers up to 4 ranks
 WALK_DEPTHS = {(6, jump_min(2)[0]): 9, (7, JumpsFamily(2)): 12}
 
 
 @pytest.mark.parametrize("N, blue", [
     (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
-    (6, jump_min(2)[0]), (7, JumpsFamily(2))])
+    (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, _blue("pattern:"))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     problem = AvoidanceProblem(N, monotone_path(4), blue)
     probe = search._Engine(problem, DEFAULT_BUDGET)
@@ -687,21 +716,45 @@ def test_member_table_and_detector_step_through_one_function():
 
 
 def test_one_recogniser_reads_the_spec():
-    assert search._power_window(power_path(6, 3)) == 3
-    assert search._power_window(monotone_path(4)) == 3
-    assert search._power_window(power_path(6, 5)) == 5
-    # the degenerate power:4,5 is the complete system on [4], power:4,4
-    assert search._power_window(power_path(4, 5)) == 4
-    assert search._power_window(jump_min(2)[0]) == 0
-    assert search._power_window(monotone_path(2)) == 0
+    # the width of a spec that has an edge and every consecutive triple,
+    # else 0; width 2 is the monotone path
+    assert search._consecutive(power_path(6, 3)) == 2
+    assert search._consecutive(monotone_path(4)) == 2
+    assert search._consecutive(power_path(6, 5)) == 4
+    # the degenerate power:4,5 is the complete system on [4]
+    assert search._consecutive(power_path(4, 5)) == 3
+    assert search._consecutive(jump_min(2)[0]) == 4
+    assert search._consecutive(required_edges(7, {3, 5})) == 4
+    assert search._consecutive(_blue("pattern:")) == 0
+    assert search._consecutive(OrderedTripleSystem(4, {(1, 2, 3), (1, 2, 4)})) == 0
+    assert search._consecutive(monotone_path(2)) == 0
     # the engine's table follows the recogniser; the jump family has its own
     tables = [type(search._blue_table(7, blue, [True] * 35)).__name__
               for blue in (power_path(6, 3), power_path(4, 5), JumpsFamily(2),
-                           jump_min(2)[0], monotone_path(2))]
+                           jump_min(2)[0], _blue("pattern:"), monotone_path(2))]
     assert tables == [
-        "NoneType", "_PowerWindows", "_JumpMembers", "_Embeddings", "_Embeddings"]
+        "NoneType", "_Windows", "_JumpMembers", "_Windows", "_Embeddings", "_Embeddings"]
     # one build of a spec is read once per process
-    search._power_window.cache_clear()
+    search._consecutive.cache_clear()
     for _ in range(3):
-        search._power_window(power_path(6, 5))
-    assert search._power_window.cache_info().misses == 1
+        search._consecutive(power_path(6, 5))
+    assert search._consecutive.cache_info().misses == 1
+
+
+def test_a_window_table_runs_no_detector_at_a_node(monkeypatch):
+    # jump_min(2) holds every consecutive triple, so its window table finds
+    # every blue copy: the detector runs once on the root probe and once on
+    # the witness.  A pattern lacking a consecutive triple runs it at every
+    # blue node
+    calls = []
+
+    def counted(c, pattern):
+        calls.append(pattern)
+        return find_blue_embedding(c, pattern)
+
+    monkeypatch.setattr(search, "find_blue_embedding", counted)
+    for blue, N in (("jmin:2", 7), ("pattern:", 6)):
+        calls.clear()
+        out = decide(AvoidanceProblem(N, monotone_path(4), _blue(blue)), budget=20000)
+        assert outcome_key(out) == BLUE_GRID[(4, blue, N, 20000)]
+        assert (len(calls) == 2) == (blue == "jmin:2"), (blue, len(calls))
