@@ -38,16 +38,17 @@ W-vertex key (_Windows), a jump-family member per last four vertices
 (_JumpMembers).  Every key or prefix a push writes ends in its own triple,
 so a table keeps them in one slot per rank, ends[rank], and the walker
 undoes a push by clearing that slot.  What a push at a rank reads and
-writes, the ranks of the triples it checks (as bitmasks per window) and
-where the values it extends are held, depends only on N and the spec: it is
-planned once per (N, spec), cached, and shared by the probe and every split
-engine of the process, which keep only their ends.  A push that completes a
-copy prunes the branch; it finds exactly the copies a detector run would
-find, since every earlier blue node was checked and every later triple is
-red.  A pattern lacking a consecutive triple has a table too, whose push is
-a full detector run on the partial coloring, unassigned triples read as
-red, and which keeps nothing.  The root probe and the witness re-check are
-always full detector runs.
+writes, the ranks of the triples it checks and where the values it extends
+are held, depends only on N and the spec: it is planned once per (N, spec),
+cached, and shared by the probe and every split engine of the process,
+which keep only their ends.  Every table reads only ranks below the one it
+pushes, all coloured on the current branch, so the ranks above may hold
+what an earlier branch left.  A push that completes a copy prunes the
+branch; it finds exactly the copies a detector run would find on the
+colours so far, every later triple red, as every earlier blue node was
+checked.  A pattern lacking a consecutive triple has a table too, whose
+push is that detector run and which keeps nothing.  The root probe and the
+witness re-check are always full detector runs.
 
 The walker runs over a range of ranks with an explicit stack, so search
 depth C(N, 3) is bounded by memory and the node budget, not by the
@@ -55,10 +56,10 @@ interpreter's recursion limit.  A node's whole job is done inline in one
 loop for every blue spec, on local variables, since a method call per step
 (apply, undo, count) was most of a node's cost.  Its stack is the red ranks
 of the branch whose blue is untried; every other rank of the branch is
-blue.  A dead end backs up to the last of them, c, in one step: one OR
-restores the bits and one slice clears the ends of every rank above c, and
-c's own undo, one alpha value or with a blue path an unwind of the trail
-to c's mark, takes their raises with it.  Red at (u, v, w) is dead exactly
+blue.  A dead end backs up to the last of them, c, in one step: one slice
+clears the ends of every rank above c, and c's own undo, one alpha value or
+with a blue path an unwind of the trail to c's mark, takes their raises
+with it.  Red at (u, v, w) is dead exactly
 when ar(u, v) is at the red dead level, and no write in block (u, v, .)
 raises ar(u, v); so the rest of such a block, up to the end of the walk,
 goes blue in one inner loop.  With a blue path each of its writes is alive
@@ -198,28 +199,32 @@ class _Windows:
     positions 1..W + 1.  Window S + (u, v, w), at positions k - W + 1 to
     k + 1, ends in its lex-largest triple, the edge (u, v, w).  So the push
     there takes every (W-2)-subset S below u and, per group of k with the
-    same edges in the window, checks those edges, all of lower rank, and
-    steps the group's k at key S + (u, v) to k + 1 at key S[1:] + (u, v, w),
-    a copy at m.  ends[rank of (u, v, w)] holds the keys ending there, and
-    clearing it undoes the push.  A prev key ends in (S[-1], u, v), an edge
-    the window checks, so its push has stored its values.
+    same edges in the window, reads the colours of those edges, all of
+    lower rank, and when none is red steps the group's k at key S + (u, v)
+    to k + 1 at key S[1:] + (u, v, w), a copy at m.  ends[rank of
+    (u, v, w)] holds the keys ending there, and clearing it undoes the
+    push.  A prev key ends in (S[-1], u, v), an edge the window reads, so
+    its push has stored the values read.
     """
 
-    def __init__(self, N: int, pattern: OrderedTripleSystem):
+    def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
+        self.colour = colour
         self.last, self.held = 1 << (pattern.m - 1), 1 << pattern.width
         self.plans = _window_plans(N, pattern)
         self.ends: list[list[int] | tuple[int, ...] | None] = [None] * comb(N, 3)
 
-    def push(self, rank: int, bits: int) -> bool:
-        """Triple rank turned blue in bits, which reads uncoloured ranks as
-        red; True when a blue copy now ends there."""
-        ends = self.ends
+    def push(self, rank: int) -> bool:
+        """Triple rank turned blue; True when a blue copy now ends there."""
+        colour, ends = self.colour, self.ends
         keys, blank = self.plans[rank]
         tops = None
         for j, prevs in keys:
             top = 0
-            for owner, i, span, mask in prevs:
-                if not bits & mask:
+            for owner, i, span, edges in prevs:
+                for e in edges:
+                    if colour[e]:
+                        break
+                else:
                     top |= ends[owner][i] & span
             if top:
                 if top & self.last:  # a copy of positions 1..m - 1 steps to m
@@ -254,9 +259,8 @@ class _JumpMembers:
         jumps = jump_states(n)
         self.step, self.steps, self.accept = jumps.step, jumps.steps, jumps.accept
 
-    def push(self, rank: int, bits: int) -> bool:
-        """Triple rank turned blue; True when a blue member now ends there.
-        The colour list reads faster than bits here, so bits is unused."""
+    def push(self, rank: int) -> bool:
+        """Triple rank turned blue; True when a blue member now ends there."""
         sources, uw, fits, seen, entry, hit = self.plans[rank]
         ends = self.ends
         out = None
@@ -296,28 +300,29 @@ class _JumpMembers:
 
 class _Embeddings:
     """A pattern lacking a consecutive triple: each push is a full detector
-    run on the coloring so far, unassigned triples red; ends stays None."""
+    run on the colours up to the pushed rank, later ranks red; ends stays None."""
 
-    def __init__(self, N: int, pattern: OrderedTripleSystem):
-        self.N, self.pattern = N, pattern
+    def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
+        self.N, self.pattern, self.colour = N, pattern, colour
         self.ends = [None] * comb(N, 3)
 
-    def push(self, rank: int, bits: int) -> bool:
-        return find_blue_embedding(TripleColoring(self.N, bits), self.pattern) is not None
+    def push(self, rank: int) -> bool:
+        marks = "".join("01"[red] for red in self.colour[:rank + 1])
+        c = TripleColoring.from_bitstring(self.N, marks.ljust(comb(self.N, 3), "1"))
+        return find_blue_embedding(c, self.pattern) is not None
 
 
 class _Engine:
-    """One search lane: incremental tables, the partial-coloring bitmask and
-    an explicit branch stack, all worked by walk.
+    """One search lane: incremental tables, the partial colouring and an
+    explicit branch stack, all worked by walk.
 
-    bits starts all ones (red); a blue branch clears its rank bit, so the
-    mask always reads unassigned triples as red, which is what a full blue
-    detector run needs to stay sound on a partial coloring.  Per rank it
-    keeps the colour given on the current branch and its token, what
-    undoing it needs: the red value it overwrote, or with a blue path the
-    trail length before its raises.  A blue spec other than a path has a
-    table (windows, jump members or, for a pattern lacking a consecutive
-    triple, a detector run; see the module docstring).
+    Per rank it keeps the colour given on the current branch, True for red,
+    and its token, what undoing it needs: the red value it overwrote, or
+    with a blue path the trail length before its raises.  The ranks above
+    the walk's current one keep what an earlier branch gave them, as
+    nothing reads a rank before the walk writes it.  A blue spec other than
+    a path has a table (windows, jump members or, for a pattern lacking a
+    consecutive triple, a detector run; see the module docstring).
 
     The probe (split None) starts on uncoloured tables with no memo; a
     split engine replays its live prefix first, and a path/path split
@@ -336,7 +341,6 @@ class _Engine:
         npairs = comb(N, 2)
         self.ar = [1] * npairs
         self.ab = None
-        self.bits = (1 << self.total) - 1
         self.colour = [True] * self.total
         self.token = [0] * self.total
         self.table = _blue_table(N, problem.blue, self.colour)
@@ -432,9 +436,9 @@ class _Engine:
         that returns) pops its last rank, c, and tries blue at c.  A red
         write that fails to propagate goes onto reds too.  starts holds the
         branch's block starts for the memo (path/path splits), each recorded
-        at its own mark as the back-up passes it.  Counters and bits live in
-        locals and go back to the engine on every exit, _Budget and the
-        leaf's _Found included."""
+        at its own mark as the back-up passes it; it leaves the colours above
+        c as they were.  Counters live in locals and go back to the engine
+        on every exit, _Budget and the leaf's _Found included."""
         colour, token, pairs_idx, front, cap = (
             self.colour, self.token, self.pairs_idx, self.front, self.cap)
         ar, ab, memo, trail = self.ar, self.ab, self.memo, self.trail
@@ -445,7 +449,7 @@ class _Engine:
         blue_top = self.blue_m - 1 if push is None else None
         # the blue of rank 0 is the colour swap of its red when the sides agree
         first = 1 if self.symmetric else 0
-        nodes, max_depth, bits = self.nodes, self.max_depth, self.bits
+        nodes, max_depth = self.nodes, self.max_depth
         memo_hits, red_dead, blue_dead, blue_hits = (
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
         reds, starts, base = [], [], len(trail)
@@ -496,8 +500,7 @@ class _Engine:
                         r = rank
                         while r < limit:
                             colour[r] = False
-                            bits ^= 1 << r
-                            if push is not None and push(r, bits):
+                            if push is not None and push(r):
                                 break
                             r += 1
                         top = r + (r < limit)  # past the copy's rank, its last node
@@ -521,7 +524,6 @@ class _Engine:
                         if len(memo) >= MEMO_CAP:
                             memo.clear()
                         memo.add(self.packed >> front[s])
-                    bits |= (1 << top) - (1 << (c + 1))
                     if push is not None:
                         ends[c + 1:top] = [None] * (top - c - 1)
                     if c < start:
@@ -529,7 +531,6 @@ class _Engine:
                         return
                     iuv, ivw = pairs_idx[c]
                     colour[c] = False
-                    bits ^= 1 << c
                     top = c + 1
                     if push is None:
                         unwind(token[c])
@@ -542,7 +543,7 @@ class _Engine:
                         hit = False
                     else:
                         ar[ivw] = token[c]
-                        hit = push(c, bits)
+                        hit = push(c)
                     if nodes == cap:
                         raise _Budget()
                     nodes += 1
@@ -553,7 +554,7 @@ class _Engine:
                         break
                     blue_hits += 1
         finally:
-            self.nodes, self.max_depth, self.bits = nodes, max_depth, bits
+            self.nodes, self.max_depth = nodes, max_depth
             self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits = (
                 memo_hits, red_dead, blue_dead, blue_hits)
 
@@ -568,15 +569,13 @@ class _Engine:
         no write of it dies and no push of it finds a copy."""
         for rank, red in enumerate(prefix):
             self.colour[rank] = red
-            if not red:
-                self.bits ^= 1 << rank
             iuv, ivw = self.pairs_idx[rank]
             if self.table is None:
                 self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
             elif red:
                 self.ar[ivw] = max(self.ar[ivw], self.ar[iuv] + 1)
             else:
-                self.table.push(rank, self.bits)
+                self.table.push(rank)
 
     def found(self) -> None:
         raise _Found()
@@ -641,9 +640,9 @@ def _window_plans(N: int, pattern: OrderedTripleSystem):
     The keys of rank (a, b, c) are the W-tuples L + (a, b, c), L a
     (W-3)-subset of [1, a-1] in combinations order, and key j of rank r is
     read as ends[r][j]; blank is bit W per key.  keys holds (j, prevs) per
-    key, prevs (r, j', span, mask) per window S + (u, v, w) with S[1:] the
+    key, prevs (r, j', span, edges) per window S + (u, v, w) with S[1:] the
     key's L and per group: its prev key S + (u, v) is key j' of rank r, span
-    has the group's k < N, and mask the ranks of the group's edges.
+    has the group's k < N, and edges the ranks of the group's edges, sorted.
     """
     W = pattern.width
     # each group's edges at positions k - W + 1 .. k + 1, as 0..W, -> its k
@@ -659,9 +658,9 @@ def _window_plans(N: int, pattern: OrderedTripleSystem):
         for lead in combinations(range(1, u), W - 2):
             window = lead + (u, v, w)
             for edges, span in groups.items():
-                mask = sum(1 << lex_rank((window[a], window[b], window[c]), N)
-                           for a, b, c in edges)
-                keys[lead[1:]].append(slot[window[:-1]] + (span, mask))
+                ranks = tuple(sorted(lex_rank((window[a], window[b], window[c]), N)
+                                     for a, b, c in edges))
+                keys[lead[1:]].append(slot[window[:-1]] + (span, ranks))
         slot.update((lead + (u, v, w), (r, j)) for j, lead in enumerate(keys))
         plans.append((tuple(enumerate(map(tuple, keys.values()))), (1 << W,) * len(keys)))
     return tuple(plans)
@@ -702,7 +701,7 @@ def _run_split(args) -> tuple[int | None, bool, SearchStats]:
     try:
         eng.walk(len(prefix), eng.total, eng.found)
     except _Found:
-        bits = eng.bits  # the walk's state at the leaf
+        bits = TripleColoring.from_bitstring(eng.N, "".join("01"[red] for red in eng.colour)).bits
     except _Budget:
         hit = True
     return bits, hit, eng.stats()
@@ -729,8 +728,8 @@ def _blue_table(N: int, blue, colour: list[bool]):
     if width == 2:
         return None
     if width:
-        return _Windows(N, blue)
-    return _Embeddings(N, blue)
+        return _Windows(N, blue, colour)
+    return _Embeddings(N, blue, colour)
 
 
 def _has_blue(c: TripleColoring, blue) -> bool:
@@ -815,7 +814,7 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
         raise ValueError("need at least one worker")
 
     probe = _Engine(problem, cap=budget)
-    if not probe.live or _has_blue(TripleColoring(problem.N, probe.bits), problem.blue):
+    if not probe.live or _has_blue(TripleColoring.all_red(problem.N), problem.blue):
         # no colouring avoids both, or the blue spec embeds with no blue
         # triples at all: nothing to search
         return SearchOutcome("unsat", None, SearchStats(0, 0))

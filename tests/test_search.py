@@ -3,6 +3,7 @@ hosts, the known path-vs-path values, budget semantics and worker
 invariance."""
 
 import copy
+import hashlib
 import io
 import multiprocessing
 import random
@@ -19,8 +20,8 @@ from jumpramsey.detect import (
     jump_states,
     longest_red_path,
 )
-from jumpramsey.core import (OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
-                             lex_rank)
+from jumpramsey.core import (Color, OrderedTripleSystem, TripleColoring, all_pairs,
+                             all_triples, lex_rank)
 from jumpramsey.family import jump_min, monotone_path, power_path, required_edges
 from jumpramsey.search import (
     DEFAULT_BUDGET,
@@ -30,7 +31,7 @@ from jumpramsey.search import (
     bracket,
     decide,
 )
-from oracles import forced_alphas, naive_decide
+from oracles import forced_alphas, longest_path, naive_decide, naive_member
 
 
 def check_witness(out, problem):
@@ -220,6 +221,69 @@ def test_blue_grid_at_two_workers():
             continue
         problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
         assert outcome_key(decide(problem, budget=budget, workers=2)) == want
+
+
+def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
+    # the walker leaves the colours above its rank as an earlier branch set
+    # them, so a push may read only ranks below its own: with every colour
+    # above the pushed rank refilled at random before each push, every row
+    # of BLUE_GRID keeps its outcome
+    rng = random.Random(26)
+    table_of, pushed = search._blue_table, set()
+
+    class Scrambling:
+        def __init__(self, table, colour):
+            self.table, self.colour, self.ends = table, colour, table.ends
+
+        def push(self, rank):
+            pushed.add(type(self.table))
+            above = len(self.colour) - rank - 1
+            self.colour[rank + 1:] = [rng.random() < 0.5 for _ in range(above)]
+            return self.table.push(rank)
+
+    def scrambling(N, blue, colour):
+        table = table_of(N, blue, colour)
+        return None if table is None else Scrambling(table, colour)
+
+    monkeypatch.setattr(search, "_blue_table", scrambling)
+    for (red_m, blue, N, budget), want in BLUE_GRID.items():
+        problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
+        assert outcome_key(decide(problem, budget=budget)) == want, (red_m, blue, N)
+    assert pushed == {search._Windows, search._JumpMembers, search._Embeddings}
+
+
+# a colouring of the triples of [11] with no red path on 4 vertices and no
+# blue member of J_2, so R(P_4, J_2) >= 12, found by a local search; mark r
+# is the triple of lex rank r, 1 red.  decide reaches neither its N=11 level
+# nor its restrictions to N = 9 and 10
+P4_JUMPS2_N11 = (
+    "1000010111000000100001001001010101110010001000000000000111111001111001110100000100"
+    "00000010001011001101100010110011111010000000000000000100100000000000001100001101110")
+
+
+def test_pinned_n11_witness_avoids_both():
+    text = f"triples 11\n{P4_JUMPS2_N11}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9d63c11dbd0fb379be0a3e92dff78fdddcbee856c14c481188a837ec6e38e1fe")
+
+    def run(*argv):
+        out = io.StringIO()
+        return dispatch(list(argv), io.StringIO(text), out, io.StringIO()), out.getvalue()
+
+    assert run("detect", "redpath", "--m", "4")[0] == 1
+    assert run("detect", "jumps", "--n", "2")[0] == 1
+    code, report = run("certify", "profileprop", "--n", "2")
+    lines = report.splitlines()
+    assert code == 0 and "status clean" in lines
+    assert [line for line in lines if line.startswith("group ")] == [
+        "group 1", "group 2", "group 3", "group 4 6 7 9", "group 5", "group 8 10 11"]
+    c = TripleColoring.from_bitstring(11, P4_JUMPS2_N11)
+    assert naive_member(c, 2) is None
+    assert longest_path(c)[0] == 2
+    for M in (9, 10):
+        part = c.restrict(M)
+        assert alpha_table(part, Color.RED).max_value < 3, M
+        assert find_blue_jump_member(part, 2) is None, M
 
 
 def test_unsat_is_monotone_in_host_size():
@@ -513,10 +577,11 @@ def test_blue_tables_match_full_detection():
     # edges blue and end at its lex-largest edge, so that the last step
     # often completes it.  Two engines of one problem, sharing its plans,
     # are driven in lockstep with their own random choices, their colour
-    # lists, bits and tables as the walker drives them.  Every blue push
-    # must report a copy exactly when a full detector run on that engine's
-    # own bits finds one.  Clearing every blue step must empty both
-    # tables, and the shared plans must still equal freshly built ones.
+    # lists and tables as the walker drives them.  Every blue push must
+    # report a copy exactly when a full detector run on that engine's own
+    # colours up to the pushed rank, the later ranks red, finds one.
+    # Clearing every blue step must empty both tables and leave every
+    # colour red, and the shared plans must still equal freshly built ones.
     rng = random.Random(59)
     for blue in TRACKED:
         pattern = jump_min(blue.n)[0] if isinstance(blue, JumpsFamily) else blue
@@ -544,14 +609,14 @@ def test_blue_tables_match_full_detection():
                         continue
                     if rank == top or rank in plant or rng.random() < share:
                         eng.colour[rank] = False
-                        eng.bits ^= 1 << rank
-                        found = full_detection(TripleColoring(N, eng.bits), blue)
-                        assert eng.table.push(rank, eng.bits) is found, (blue, N, rank)
+                        marks = "".join("1" if red else "0" for red in eng.colour[:rank + 1])
+                        c = TripleColoring.from_bitstring(N, marks.ljust(eng.total, "1"))
+                        found = full_detection(c, blue)
+                        assert eng.table.push(rank) is found, (blue, N, rank)
                         lane[4] = found
                         if not found:
                             continue
                         eng.table.ends[rank] = None
-                        eng.bits |= 1 << rank
                     eng.colour[rank] = True
             for eng, _, top, _, found in lanes:
                 runs += 1
@@ -559,8 +624,8 @@ def test_blue_tables_match_full_detection():
                 for rank in reversed(range(top + 1)):
                     if not eng.colour[rank]:
                         eng.table.ends[rank] = None
-                        eng.bits |= 1 << rank
-                assert eng.bits == (1 << eng.total) - 1
+                        eng.colour[rank] = True
+                assert eng.colour == [True] * eng.total
                 assert eng.table.ends == [None] * eng.total
             if isinstance(blue, JumpsFamily):
                 assert plans == search._member_plans.__wrapped__(N, blue.n)
@@ -571,8 +636,8 @@ def test_blue_tables_match_full_detection():
 
 @pytest.mark.parametrize("N", range(3, 10))
 def test_plans_read_the_ranks_they_name(N):
-    # the member plan's ranks, and the window plan's key slots and masks,
-    # recomputed from the triples with lex_rank
+    # the member plan's ranks, and the window plan's key slots and edge
+    # ranks, recomputed from the triples with lex_rank
     for n in (1, 2, 3):
         for (u, v, w), (sources, uw, *_) in zip(all_triples(N), search._member_plans(N, n)):
             assert sources == tuple(
@@ -589,22 +654,26 @@ def test_plans_read_the_ranks_they_name(N):
                 window = lead + (u, v, w)
                 x = window[W - 3]  # the prev key ends (x, u, v)
                 prev = list(combinations(range(1, x), W - 3)).index(window[:W - 3])
-                # per k, the window's other triples that are edges when it
-                # is positions k - W + 1 .. k + 1; the k with one mask share
-                # an entry, in order of first k
+                # per k, the ranks of the window's other triples that are
+                # edges when it is positions k - W + 1 .. k + 1, in rank
+                # order; the k with one such tuple share an entry, in order
+                # of first k
                 spans = {}
                 for k in range(W, min(pattern.m, N)):
-                    mask = 0
+                    ranks = set()
                     for a, b, c in pattern.edges:
                         if a > k - W and c <= k + 1:
                             e = tuple(window[p - (k - W + 1)] for p in (a, b, c))
                             if e != (u, v, w):
-                                mask |= 1 << lex_rank(e, N)
-                    spans[mask] = spans.get(mask, 0) | 1 << k
+                                ranks.add(lex_rank(e, N))
+                    # the prev key's own triple is read, so its ends are set
+                    assert lex_rank((x, u, v), N) in ranks
+                    edges = tuple(sorted(ranks))
+                    spans[edges] = spans.get(edges, 0) | 1 << k
                 # a power path has one group, so one entry per window
                 assert len(spans) <= 1 or pattern == jump_min(3)[0]
                 want[leads.index(lead[1:])] += [
-                    (lex_rank((x, u, v), N), prev, span, mask) for mask, span in spans.items()]
+                    (lex_rank((x, u, v), N), prev, span, edges) for edges, span in spans.items()]
             assert keys == tuple(enumerate(map(tuple, want)))
 
 
@@ -612,7 +681,7 @@ def engine_state(eng):
     """Copies of what the walker changes and must restore."""
     table = None if eng.table is None else eng.table.ends
     return copy.deepcopy(
-        (eng.ar, eng.ab, eng.trail, eng.bits, eng.packed, table))
+        (eng.ar, eng.ab, eng.trail, eng.packed, table))
 
 
 # the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
@@ -621,7 +690,7 @@ def engine_state(eng):
 # colouring below its prefix, so at most 32 splits, spread over the DFS
 # order, are walked, and two levels split deeper, at WALK_DEPTHS, where the
 # subtrees are smaller.  The jump_min(2) member has a window table; the
-# pattern lacking (1, 2, 3) runs a full detector on bits at each push.
+# pattern lacking (1, 2, 3) runs a full detector at each push.
 # jumps:2 at N=7 splits before rank 12, (1, 5, 6): from block (2, 3, .) on
 # red is dead at most nodes, and a run of blue nodes covers up to 4 ranks
 WALK_DEPTHS = {(6, jump_min(2)[0]): 9, (7, JumpsFamily(2)): 12}
