@@ -36,16 +36,17 @@ when that triple turns blue.  A pattern of width W >= 3 that holds every
 consecutive triple, a power path or a fixed member of J_n, is tracked per
 W-vertex key (_Windows), a jump-family member per last four vertices
 (_JumpMembers).  Every key or prefix a push writes ends in its own triple,
-so a table keeps them in one slot per rank, ends[rank], and the walker
-undoes a push by clearing that slot.  What a push at a rank reads and
-writes, the ranks of the triples it checks and where the values it extends
-are held, depends only on N and the spec: it is planned once per (N, spec),
-cached, and shared by the probe and every split engine of the process,
-which keep only their ends.  Every table reads only ranks below the one it
-pushes, all coloured on the current branch, so the ranks above may hold
-what an earlier branch left.  A push that completes a copy prunes the
-branch; it finds exactly the copies a detector run would find on the
-colours so far, every later triple red, as every earlier blue node was
+so a table keeps them in one slot per rank, ends[rank].  What a push at a
+rank reads and writes, the ranks of the triples it checks and where the
+values it extends are held, depends only on N and the spec: it is planned
+once per (N, spec), cached, and shared by the probe and every split engine
+of the process, which keep only their ends.  Every table reads only ranks
+below the one it pushes, all coloured on the current branch, and a slot
+only when its rank is blue there, so the push that wrote it is on the
+branch too: the walker only pushes, never clears a slot, and the ranks
+above may hold what an earlier branch left.  A push that completes a copy
+prunes the branch; it finds exactly the copies a detector run would find on
+the colours so far, every later triple red, as every earlier blue node was
 checked.  A pattern lacking a consecutive triple has a table too, whose
 push is that detector run and which keeps nothing.  The root probe and the
 witness re-check are always full detector runs.
@@ -56,21 +57,20 @@ interpreter's recursion limit.  A node's whole job is done inline in one
 loop for every blue spec, on local variables, since a method call per step
 (apply, undo, count) was most of a node's cost.  Its stack is the red ranks
 of the branch whose blue is untried; every other rank of the branch is
-blue.  A dead end backs up to the last of them, c, in one step: one slice
-clears the ends of every rank above c, and c's own undo, one alpha value or
-with a blue path an unwind of the trail to c's mark, takes their raises
-with it.  Red at (u, v, w) is dead exactly
-when ar(u, v) is at the red dead level, and no write in block (u, v, .)
-raises ar(u, v); so the rest of such a block, up to the end of the walk,
-goes blue in one inner loop.  With a blue path each of its writes is alive
-and raises nothing, as the fixpoint already holds ab(v, z) > ab(u, v) for
-every z.  Each rank of the run still counts as a red-dead write and a node,
-the run ends at the first push that finds a copy, and the budget stops it
-on the node where a walk of one rank at a time would stop.  Most nodes fall
-in such runs: 189,699 of the first 200,000 for p4 vs jumps:2 at N=9, and
-25,304 of the 42,272 of p4/p5 at N=9.  The split enumeration walks the
-first ranks and collects the live prefixes; each split replays its prefix
-and walks the remaining ranks to a full coloring.
+blue.  A dead end backs up to the last of them, c, in one step: c's own
+undo, one alpha value or with a blue path an unwind of the trail to c's
+mark, takes the raises of the ranks above with it.  Red at (u, v, w) is
+dead exactly when ar(u, v) is at the red dead level, and no write in block
+(u, v, .) raises ar(u, v); so the rest of such a block, up to the end of
+the walk, goes blue in one inner loop.  With a blue path each of its writes
+is alive and raises nothing, as the fixpoint already holds ab(v, z) >
+ab(u, v) for every z.  Each rank of the run still counts as a red-dead
+write and a node, the run ends at the first push that finds a copy, and the
+budget stops it on the node where a walk of one rank at a time would stop.
+Most nodes fall in such runs: 189,699 of the first 200,000 for p4 vs
+jumps:2 at N=9, and 25,304 of the 42,272 of p4/p5 at N=9.  The split
+enumeration walks the first ranks and collects the live prefixes; each
+split replays its prefix and walks the remaining ranks to a full coloring.
 
 Path/path splits also skip states that failed before.  At the start of
 block (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
@@ -202,9 +202,9 @@ class _Windows:
     same edges in the window, reads the colours of those edges, all of
     lower rank, and when none is red steps the group's k at key S + (u, v)
     to k + 1 at key S[1:] + (u, v, w), a copy at m.  ends[rank of
-    (u, v, w)] holds the keys ending there, and clearing it undoes the
-    push.  A prev key ends in (S[-1], u, v), an edge the window reads, so
-    its push has stored the values read.
+    (u, v, w)] holds the keys ending there.  A prev key ends in (S[-1], u,
+    v), an edge the window reads, so its slot is read only when that rank
+    is blue on the branch, and its push on the branch stored it.
     """
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
@@ -248,8 +248,9 @@ class _JumpMembers:
     states step(1, 7).  Appending w needs (u, v, w) blue, so the push at
     (u, v, w) extends the prefixes ending (y, u, v) for each y < u, reading
     (y, u, w), (y, v, w) and (x, u, w), all of lower rank, and writes
-    ends[rank]; clearing it undoes the push.  A prefix in an accepting
-    state (all n jumps used, last position no jump) is a member.
+    ends[rank]; a red (y, u, v) is skipped, so a slot is read only when its
+    rank is blue on the branch.  A prefix in an accepting state (all n
+    jumps used, last position no jump) is a member.
     """
 
     def __init__(self, N: int, n: int, colour):
@@ -261,15 +262,15 @@ class _JumpMembers:
 
     def push(self, rank: int) -> bool:
         """Triple rank turned blue; True when a blue member now ends there."""
-        sources, uw, fits, seen, entry, hit = self.plans[rank]
-        ends = self.ends
+        sources, uw, fits, seen, entry = self.plans[rank]
+        ends, colour = self.ends, self.colour
         out = None
         for src, y, yuw, yvw in sources:
             xs = ends[src]
-            if xs is None:
+            if xs is None or colour[src]:
                 continue
             if out is None:
-                colour, steps = self.colour, self.steps
+                steps = self.steps
                 out = {0: seen} if seen else {}
             cond = (not colour[yuw]) | (not colour[yvw]) << 1
             free = held = 0
@@ -289,22 +290,17 @@ class _JumpMembers:
             if got:
                 out[y] = got
                 seen |= got
-        if out is None:
-            # no prefix ends (u, v): only the shared three-vertex entry
-            ends[rank] = entry
-            return hit
-        if out:
-            ends[rank] = out
+        # no source read (out None) or nothing kept: the shared entry
+        ends[rank] = out or entry
         return bool(seen & self.accept)
 
 
 class _Embeddings:
     """A pattern lacking a consecutive triple: each push is a full detector
-    run on the colours up to the pushed rank, later ranks red; ends stays None."""
+    run on the colours up to the pushed rank, later ranks red; no slots."""
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
         self.N, self.pattern, self.colour = N, pattern, colour
-        self.ends = [None] * comb(N, 3)
 
     def push(self, rank: int) -> bool:
         marks = "".join("01"[red] for red in self.colour[:rank + 1])
@@ -436,14 +432,16 @@ class _Engine:
         that returns) pops its last rank, c, and tries blue at c.  A red
         write that fails to propagate goes onto reds too.  starts holds the
         branch's block starts for the memo (path/path splits), each recorded
-        at its own mark as the back-up passes it; it leaves the colours above
-        c as they were.  Counters live in locals and go back to the engine
-        on every exit, _Budget and the leaf's _Found included."""
+        at its own mark as the back-up passes it.  The back-up restores the
+        alpha tables, the trail and packed only: a table reads a colour or
+        slot above c only once the walk has rewritten it.  Counters live in
+        locals and go back to the engine on every exit, _Budget and the
+        leaf's _Found included."""
         colour, token, pairs_idx, front, cap = (
             self.colour, self.token, self.pairs_idx, self.front, self.cap)
         ar, ab, memo, trail = self.ar, self.ab, self.memo, self.trail
         settle, unwind = self._settle, self._unwind
-        push, ends = (None, None) if self.table is None else (self.table.push, self.table.ends)
+        push = None if self.table is None else self.table.push
         block_end = _block_ends(self.N)
         red_top = self.red_m - 1
         blue_top = self.blue_m - 1 if push is None else None
@@ -458,10 +456,8 @@ class _Engine:
             while True:
                 if rank == stop:
                     leaf()
-                    top = stop  # ranks below top and above the next red are blue
                 elif front[rank] is not None and self.packed >> front[rank] in memo:
                     memo_hits += 1
-                    top = rank
                 else:
                     iuv, ivw = pairs_idx[rank]
                     cand = ar[iuv] + 1
@@ -485,7 +481,6 @@ class _Engine:
                             rank += 1
                             continue
                         red_dead += 1
-                        top = rank + 1
                     else:
                         # red is dead for the rest of the block: a run of blue nodes
                         if front[rank] is not None:
@@ -524,8 +519,6 @@ class _Engine:
                         if len(memo) >= MEMO_CAP:
                             memo.clear()
                         memo.add(self.packed >> front[s])
-                    if push is not None:
-                        ends[c + 1:top] = [None] * (top - c - 1)
                     if c < start:
                         unwind(base)
                         return
@@ -668,7 +661,7 @@ def _window_plans(N: int, pattern: OrderedTripleSystem):
 
 @lru_cache(maxsize=16)
 def _member_plans(N: int, n: int):
-    """Per lex rank (u, v, w), (sources, uw, fits, seen, entry, hit): what
+    """Per lex rank (u, v, w), (sources, uw, fits, seen, entry): what
     the member push there reads and writes, built once per (N, n) and
     shared by every engine.
 
@@ -676,9 +669,8 @@ def _member_plans(N: int, n: int):
     (y, v, w)) for 0 < y < u, and uw[x] is the rank of (x, u, w).  fits are
     the states with room for the rest of a member after w, seen the fitting
     states of the three-vertex prefix (u, v, w), and entry its ends value,
-    {0: seen}, or None when seen is 0; hit says whether seen accepts.  A push
-    with no prefix ending (u, v) stores that one entry, which no push
-    changes.
+    {0: seen}, or None when seen is 0.  A push with no prefix ending (u, v)
+    stores that one entry, which no push changes.
     """
     jumps = jump_states(n)
     third = jumps.step(jumps.step(1, 7), 7)
@@ -689,8 +681,7 @@ def _member_plans(N: int, n: int):
                         for y in range(1, u))
         fits = jumps.fits(N - w)
         seen = third & fits
-        plans.append((sources, uw, fits, seen, {0: seen} if seen else None,
-                      bool(seen & jumps.accept)))
+        plans.append((sources, uw, fits, seen, {0: seen} if seen else None))
     return tuple(plans)
 
 

@@ -292,6 +292,21 @@ def test_certify_downsets_large_grid():
     assert code == 0 and out == f"{comb(3000, 1500)}\n"
 
 
+def test_certify_downsets_past_the_digit_limit_of_str():
+    # C(16000, 8000) has 4,815 digits, more than str() converts by default;
+    # it is printed exactly, with no interpreter-wide setting changed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run(["certify", "downsets", "--n", "8000"])
+    assert (code, err) == (0, "")
+    digits, newline = out[:-1], out[-1]
+    assert newline == "\n" and digits.isdigit() and len(digits) == 4815
+    assert digits[:12] == "190460056139" and digits[-12:] == "976447208000"
+    assert limit() == before
+    # a count under the limit prints as str() prints it
+    assert run(["certify", "downsets", "--n", "3000"])[:2] == (0, f"{comb(6000, 3000)}\n")
+
+
 def test_internal_failure_exits_four(monkeypatch):
     # a command that runs out of stack has no answer, so it must not exit 1
     def overflow(n):

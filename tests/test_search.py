@@ -216,29 +216,53 @@ def test_blue_grid_keeps_every_outcome():
 
 
 def test_blue_grid_at_two_workers():
+    # the whole SearchStats, prune counters included, and the witness match
+    # the one-worker run
     for (red_m, blue, N, budget), want in BLUE_GRID.items():
         if want[1] < 1000:
             continue
         problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
-        assert outcome_key(decide(problem, budget=budget, workers=2)) == want
+        one, two = (decide(problem, budget=budget, workers=workers) for workers in (1, 2))
+        assert outcome_key(two) == want, (red_m, blue, N)
+        assert (two.status, two.stats, two.witness) == (
+            one.status, one.stats, one.witness), (red_m, blue, N)
+
+
+class Stale:
+    """A table slot that no push may read."""
+
+    def __getattr__(self, name):
+        raise AssertionError("a push read a stale slot")
+
+    def __getitem__(self, key):
+        raise AssertionError("a push read a stale slot")
 
 
 def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
-    # the walker leaves the colours above its rank as an earlier branch set
-    # them, so a push may read only ranks below its own: with every colour
-    # above the pushed rank refilled at random before each push, every row
-    # of BLUE_GRID keeps its outcome
+    # the walker leaves the colours and table slots above its rank as an
+    # earlier branch set them, and never clears the slot of a rank that
+    # turns red, so a push may read only ranks below its own, and a slot
+    # only when its rank is blue on the branch: with every colour above the
+    # pushed rank refilled at random, and the slot of every rank above it or
+    # red made unreadable, before each push, every row of BLUE_GRID keeps
+    # its outcome.  The walker sees nothing of a table but its push
     rng = random.Random(26)
-    table_of, pushed = search._blue_table, set()
+    table_of, pushed, stale = search._blue_table, set(), Stale()
 
     class Scrambling:
         def __init__(self, table, colour):
-            self.table, self.colour, self.ends = table, colour, table.ends
+            self.table, self.colour = table, colour
 
         def push(self, rank):
             pushed.add(type(self.table))
-            above = len(self.colour) - rank - 1
-            self.colour[rank + 1:] = [rng.random() < 0.5 for _ in range(above)]
+            colour, ends = self.colour, getattr(self.table, "ends", None)
+            above = len(colour) - rank - 1
+            if ends is not None:  # a detector-run table keeps no slots
+                ends[rank + 1:] = [stale] * above
+                for r in range(rank):
+                    if colour[r]:
+                        ends[r] = stale
+            colour[rank + 1:] = [rng.random() < 0.5 for _ in range(above)]
             return self.table.push(rank)
 
     def scrambling(N, blue, colour):
@@ -577,11 +601,11 @@ def test_blue_tables_match_full_detection():
     # edges blue and end at its lex-largest edge, so that the last step
     # often completes it.  Two engines of one problem, sharing its plans,
     # are driven in lockstep with their own random choices, their colour
-    # lists and tables as the walker drives them.  Every blue push must
-    # report a copy exactly when a full detector run on that engine's own
-    # colours up to the pushed rank, the later ranks red, finds one.
-    # Clearing every blue step must empty both tables and leave every
-    # colour red, and the shared plans must still equal freshly built ones.
+    # lists and tables as the walker drives them: a triple whose push
+    # completes a copy turns red, and its slot keeps what that push wrote.
+    # Every blue push must report a copy exactly when a full detector run on
+    # that engine's own colours up to the pushed rank, the later ranks red,
+    # finds one, and the shared plans must still equal freshly built ones.
     rng = random.Random(59)
     for blue in TRACKED:
         pattern = jump_min(blue.n)[0] if isinstance(blue, JumpsFamily) else blue
@@ -616,17 +640,10 @@ def test_blue_tables_match_full_detection():
                         lane[4] = found
                         if not found:
                             continue
-                        eng.table.ends[rank] = None
                     eng.colour[rank] = True
-            for eng, _, top, _, found in lanes:
+            for *_, found in lanes:
                 runs += 1
                 last_hits += found
-                for rank in reversed(range(top + 1)):
-                    if not eng.colour[rank]:
-                        eng.table.ends[rank] = None
-                        eng.colour[rank] = True
-                assert eng.colour == [True] * eng.total
-                assert eng.table.ends == [None] * eng.total
             if isinstance(blue, JumpsFamily):
                 assert plans == search._member_plans.__wrapped__(N, blue.n)
             else:
@@ -678,10 +695,9 @@ def test_plans_read_the_ranks_they_name(N):
 
 
 def engine_state(eng):
-    """Copies of what the walker changes and must restore."""
-    table = None if eng.table is None else eng.table.ends
-    return copy.deepcopy(
-        (eng.ar, eng.ab, eng.trail, eng.packed, table))
+    """Copies of what the walker changes and must restore; the table slots
+    it leaves as they are, as a table reads only slots of blue ranks."""
+    return copy.deepcopy((eng.ar, eng.ab, eng.trail, eng.packed))
 
 
 # the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
