@@ -5,7 +5,7 @@ copy of the minimal jump pattern, and extract_blue_jump_witness turns the
 chain into a checked embedding.  The other direction: a coloring of the
 associated graph of a jump pattern that is non-increasing along required
 edges always contains a monochromatic triangle, and gh_triangle_finder
-locates one by recursing on the largest jump.
+locates one by peeling jumps off the end in one pass over the coloring.
 
 The profile machinery sits between the two: every vertex gets a downward
 closed staircase built from (alpha, beta) pairs of its predecessors, and
@@ -341,9 +341,7 @@ def verify_profile_property(c: TripleColoring, n: int) -> ProfileReport:
     by_profile: dict[ProfileStaircase, list[int]] = {}
     for v in range(1, N + 1):
         by_profile.setdefault(profiles[v], []).append(v)
-    groups = tuple(
-        tuple(vs) for vs in sorted(by_profile.values(), key=lambda vs: vs[0])
-    )
+    groups = tuple(tuple(vs) for vs in by_profile.values())
     group_profiles = tuple(profiles[vs[0]] for vs in groups)
     depth = alpha.max_value
     member = find_blue_jump_member(c, n)
@@ -417,10 +415,11 @@ def gh_triangle_finder(m: int, jumps, chi) -> tuple[int, int, int]:
     """Monochromatic triangle in the associated graph of a jump pattern.
 
     chi must color exactly the associated-graph pairs with values 1..|J|,
-    non-increasing along every required edge.  The recursion peels the
-    largest jump w: when the smallest used color never lands before w,
-    drop w and recurse on the prefix; otherwise the color propagates to
-    the pairs around w and {w-1, w, w+1} closes the triangle.
+    non-increasing along every required edge.  From k = m down, the peel
+    takes the largest jump w of the prefix [k]: when the least color on [k]
+    never lands before w, it drops w and goes on with k = w-1; otherwise
+    that color propagates to the pairs around w and {w-1, w, w+1} closes
+    the triangle, as the first jump always does.  One pass over chi.
     """
     spec = _require_valid(_as_spec(m, jumps))
     n = len(spec.jumps)
@@ -442,23 +441,23 @@ def gh_triangle_finder(m: int, jumps, chi) -> tuple[int, int, int]:
                 edge=(a, b, cc),
             )
 
-    tri = _gh_recurse(m, spec.sorted_jumps, chi)
-    x, y, z = tri
+    # Jumps are never consecutive, so the chord (v-1, v+1) of a jump v < w
+    # ends by w-1: the graph on a prefix [k] is the pairs ending by k, and
+    # low[k], the least color among them, is a prefix minimum.
+    low = [n + 1] * (m + 1)
+    for (_, b), value in chi.items():
+        low[b] = min(low[b], value)
+    low = list(accumulate(low, min))
+    js = spec.sorted_jumps
+    k = m
+    for w in reversed(js):
+        if w == js[0] or low[w - 1] == low[k]:
+            break
+        k = w - 1
+    tri = x, y, z = (w - 1, w, w + 1)
     for pair in ((x, y), (y, z), (x, z)):
         if pair not in gh.pairs:
             raise RuntimeError(f"triangle pair {pair} not in graph; this is a bug")
     if not chi[(x, y)] == chi[(y, z)] == chi[(x, z)]:
         raise RuntimeError("triangle is not monochromatic; this is a bug")
     return tri
-
-
-def _gh_recurse(m: int, jumps: tuple[int, ...], chi) -> tuple[int, int, int]:
-    if len(jumps) == 1:
-        v = jumps[0]
-        return (v - 1, v, v + 1)
-    w = jumps[-1]
-    domain = associated_graph(m, frozenset(jumps)).pairs
-    c = min(chi[p] for p in domain)
-    if not any(p[1] <= w - 1 and chi[p] == c for p in domain):
-        return _gh_recurse(w - 1, jumps[:-1], chi)
-    return (w - 1, w, w + 1)

@@ -312,6 +312,21 @@ def mono_triangles(pairs, chi):
     return out
 
 
+def gh_peel(m, jumps, chi):
+    """The triangle the jump peel closes, by recursion on the definition:
+    rebuild the associated graph of [m], and when its least color lands on
+    no pair ending before the largest jump w, drop w and peel [w-1];
+    otherwise {w-1, w, w+1} is the triangle."""
+    *rest, w = sorted(jumps)
+    if not rest:
+        return (w - 1, w, w + 1)
+    pairs = {(i, i + 1) for i in range(1, m)} | {(v - 1, v + 1) for v in jumps}
+    least = min(chi[p] for p in pairs)
+    if any(b <= w - 1 and chi[(a, b)] == least for (a, b) in pairs):
+        return (w - 1, w, w + 1)
+    return gh_peel(w - 1, rest, chi)
+
+
 def grid_downsets(n):
     """Downward-closed subsets of the n-by-n grid by raw subset scan."""
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

@@ -25,6 +25,7 @@ from jumpramsey.family import associated_graph, jump_min, required_edges
 from oracles import (
     alpha_map,
     chain_beta,
+    gh_peel,
     grid_downsets,
     mono_triangles,
     naive_alpha_values,
@@ -377,6 +378,47 @@ def test_gh_triangle_finder_three_jumps_exhaustive():
         assert tri in mono_triangles(pairs, chi)
         found += 1
     assert found > 100
+
+
+def random_gh_input(rng):
+    """A random valid (m, jumps, chi): uniform chi kept when it never
+    increases along a required edge; else a random non-increasing function
+    of the right endpoint, or values drawn from the last pair back, each at
+    least that of the pairs it must dominate."""
+    m = rng.randint(3, 14)
+    jumps = set()
+    for v in rng.sample(range(2, m), m - 2):
+        if rng.random() < 0.7 and v - 1 not in jumps and v + 1 not in jumps:
+            jumps.add(v)
+    jumps = jumps or {rng.randrange(2, m)}
+    n = len(jumps)
+    pairs = associated_graph(m, jumps).sorted_pairs
+    need = required_edges(m, jumps).sorted_edges
+    for _ in range(5):
+        chi = {p: rng.randint(1, n) for p in pairs}
+        if non_increasing(m, jumps, chi):
+            return m, jumps, chi
+    if rng.random() < 0.5:
+        low = sorted((rng.randint(1, n) for _ in range(m + 1)), reverse=True)
+        return m, jumps, {(a, b): low[b] for (a, b) in pairs}
+    chi = {}
+    for (a, b) in sorted(pairs, key=lambda p: -p[1]):
+        least = max((chi[(b, c)] for (x, y, c) in need if (x, y) == (a, b)), default=1)
+        chi[(a, b)] = rng.choice((least, rng.randint(least, n)))
+    return m, jumps, chi
+
+
+def test_gh_triangle_finder_matches_the_recursive_peel():
+    rng = random.Random(2801)
+    closed_at = set()
+    for _ in range(3000):
+        m, jumps, chi = random_gh_input(rng)
+        tri = gh_triangle_finder(m, jumps, chi)
+        assert tri == gh_peel(m, jumps, chi), (m, sorted(jumps), chi)
+        closed_at.add((sorted(jumps).index(tri[1]), len(jumps) - 1))
+    # (closing jump, last jump) by index: with 3 and with 5 jumps the peel
+    # closes at the first, a middle and the last one
+    assert {(0, 2), (1, 2), (2, 2), (0, 4), (4, 4)} <= closed_at
 
 
 def test_gh_triangle_finder_rejects_bad_domains():

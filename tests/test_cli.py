@@ -368,6 +368,18 @@ def test_certify_ghtriangle(tmp_path):
     assert code == 2 and "duplicate" in err
 
 
+def test_certify_ghtriangle_peels_a_thousand_jumps(tmp_path):
+    # chi(a, b) = 1001 - #{jumps <= b}: each jump w the peel meets has a
+    # least color one above the prefix past it, so it runs down to jump 2
+    jumps = range(2, 2001, 2)
+    pairs = [(i, i + 1) for i in range(1, 2001)] + [(v - 1, v + 1) for v in jumps]
+    chi = tmp_path / "chi.txt"
+    chi.write_text("".join(f"{a} {b} {1001 - b // 2}\n" for a, b in pairs))
+    code, out, err = run(["certify", "ghtriangle", "--m", "2001", "--jumps",
+                          ",".join(map(str, jumps)), "--chi", str(chi)])
+    assert (code, out, err) == (0, "1 2 3\n", "")
+
+
 def test_certify_witness_roundtrip(tmp_path):
     chain = tmp_path / "chain.witness"
     chain.write_text("witness\nvertices 1 2 3 4 5\nblocks 1 1\n")

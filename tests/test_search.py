@@ -344,6 +344,9 @@ def test_worker_invariance():
         AvoidanceProblem(8, monotone_path(5), monotone_path(4)),
         AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)),
         AvoidanceProblem(6, monotone_path(4), power_path(4, 4)),
+        # no consecutive triple (3, 4, 5): the blue table is _Embeddings
+        AvoidanceProblem(6, monotone_path(4),
+                         OrderedTripleSystem(5, {(1, 2, 5), (2, 3, 4)})),
     ] + [problem for problem, _ in small]
     prunes = {"red_dead": 0, "blue_dead": 0, "blue_hits": 0}
     for problem in problems:
