@@ -94,12 +94,14 @@ def pair_rank(u: int, v: int, N: int) -> int:
     """0-based lex position of an increasing pair of [N]."""
     if not 1 <= u < v <= N:
         raise ValueError(f"not an increasing pair in [{N}]: ({u}, {v})")
-    return (u - 1) * N - u * (u - 1) // 2 + (v - u - 1)
+    return pair_offsets(N)[u] + v
 
 
 @lru_cache(maxsize=64)
 def pair_offsets(N: int) -> tuple[int, ...]:
-    """row[u] + v is pair_rank(u, v, N) for every increasing pair of [N]."""
+    """row[u] + v is pair_rank(u, v, N) for every increasing pair of [N]:
+    the (u - 1) * N - u * (u - 1) // 2 pairs with a first vertex below u
+    come before (u, u + 1)."""
     return tuple((u - 1) * N - u * (u - 1) // 2 - u - 1 for u in range(N + 1))
 
 
@@ -443,7 +445,7 @@ def _read_pair_columns(text: str) -> PairColoring | None:
 
 def _scan_pair_coloring(text: str) -> PairColoring:
     """The line scanner: any entry order and spacing, one line at a time.
-    The colours go into a dict by pair rank, so that a header's N sizes
+    The colours go into a dict by pair, so that a header's N sizes
     nothing."""
     lines, (N, k) = _header(text, "pairs", "N", "k")
     colors = {}
@@ -459,15 +461,15 @@ def _scan_pair_coloring(text: str) -> PairColoring:
             raise FormatError(f"({u}, {v}) is not an increasing pair in [{N}]", no)
         if not 1 <= c <= k:
             raise FormatError(f"color {c} outside 1..{k}", no)
-        r = pair_rank(u, v, N)
-        if r in colors:
+        if (u, v) in colors:
             raise FormatError(f"duplicate entry for pair ({u}, {v})", no)
-        colors[r] = c
-    want = comb(N, 2)
-    if len(colors) < want:
-        missing = next(p for p in all_pairs(N) if pair_rank(*p, N) not in colors)
+        colors[u, v] = c
+    if len(colors) < comb(N, 2):
+        # ranges, not all_pairs, whose combinations would hold all of [N]
+        missing = next((u, v) for u in range(1, N) for v in range(u + 1, N + 1)
+                       if (u, v) not in colors)
         raise FormatError(f"partial coloring: pair {missing} has no color")
-    return PairColoring(N, k, tuple(map(colors.__getitem__, range(want))))
+    return PairColoring(N, k, tuple(map(colors.__getitem__, all_pairs(N))))
 
 
 def serialize_pair_coloring(chi: PairColoring) -> str:

@@ -13,15 +13,17 @@ before it are shifted out; a blue row is its complement.  One alpha pass
 fills a vertex u's pairs by ORing the rows (t, u, .) into one mask per
 value alpha(t, u) and reading off, per pair, the best value whose mask
 holds it; on request it also returns those masks per value, which the beta
-table of module certify reads.  The alpha table and the forward table of
-longest_red_path cost a few integer operations per pair.
+table of module certify reads.  The alpha table costs a few integer
+operations per pair.
 
-The second finds an order-preserving embedding of a fixed pattern with all
-edges blue.  Patterns of bounded width (largest span of an edge) admit a
-window DP: once the last w chosen host vertices are fixed, earlier choices
-cannot influence feasibility, so failed (position, window) states are
-cached and the search runs in polynomial time for fixed width.  The
-candidates for a position are one AND of the blue rows of its edges.
+The second finds the least order-preserving embedding of a fixed pattern
+with all edges blue.  Patterns of bounded width (largest span of an edge)
+admit a window DP: once the last w chosen host vertices are fixed, earlier
+choices cannot influence feasibility, so failed (position, window) states
+are cached and the search runs in polynomial time for fixed width.  The
+candidates for a position are one AND of the blue rows of its edges.  Run
+on red rows, the same search gives the witness of longest_red_path: the
+least red embedding of the path on depth + 1 vertices.
 
 The third finds a blue member of the jump family with n jumps without
 fixing the member in advance.  It scans host vertex tuples in lexicographic
@@ -30,7 +32,14 @@ as (last three flags, jumps used); every required edge of a jump pattern
 touches at most five consecutive positions, so this state plus the last
 four chosen vertices determines the future exactly.  The set is one
 bitmask (JumpStates), and its transition is one memoised function that
-the member table of module search steps through too.
+the member table of module search steps through too.  The jump flags of
+the member found are read off the search's stack: one pass back marks the
+states that still lead to acceptance, one pass forward takes each jump as
+early as they allow.
+
+Both searches run on explicit stacks, one frame per position, and call no
+function recursively, so a pattern or member of any size fits under
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -43,13 +52,12 @@ from .core import (
     Embedding,
     OrderedTripleSystem,
     TripleColoring,
-    all_pairs,
     pair_offsets,
     pair_rank,
     rank_offsets,
     record,
 )
-from .family import JumpSpec, required_edges
+from .family import JumpSpec, monotone_path, required_edges
 
 
 @record
@@ -79,15 +87,18 @@ def _red_blocks(c: TripleColoring) -> list[int]:
     return [c.bits >> lo & (1 << hi - lo) - 1 for lo, hi in zip(pref1, pref1[1:])]
 
 
-def _blue_rows(c: TripleColoring):
-    """row(a, b): the blue triples (a, b, c) as one int with bit c set, read
-    from block a of _red_blocks, pref2[b - 1] - pref2[a] bits in."""
+def _rows(c: TripleColoring, target: Color):
+    """row(a, b): the target-colored triples (a, b, c) as one int with bit
+    c set, read from block a of _red_blocks, complemented for a blue
+    target, pref2[b - 1] - pref2[a] bits in."""
     N = c.N
-    blue = [~b for b in _red_blocks(c)]
+    blocks = _red_blocks(c)
+    if target is Color.BLUE:
+        blocks = [~b for b in blocks]
     p2 = rank_offsets(N)[1]
 
     def row(a: int, b: int) -> int:
-        return (blue[a] >> p2[b - 1] - p2[a] & (1 << N - b) - 1) << b + 1
+        return (blocks[a] >> p2[b - 1] - p2[a] & (1 << N - b) - 1) << b + 1
 
     return row
 
@@ -177,47 +188,15 @@ def red_path(c: TripleColoring, m: int) -> Embedding | None:
 
 
 def _red_path_witness(c: TripleColoring, depth: int) -> Embedding:
-    """The longest_red_path witness, from the alpha depth that the forward
-    table must match."""
+    """The longest_red_path witness: the least red embedding of the path on
+    depth + 1 vertices, which the alpha depth promises."""
     N = c.N
     if N < 2:
         return Embedding(tuple(range(1, N + 1)))
-    row = pair_offsets(N)
-    blocks = _red_blocks(c)
-    # forward table: cont(u, v) is the longest red continuation after
-    # starting with (u, v).  levels[v] lists (k, mask of the w with
-    # cont(v, w) = k at bit w - v - 1), k falling, filed once every
-    # cont(v, .) is final; so cont(u, v) is one more than the first k
-    # whose mask meets row (u, v), the low bits of the block of u once the
-    # rows before it are shifted out.
-    cont = [0] * comb(N, 2)
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
-    for u in range(N - 1, 0, -1):
-        block = blocks[u]
-        for v in range(u + 1, N):
-            for k, ws in levels[v]:
-                if block & ws:
-                    cont[row[u] + v] = k + 1
-                    break
-            block >>= N - v
-        by_k: dict[int, int] = {}
-        for v in range(u + 1, N + 1):
-            k = cont[row[u] + v]
-            by_k[k] = by_k.get(k, 0) | 1 << (v - u - 1)
-        levels[u] = sorted(by_k.items(), reverse=True)
-    top = max(cont)
-    if top + 1 != depth:
+    path = _least_embedding(_rows(c, Color.RED), N, monotone_path(depth + 1))
+    if path is None:
         raise RuntimeError("path tables disagree; this is a bug")
-    u, v = list(all_pairs(N))[cont.index(top)]
-    path = [u, v]
-    pref2 = rank_offsets(N)[1]
-    for k in range(top - 1, -1, -1):
-        # row (u, v, .) starts pref2[v - 1] - pref2[u] bits into the block;
-        # the smallest w is the lowest bit
-        ws = blocks[u] >> pref2[v - 1] - pref2[u] & dict(levels[v])[k]
-        u, v = v, v + (ws & -ws).bit_length()
-        path.append(v)
-    return Embedding(tuple(path))
+    return Embedding(path)
 
 
 @lru_cache(maxsize=256)
@@ -235,44 +214,50 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
 
     None when no embedding exists; patterns larger than the host never fit.
     """
-    m, N = pattern.m, c.N
-    if m > N:
+    if pattern.m > c.N:
         return None
-    if m == 0:
-        return Embedding(())
-    w, needs = _embedding_plan(pattern)
-    row = _blue_rows(c)
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-
-    def dfs(prefix: list[int]) -> tuple[int, ...] | None:
-        pos = len(prefix) + 1
-        if pos > m:
-            return tuple(prefix)
-        window = tuple(prefix[max(0, len(prefix) - w):])
-        if (pos, window) in failed:
-            return None
-        # bit h: h after the last vertex, with room for m - pos more after it
-        hs = (1 << N - m + pos + 1) - (1 << (prefix[-1] + 1 if prefix else 1))
-        for (a, b) in needs[pos]:
-            hs &= row(prefix[a - 1], prefix[b - 1])
-        while hs:
-            low = hs & -hs
-            hs ^= low
-            prefix.append(low.bit_length() - 1)
-            res = dfs(prefix)
-            prefix.pop()
-            if res is not None:
-                return res
-        failed.add((pos, window))
-        return None
-
-    found = dfs([])
+    row = _rows(c, Color.BLUE)
+    found = _least_embedding(row, c.N, pattern)
     if found is None:
         return None
     for (a, b, cc) in pattern.edges:
         if not row(found[a - 1], found[b - 1]) >> found[cc - 1] & 1:
             raise RuntimeError("embedding failed recheck; this is a bug")
     return Embedding(found)
+
+
+def _least_embedding(row, N: int, pattern: OrderedTripleSystem) -> tuple[int, ...] | None:
+    """Least embedding of pattern into [N], m <= N, with every edge (a, b,
+    c) mapped to a bit of row; None when there is none.
+
+    The search runs on an explicit stack: open position pos holds its
+    failed-state key (pos, window of the last w vertices) and the mask of
+    its candidates not yet tried, lowest first."""
+    m = pattern.m
+    w, needs = _embedding_plan(pattern)
+    failed: set[tuple[int, tuple[int, ...]]] = set()
+    prefix: list[int] = []
+    stack: list[list] = []  # per open position: [key, candidates left]
+    while len(prefix) < m:
+        pos = len(prefix) + 1
+        key = (pos, tuple(prefix[max(0, pos - 1 - w):]))
+        hs = 0
+        if key not in failed:
+            # bit h: h after the last vertex, with room for m - pos more after it
+            hs = (1 << N - m + pos + 1) - (1 << (prefix[-1] + 1 if prefix else 1))
+            for (a, b) in needs[pos]:
+                hs &= row(prefix[a - 1], prefix[b - 1])
+        stack.append([key, hs])
+        while not hs:
+            failed.add(stack.pop()[0])
+            if not prefix:
+                return None
+            prefix.pop()
+            hs = stack[-1][1]
+        low = hs & -hs
+        stack[-1][1] = hs ^ low
+        prefix.append(low.bit_length() - 1)
+    return tuple(prefix)
 
 
 class JumpStates:
@@ -330,36 +315,6 @@ def jump_states(n: int) -> JumpStates:
     return JumpStates(n)
 
 
-def _minimal_jump_flags(row, n, verts) -> tuple[int, ...]:
-    """Least jump set completing a known-good vertex tuple, jumps early first.
-
-    One state at a time goes through JumpStates.step, with cond read off the
-    tuple as the detector reads it; of a state's two successors the jump
-    one is the higher bit and is tried first."""
-    states = jump_states(n)
-    m = len(verts)
-
-    def walk(p, state):
-        if p == m:
-            return () if state & states.accept else None
-        x, y, u, v, w = ((0, 0, 0, 0) + verts[:p + 1])[-5:]
-        cond = 7 if p < 3 else (row(y, u) >> w & 1 | (row(y, v) >> w & 1) << 1
-                                | (p == 3 or row(x, u) >> w & 1) << 2)
-        nxt = states.step(state, cond) & states.fits(m - 1 - p)
-        while nxt:
-            bit = nxt.bit_length() - 1
-            nxt ^= 1 << bit
-            rest = walk(p + 1, 1 << bit)
-            if rest is not None:
-                return (p + 1,) + rest if bit & 1 else rest
-        return None
-
-    flags = walk(1, 1)
-    if flags is None:
-        raise RuntimeError("flag reconstruction failed; this is a bug")
-    return flags
-
-
 def find_blue_jump_member(
     c: TripleColoring, n: int
 ) -> tuple[tuple[int, ...], JumpSpec] | None:
@@ -374,48 +329,76 @@ def find_blue_jump_member(
     N = c.N
     if 2 * n + 1 > N:
         return None
-    row = _blue_rows(c)
+    row = _rows(c, Color.BLUE)
     states = jump_states(n)
     step, accept = states.step, states.accept
     fits = [states.fits(N - h) for h in range(N + 1)]
     failed: set[tuple[tuple[int, ...], int]] = set()
-
-    def dfs(prefix: list[int], alive: int) -> tuple[int, ...] | None:
-        if alive & accept:
-            return tuple(prefix)
-        state = (tuple(prefix[-4:]), alive)
-        if state in failed:
-            return None
-        p = len(prefix)
-        x, y, u, v = ([0, 0, 0, 0] + prefix)[-4:]
-        # the rows of the four edges that end at h; -1 where a vertex is missing
-        uv = row(u, v) if p >= 2 else -1
-        yu, yv = (row(y, u), row(y, v)) if p >= 3 else (-1, -1)
-        xu = row(x, u) if p >= 4 else -1
-        for h in range(v + 1, N + 1):
-            if p == 0:  # no jump at the first position
-                nxt = alive & fits[h]
-            elif not uv >> h & 1:
-                continue
-            else:
-                cond = yu >> h & 1 | (yv >> h & 1) << 1 | (xu >> h & 1) << 2
-                nxt = step(alive, cond) & fits[h]
+    prefix: list[int] = []
+    # one frame per prefix: the next vertices not yet tried, its states,
+    # the rows of its three jump edges that end at the next vertex (-1
+    # where a vertex is missing), its failed-state key and the cond of the
+    # vertex it took last
+    stack = [[(1 << N + 1) - 2, 1, -1, -1, -1, ((), 1), 0]]
+    while True:
+        frame = stack[-1]
+        hs, alive, yu, yv, xu, _, _ = frame
+        while hs:
+            low = hs & -hs
+            hs ^= low
+            h = low.bit_length() - 1
+            cond = yu >> h & 1 | (yv >> h & 1) << 1 | (xu >> h & 1) << 2
+            # no jump at the first position
+            nxt = (step(alive, cond) if prefix else alive) & fits[h]
             if not nxt:
                 continue
-            prefix.append(h)
-            res = dfs(prefix, nxt)
+            key = (tuple(prefix[-3:]) + (h,), nxt)
+            if nxt & accept or key not in failed:
+                break
+        else:
+            failed.add(frame[5])
+            stack.pop()
+            if not stack:
+                return None
             prefix.pop()
-            if res is not None:
-                return res
-        failed.add(state)
-        return None
-
-    verts = dfs([], 1)
-    if verts is None:
-        return None
-    jumps = _minimal_jump_flags(row, n, verts)
-    spec = JumpSpec(len(verts), frozenset(jumps))
-    for (a, b, cc) in required_edges(len(verts), spec).edges:
+            continue
+        frame[0], frame[6] = hs, cond
+        prefix.append(h)
+        if nxt & accept:
+            break
+        p = len(prefix)
+        x, y, u, v = ([0, 0, 0, 0] + prefix)[-4:]
+        # the row (u, v, .) holds the next vertices; before it exists, all
+        # vertices after v
+        stack.append([row(u, v) if p >= 2 else (1 << N + 1) - (2 << v), nxt,
+                      row(y, u) if p >= 3 else -1, row(y, v) if p >= 3 else -1,
+                      row(x, u) if p >= 4 else -1, key, 0])
+    verts = tuple(prefix)
+    m = len(verts)
+    # good[k]: the states of the k-vertex prefix that still lead to an
+    # accepting state, taken from the states on the stack, which hold
+    # every state the prefix can reach
+    good = [0] * m + [accept]
+    for k in range(m - 1, 0, -1):
+        alive, cond = stack[k][1], stack[k][6]
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            if step(low, cond) & good[k + 1]:
+                good[k] |= low
+    # jumps earliest: a state's jump successor is its higher bit, taken
+    # whenever it still leads to an accepting state
+    jumps, state = [], 1
+    for k in range(1, m):
+        nxt = step(state, stack[k][6]) & good[k + 1]
+        if not nxt:
+            raise RuntimeError("flag reconstruction failed; this is a bug")
+        bit = nxt.bit_length() - 1
+        if bit & 1:
+            jumps.append(k + 1)
+        state = 1 << bit
+    spec = JumpSpec(m, frozenset(jumps))
+    for (a, b, cc) in required_edges(m, spec).edges:
         if not row(verts[a - 1], verts[b - 1]) >> verts[cc - 1] & 1:
             raise RuntimeError("member witness failed recheck; this is a bug")
     return verts, spec

@@ -329,16 +329,18 @@ def test_from_bitstring_takes_only_zeros_and_ones():
 
 def test_pair_coloring_header_alone_sizes_nothing():
     # a partial text is reported from its lines: a header N of 3000 must
-    # not build a table of its 4.5M pairs
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError) as exc:
-            parse_pair_coloring("pairs 3000 2\n1 2 1\n")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(exc.value) == "partial coloring: pair (1, 3) has no color"
-    assert peak < 1 << 20
+    # not build a table of its 4.5M pairs, and one of 100,000 no table of
+    # its vertices either
+    for N in (3000, 100_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                parse_pair_coloring(f"pairs {N} 2\n1 2 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "partial coloring: pair (1, 3) has no color"
+        assert peak < 1 << 20, N
 
 
 def test_triple_coloring_roundtrip():

@@ -17,7 +17,7 @@ from jumpramsey.core import (
     all_triples,
 )
 from jumpramsey.detect import (
-    _blue_rows,
+    _rows,
     alpha_table,
     find_blue_embedding,
     find_blue_jump_member,
@@ -33,6 +33,11 @@ from oracles import (
     naive_member,
     random_triples,
 )
+
+
+def red_at(N, density, rng):
+    """A host whose triples are red each with the given probability."""
+    return TripleColoring(N, sum(1 << r for r in range(comb(N, 3)) if rng.random() < density))
 
 
 def test_alpha_table_on_random_hosts():
@@ -65,10 +70,12 @@ def test_decoded_reads_match_the_coloring():
         hosts = [random_triples(N, rng) for _ in range(5)]
         hosts += [TripleColoring.all_red(N), TripleColoring.all_blue(N)]
         for c in hosts:
-            row = _blue_rows(c)
-            for a, b in all_pairs(N):
-                want = sum(1 << w for w in range(b + 1, N + 1) if c.is_blue(a, b, w))
-                assert row(a, b) == want, (N, a, b)
+            for target in (Color.RED, Color.BLUE):
+                row = _rows(c, target)
+                for a, b in all_pairs(N):
+                    want = sum(1 << w for w in range(b + 1, N + 1)
+                               if c.color(a, b, w) is target)
+                    assert row(a, b) == want, (N, a, b, target)
 
 
 def random_lifts(seed, count):
@@ -138,6 +145,38 @@ def test_longest_red_path_matches_forward_table_on_lifts():
         assert (depth, path.vertices) == forward_red_path(c)
 
 
+def test_longest_red_path_matches_forward_table_on_dense_red_hosts():
+    # long paths on N = 10..30, where the least-embedding search for the
+    # witness backtracks out of many dead ends
+    rng = random.Random(131)
+    depths = []
+    for _ in range(40):
+        c = red_at(rng.randint(10, 30), rng.uniform(0.6, 0.95), rng)
+        depth, path = longest_red_path(c)
+        assert (depth, path.vertices) == forward_red_path(c)
+        depths.append(depth)
+    assert max(depths) >= 20
+
+
+# the searches below take one stack frame per position, 1,001 of them past
+# the default recursion limit of 1,000 if a frame were a Python call
+def test_find_blue_embedding_of_a_thousand_positions():
+    emb = find_blue_embedding(TripleColoring.all_blue(1001), monotone_path(1001))
+    assert emb.vertices == tuple(range(1, 1002))
+
+
+def test_find_blue_jump_member_of_a_thousand_vertices():
+    verts, spec = find_blue_jump_member(TripleColoring.all_blue(1001), 500)
+    assert verts == tuple(range(1, 1002))
+    assert spec.sorted_jumps == tuple(range(2, 1001, 2))
+
+
+def test_longest_red_path_of_hundreds_of_vertices():
+    N = 400
+    depth, path = longest_red_path(TripleColoring.all_red(N))
+    assert (depth, path.vertices) == (N - 1, tuple(range(1, N + 1)))
+
+
 def test_longest_red_path_tiny_hosts():
     assert longest_red_path(TripleColoring(1, 0)) == (0, Embedding((1,)))
     depth, emb = longest_red_path(TripleColoring(2, 0))
@@ -203,6 +242,25 @@ def test_find_blue_jump_member_random_hosts():
         else:
             verts, spec = got
             assert (verts, spec.sorted_jumps) == want
+
+
+def test_find_blue_jump_member_on_red_heavy_hosts():
+    # members longer than 2n + 1, where several jump sets can fit the same
+    # vertices and the flags must come out jumps earliest
+    rng = random.Random(137)
+    longer = 0
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        c = red_at(rng.randint(2 * n + 4, 11), rng.uniform(0.3, 0.6), rng)
+        got = find_blue_jump_member(c, n)
+        want = naive_member(c, n)
+        if want is None:
+            assert got is None
+        else:
+            verts, spec = got
+            assert (verts, spec.sorted_jumps) == want
+            longer += len(verts) > 2 * n + 1
+    assert longer >= 10
 
 
 def test_find_blue_jump_member_three_jumps():
