@@ -25,7 +25,7 @@ from math import comb
 
 from .core import (Color, Embedding, TripleColoring, all_pairs, pair_offsets, pair_rank,
                    record)
-from .detect import AlphaTable, _alpha_pass, alpha_table, find_blue_jump_member
+from .detect import AlphaTable, _alpha_pass, _red_blocks, alpha_table, find_blue_jump_member
 from .family import JumpSpec, associated_graph, jump_min, required_edges, _as_spec, _require_valid
 
 
@@ -177,7 +177,7 @@ def beta_table(c: TripleColoring) -> BetaTable:
     block: highest level, then smallest t.
     """
     N = c.N
-    al, rows, cols = _alpha_pass(c, Color.RED, masks=True)
+    al, rows, cols = _alpha_pass(_red_blocks(c), Color.RED, masks=True)
     top = len(rows) - 1
     row = pair_offsets(N)
     betas = [1] * len(al)

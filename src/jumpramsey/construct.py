@@ -22,8 +22,8 @@ from .core import PairColoring, TripleColoring, pair_offsets, record
 def lift(chi: PairColoring) -> TripleColoring:
     """Red where the pair colors strictly increase along the triple.
 
-    The triples (a, b, c) for c = b+1..N are consecutive in rank order, and
-    their marks depend only on b and x = chi(a, b): '1' where x is below
+    A row of core.row_starts, the triples (a, b, c) for c = b+1..N, has
+    marks that depend only on b and x = chi(a, b): '1' where x is below
     chi(b, c).  So each row is one string, built once per (b, x) on first
     use, and a vertex a's run of rows is looked up with one map over the
     colours of its pairs (a, a+1..N-1), a column at a time."""

@@ -3,21 +3,24 @@
 Vertices are 1-based and triples are written (a, b, c) with a < b < c.
 Triple ranks are 0-based positions in the lexicographic enumeration of all
 C(N, 3) increasing triples; a red-blue triple coloring is stored as one bit
-per rank (1 = red).  The text formats defined here are the interchange
-layer for every command-line tool in the package.  A 'pairs' text in the
-canonical layout, the one serialize_pair_coloring writes, is read a column
-at a time; any other layout goes through the line scanner, which also
-gives each error its line number.  The value classes of the package are
-made by the record decorator defined here: frozen, compared and hashed
-by their fields, as dataclass(frozen=True) makes them, but without the
+per rank (1 = red).  The ranks come in rows, one per pair in pair rank
+order: row_starts states that layout, and every reader of it goes through
+that table.  The text formats defined here are the interchange layer for
+every command-line tool in the package.  A 'pairs' text in the canonical
+layout, the one serialize_pair_coloring writes, is read a column at a
+time; any other layout goes through the line scanner, which also gives
+each error its line number.  The value classes of the package are made
+by the record decorator defined here: frozen, compared and hashed by
+their fields, as dataclass(frozen=True) makes them, but without the
 source dataclass generates and compiles for each class at import.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 
@@ -46,43 +49,34 @@ def check_triple(a: int, b: int, c: int, m: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def rank_offsets(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Prefix tables of the triple rank over [N]: pref1[a] counts the
-    triples whose first vertex is below a, pref2[j] the pairs whose first
-    vertex is at most j.  (a, b, c) has rank
-    pref1[a] + pref2[b - 1] - pref2[a] + c - b - 1, and the triples
-    (a, b, c) for c = b+1..N are consecutive from the rank of (a, b, b+1)."""
-    pref1 = [0] * (N + 2)
-    for a in range(1, N + 1):
-        pref1[a + 1] = pref1[a] + comb(N - a, 2)
-    pref2 = [0] * (N + 2)
-    for j in range(1, N + 1):
-        pref2[j] = pref2[j - 1] + (N - j)
-    return tuple(pref1), tuple(pref2)
+def row_starts(N: int) -> tuple[int, ...]:
+    """The triple-rank layout over [N]: entry p, for the pair (a, b) of
+    pair rank p, is the rank of (a, b, b+1), and one trailing entry holds
+    C(N, 3).  The triples (a, b, c), c = b+1..N, are consecutive in rank
+    order and the rows follow pair order, so row p is exactly the ranks
+    starts[p] .. starts[p + 1] - 1.  A pair (a, N) has an empty row, which
+    shares its start with the next row."""
+    return tuple(accumulate((N - b for _, b in all_pairs(N)), initial=0))
 
 
 def lex_rank(triple: tuple[int, int, int], N: int) -> int:
     """0-based position of an increasing triple in lex order over [N]."""
     a, b, c = triple
     check_triple(a, b, c, N)
-    pref1, pref2 = rank_offsets(N)
-    return pref1[a] + pref2[b - 1] - pref2[a] + c - b - 1
+    return row_starts(N)[pair_offsets(N)[a] + b] + c - b - 1
 
 
 def lex_unrank(rank: int, N: int) -> tuple[int, int, int]:
-    """Inverse of lex_rank."""
-    total = comb(N, 3)
-    if not 0 <= rank < total:
+    """Inverse of lex_rank: the last row starting at or below rank holds it."""
+    starts = row_starts(N)
+    if not 0 <= rank < starts[-1]:
         raise ValueError(f"rank {rank} out of range for N={N}")
-    a = 1
-    while rank >= comb(N - a, 2):
-        rank -= comb(N - a, 2)
-        a += 1
-    b = a + 1
-    while rank >= N - b:
-        rank -= N - b
-        b += 1
-    return (a, b, b + 1 + rank)
+    p = bisect_right(starts, rank) - 1
+    # the first vertex a whose last pair (a, N) is not before pair p
+    row = pair_offsets(N)
+    a = bisect_left(row, p - N, 1)
+    b = p - row[a]
+    return (a, b, b + 1 + rank - starts[p])
 
 
 def all_triples(N: int):
@@ -349,13 +343,10 @@ class TripleColoring:
         """Induced coloring on the first M vertices."""
         if not 0 <= M <= self.N:
             raise ValueError(f"cannot restrict to [{M}]")
-        marks = self.bitstring()
-        rows = []
-        for a in range(1, M - 1):
-            for b in range(a + 1, M):
-                r = lex_rank((a, b, b + 1), self.N)  # (a, b, b+1..M) follow
-                rows.append(marks[r:r + M - b])
-        return TripleColoring.from_bitstring(M, "".join(rows))
+        marks, starts, row = self.bitstring(), row_starts(self.N), pair_offsets(self.N)
+        # row (a, b) over [M] is the first M - b marks of its row over [N]
+        return TripleColoring.from_bitstring(M, "".join([
+            marks[starts[row[a] + b]:starts[row[a] + b] + M - b] for a, b in all_pairs(M)]))
 
 
 @record

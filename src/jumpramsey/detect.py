@@ -6,15 +6,15 @@ longest target-colored monotone path that finishes with the pair (u, v).
 Assigning a triple (u, v, w) the target color always pushes alpha(v, w)
 above alpha(u, v), which is what the avoidance search in module search
 exploits for pruning.  On a full host every detector works one row at a
-time, not one triple, and reads its rows off one decoding of the host: the
-red triples (t, ., .) are one int per first vertex t, cut from the coloring
-in rank order, and the row (t, u, .) is its lowest bits once the rows
-before it are shifted out; a blue row is its complement.  One alpha pass
-fills a vertex u's pairs by ORing the rows (t, u, .) into one mask per
-value alpha(t, u) and reading off, per pair, the best value whose mask
-holds it; on request it also returns those masks per value, which the beta
-table of module certify reads.  The alpha table costs a few integer
-operations per pair.
+time, not one triple, and reads its rows off one decoding of the host:
+the red triples (t, ., .) as one int per first vertex t, its rows cut at
+the row starts of core.row_starts, which states the rank layout; a blue
+row is its complement.  Two detectors run on one host share the decoding.
+One alpha pass fills a vertex u's pairs by ORing the rows (t, u, .) into
+one mask per value alpha(t, u) and reading off, per pair, the best value
+whose mask holds it; on request it also returns those masks per value,
+which the beta table of module certify reads.  The alpha table costs a
+few integer operations per pair.
 
 The second finds the least order-preserving embedding of a fixed pattern
 with all edges blue.  Patterns of bounded width (largest span of an edge)
@@ -54,8 +54,8 @@ from .core import (
     TripleColoring,
     pair_offsets,
     pair_rank,
-    rank_offsets,
     record,
+    row_starts,
 )
 from .family import JumpSpec, monotone_path, required_edges
 
@@ -77,28 +77,32 @@ class AlphaTable:
 
 
 def _red_blocks(c: TripleColoring) -> list[int]:
-    """Per first vertex t, the red triples (t, ., .) as one int, in rank
-    order from bit 0; 0 where there are none.
+    """The decoding every detector reads: per first vertex t, the red
+    triples (t, ., .) as one int, 0 at index 0 and where there are none.
 
-    Row (t, u, .) comes after the rows (t, t + 1, .), ..., (t, u - 1, .),
-    so once those are shifted out it is the lowest N - u bits, bit
-    v - u - 1 for (t, u, v)."""
-    pref1, _ = rank_offsets(c.N)
-    return [c.bits >> lo & (1 << hi - lo) - 1 for lo, hi in zip(pref1, pref1[1:])]
+    Block t is the rows of the pairs (t, t+1), ..., (t, N) in the layout of
+    core.row_starts, bit 0 the first rank of row (t, t+1), each cut from
+    one little-endian byte decoding of the coloring."""
+    N, read = c.N, int.from_bytes
+    starts, pairs = row_starts(N), pair_offsets(N)
+    data = c.bits.to_bytes(starts[-1] + 7 >> 3, "little")
+    cuts = [starts[pairs[t] + t + 1] for t in range(1, N + 1)] + [starts[-1]]
+    return [0] + [read(data[lo >> 3:hi + 7 >> 3], "little") >> (lo & 7) & (1 << hi - lo) - 1
+                  for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _rows(c: TripleColoring, target: Color):
+def _rows(blocks: list[int], target: Color):
     """row(a, b): the target-colored triples (a, b, c) as one int with bit
-    c set, read from block a of _red_blocks, complemented for a blue
-    target, pref2[b - 1] - pref2[a] bits in."""
-    N = c.N
-    blocks = _red_blocks(c)
+    c set, cut at row (a, b) of core.row_starts from block a of the
+    decoding blocks (_red_blocks), complemented for a blue target."""
+    N = len(blocks) - 1
     if target is Color.BLUE:
         blocks = [~b for b in blocks]
-    p2 = rank_offsets(N)[1]
+    starts, pairs = row_starts(N), pair_offsets(N)
 
     def row(a: int, b: int) -> int:
-        return (blocks[a] >> p2[b - 1] - p2[a] & (1 << N - b) - 1) << b + 1
+        p = pairs[a]  # block a starts at row (a, a + 1)
+        return (blocks[a] >> starts[p + b] - starts[p + a + 1] & (1 << N - b) - 1) << b + 1
 
     return row
 
@@ -108,26 +112,26 @@ def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
 
     The empty maximum gives alpha = 1: a bare pair ends a trivial path.
     """
-    return AlphaTable(c.N, target, tuple(_alpha_pass(c, target)[0]))
+    return AlphaTable(c.N, target, tuple(_alpha_pass(_red_blocks(c), target)[0]))
 
 
-def _alpha_pass(c: TripleColoring, target: Color = Color.RED, masks: bool = False):
+def _alpha_pass(blocks: list[int], target: Color = Color.RED, masks: bool = False):
     """(values, rows, cols): alpha in pair lex-rank order, in one pass over
-    the blocks of _red_blocks, complemented for a blue target.
+    a copy of blocks (_red_blocks), complemented for a blue target.
 
     Vertex u's pairs are filled after every alpha(t, u), t < u, is final.
-    Each row (t, u, .), the low bits of block t, is ORed into the mask
-    acc[alpha(t, u) + 1] and shifted out; going from the highest value
-    down, each v takes the first value whose mask holds it, and the rest
-    keep the value 1 unvisited.  With masks, rows[a][u] holds the v with
-    alpha(u, v) = a at bit v, and cols[a][v] the t with alpha(t, v) = a
-    at bit t, for a up to the largest value; else both are None.
+    Block t holds its rows in pair order (core.row_starts), so row (t, u)
+    is its low N - u bits once the rows before it are shifted out.  Each is
+    ORed into the mask acc[alpha(t, u) + 1] and shifted out; going from the
+    highest value down, each v takes the first value whose mask holds it,
+    and the rest keep the value 1 unvisited.  With masks, rows[a][u] holds
+    the v with alpha(u, v) = a at bit v, and cols[a][v] the t with
+    alpha(t, v) = a at bit t, for a up to the largest value; else both are
+    None.
     """
-    N = c.N
-    blocks = _red_blocks(c)
-    if target is Color.BLUE:
-        # ~b & m and ~b >> k read and drop the complemented rows
-        blocks = [~b for b in blocks]
+    N = len(blocks) - 1
+    # ~b & m and ~b >> k read and drop the complemented rows
+    blocks = [~b for b in blocks] if target is Color.BLUE else list(blocks)
     row = pair_offsets(N)
     values = [1] * comb(N, 2)
     rows = [[0] * (N + 1) for _ in range(N + 2)] if masks else None
@@ -171,29 +175,31 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
     depth is at least m - 1.  The witness has depth + 1 vertices and is the
     lexicographically least such sequence (or all of [N] for N < 2).
     """
-    depth = max(_alpha_pass(c)[0], default=0)
-    return depth, _red_path_witness(c, depth)
+    blocks = _red_blocks(c)
+    depth = max(_alpha_pass(blocks)[0], default=0)
+    return depth, _red_path_witness(blocks, depth)
 
 
 def red_path(c: TripleColoring, m: int) -> Embedding | None:
     """The first m vertices of the longest_red_path witness, or None when
-    no red path has m vertices.  The alpha table is filled once, and the
-    witness is built only when there is one."""
+    no red path has m vertices.  The host is decoded once and the alpha
+    table filled once, and the witness is built only when there is one."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    depth = max(_alpha_pass(c)[0], default=0)
+    blocks = _red_blocks(c)
+    depth = max(_alpha_pass(blocks)[0], default=0)
     if m > c.N or depth < m - 1:
         return None
-    return Embedding(_red_path_witness(c, depth).vertices[:m])
+    return Embedding(_red_path_witness(blocks, depth).vertices[:m])
 
 
-def _red_path_witness(c: TripleColoring, depth: int) -> Embedding:
-    """The longest_red_path witness: the least red embedding of the path on
-    depth + 1 vertices, which the alpha depth promises."""
-    N = c.N
+def _red_path_witness(blocks: list[int], depth: int) -> Embedding:
+    """The longest_red_path witness, read off the host's blocks: the least
+    red embedding of the path on depth + 1 vertices, which depth promises."""
+    N = len(blocks) - 1
     if N < 2:
         return Embedding(tuple(range(1, N + 1)))
-    path = _least_embedding(_rows(c, Color.RED), N, monotone_path(depth + 1))
+    path = _least_embedding(_rows(blocks, Color.RED), N, monotone_path(depth + 1))
     if path is None:
         raise RuntimeError("path tables disagree; this is a bug")
     return Embedding(path)
@@ -216,7 +222,7 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
     """
     if pattern.m > c.N:
         return None
-    row = _rows(c, Color.BLUE)
+    row = _rows(_red_blocks(c), Color.BLUE)
     found = _least_embedding(row, c.N, pattern)
     if found is None:
         return None
@@ -275,11 +281,13 @@ class JumpStates:
 
     def __init__(self, n: int):
         self.n = n
-        self.accept = sum(1 << (8 * n + f) for f in range(0, 8, 2))
+        self.accept = 0x55 << 8 * n  # all n jumps used, f even
         # room[s]: the states that leave room for the rest of a member with
         # s host vertices to spare: 2 per missing jump, 1 after a jump
-        self.room = [sum(1 << (8 * used + f) for used in range(n + 1) for f in range(8)
-                         if 2 * (n - used) + (f & 1) <= s) for s in range(2 * n + 2)]
+        self.room, fit = [], 0
+        for s in range(2 * n + 2):
+            fit |= (0xAA if s & 1 else 0x55) << 8 * (n - s // 2)
+            self.room.append(fit)
         self.steps: dict[int, int] = {}
 
     def fits(self, spare: int) -> int:
@@ -290,21 +298,23 @@ class JumpStates:
         """States after appending a vertex w to prefixes ending (x, y, u, v)
         in the states of mask; cond bits 0, 1, 2 say whether the jump edges
         (y, u, w), (y, v, w) and (x, u, w) are blue (set where a vertex is
-        missing).  The caller checks (u, v, w) itself."""
+        missing).  The caller checks (u, v, w) itself.  Only the states of
+        mask are visited."""
         key = mask << 3 | cond
         out = self.steps.get(key)
         if out is None:
-            out = 0
-            for used in range(self.n + 1):
-                for f in range(8):
-                    if not mask >> (8 * used + f) & 1:
-                        continue
-                    if (f & 1 and not cond & 1 or f & 2 and not cond & 2
-                            or f & 5 == 5 and not cond & 4):
-                        continue
-                    out |= 1 << (8 * used + (f << 1 & 7))
-                    if not f & 1 and used < self.n:
-                        out |= 1 << (8 * (used + 1) + (f << 1 & 7 | 1))
+            out, full = 0, 1 << 8 * self.n
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                f = low.bit_length() - 1 & 7
+                if (f & 1 and not cond & 1 or f & 2 and not cond & 2
+                        or f & 5 == 5 and not cond & 4):
+                    continue
+                low = low >> f << (f << 1 & 7)  # the flags shifted, used kept
+                out |= low
+                if not f & 1 and low < full:  # a jump at w: used + 1, f odd
+                    out |= low << 9
             self.steps[key] = out
         return out
 
@@ -329,7 +339,7 @@ def find_blue_jump_member(
     N = c.N
     if 2 * n + 1 > N:
         return None
-    row = _rows(c, Color.BLUE)
+    row = _rows(_red_blocks(c), Color.BLUE)
     states = jump_states(n)
     step, accept = states.step, states.accept
     fits = [states.fits(N - h) for h in range(N + 1)]

@@ -60,9 +60,10 @@ of the branch whose blue is untried; every other rank of the branch is
 blue.  A dead end backs up to the last of them, c, in one step: c's own
 undo, one alpha value or with a blue path an unwind of the trail to c's
 mark, takes the raises of the ranks above with it.  Red at (u, v, w) is
-dead exactly when ar(u, v) is at the red dead level, and no write in block
-(u, v, .) raises ar(u, v); so the rest of such a block, up to the end of
-the walk, goes blue in one inner loop.  With a blue path each of its writes
+dead exactly when ar(u, v) is at the red dead level, and no write in the
+row of (u, v), its ranks (u, v, .) in core.row_starts, raises ar(u, v); so
+the rest of such a row, up to the end of the walk, goes blue in one inner
+loop.  With a blue path each of its writes
 is alive and raises nothing, as the fixpoint already holds ab(v, z) >
 ab(u, v) for every z.  Each rank of the run still counts as a red-dead
 write and a node, the run ends at the first push that finds a copy, and the
@@ -73,10 +74,10 @@ enumeration walks the first ranks and collects the live prefixes; each
 split replays its prefix and walks the remaining ranks to a full coloring.
 
 Path/path splits also skip states that failed before.  At the start of
-block (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
+row (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
 blue alpha values of pair (a, b) and of the pairs after it in pair lex
 order, a suffix: a later write (a', v, w), a' >= a, reads (a', v) and
-raises pairs whose first vertex is after a'.  What pairs before the block
+raises pairs whose first vertex is after a'.  What pairs before the row
 start forced is already in the suffix values.  Pairs (x, N) are never
 read: a raise there fails exactly when it reaches m - 1, whatever value it
 raises.  A value d at pair (x, y) with d + (N - y) < m - 1 (m the path
@@ -86,7 +87,7 @@ increasing vertices, so it carries at most d + (N - y) - 1 to a pair
 (., y'), y' < N, and d + (N - y) to a pair (., N): it reaches no dead level
 and no m - 1, directly or through a max.  The clamped suffix is one int,
 kept up to date with every raise and its undo.  The back-up records each
-block start of the branch it passes that is blue or had both colours
+row start of the branch it passes that is blue or had both colours
 tried, on the int it had on arrival, and a later arrival with the same int
 backs out at once and counts a memo hit, not a node.  Only failed
 subtrees are skipped, so the first sat leaf, every status and every witness
@@ -113,7 +114,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
-                   lex_rank, pair_offsets, record)
+                   lex_rank, pair_offsets, record, row_starts)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
 
 DEFAULT_BUDGET = 10**9
@@ -431,7 +432,7 @@ class _Engine:
         write that dies, a push that completes a copy, a memo hit, or a leaf
         that returns) pops its last rank, c, and tries blue at c.  A red
         write that fails to propagate goes onto reds too.  starts holds the
-        branch's block starts for the memo (path/path splits), each recorded
+        branch's row starts for the memo (path/path splits), each recorded
         at its own mark as the back-up passes it.  The back-up restores the
         alpha tables, the trail and packed only: a table reads a colour or
         slot above c only once the walk has rewritten it.  Counters live in
@@ -442,7 +443,7 @@ class _Engine:
         ar, ab, memo, trail = self.ar, self.ab, self.memo, self.trail
         settle, unwind = self._settle, self._unwind
         push = None if self.table is None else self.table.push
-        block_end = _block_ends(self.N)
+        row_start = row_starts(self.N)
         red_top = self.red_m - 1
         blue_top = self.blue_m - 1 if push is None else None
         # the blue of rank 0 is the colour swap of its red when the sides agree
@@ -482,11 +483,11 @@ class _Engine:
                             continue
                         red_dead += 1
                     else:
-                        # red is dead for the rest of the block: a run of blue nodes
+                        # red is dead for the rest of the row: a run of blue nodes
                         if front[rank] is not None:
                             token[rank] = len(trail)
                             starts.append(rank)
-                        end = block_end[rank]
+                        end = row_start[iuv + 1]  # past the last rank of row (u, v)
                         if end > stop:
                             end = stop
                         limit = rank + cap - nodes  # the budget stops the run there
@@ -584,13 +585,6 @@ def _ranks(N: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, i
 
 
 @lru_cache(maxsize=16)
-def _block_ends(N: int) -> tuple[int, ...]:
-    """Per lex rank (u, v, w), the rank after the last triple (u, v, N) of
-    its block."""
-    return tuple(rank + N + 1 - w for rank, (_, _, w) in enumerate(_ranks(N)[0]))
-
-
-@lru_cache(maxsize=16)
 def _memo_layout(N: int, rm: int, bm: int):
     """(packs, front, sentinel): how the path/path memo packs its state,
     built once per problem and shared by every split.
@@ -599,8 +593,9 @@ def _memo_layout(N: int, rm: int, bm: int):
     y < N, lowest pair rank in the lowest bits, under the sentinel bit;
     packs[red][pair][d] is what value d of that pair in ar (red) or ab adds
     to packed, 0 below the pair's clamp threshold.  front[rank] is the
-    offset of pair (a, b) when rank is the block start (a, b, b+1), else
-    None, so packed >> front[rank] is the state of every pair still read.
+    offset of pair (a, b) when rank starts its nonempty row in
+    core.row_starts, else None, so packed >> front[rank] is the state of
+    every pair still read.
     """
     # live values never exceed m - 2: a larger one kills its branch first
     rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
@@ -619,10 +614,12 @@ def _memo_layout(N: int, rm: int, bm: int):
     packs = tuple(
         tuple(tuple(d << shift if d >= thr else 0 for d in range(m)) for thr, shift in fs)
         for m, fs in ((bm, bfield), (rm, rfield)))
-    triples, pairs_idx = _ranks(N)
-    front = tuple(offset[iuv] if w == v + 1 else None
-                  for (_, v, w), (iuv, _) in zip(triples, pairs_idx))
-    return packs, front, 1 << width
+    starts = row_starts(N)
+    front = [None] * starts[-1]
+    for p, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        if lo < hi:
+            front[lo] = offset[p]
+    return packs, tuple(front), 1 << width
 
 
 @lru_cache(maxsize=16)

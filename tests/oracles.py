@@ -9,7 +9,7 @@ import dataclasses
 from itertools import combinations
 from math import comb
 
-from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring
+from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring, all_triples
 
 
 def dataclass_twin(cls):
@@ -282,6 +282,40 @@ def naive_member(c, n):
     if best_verts is None:
         return None
     return best_verts, best_jumps
+
+
+def naive_red_blocks(c):
+    """Per first vertex t = 0..N, the red triples (t, ., .) as one int, read
+    one rank at a time: the k-th triple of t in rank order is bit k."""
+    blocks, seen = [0] * (c.N + 1), [0] * (c.N + 1)
+    for rank, (a, _, _) in enumerate(all_triples(c.N)):
+        blocks[a] |= c.is_red_rank(rank) << seen[a]
+        seen[a] += 1
+    return blocks
+
+
+def naive_jump_step(n, mask, cond):
+    """JumpStates(n).step by visiting all 8(n + 1) states (f, used), bit
+    8 * used + f, whether mask holds them or not."""
+    out = 0
+    for used in range(n + 1):
+        for f in range(8):
+            if not mask >> (8 * used + f) & 1:
+                continue
+            if (f & 1 and not cond & 1 or f & 2 and not cond & 2
+                    or f & 5 == 5 and not cond & 4):
+                continue
+            out |= 1 << (8 * used + (f << 1 & 7))
+            if not f & 1 and used < n:
+                out |= 1 << (8 * (used + 1) + (f << 1 & 7 | 1))
+    return out
+
+
+def naive_fits(n, spare):
+    """The states (f, used) of JumpStates(n) whose member can still be
+    finished with spare host vertices: 2 per missing jump, 1 after a jump."""
+    return sum(1 << (8 * used + f) for used in range(n + 1) for f in range(8)
+               if 2 * (n - used) + (f & 1) <= spare)
 
 
 def naive_embedding(c, pattern):

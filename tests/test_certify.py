@@ -20,7 +20,7 @@ from jumpramsey.certify import (
 )
 from jumpramsey.construct import lift, pentagon_coloring
 from jumpramsey.core import Color, PairColoring, TripleColoring, all_pairs
-from jumpramsey.detect import _alpha_pass, alpha_table, find_blue_jump_member
+from jumpramsey.detect import _alpha_pass, _red_blocks, alpha_table, find_blue_jump_member
 from jumpramsey.family import associated_graph, jump_min, required_edges
 from oracles import (
     alpha_map,
@@ -91,7 +91,7 @@ def test_alpha_pass_masks_match_the_alpha_values():
     hosts = lift_hosts() + [c for _, _, c in density_hosts()]
     for c in hosts:
         N = c.N
-        values, rows, cols = _alpha_pass(c, Color.RED, masks=True)
+        values, rows, cols = _alpha_pass(_red_blocks(c), Color.RED, masks=True)
         alpha = dict(zip(all_pairs(N), naive_alpha_values(c)))
         assert tuple(values) == tuple(alpha.values())
         top = max(alpha.values(), default=1)
@@ -101,7 +101,7 @@ def test_alpha_pass_masks_match_the_alpha_values():
             for u in range(1, N + 1):
                 assert rows[a][u] == sum(1 << v for v in range(u + 1, N + 1) if alpha[u, v] == a)
                 assert cols[a][u] == sum(1 << t for t in range(1, u) if alpha[t, u] == a)
-    assert _alpha_pass(hosts[0])[1:] == (None, None)
+    assert _alpha_pass(_red_blocks(hosts[0]))[1:] == (None, None)
 
 
 def plain_chains(table):

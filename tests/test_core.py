@@ -24,6 +24,7 @@ from jumpramsey.core import (
     parse_pattern,
     parse_triple_coloring,
     parse_witness,
+    row_starts,
     serialize_pair_coloring,
     serialize_pattern,
     serialize_triple_coloring,
@@ -37,6 +38,29 @@ def test_lex_rank_unrank_inverse_exhaustive():
         for i, t in enumerate(all_triples(N)):
             assert lex_rank(t, N) == i
             assert lex_unrank(i, N) == t
+        # an empty row (a, N) starts where the next row (a + 1, a + 2)
+        # does; the rank before it ends the row (a, N - 1)
+        starts = row_starts(N)
+        for a in range(1, N - 1):
+            p = pair_rank(a, N, N)
+            assert starts[p] == starts[p + 1]
+            assert lex_unrank(starts[p] - 1, N) == (a, N - 1, N)
+            if a < N - 2:
+                assert lex_unrank(starts[p], N) == (a + 1, a + 2, a + 3)
+    for N in range(13):
+        for rank in (-1, comb(N, 3)):
+            with pytest.raises(ValueError, match=f"rank {rank} out of range for N={N}"):
+                lex_unrank(rank, N)
+
+
+def test_row_starts_hold_each_row_in_combinations_order():
+    for N in range(13):
+        starts, ranks = row_starts(N), {t: r for r, t in enumerate(all_triples(N))}
+        assert len(starts) == comb(N, 2) + 1 and starts[-1] == comb(N, 3)
+        for p, (a, b) in enumerate(all_pairs(N)):
+            assert list(range(starts[p], starts[p + 1])) == [
+                ranks[a, b, c] for c in range(b + 1, N + 1)]
+    assert row_starts(9) is row_starts(9)
 
 
 def test_lex_rank_small_values():

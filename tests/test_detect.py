@@ -17,6 +17,8 @@ from jumpramsey.core import (
     all_triples,
 )
 from jumpramsey.detect import (
+    JumpStates,
+    _red_blocks,
     _rows,
     alpha_table,
     find_blue_embedding,
@@ -30,7 +32,10 @@ from oracles import (
     longest_path,
     naive_alpha_values,
     naive_embedding,
+    naive_fits,
+    naive_jump_step,
     naive_member,
+    naive_red_blocks,
     random_triples,
 )
 
@@ -71,11 +76,37 @@ def test_decoded_reads_match_the_coloring():
         hosts += [TripleColoring.all_red(N), TripleColoring.all_blue(N)]
         for c in hosts:
             for target in (Color.RED, Color.BLUE):
-                row = _rows(c, target)
+                row = _rows(_red_blocks(c), target)
                 for a, b in all_pairs(N):
                     want = sum(1 << w for w in range(b + 1, N + 1)
                                if c.color(a, b, w) is target)
                     assert row(a, b) == want, (N, a, b, target)
+
+
+def test_red_blocks_match_a_per_rank_cut():
+    # the blocks cut at the row starts from one byte decoding, against one
+    # bit per rank, on hosts with no triples, blocks with none and bytes
+    # cut mid-row
+    rng = random.Random(41)
+    for N in list(range(14)) + [40, 85]:
+        for c in (random_triples(N, rng), random_triples(N, rng),
+                  TripleColoring.all_red(N), TripleColoring.all_blue(N)):
+            assert _red_blocks(c) == naive_red_blocks(c), N
+
+
+def test_jump_steps_match_the_walk_over_every_state():
+    # each state alone, then seeded random masks, under all 8 conds; a
+    # fresh JumpStates, so every step is computed, not read from the memo
+    rng = random.Random(43)
+    for n in range(7):
+        states, width = JumpStates(n), 8 * (n + 1)
+        masks = [1 << s for s in range(width)] + [rng.getrandbits(width) for _ in range(100)]
+        for mask in masks + [0, (1 << width) - 1]:
+            for cond in range(8):
+                assert states.step(mask, cond) == naive_jump_step(n, mask, cond), (n, mask, cond)
+        for spare in range(2 * n + 5):
+            assert states.fits(spare) == naive_fits(n, spare), (n, spare)
+        assert states.accept == sum(1 << 8 * n + f for f in range(0, 8, 2))
 
 
 def random_lifts(seed, count):
