@@ -13,8 +13,9 @@ verify_profile_property checks that no group of same-staircase vertices
 carries a monochromatic triangle under alpha.  Chains are the reason: such
 a triangle would extend a chain by one block and push beta past itself.
 
-The beta table reads its per-value masks off the alpha pass of module
-detect and keeps, per (value, vertex), the length of the longest chain a
+The beta table reads its per-value row masks off the alpha pass of module
+detect, builds a vertex's column masks from the alpha values when it comes
+up, and keeps, per (value, vertex), the length of the longest chain a
 block there extends; a chain is rebuilt from those only when asked for.
 """
 
@@ -164,7 +165,9 @@ def beta_table(c: TripleColoring) -> BetaTable:
     blocks; beta = B + 1.  Ties break toward the smallest predecessor, so
     the chain BetaTable.chain rebuilds is deterministic.
 
-    The value masks rows and cols come from the alpha pass itself.  The
+    The row masks rows[a][u], the v with alpha(u, v) = a, come from the
+    alpha pass itself; vertex u's column masks cols[a], the t < u with
+    alpha(t, u) = a, are read off the alpha values when u comes up.  The
     chain a block (t, u, v) extends depends only on t and a = alpha(u, v):
     its length is ext[a][t].  claimed[a][B] holds the v of the pairs (u, v)
     at value a written with B blocks, so when vertex t comes up, the
@@ -177,7 +180,7 @@ def beta_table(c: TripleColoring) -> BetaTable:
     block: highest level, then smallest t.
     """
     N = c.N
-    al, rows, cols = _alpha_pass(_red_blocks(c), Color.RED, masks=True)
+    al, rows = _alpha_pass(_red_blocks(c), Color.RED)
     top = len(rows) - 1
     row = pair_offsets(N)
     betas = [1] * len(al)
@@ -198,11 +201,14 @@ def beta_table(c: TripleColoring) -> BetaTable:
             levels = filed[a]
             levels += [0] * (most + 1 - len(levels))
             levels[most] |= bit
-        width = next((a for a in range(top, 0, -1) if cols[a][u]), 0)
+        cols = [0] * (top + 1)
+        for t in range(1, u):
+            cols[al[row[t] + u]] |= 1 << t
+        width = next((a for a in range(top, 0, -1) if cols[a]), 0)
         deepest.append(tuple(deep[::-1][:width]))
         at = row[u] - 1
         for a in range(1, top + 1):
-            open_, ts = rows[a][u], cols[a][u]
+            open_, ts = rows[a][u], cols[a]
             levels, claims, marks = filed[a], rows[a], claimed[a]
             marks += [0] * (len(levels) + 1 - len(marks))
             B = len(levels)

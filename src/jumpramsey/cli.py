@@ -9,10 +9,9 @@ Data flows through stdin/stdout in the formats of module core.  Each
 command's handler sits on its parser and returns the text to print (None
 for nothing) and the exit code; dispatch writes the text once.  --output
 receives exactly what stdout would, and a run that prints nothing writes
-no file.  search --nmax alone writes its own output once every level is
-decided: a line per level and, with --output as a prefix, one file per
-level.  An --output that cannot be
-written is a usage error before the command runs.
+no file; search --nmax prints its level lines and takes --output as the
+prefix of one file per level.  An --output that cannot be written is a
+usage error before the command runs.
 Exit codes: 0 found/true/sat, 1 not-found/false/unsat, 2 usage or format
 error, 3 inconclusive search, 4 internal error (a failed self-check,
 exhausted resources or any other exception a command raises), 141
@@ -241,28 +240,28 @@ def _witness(emb: Embedding | None, jumps=None):
     return serialize_witness(Witness(emb.vertices, jumps=jumps)), 0
 
 
-def _gen_path(args, stdin, stdout):
+def _gen_path(args, stdin):
     return serialize_pattern(monotone_path(args.m)), 0
 
 
-def _gen_power(args, stdin, stdout):
+def _gen_power(args, stdin):
     return serialize_pattern(power_path(args.m, args.t)), 0
 
 
-def _gen_imin(args, stdin, stdout):
+def _gen_imin(args, stdin):
     pattern, spec = jump_min(args.n)
     return serialize_pattern(pattern, spec.sorted_jumps), 0
 
 
-def _gen_pentagon(args, stdin, stdout):
+def _gen_pentagon(args, stdin):
     return serialize_pair_coloring(pentagon_coloring()), 0
 
 
-def _gen_gf16(args, stdin, stdout):
+def _gen_gf16(args, stdin):
     return serialize_pair_coloring(gf16_coloring()), 0
 
 
-def _gen_schur(args, stdin, stdout):
+def _gen_schur(args, stdin):
     try:
         classes = [[int(x) for x in part.split(",") if x]
                    for part in args.classes.split("/")]
@@ -271,33 +270,33 @@ def _gen_schur(args, stdin, stdout):
     return serialize_pair_coloring(schur_coloring(classes)), 0
 
 
-def _gen_paley(args, stdin, stdout):
+def _gen_paley(args, stdin):
     return serialize_pair_coloring(paley_coloring(args.q)), 0
 
 
-def _gen_product(args, stdin, stdout):
+def _gen_product(args, stdin):
     left = parse_pair_coloring(_read_file(args.left))
     right = parse_pair_coloring(_read_file(args.right))
     return serialize_pair_coloring(product_coloring(left, right)), 0
 
 
-def _lift(args, stdin, stdout):
+def _lift(args, stdin):
     chi = parse_pair_coloring(stdin.read())
     return serialize_triple_coloring(lift(chi)), 0
 
 
-def _detect_redpath(args, stdin, stdout):
+def _detect_redpath(args, stdin):
     host = parse_triple_coloring(stdin.read())
     return _witness(red_path(host, args.m))
 
 
-def _detect_pattern(args, stdin, stdout):
+def _detect_pattern(args, stdin):
     host = parse_triple_coloring(stdin.read())
     pattern, _ = parse_pattern(_read_file(args.pattern))
     return _witness(find_blue_embedding(host, pattern))
 
 
-def _detect_jumps(args, stdin, stdout):
+def _detect_jumps(args, stdin):
     host = parse_triple_coloring(stdin.read())
     found = find_blue_jump_member(host, args.n)
     if found is None:
@@ -306,24 +305,24 @@ def _detect_jumps(args, stdin, stdout):
     return _witness(Embedding(verts), spec.sorted_jumps)
 
 
-def _detect_clique(args, stdin, stdout):
+def _detect_clique(args, stdin):
     chi = parse_pair_coloring(stdin.read())
     found = has_mono_clique(chi, args.m)
     return _witness(None if found is None else Embedding(found))
 
 
 # alpha and beta print their values by pair rank, the order of pair_lines
-def _table_alpha(args, stdin, stdout):
+def _table_alpha(args, stdin):
     host = parse_triple_coloring(stdin.read())
     return f"alpha {host.N}\n" + pair_lines(host.N, alpha_table(host).values), 0
 
 
-def _table_beta(args, stdin, stdout):
+def _table_beta(args, stdin):
     host = parse_triple_coloring(stdin.read())
     return f"beta {host.N}\n" + pair_lines(host.N, beta_table(host).betas), 0
 
 
-def _table_profiles(args, stdin, stdout):
+def _table_profiles(args, stdin):
     host = parse_triple_coloring(stdin.read())
     profiles = profile_table(host)
     lines = [f"profiles {host.N}"]
@@ -333,13 +332,13 @@ def _table_profiles(args, stdin, stdout):
     return "\n".join(lines) + "\n", 0
 
 
-def _certify_ghtriangle(args, stdin, stdout):
+def _certify_ghtriangle(args, stdin):
     chi = _parse_gh_coloring(_read_file(args.chi))
     tri = gh_triangle_finder(args.m, _positions(args.jumps), chi)
     return " ".join(str(v) for v in tri) + "\n", 0
 
 
-def _certify_witness(args, stdin, stdout):
+def _certify_witness(args, stdin):
     w = parse_witness(_read_file(args.chain))
     if w.blocks is None:
         raise _UsageError("chain witness needs a 'blocks' field")
@@ -350,7 +349,7 @@ def _certify_witness(args, stdin, stdout):
     return _witness(emb, spec.sorted_jumps)
 
 
-def _certify_profileprop(args, stdin, stdout):
+def _certify_profileprop(args, stdin):
     host = parse_triple_coloring(stdin.read())
     report = verify_profile_property(host, args.n)
     lines = [f"profileprop N={report.N} n={report.n}"]
@@ -379,7 +378,7 @@ def _certify_profileprop(args, stdin, stdout):
     return "\n".join(lines) + "\n", 0 if report.clean else 1
 
 
-def _certify_downsets(args, stdin, stdout):
+def _certify_downsets(args, stdin):
     # str() refuses an int of over 4,300 digits: convert 4,000 at a time
     count, chunk, low_first = count_downsets(args.n), 10**4000, []
     while count >= chunk:
@@ -460,7 +459,7 @@ def _certificate(N: int, red_text: str, blue_text: str, budget: int,
     )
 
 
-def _search(args, stdin, stdout):
+def _search(args, stdin):
     if (args.n is None) == (args.nmax is None):
         raise _UsageError("give exactly one of --n and --nmax")
     N = max(args.nmax if args.n is None else args.n, 0)
@@ -470,7 +469,6 @@ def _search(args, stdin, stdout):
     if args.nmax is not None:
         out = bracket(red, blue, args.nmax, budget=args.budget, workers=workers)
         for level in out.levels:
-            stdout.write(f"N={level.N} {level.outcome.status}\n")
             if args.output and level.outcome.status == "sat":
                 _write_file(f"{args.output}-N{level.N}.triples",
                             serialize_triple_coloring(level.outcome.witness))
@@ -478,9 +476,9 @@ def _search(args, stdin, stdout):
                 _write_file(f"{args.output}-N{level.N}.cert",
                             _certificate(level.N, red_text, blue_text,
                                          args.budget, level.outcome))
-        stdout.write(f"largest-sat {out.largest_sat}\n")
-        stdout.write(f"status {out.status}\n")
-        return None, 3 if out.status == "inconclusive" else 0
+        text = "".join(f"N={level.N} {level.outcome.status}\n" for level in out.levels)
+        return (text + f"largest-sat {out.largest_sat}\nstatus {out.status}\n",
+                3 if out.status == "inconclusive" else 0)
 
     outcome = decide(AvoidanceProblem(args.n, red, blue), budget=args.budget,
                      workers=workers)
@@ -492,7 +490,7 @@ def _search(args, stdin, stdout):
     return None, 3, f"inconclusive budget={args.budget}\n"
 
 
-def _verify_member(args, stdin, stdout):
+def _verify_member(args, stdin):
     pattern, file_jumps = parse_pattern(_read_file(args.pattern))
     if args.jumps is not None:
         jumps = _positions(args.jumps)
@@ -506,7 +504,7 @@ def _verify_member(args, stdin, stdout):
     return f"invalid: {report.reason}\n", 1
 
 
-def _verify_roundtrip(args, stdin, stdout):
+def _verify_roundtrip(args, stdin):
     for name, least in (("n", 1), ("count", 0), ("hosts", 3)):
         if getattr(args, name) < least:
             raise _UsageError(f"{name} must be at least {least}")
@@ -552,14 +550,15 @@ def dispatch(argv, stdin=None, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+    # search --nmax takes --output as the prefix of its level files
+    prefix = getattr(args, "nmax", None) is not None
     try:
         if args.output:
-            # search --nmax takes --output as a prefix
-            _check_output(args.output, getattr(args, "nmax", None) is not None)
+            _check_output(args.output, prefix)
         # search's note for stderr follows the text, so a failed write leaves none
-        text, code, *note = args.run(args, stdin, stdout)
+        text, code, *note = args.run(args, stdin)
         if text is not None:
-            _emit(text, args.output, stdout)
+            _emit(text, None if prefix else args.output, stdout)
         stderr.writelines(note)
         return code
     except BrokenPipeError:

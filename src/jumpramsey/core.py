@@ -287,7 +287,8 @@ class TripleColoring:
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("N must be nonnegative")
-        if not 0 <= self.bits < 1 << comb(self.N, 3):
+        # no bound 1 << C(N, 3) is built: it takes 20 MB at N = 1001
+        if not (self.bits >= 0 and self.bits.bit_length() <= comb(self.N, 3)):
             raise ValueError("bits outside the range for this N")
 
     @property

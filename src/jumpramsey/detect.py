@@ -12,9 +12,9 @@ the row starts of core.row_starts, which states the rank layout; a blue
 row is its complement.  Two detectors run on one host share the decoding.
 One alpha pass fills a vertex u's pairs by ORing the rows (t, u, .) into
 one mask per value alpha(t, u) and reading off, per pair, the best value
-whose mask holds it; on request it also returns those masks per value,
-which the beta table of module certify reads.  The alpha table costs a
-few integer operations per pair.
+whose mask holds it.  It returns those masks beside the values, per value
+a the v with alpha(u, v) = a, which the beta table of module certify
+reads.  The alpha table costs a few integer operations per pair.
 
 The second finds the least order-preserving embedding of a fixed pattern
 with all edges blue.  Patterns of bounded width (largest span of an edge)
@@ -115,27 +115,25 @@ def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
     return AlphaTable(c.N, target, tuple(_alpha_pass(_red_blocks(c), target)[0]))
 
 
-def _alpha_pass(blocks: list[int], target: Color = Color.RED, masks: bool = False):
-    """(values, rows, cols): alpha in pair lex-rank order, in one pass over
-    a copy of blocks (_red_blocks), complemented for a blue target.
+def _alpha_pass(blocks: list[int], target: Color = Color.RED):
+    """(values, rows): alpha in pair lex-rank order, in one pass over a
+    copy of blocks (_red_blocks), complemented for a blue target, and
+    rows[a][u], the v with alpha(u, v) = a at bit v, for a from 1 up to
+    the largest value (rows[0] is empty).
 
     Vertex u's pairs are filled after every alpha(t, u), t < u, is final.
     Block t holds its rows in pair order (core.row_starts), so row (t, u)
     is its low N - u bits once the rows before it are shifted out.  Each is
     ORed into the mask acc[alpha(t, u) + 1] and shifted out; going from the
     highest value down, each v takes the first value whose mask holds it,
-    and the rest keep the value 1 unvisited.  With masks, rows[a][u] holds
-    the v with alpha(u, v) = a at bit v, and cols[a][v] the t with
-    alpha(t, v) = a at bit t, for a up to the largest value; else both are
-    None.
+    which is rows[a][u], and the rest keep the value 1 unvisited.
     """
     N = len(blocks) - 1
     # ~b & m and ~b >> k read and drop the complemented rows
     blocks = [~b for b in blocks] if target is Color.BLUE else list(blocks)
     row = pair_offsets(N)
     values = [1] * comb(N, 2)
-    rows = [[0] * (N + 1) for _ in range(N + 2)] if masks else None
-    cols = [[0] * (N + 1) for _ in range(N + 2)] if masks else None
+    rows = [[0] * (N + 1), [0] * (N + 1)]
     for u in range(1, N):
         w = N - u
         rest, start = (1 << w) - 1, row[u] + u  # values[start + i]: pair (u, u + i)
@@ -149,23 +147,15 @@ def _alpha_pass(blocks: list[int], target: Color = Color.RED, masks: bool = Fals
             if not vs:
                 continue
             rest ^= vs
-            if masks:
-                rows[a][u], col, bit = vs << u + 1, cols[a], 1 << u
+            if a == len(rows):  # one above the largest value so far
+                rows.append([0] * (N + 1))
+            rows[a][u] = vs << u + 1
             while vs:
                 low = vs & -vs
                 vs ^= low
-                i = low.bit_length()
-                values[start + i] = a
-                if masks:
-                    col[u + i] |= bit
-        if masks:
-            rows[1][u] = rest << u + 1
-    if masks:
-        top = max(values, default=1)
-        del rows[top + 1:], cols[top + 1:]
-        for v in range(2, N + 1):  # the disjoint masks of the other values
-            cols[1][v] = (1 << v) - 2 - sum(cols[a][v] for a in range(2, top + 1))
-    return values, rows, cols
+                values[start + low.bit_length()] = a
+        rows[1][u] = rest << u + 1
+    return values, rows
 
 
 def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:

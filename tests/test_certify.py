@@ -87,21 +87,22 @@ def density_hosts():
 
 def test_alpha_pass_masks_match_the_alpha_values():
     # the masks the beta table reads off the alpha pass: rows[a][u] holds
-    # v, and cols[a][v] holds t, exactly where alpha is a
+    # v exactly where alpha is a, for a up to the largest value
     hosts = lift_hosts() + [c for _, _, c in density_hosts()]
     for c in hosts:
         N = c.N
-        values, rows, cols = _alpha_pass(_red_blocks(c), Color.RED, masks=True)
-        alpha = dict(zip(all_pairs(N), naive_alpha_values(c)))
-        assert tuple(values) == tuple(alpha.values())
-        top = max(alpha.values(), default=1)
-        assert len(rows) == len(cols) == top + 1
-        for a in range(1, top + 1):
-            assert rows[a][0] == cols[a][0] == 0
-            for u in range(1, N + 1):
-                assert rows[a][u] == sum(1 << v for v in range(u + 1, N + 1) if alpha[u, v] == a)
-                assert cols[a][u] == sum(1 << t for t in range(1, u) if alpha[t, u] == a)
-    assert _alpha_pass(_red_blocks(hosts[0]))[1:] == (None, None)
+        for target in Color:
+            values, rows = _alpha_pass(_red_blocks(c), target)
+            alpha = dict(zip(all_pairs(N), naive_alpha_values(c, target)))
+            assert tuple(values) == tuple(alpha.values())
+            top = max(alpha.values(), default=1)
+            assert len(rows) == top + 1
+            assert rows[0] == [0] * (N + 1)
+            for a in range(1, top + 1):
+                assert rows[a][0] == 0
+                for u in range(1, N + 1):
+                    assert rows[a][u] == sum(1 << v for v in range(u + 1, N + 1)
+                                             if alpha[u, v] == a)
 
 
 def plain_chains(table):

@@ -557,6 +557,16 @@ def test_a_folder_is_a_bracket_prefix(tmp_path):
     assert (tmp_path / "lv-N2.triples").exists() and (tmp_path / "lv-N3.cert").exists()
 
 
+def test_a_failed_level_file_leaves_stdout_empty(tmp_path):
+    # as with every other command, a failed write prints nothing, not the
+    # levels decided before it
+    (tmp_path / "lv-N2.triples").mkdir()
+    code, out, err = run(["search", "--nmax", "4", "--red", "path:3", "--blue", "jumps:1",
+                          "--output", str(tmp_path / "lv")])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path / 'lv-N2.triples'}: ")
+
+
 ALL_BLUE_5 = "triples 5\n" + "0" * 10 + "\n"
 
 # one run of every command that takes --output, with its exit code; the

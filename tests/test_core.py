@@ -123,6 +123,16 @@ def test_triple_text_at_zero_and_one_triple():
         )
 
 
+def test_triple_bits_range_boundary():
+    # every bit of the C(N, 3) triples may be set, and nothing beyond them
+    for N in range(7):
+        C = comb(N, 3)
+        assert TripleColoring(N, (1 << C) - 1) == TripleColoring.all_red(N)
+        for bits in (1 << C, -1):
+            with pytest.raises(ValueError, match="bits outside the range"):
+                TripleColoring(N, bits)
+
+
 def test_triple_text_puts_rank_zero_first():
     rng = random.Random(13)
     for N in (4, 9, 30):
