@@ -180,7 +180,7 @@ def beta_table(c: TripleColoring) -> BetaTable:
     block: highest level, then smallest t.
     """
     N = c.N
-    al, rows = _alpha_pass(_red_blocks(c), Color.RED)
+    al, rows = _alpha_pass(_red_blocks(c))
     top = len(rows) - 1
     row = pair_offsets(N)
     betas = [1] * len(al)

@@ -17,7 +17,6 @@ source dataclass generates and compiles for each class at import.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -37,9 +36,6 @@ class FormatError(ValueError):
 class Color(Enum):
     RED = "red"
     BLUE = "blue"
-
-    def flipped(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
 
 
 def check_triple(a: int, b: int, c: int, m: int) -> None:
@@ -64,19 +60,6 @@ def lex_rank(triple: tuple[int, int, int], N: int) -> int:
     a, b, c = triple
     check_triple(a, b, c, N)
     return row_starts(N)[pair_offsets(N)[a] + b] + c - b - 1
-
-
-def lex_unrank(rank: int, N: int) -> tuple[int, int, int]:
-    """Inverse of lex_rank: the last row starting at or below rank holds it."""
-    starts = row_starts(N)
-    if not 0 <= rank < starts[-1]:
-        raise ValueError(f"rank {rank} out of range for N={N}")
-    p = bisect_right(starts, rank) - 1
-    # the first vertex a whose last pair (a, N) is not before pair p
-    row = pair_offsets(N)
-    a = bisect_left(row, p - N, 1)
-    b = p - row[a]
-    return (a, b, b + 1 + rank - starts[p])
 
 
 def all_triples(N: int):
@@ -272,9 +255,6 @@ class PairColoring:
         if u > v:
             u, v = v, u
         return self.colors[pair_rank(u, v, self.N)]
-
-    def colors_used(self) -> set[int]:
-        return set(self.colors)
 
 
 @record

@@ -6,15 +6,16 @@ longest target-colored monotone path that finishes with the pair (u, v).
 Assigning a triple (u, v, w) the target color always pushes alpha(v, w)
 above alpha(u, v), which is what the avoidance search in module search
 exploits for pruning.  On a full host every detector works one row at a
-time, not one triple, and reads its rows off one decoding of the host:
-the red triples (t, ., .) as one int per first vertex t, its rows cut at
-the row starts of core.row_starts, which states the rank layout; a blue
-row is its complement.  Two detectors run on one host share the decoding.
-One alpha pass fills a vertex u's pairs by ORing the rows (t, u, .) into
-one mask per value alpha(t, u) and reading off, per pair, the best value
-whose mask holds it.  It returns those masks beside the values, per value
-a the v with alpha(u, v) = a, which the beta table of module certify
-reads.  The alpha table costs a few integer operations per pair.
+time, not one triple, and reads its rows off one decoding of the host
+for the target color: the target-colored triples (t, ., .) as one int per
+first vertex t, its rows cut at the row starts of core.row_starts, which
+states the rank layout.  The blue decoding is the complement of the red
+one, taken once as the host is decoded.  One alpha pass fills a vertex
+u's pairs by ORing the rows (t, u, .) into one mask per value alpha(t, u)
+and reading off, per pair, the best value whose mask holds it.  It
+returns those masks beside the values, per value a the v with
+alpha(u, v) = a, which the beta table of module certify reads.  The
+alpha table costs a few integer operations per pair.
 
 The second finds the least order-preserving embedding of a fixed pattern
 with all edges blue.  Patterns of bounded width (largest span of an edge)
@@ -76,28 +77,29 @@ class AlphaTable:
         return max(self.values, default=0)
 
 
-def _red_blocks(c: TripleColoring) -> list[int]:
-    """The decoding every detector reads: per first vertex t, the red
-    triples (t, ., .) as one int, 0 at index 0 and where there are none.
+def _red_blocks(c: TripleColoring, target: Color = Color.RED) -> list[int]:
+    """The decoding every detector reads: per first vertex t, the triples
+    (t, ., .) of the target color as one int at index t (index 0 unused).
 
     Block t is the rows of the pairs (t, t+1), ..., (t, N) in the layout of
     core.row_starts, bit 0 the first rank of row (t, t+1), each cut from
-    one little-endian byte decoding of the coloring."""
+    one little-endian byte decoding of the coloring.  A blue block is the
+    complement of the red one, with every bit above its rows set too, which
+    no reader of a row looks at."""
     N, read = c.N, int.from_bytes
     starts, pairs = row_starts(N), pair_offsets(N)
     data = c.bits.to_bytes(starts[-1] + 7 >> 3, "little")
     cuts = [starts[pairs[t] + t + 1] for t in range(1, N + 1)] + [starts[-1]]
-    return [0] + [read(data[lo >> 3:hi + 7 >> 3], "little") >> (lo & 7) & (1 << hi - lo) - 1
-                  for lo, hi in zip(cuts, cuts[1:])]
+    blocks = [0] + [read(data[lo >> 3:hi + 7 >> 3], "little") >> (lo & 7) & (1 << hi - lo) - 1
+                    for lo, hi in zip(cuts, cuts[1:])]
+    return [~b for b in blocks] if target is Color.BLUE else blocks
 
 
-def _rows(blocks: list[int], target: Color):
-    """row(a, b): the target-colored triples (a, b, c) as one int with bit
-    c set, cut at row (a, b) of core.row_starts from block a of the
-    decoding blocks (_red_blocks), complemented for a blue target."""
+def _rows(blocks: list[int]):
+    """row(a, b): the triples (a, b, c) of the blocks' color (_red_blocks)
+    as one int with bit c set, cut at row (a, b) of core.row_starts from
+    block a."""
     N = len(blocks) - 1
-    if target is Color.BLUE:
-        blocks = [~b for b in blocks]
     starts, pairs = row_starts(N), pair_offsets(N)
 
     def row(a: int, b: int) -> int:
@@ -112,14 +114,14 @@ def alpha_table(c: TripleColoring, target: Color = Color.RED) -> AlphaTable:
 
     The empty maximum gives alpha = 1: a bare pair ends a trivial path.
     """
-    return AlphaTable(c.N, target, tuple(_alpha_pass(_red_blocks(c), target)[0]))
+    return AlphaTable(c.N, target, tuple(_alpha_pass(_red_blocks(c, target))[0]))
 
 
-def _alpha_pass(blocks: list[int], target: Color = Color.RED):
-    """(values, rows): alpha in pair lex-rank order, in one pass over a
-    copy of blocks (_red_blocks), complemented for a blue target, and
-    rows[a][u], the v with alpha(u, v) = a at bit v, for a from 1 up to
-    the largest value (rows[0] is empty).
+def _alpha_pass(blocks: list[int]):
+    """(values, rows): alpha in pair lex-rank order for the blocks' color,
+    in one pass over a copy of blocks (_red_blocks), and rows[a][u], the v
+    with alpha(u, v) = a at bit v, for a from 1 up to the largest value
+    (rows[0] is empty).
 
     Vertex u's pairs are filled after every alpha(t, u), t < u, is final.
     Block t holds its rows in pair order (core.row_starts), so row (t, u)
@@ -129,8 +131,7 @@ def _alpha_pass(blocks: list[int], target: Color = Color.RED):
     which is rows[a][u], and the rest keep the value 1 unvisited.
     """
     N = len(blocks) - 1
-    # ~b & m and ~b >> k read and drop the complemented rows
-    blocks = [~b for b in blocks] if target is Color.BLUE else list(blocks)
+    blocks = list(blocks)
     row = pair_offsets(N)
     values = [1] * comb(N, 2)
     rows = [[0] * (N + 1), [0] * (N + 1)]
@@ -163,36 +164,29 @@ def longest_red_path(c: TripleColoring) -> tuple[int, Embedding]:
 
     A red monotone path on m vertices exists iff m <= N and the returned
     depth is at least m - 1.  The witness has depth + 1 vertices and is the
-    lexicographically least such sequence (or all of [N] for N < 2).
+    lexicographically least such sequence (or all of [N] for N < 2): the
+    least red embedding of the path on depth + 1 vertices.
     """
     blocks = _red_blocks(c)
     depth = max(_alpha_pass(blocks)[0], default=0)
-    return depth, _red_path_witness(blocks, depth)
+    N = c.N
+    if N < 2:
+        return depth, Embedding(tuple(range(1, N + 1)))
+    path = _least_embedding(_rows(blocks), N, monotone_path(depth + 1))
+    if path is None:
+        raise RuntimeError("path tables disagree; this is a bug")
+    return depth, Embedding(path)
 
 
 def red_path(c: TripleColoring, m: int) -> Embedding | None:
     """The first m vertices of the longest_red_path witness, or None when
-    no red path has m vertices.  The host is decoded once and the alpha
-    table filled once, and the witness is built only when there is one."""
+    no red path has m vertices."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    blocks = _red_blocks(c)
-    depth = max(_alpha_pass(blocks)[0], default=0)
+    depth, path = longest_red_path(c)
     if m > c.N or depth < m - 1:
         return None
-    return Embedding(_red_path_witness(blocks, depth).vertices[:m])
-
-
-def _red_path_witness(blocks: list[int], depth: int) -> Embedding:
-    """The longest_red_path witness, read off the host's blocks: the least
-    red embedding of the path on depth + 1 vertices, which depth promises."""
-    N = len(blocks) - 1
-    if N < 2:
-        return Embedding(tuple(range(1, N + 1)))
-    path = _least_embedding(_rows(blocks, Color.RED), N, monotone_path(depth + 1))
-    if path is None:
-        raise RuntimeError("path tables disagree; this is a bug")
-    return Embedding(path)
+    return Embedding(path.vertices[:m])
 
 
 @lru_cache(maxsize=256)
@@ -212,7 +206,7 @@ def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embe
     """
     if pattern.m > c.N:
         return None
-    row = _rows(_red_blocks(c), Color.BLUE)
+    row = _rows(_red_blocks(c, Color.BLUE))
     found = _least_embedding(row, c.N, pattern)
     if found is None:
         return None
@@ -329,7 +323,7 @@ def find_blue_jump_member(
     N = c.N
     if 2 * n + 1 > N:
         return None
-    row = _rows(_red_blocks(c), Color.BLUE)
+    row = _rows(_red_blocks(c, Color.BLUE))
     states = jump_states(n)
     step, accept = states.step, states.accept
     fits = [states.fits(N - h) for h in range(N + 1)]

@@ -49,10 +49,6 @@ class JumpSpec:
         return None
 
     @property
-    def is_valid(self) -> bool:
-        return self.condition_violation() is None
-
-    @property
     def sorted_jumps(self) -> tuple[int, ...]:
         return tuple(sorted(self.jumps))
 

@@ -81,7 +81,8 @@ raises pairs whose first vertex is after a'.  What pairs before the row
 start forced is already in the suffix values.  Pairs (x, N) are never
 read: a raise there fails exactly when it reaches m - 1, whatever value it
 raises.  A value d at pair (x, y) with d + (N - y) < m - 1 (m the path
-length of that colour) is packed as 0.  It is below the dead level, so no
+length of that colour) is packed as 0; at a pair (x, N) that is every
+live value, which is at most m - 2.  It is below the dead level, so no
 forced rule reads it, and a chain of raises adds one per pair along
 increasing vertices, so it carries at most d + (N - y) - 1 to a pair
 (., y'), y' < N, and d + (N - y) to a pair (., N): it reaches no dead level
@@ -589,10 +590,11 @@ def _memo_layout(N: int, rm: int, bm: int):
     """(packs, front, sentinel): how the path/path memo packs its state,
     built once per problem and shared by every split.
 
-    packed holds the clamped ar and ab value of every pair (x, y) with
-    y < N, lowest pair rank in the lowest bits, under the sentinel bit;
-    packs[red][pair][d] is what value d of that pair in ar (red) or ab adds
-    to packed, 0 below the pair's clamp threshold.  front[rank] is the
+    packed holds the clamped ar and ab value of every pair, lowest pair
+    rank in the lowest bits, under the sentinel bit; packs[red][pair][d] is
+    what value d of that pair in ar (red) or ab adds to packed, 0 below the
+    pair's clamp threshold.  At a pair (x, N) the threshold is m - 1, above
+    every live value, so its fields stay 0.  front[rank] is the
     offset of pair (a, b) when rank starts its nonempty row in
     core.row_starts, else None, so packed >> front[rank] is the state of
     every pair still read.
@@ -603,10 +605,6 @@ def _memo_layout(N: int, rm: int, bm: int):
     width = 0
     for _, y in all_pairs(N):
         offset.append(width)
-        if y == N:  # never read again: every value packs as 0
-            rfield.append((rm + bm, 0))
-            bfield.append((rm + bm, 0))
-            continue
         # a value d below m - 1 - (N - y) cannot reach a dead check
         rfield.append((rm - 1 - (N - y), width))
         bfield.append((bm - 1 - (N - y), width + rwidth))
@@ -682,17 +680,17 @@ def _member_plans(N: int, n: int):
     return tuple(plans)
 
 
-def _run_split(args) -> tuple[int | None, bool, SearchStats]:
+def _run_split(args) -> tuple[TripleColoring | None, bool, SearchStats]:
     problem, prefix, cap = args
     eng = _Engine(problem, cap, prefix)
-    bits, hit = None, False
+    witness, hit = None, False
     try:
         eng.walk(len(prefix), eng.total, eng.found)
     except _Found:
-        bits = TripleColoring.from_bitstring(eng.N, "".join("01"[red] for red in eng.colour)).bits
+        witness = TripleColoring.from_bitstring(eng.N, "".join("01"[red] for red in eng.colour))
     except _Budget:
         hit = True
-    return bits, hit, eng.stats()
+    return witness, hit, eng.stats()
 
 
 @lru_cache(maxsize=16)
@@ -825,31 +823,30 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
 
 
 def _fold(results, budget: int,
-          head: SearchStats) -> tuple[str, int | None, SearchStats]:
+          head: SearchStats) -> tuple[str, TripleColoring | None, SearchStats]:
     """Split results in prefix order, as one sequential run would meet
     them, after the split enumeration's work head.  The prune counts add
     up over every split read, the one that stops the fold included."""
     used = head.nodes
     depth = head.max_depth
     counts = head.memo_hits, head.red_dead, head.blue_dead, head.blue_hits
-    for bits, hit_i, st in results:
+    for witness, hit_i, st in results:
         depth = max(depth, st.max_depth)
         counts = tuple(a + b for a, b in zip(counts, (
             st.memo_hits, st.red_dead, st.blue_dead, st.blue_hits)))
         if hit_i or st.nodes > budget - used:
             return "inconclusive", None, SearchStats(budget, depth, *counts)
-        if bits is not None:
-            return "sat", bits, SearchStats(used + st.nodes, depth, *counts)
+        if witness is not None:
+            return "sat", witness, SearchStats(used + st.nodes, depth, *counts)
         used += st.nodes
     return "unsat", None, SearchStats(used, depth, *counts)
 
 
-def _finish(folded: tuple[str, int | None, SearchStats],
+def _finish(folded: tuple[str, TripleColoring | None, SearchStats],
             problem: AvoidanceProblem) -> SearchOutcome:
-    status, bits, stats = folded
-    if bits is None:
+    status, c, stats = folded
+    if c is None:
         return SearchOutcome(status, None, stats)
-    c = TripleColoring(problem.N, bits)
     if alpha_table(c, Color.RED).max_value >= problem.red.m - 1:
         raise RuntimeError("witness contains the red path; this is a bug")
     if _has_blue(c, problem.blue):

@@ -92,7 +92,7 @@ def test_alpha_pass_masks_match_the_alpha_values():
     for c in hosts:
         N = c.N
         for target in Color:
-            values, rows = _alpha_pass(_red_blocks(c), target)
+            values, rows = _alpha_pass(_red_blocks(c, target))
             alpha = dict(zip(all_pairs(N), naive_alpha_values(c, target)))
             assert tuple(values) == tuple(alpha.values())
             top = max(alpha.values(), default=1)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from jumpramsey import cli
+from jumpramsey import cli, detect
 from jumpramsey.cli import WORKERS_ENV, dispatch
 from jumpramsey.core import (
     PairColoring,
@@ -133,6 +133,23 @@ def test_detect_redpath_truncates_to_requested_length():
     assert parse_witness(out).vertices == (1, 2, 3, 4)
     code, _, _ = run(["detect", "redpath", "--m", "6"], stdin=host)
     assert code == 1
+
+
+def test_detect_redpath_goes_through_the_module_longest_red_path(monkeypatch):
+    # a wrapper bound on the detect module, as the benchmark's layer tracer
+    # binds one, sees every detect redpath run
+    calls = []
+    original = detect.longest_red_path
+
+    def counted(c):
+        calls.append(c.N)
+        return original(c)
+
+    monkeypatch.setattr(detect, "longest_red_path", counted)
+    host = "triples 5\n" + "1" * 10 + "\n"
+    assert run(["detect", "redpath", "--m", "4"], stdin=host) == (
+        0, "witness\nvertices 1 2 3 4\n", "")
+    assert calls == [5]
 
 
 def test_detect_redpath_rejects_negative_m():

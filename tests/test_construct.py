@@ -45,7 +45,7 @@ def test_lift_rule_triple_by_triple():
 def test_pentagon_is_triangle_free():
     chi = pentagon_coloring()
     assert chi.N == 5 and chi.k == 2
-    assert chi.colors_used() == {1, 2}
+    assert set(chi.colors) == {1, 2}
     assert has_mono_clique(chi, 3) is None
 
 

@@ -24,6 +24,7 @@ from jumpramsey.detect import (
     find_blue_embedding,
     find_blue_jump_member,
     longest_red_path,
+    red_path,
 )
 from jumpramsey.family import jump_min, monotone_path, power_path
 from oracles import (
@@ -76,7 +77,7 @@ def test_decoded_reads_match_the_coloring():
         hosts += [TripleColoring.all_red(N), TripleColoring.all_blue(N)]
         for c in hosts:
             for target in (Color.RED, Color.BLUE):
-                row = _rows(_red_blocks(c), target)
+                row = _rows(_red_blocks(c, target))
                 for a, b in all_pairs(N):
                     want = sum(1 << w for w in range(b + 1, N + 1)
                                if c.color(a, b, w) is target)
@@ -91,7 +92,10 @@ def test_red_blocks_match_a_per_rank_cut():
     for N in list(range(14)) + [40, 85]:
         for c in (random_triples(N, rng), random_triples(N, rng),
                   TripleColoring.all_red(N), TripleColoring.all_blue(N)):
-            assert _red_blocks(c) == naive_red_blocks(c), N
+            red = naive_red_blocks(c)
+            assert _red_blocks(c) == red, N
+            assert _red_blocks(c, Color.RED) == red, N
+            assert _red_blocks(c, Color.BLUE) == [~b for b in red], N
 
 
 def test_jump_steps_match_the_walk_over_every_state():
@@ -168,6 +172,29 @@ def test_longest_red_path_matches_oracle():
         want_depth, want_seq = longest_path(c)
         assert depth == want_depth
         assert emb.vertices == want_seq
+
+
+def test_red_path_is_the_longest_red_path_witness_cut_to_m():
+    # every m = 0..N+2 on N = 0..9: the cut witness exactly when m <= N
+    # and depth >= m - 1, which is when the oracle finds a red path on m
+    # vertices (any m <= 2 vertices of [N] are one)
+    rng = random.Random(139)
+    found = missing = 0
+    for N in range(10):
+        for _ in range(6):
+            c = red_at(N, rng.uniform(0.2, 0.9), rng)
+            depth, path = longest_red_path(c)
+            longest = max(longest_path(c)[0] + 1, min(N, 2))
+            for m in range(N + 3):
+                got = red_path(c, m)
+                if m <= N and depth >= m - 1:
+                    assert got == Embedding(path.vertices[:m]), (N, m)
+                    found += 1
+                else:
+                    assert got is None, (N, m)
+                    missing += 1
+                assert (got is not None) == (m <= longest), (N, m)
+    assert found > 0 and missing > 0
 
 
 def test_longest_red_path_matches_forward_table_on_lifts():

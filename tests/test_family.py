@@ -42,7 +42,6 @@ def test_power_path_degenerate_and_errors():
 
 def test_condition_violations_in_order():
     assert JumpSpec(5, frozenset({2, 4})).condition_violation() is None
-    assert JumpSpec(5, frozenset({2, 4})).is_valid
     v = JumpSpec(5, frozenset({1, 3})).condition_violation()
     assert v == "position 1 is a jump"
     v = JumpSpec(5, frozenset({2, 5})).condition_violation()

@@ -738,6 +738,19 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     assert bool(leaves) == (eng.table is not None)
 
 
+def test_memo_packs_no_live_value_of_a_last_pair():
+    # a pair (x, N) is never read again: every live value, 1..m - 2, of
+    # either colour packs as 0 there
+    for N in range(3, 11):
+        for red_m in range(3, 7):
+            for blue_m in range(3, 7):
+                bpack, rpack = search._memo_layout(N, red_m, blue_m)[0]
+                for pack, m in ((rpack, red_m), (bpack, blue_m)):
+                    for p, (_, y) in enumerate(all_pairs(N)):
+                        if y == N:
+                            assert pack[p][1:m - 1] == (0,) * (m - 2), (N, red_m, blue_m, p)
+
+
 # the probe engine has no memo, so walk(0, stop, leaf) calls the leaf at
 # every live prefix of length stop: 401 for p4/p4 at N=6, 927 for p4/p5
 # and p5/p4 at N=6, 3,343 at N=7
