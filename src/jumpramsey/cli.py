@@ -413,8 +413,11 @@ def _parse_spec(text: str, side: str, N: int):
     max(N + 1, 3) vertices.  The search walks the same tree: no table can
     report a copy, and a path value at pair (x, y), at most y - 1, reaches
     neither the capped path's dead level N - 1 nor its length, and packs as
-    0 either way.  A jump family is only its count, so it is kept as
-    given; the search caps the count where it builds its member table."""
+    0 either way.  The pair walk's red values are at most x, so it tries
+    the same values under either red path, and its forced-blue read, which
+    looks for the value m - 2 >= N - 1 at pairs (x, y), y < N, finds none.
+    A jump family is only its count, so it is kept as given; the search
+    caps the count where it builds its member table."""
     kind, _, rest = text.partition(":")
     if kind != "path" and (side == "red" or kind not in ("power", "jumps")):
         raise _UsageError(f"{side} spec must be {_SPEC_FORMS[side]}, got {text!r}")

@@ -1,20 +1,23 @@
 """Exhaustive avoidance search over red-blue triple colorings.
 
 decide answers "is there a coloring of all triples of [N] with no red copy
-of the red pattern and no blue copy of the blue spec", branching over
-triples in lex rank order, red first.  The red pattern must be a monotone
-path: its presence is tracked by an incremental alpha table, and a branch
-dies the moment a pair's depth reaches the path length.  Lex order makes
-the table exact without cascades: every triple ending at a pair is decided
-before any triple starting there.  A blue monotone path gets the same
-treatment, and then the two tables also follow forced colours.  A pair
-(x, y), y < N, at its red dead level m - 2 (m the red path length) starts
-no red triple, so every (x, y, z) is blue and the blue value of every
-(y, z) is at least ab(x, y) + 1; the same holds with the colours swapped.
-Each write raises its pair in its colour and follows these rules to a
-fixpoint, unit propagation: the write dies when a value reaches m - 1 in
-its colour, a path, which it does when a pair (x, y), y < N, is at both
-dead levels, as (x, y, y+1) then has no colour left.
+of the red pattern and no blue copy of the blue spec".  The red pattern
+must be a monotone path on m vertices.  Two walkers serve it, chosen by the
+blue spec: a blue monotone path goes to the triple walker, every other blue
+spec (power paths, jump families, other patterns) to the pair walk.
+
+The triple walker branches over triples in lex rank order, red first.  The
+red path is tracked by an incremental alpha table, and a branch dies the
+moment a pair's depth reaches the path length.  Lex order makes the table
+exact without cascades: every triple ending at a pair is decided before any
+triple starting there.  The blue path gets the same treatment, and the two
+tables also follow forced colours.  A pair (x, y), y < N, at its red dead
+level m - 2 starts no red triple, so every (x, y, z) is blue and the blue
+value of every (y, z) is at least ab(x, y) + 1; the same holds with the
+colours swapped.  Each write raises its pair in its colour and follows
+these rules to a fixpoint, unit propagation: the write dies when a value
+reaches m - 1 in its colour, a path, which it does when a pair (x, y),
+y < N, is at both dead levels, as (x, y, y+1) then has no colour left.
 
 This is exact.  The write at (u, v, w) raises (v, w), and a raise of
 (x, y) raises pairs (y, z) only, so every raised pair has its first vertex
@@ -28,52 +31,24 @@ such subtrees are cut, so the DFS order and the first sat leaf stay as they
 were.  Each raise goes on a trail that the back-up unwinds.  A root whose
 own fixpoint fails (a side with m = 3 on enough vertices) is unsat at once.
 
-The other blue specs are tracked by tables too, pushed when a triple turns
-blue.  Each table rests on the same fact: a copy's lex-largest edge is its
-last three vertices, and every other edge of the copy, or of the window or
-member prefix being extended, has lower rank, so it is already coloured
-when that triple turns blue.  A pattern of width W >= 3 that holds every
-consecutive triple, a power path or a fixed member of J_n, is tracked per
-W-vertex key (_Windows), a jump-family member per last four vertices
-(_JumpMembers).  Every key or prefix a push writes ends in its own triple,
-so a table keeps them in one slot per rank, ends[rank].  What a push at a
-rank reads and writes, the ranks of the triples it checks and where the
-values it extends are held, depends only on N and the spec: it is planned
-once per (N, spec), cached, and shared by the probe and every split engine
-of the process, which keep only their ends.  Every table reads only ranks
-below the one it pushes, all coloured on the current branch, and a slot
-only when its rank is blue there, so the push that wrote it is on the
-branch too: the walker only pushes, never clears a slot, and the ranks
-above may hold what an earlier branch left.  A push that completes a copy
-prunes the branch; it finds exactly the copies a detector run would find on
-the colours so far, every later triple red, as every earlier blue node was
-checked.  A pattern lacking a consecutive triple has a table too, whose
-push is that detector run and which keeps nothing.  The root probe and the
-witness re-check are always full detector runs.
-
-The walker runs over a range of ranks with an explicit stack, so search
-depth C(N, 3) is bounded by memory and the node budget, not by the
-interpreter's recursion limit.  A node's whole job is done inline in one
-loop for every blue spec, on local variables, since a method call per step
-(apply, undo, count) was most of a node's cost.  Its stack is the red ranks
-of the branch whose blue is untried; every other rank of the branch is
-blue.  A dead end backs up to the last of them, c, in one step: c's own
-undo, one alpha value or with a blue path an unwind of the trail to c's
-mark, takes the raises of the ranks above with it.  Red at (u, v, w) is
+The triple walker runs over a range of ranks with an explicit stack, so
+search depth C(N, 3) is bounded by memory and the node budget, not by the
+interpreter's recursion limit.  A node's whole job is done inline, on local
+variables, since a method call per step (apply, undo, count) was most of a
+node's cost.  Its stack is the red ranks of the branch whose blue is
+untried; every other rank of the branch is blue.  A dead end backs up to
+the last of them, c, in one step: c's own undo, an unwind of the trail to
+c's mark, takes the raises of the ranks above with it.  Red at (u, v, w) is
 dead exactly when ar(u, v) is at the red dead level, and no write in the
 row of (u, v), its ranks (u, v, .) in core.row_starts, raises ar(u, v); so
-the rest of such a row, up to the end of the walk, goes blue in one inner
-loop.  With a blue path each of its writes
-is alive and raises nothing, as the fixpoint already holds ab(v, z) >
-ab(u, v) for every z.  Each rank of the run still counts as a red-dead
-write and a node, the run ends at the first push that finds a copy, and the
-budget stops it on the node where a walk of one rank at a time would stop.
-Most nodes fall in such runs: 189,699 of the first 200,000 for p4 vs
-jumps:2 at N=9, and 25,304 of the 42,272 of p4/p5 at N=9.  The split
-enumeration walks the first ranks and collects the live prefixes; each
-split replays its prefix and walks the remaining ranks to a full coloring.
+the rest of such a row, up to the end of the walk, goes blue in one step.
+Each of those blue writes is alive and raises nothing, as the fixpoint
+already holds ab(v, z) > ab(u, v) for every z.  Each rank of the run still
+counts as a red-dead write and a node, and the budget stops it on the node
+where a walk of one rank at a time would stop.  25,304 of the 42,272 nodes
+of p4/p5 at N=9 fall in such runs.
 
-Path/path splits also skip states that failed before.  At the start of
+The triple walker also skips states that failed before.  At the start of
 row (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
 blue alpha values of pair (a, b) and of the pairs after it in pair lex
 order, a suffix: a later write (a', v, w), a' >= a, reads (a', v) and
@@ -97,9 +72,59 @@ its own memo, so the worker count changes nothing, and a memo holding
 MEMO_CAP states is cleared.  The split enumeration has none: its leaf
 returns, so a subtree it leaves has not failed.
 
+The pair walk searches the red alpha table instead of the triples.  Its
+lemma: level N is sat exactly when some alpha: pairs -> [m - 2] has a lift
+(construct.lift: (u, v, w) red iff alpha(u, v) < alpha(v, w)) with no blue
+copy.  Proof: a lift of m - 2 values has no red path on m vertices, as the
+values rise strictly along one.  Conversely, let c avoid both and alpha be
+its red alpha table; a red triple (u, v, w) of c has alpha(u, v) <
+alpha(v, w), so it is red in the lift, whose blue triples are then blue in
+c and hold no copy.  So for m = 4 the walk has 2^C(N-1, 2) leaves at most,
+where the triple walker has 2^C(N, 3).  An alpha table is a fixed point:
+alpha(1, w) = 1, and alpha(v, w) = j > 1 only if some u < v has
+alpha(u, v) = j - 1.  Searching only these loses nothing, and it caps the
+values at v, so a red path longer than the host tries no more values than
+the host allows.
+
+The walk assigns the pairs (v, w) in colex order, w outer and v inner,
+each value from 1 up.  One assignment colours the whole row of (v, w),
+every triple (u, v, w), u < v, red iff alpha(u, v) < alpha(v, w), and
+then pushes its blue triples, lowest u first, to the blue table.  A power
+path or other pattern of width W >= 3 that holds every consecutive triple
+is tracked per W-vertex key (_Windows), a jump-family member per last four
+vertices (_JumpMembers).  Both rest on one fact: a copy's lex-largest edge
+is its last three vertices (u, v, w), and every other edge of the copy, or
+of the window or member prefix being extended, has its last vertex below
+w, or is a triple (., v', w) with v' <= v of lower lex rank: an edge the
+walk has already coloured when it pushes (u, v, w).  Every key or prefix a
+push writes ends in its own triple, so a table keeps one slot per lex rank,
+ends[rank], and what a push at a rank reads and writes depends only on N
+and the spec: it is planned once per (N, spec), cached, and shared by the
+probe and every split engine of the process, which keep only their ends.
+A push reads a slot only when its rank is blue and its last vertex below w,
+so the final assignment of its pair wrote it on the current branch: the
+walker only pushes, never clears a slot, and a pair not yet assigned may
+hold what an earlier branch left.  A push that completes a copy is a blue
+hit, and the walk tries the next value.  A pattern lacking a consecutive
+triple has a table whose push is a full detector run on the host [w], and
+which keeps nothing.  The root probe and the witness re-check are always
+full detector runs.
+
+After an assignment to (v, w) the walk also reads every later row of w
+ahead of time, the forced-blue read: (u, v', w), v' > v, reads as blue
+exactly when alpha(u, v') = m - 2, already final, as no value of (v', w)
+can exceed it, and every such triple is pushed too.  That is its least
+blue colour over all completions, so a copy found there is in every leaf
+below and kills the branch soundly.  The later rows are coloured again by
+their own assignments, which rewrite every slot they own before a later
+vertex reads it.  The walker has an explicit stack too: per open pair, the
+bitmask of the values still untried.  A full assignment leaves the colour
+list at the lift of alpha, which is the witness.
+
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
-the worker count), each subproblem runs under the same node cap, and the
+the worker count), the colours of the first ranks or the values of the
+first pairs.  Each subproblem runs under the same node cap, and the
 results fold in prefix order exactly as a single-threaded run would have
 encountered them; the budget accounting replays sequential semantics, so
 a run that would have starved sequentially reports inconclusive no matter
@@ -148,12 +173,18 @@ class AvoidanceProblem:
 
 @record
 class SearchStats:
-    """Work counts of a search: nodes entered, the deepest rank reached,
-    and the pruned arrivals by reason: memo hits (a failed path/path state
-    seen again), red-dead and blue-dead (writes whose path table would
-    reach the path length; path/path counts the writes whose propagation
-    fails) and blue hits (the new blue triple completes a blue copy; its
-    node is counted)."""
+    """Work counts of a search.
+
+    In the triple walker (a blue path): nodes entered, the deepest rank
+    reached, and the pruned arrivals by reason: memo hits (a failed state
+    seen again), red-dead (red writes whose propagation fails, and the
+    ranks a red-dead run makes blue) and blue-dead (blue writes whose
+    propagation fails); it has no blue hits.  In the
+    pair walk (every other blue spec): nodes are the values tried, one
+    pair assignment each, max_depth the most pairs assigned on a branch,
+    and blue hits the values whose pushes complete a blue copy (their
+    nodes are counted); the other counts stay 0.  The node budget counts
+    the same nodes."""
 
     nodes: int
     max_depth: int
@@ -191,6 +222,11 @@ class _Budget(Exception):
     pass
 
 
+def _found() -> None:
+    """The leaf of a split's walk: the first full colouring is the witness."""
+    raise _Found()
+
+
 class _Windows:
     """Blue copies of a pattern of width W >= 3 that holds every
     consecutive triple, kept per W-vertex key.
@@ -206,7 +242,8 @@ class _Windows:
     to k + 1 at key S[1:] + (u, v, w), a copy at m.  ends[rank of
     (u, v, w)] holds the keys ending there.  A prev key ends in (S[-1], u,
     v), an edge the window reads, so its slot is read only when that rank
-    is blue on the branch, and its push on the branch stored it.
+    is blue on the branch, and the push of its pair's final value stored
+    it.
     """
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
@@ -249,10 +286,10 @@ class _JumpMembers:
     y = 0 for the prefix (u, v, w); every two-vertex prefix has the fixed
     states step(1, 7).  Appending w needs (u, v, w) blue, so the push at
     (u, v, w) extends the prefixes ending (y, u, v) for each y < u, reading
-    (y, u, w), (y, v, w) and (x, u, w), all of lower rank, and writes
-    ends[rank]; a red (y, u, v) is skipped, so a slot is read only when its
-    rank is blue on the branch.  A prefix in an accepting state (all n
-    jumps used, last position no jump) is a member.
+    (y, u, w), (y, v, w) and (x, u, w), all of lower rank in rows u and v
+    of w, and writes ends[rank]; a red (y, u, v) is skipped, so a slot is
+    read only when its rank is blue on the branch.  A prefix in an
+    accepting state (all n jumps used, last position no jump) is a member.
     """
 
     def __init__(self, N: int, n: int, colour):
@@ -299,82 +336,75 @@ class _JumpMembers:
 
 class _Embeddings:
     """A pattern lacking a consecutive triple: each push is a full detector
-    run on the colours up to the pushed rank, later ranks red; no slots."""
+    run on the host [w] of the pushed triple (u, v, w), every row of w
+    coloured; no slots."""
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
         self.N, self.pattern, self.colour = N, pattern, colour
+        self.last = [w for _, _, w in _ranks(N)[0]]
 
     def push(self, rank: int) -> bool:
-        marks = "".join("01"[red] for red in self.colour[:rank + 1])
-        c = TripleColoring.from_bitstring(self.N, marks.ljust(comb(self.N, 3), "1"))
+        marks = "".join("01"[red] for red in self.colour)
+        c = TripleColoring.from_bitstring(self.N, marks).restrict(self.last[rank])
         return find_blue_embedding(c, self.pattern) is not None
 
 
 class _Engine:
-    """One search lane: incremental tables, the partial colouring and an
-    explicit branch stack, all worked by walk.
+    """One search lane of the triple walker (red path, blue path): the two
+    alpha tables, the partial colouring and an explicit branch stack, all
+    worked by walk.
 
     Per rank it keeps the colour given on the current branch, True for red,
-    and its token, what undoing it needs: the red value it overwrote, or
-    with a blue path the trail length before its raises.  The ranks above
-    the walk's current one keep what an earlier branch gave them, as
-    nothing reads a rank before the walk writes it.  A blue spec other than
-    a path has a table (windows, jump members or, for a pattern lacking a
-    consecutive triple, a detector run; see the module docstring).
+    and its token, what undoing it needs: the trail length before its
+    raises.  The ranks above the walk's current one keep what an earlier
+    branch gave them, as nothing reads a rank before the walk writes it.
 
     The probe (split None) starts on uncoloured tables with no memo; a
-    split engine replays its live prefix first, and a path/path split
-    starts its failed-state memo on the replayed tables.
+    split engine replays its live prefix first and starts its failed-state
+    memo on the replayed tables.
     """
 
     def __init__(self, problem: AvoidanceProblem, cap: int,
                  split: tuple[bool, ...] | None = None):
         N = problem.N
         self.N = N
-        self.red_m = problem.red.m
+        self.red_m, self.blue_m = problem.red.m, problem.blue.m
         self.symmetric = problem.blue == problem.red
         self.cap = cap
         self.total = comb(N, 3)
         self.pairs_idx = _ranks(N)[1]
         npairs = comb(N, 2)
-        self.ar = [1] * npairs
-        self.ab = None
+        self.ar, self.ab = [1] * npairs, [1] * npairs
         self.colour = [True] * self.total
         self.token = [0] * self.total
-        self.table = _blue_table(N, problem.blue, self.colour)
         self.nodes = self.max_depth = 0
         self.memo = None
-        self.memo_hits = self.red_dead = self.blue_dead = self.blue_hits = 0
+        self.memo_hits = self.red_dead = self.blue_dead = 0
         self.front = [None] * self.total
-        self.packed, self.live = 0, True
-        # the path/path raises made so far, as (values, pair, old value, packed)
+        # the raises made so far, as (values, pair, old value, packed)
         self.trail = []
-        if self.table is None:
-            # a blue path has an alpha table instead, of path length blue_m
-            self.ab, self.blue_m = [1] * npairs, problem.blue.m
-            self.packs, front, sentinel = _memo_layout(N, self.red_m, self.blue_m)
-            bpack, rpack = self.packs
-            self.packed = sentinel + sum(p[1] for p in rpack + bpack)
-            # per pair (x, y), the pair ranks of (y, y+1) .. (y, N)
-            row = pair_offsets(N)
-            nexts = [range(row[y] + y + 1, row[y] + N + 1) for _, y in all_pairs(N)]
-            # what _settle reads; per colour its values, their packing and
-            # m - 1, a path, then the dead levels m - 2
-            self.spread = (self.ar, self.ab, self.trail, nexts,
-                           (self.ab, bpack, self.blue_m - 1),
-                           (self.ar, rpack, self.red_m - 1), self.red_m - 2, self.blue_m - 2)
-            # the root's fixpoint, from every pair
-            self.live = self._settle(True, None, 0, (1 << npairs) - 1)
-            if split is not None:
-                # a split's failed-state memo starts on the replayed tables
-                self.front, self.memo = front, set()
+        self.packs, front, sentinel = _memo_layout(N, self.red_m, self.blue_m)
+        bpack, rpack = self.packs
+        self.packed = sentinel + sum(p[1] for p in rpack + bpack)
+        # per pair (x, y), the pair ranks of (y, y+1) .. (y, N)
+        row = pair_offsets(N)
+        nexts = [range(row[y] + y + 1, row[y] + N + 1) for _, y in all_pairs(N)]
+        # what _settle reads; per colour its values, their packing and
+        # m - 1, a path, then the dead levels m - 2
+        self.spread = (self.ar, self.ab, self.trail, nexts,
+                       (self.ab, bpack, self.blue_m - 1),
+                       (self.ar, rpack, self.red_m - 1), self.red_m - 2, self.blue_m - 2)
+        # the root's fixpoint, from every pair
+        self.live = self._settle(True, None, 0, (1 << npairs) - 1)
         if split is not None:
+            # a split's failed-state memo starts on the replayed tables
+            self.front, self.memo = front, set()
             self._replay(split)
 
     def _settle(self, red: bool, i: int | None, d: int, dirty: int = 0) -> bool:
         """Raise pair i to at least d in red (blue if not red) and follow
         the forced colours from it, and from the pairs in the bitmask dirty,
-        to a fixpoint (path/path only); i None raises nothing.
+        to a fixpoint; i None raises nothing.
 
         A pair at the red dead level raises every pair after it, (y, z), to
         its own blue value plus one, and one at the blue dead level the same
@@ -423,35 +453,31 @@ class _Engine:
 
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.max_depth, self.memo_hits,
-                           self.red_dead, self.blue_dead, self.blue_hits)
+                           self.red_dead, self.blue_dead)
 
     def walk(self, start: int, stop: int, leaf) -> None:
         """Depth-first over ranks start..stop-1, red before blue, calling
         leaf() with ranks below stop coloured; returns with them undone.
 
         reds is the branch stack of the module docstring: a dead end (a
-        write that dies, a push that completes a copy, a memo hit, or a leaf
-        that returns) pops its last rank, c, and tries blue at c.  A red
-        write that fails to propagate goes onto reds too.  starts holds the
-        branch's row starts for the memo (path/path splits), each recorded
-        at its own mark as the back-up passes it.  The back-up restores the
-        alpha tables, the trail and packed only: a table reads a colour or
-        slot above c only once the walk has rewritten it.  Counters live in
-        locals and go back to the engine on every exit, _Budget and the
-        leaf's _Found included."""
+        write that dies, a memo hit, or a leaf that returns) pops its last
+        rank, c, and tries blue at c.  A red write that fails to propagate
+        goes onto reds too.  starts holds the branch's row starts for the
+        memo (splits only), each recorded at its own mark as the back-up
+        passes it.  The back-up restores the alpha tables, the trail and
+        packed only: nothing reads a colour above c before the walk has
+        rewritten it.  Counters live in locals and go back to the engine on
+        every exit, _Budget and the leaf's _Found included."""
         colour, token, pairs_idx, front, cap = (
             self.colour, self.token, self.pairs_idx, self.front, self.cap)
         ar, ab, memo, trail = self.ar, self.ab, self.memo, self.trail
         settle, unwind = self._settle, self._unwind
-        push = None if self.table is None else self.table.push
         row_start = row_starts(self.N)
-        red_top = self.red_m - 1
-        blue_top = self.blue_m - 1 if push is None else None
+        red_top, blue_top = self.red_m - 1, self.blue_m - 1
         # the blue of rank 0 is the colour swap of its red when the sides agree
         first = 1 if self.symmetric else 0
         nodes, max_depth = self.nodes, self.max_depth
-        memo_hits, red_dead, blue_dead, blue_hits = (
-            self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits)
+        memo_hits, red_dead, blue_dead = self.memo_hits, self.red_dead, self.blue_dead
         reds, starts, base = [], [], len(trail)
         rank = start
         try:
@@ -464,15 +490,9 @@ class _Engine:
                     iuv, ivw = pairs_idx[rank]
                     cand = ar[iuv] + 1
                     if cand < red_top:
-                        if push is None:
-                            token[rank] = len(trail)
-                        else:
-                            old = token[rank] = ar[ivw]
-                            if cand > old:
-                                ar[ivw] = cand
+                        token[rank] = len(trail)
                         if rank >= first:
                             reds.append(rank)
-                        # with a table the write is done and holds
                         if cand <= ar[ivw] or settle(True, ivw, cand):
                             if nodes == cap:
                                 raise _Budget()
@@ -494,24 +514,16 @@ class _Engine:
                         limit = rank + cap - nodes  # the budget stops the run there
                         if limit > end:
                             limit = end
-                        r = rank
-                        while r < limit:
-                            colour[r] = False
-                            if push is not None and push(r):
-                                break
-                            r += 1
-                        top = r + (r < limit)  # past the copy's rank, its last node
-                        nodes += top - rank
-                        red_dead += top - rank
-                        if top > max_depth and top > rank:
-                            max_depth = top
-                        if r == limit:  # no copy
-                            if limit < end:  # out of budget; red at limit is dead too
-                                red_dead += 1
-                                raise _Budget()
-                            rank = end
-                            continue
-                        blue_hits += 1
+                        colour[rank:limit] = [False] * (limit - rank)
+                        nodes += limit - rank
+                        red_dead += limit - rank
+                        if limit > max_depth and limit > rank:
+                            max_depth = limit
+                        if limit < end:  # out of budget; red at limit is dead too
+                            red_dead += 1
+                            raise _Budget()
+                        rank = end
+                        continue
                 # a dead end: back up to the last red rank and try its blue
                 while True:
                     c = reds.pop() if reds else start - 1
@@ -526,32 +538,23 @@ class _Engine:
                         return
                     iuv, ivw = pairs_idx[c]
                     colour[c] = False
-                    top = c + 1
-                    if push is None:
-                        unwind(token[c])
-                        if front[c] is not None:
-                            starts.append(c)
-                        cand = ab[iuv] + 1
-                        if not (cand <= ab[ivw] or (cand < blue_top and settle(False, ivw, cand))):
-                            blue_dead += 1
-                            continue
-                        hit = False
-                    else:
-                        ar[ivw] = token[c]
-                        hit = push(c)
+                    unwind(token[c])
+                    if front[c] is not None:
+                        starts.append(c)
+                    cand = ab[iuv] + 1
+                    if not (cand <= ab[ivw] or (cand < blue_top and settle(False, ivw, cand))):
+                        blue_dead += 1
+                        continue
                     if nodes == cap:
                         raise _Budget()
                     nodes += 1
                     if c >= max_depth:
-                        max_depth = top
-                    if not hit:
-                        rank = top
-                        break
-                    blue_hits += 1
+                        max_depth = c + 1
+                    rank = c + 1
+                    break
         finally:
             self.nodes, self.max_depth = nodes, max_depth
-            self.memo_hits, self.red_dead, self.blue_dead, self.blue_hits = (
-                memo_hits, red_dead, blue_dead, blue_hits)
+            self.memo_hits, self.red_dead, self.blue_dead = memo_hits, red_dead, blue_dead
 
     def decompose(self, depth: int) -> list[tuple[bool, ...]]:
         """All live branch prefixes at the split depth, in DFS order."""
@@ -565,15 +568,120 @@ class _Engine:
         for rank, red in enumerate(prefix):
             self.colour[rank] = red
             iuv, ivw = self.pairs_idx[rank]
-            if self.table is None:
-                self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
-            elif red:
-                self.ar[ivw] = max(self.ar[ivw], self.ar[iuv] + 1)
-            else:
-                self.table.push(rank)
+            self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
 
-    def found(self) -> None:
-        raise _Found()
+
+class _PairEngine:
+    """One search lane of the pair walk: the red alpha table being
+    assigned, the colours of its lift, the blue table, and walk.
+
+    alpha holds per lex pair rank the value given on the current branch, 0
+    while unassigned.  The colour list is the lift of the assigned pairs,
+    True for red; a rank whose last pair is unassigned keeps what an
+    earlier branch gave it, as nothing reads it before its pair is
+    assigned.  A probe (split None) starts with no pair assigned; a split
+    engine replays its prefix of values first.
+    """
+
+    live = True  # the root of the pair walk always holds
+
+    def __init__(self, problem: AvoidanceProblem, cap: int,
+                 split: tuple[int, ...] | None = None):
+        N = problem.N
+        self.N, self.cap, self.top = N, cap, problem.red.m - 2
+        self.total = comb(N, 2)
+        self.plans = _pair_plans(N)
+        self.alpha = [0] * self.total
+        self.colour = [True] * comb(N, 3)
+        self.table = _blue_table(N, problem.blue, self.colour)
+        self.nodes = self.max_depth = self.blue_hits = 0
+        if split is not None:
+            self._replay(split)
+
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, self.max_depth, blue_hits=self.blue_hits)
+
+    def walk(self, start: int, stop: int, leaf) -> None:
+        """Depth-first over the pairs start..stop-1 in colex order, the
+        values of each from 1 up, calling leaf() with pairs below stop
+        assigned; returns with them unassigned.
+
+        tries holds per open pair the bitmask of its values still untried,
+        bit j - 1 for value j.  A value colours the pair's row and reads
+        the later rows of its last vertex (the forced-blue read), then
+        pushes every blue triple of those rows; a push that completes a
+        copy is a dead end, which tries the next value, backing up past
+        pairs with none left.  Counters live in locals and go back to the
+        engine on every exit, _Budget and the leaf's _Found included."""
+        alpha, colour, plans, cap = self.alpha, self.colour, self.plans, self.cap
+        push, top = self.table.push, self.top
+        # the fixed-point values never exceed N - 1, whatever the red path
+        values = (1 << min(top, self.N)) - 1
+        nodes, max_depth, blue_hits = self.nodes, self.max_depth, self.blue_hits
+        tries = []
+        d = start
+        try:
+            while True:
+                if d == stop:
+                    leaf()
+                    d -= 1
+                else:
+                    p, block, lo, hi = plans[d]
+                    mask = 1
+                    for _, iuv in block[lo:hi]:
+                        mask |= 1 << alpha[iuv]
+                    tries.append(mask & values)
+                while True:
+                    if d < start:
+                        return
+                    mask = tries[-1]
+                    if not mask:
+                        tries.pop()
+                        alpha[plans[d][0]] = 0
+                        d -= 1
+                        continue
+                    low = mask & -mask
+                    tries[-1] = mask ^ low
+                    if nodes == cap:
+                        raise _Budget()
+                    nodes += 1
+                    if d >= max_depth:
+                        max_depth = d + 1
+                    p, block, lo, hi = plans[d]
+                    j = alpha[p] = low.bit_length()
+                    for r, iuv in block[lo:hi]:
+                        colour[r] = alpha[iuv] < j
+                    for r, iuv in block[hi:]:
+                        colour[r] = alpha[iuv] != top
+                    for r, _ in block[lo:]:
+                        if not colour[r] and push(r):
+                            blue_hits += 1
+                            break
+                    else:
+                        d += 1
+                        break
+        finally:
+            self.nodes, self.max_depth, self.blue_hits = nodes, max_depth, blue_hits
+
+    def decompose(self, depth: int) -> list[tuple[int, ...]]:
+        """All live value prefixes of the first depth pairs, in DFS order."""
+        prefixes: list[tuple[int, ...]] = []
+        firsts = [plan[0] for plan in self.plans[:depth]]
+        self.walk(0, depth, lambda: prefixes.append(tuple(self.alpha[p] for p in firsts)))
+        return prefixes
+
+    def _replay(self, prefix: tuple[int, ...]) -> None:
+        """Assign a live prefix as the walk would, with nothing to count;
+        no push of it finds a copy."""
+        alpha, colour = self.alpha, self.colour
+        for (p, block, lo, hi), j in zip(self.plans, prefix):
+            alpha[p] = j
+            own = block[lo:hi]
+            for r, iuv in own:
+                colour[r] = alpha[iuv] < j
+            for r, _ in own:
+                if not colour[r]:
+                    self.table.push(r)
 
 
 @lru_cache(maxsize=16)
@@ -583,6 +691,22 @@ def _ranks(N: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, i
     triples = tuple(all_triples(N))
     row = pair_offsets(N)
     return triples, tuple((row[u] + v, row[v] + w) for u, v, w in triples)
+
+
+@lru_cache(maxsize=16)
+def _pair_plans(N: int):
+    """Per pair (v, w) in colex order (w, then v), (p, block, lo, hi): p
+    its lex pair rank, and block[lo:hi] its row, (rank of (u, v, w), lex
+    pair rank of (u, v)) for u < v, in the block of every row of w, rows
+    v = 1..w-1 in turn; block[hi:] are the later rows of w."""
+    row = pair_offsets(N)
+    plans = []
+    for w in range(2, N + 1):
+        block = tuple((lex_rank((u, v, w), N), row[u] + v)
+                      for v in range(1, w) for u in range(1, v))
+        plans += ((row[v] + w, block, (v - 1) * (v - 2) // 2, v * (v - 1) // 2)
+                  for v in range(1, w))
+    return tuple(plans)
 
 
 @lru_cache(maxsize=16)
@@ -682,10 +806,10 @@ def _member_plans(N: int, n: int):
 
 def _run_split(args) -> tuple[TripleColoring | None, bool, SearchStats]:
     problem, prefix, cap = args
-    eng = _Engine(problem, cap, prefix)
+    eng = _engine(problem)(problem, cap, prefix)
     witness, hit = None, False
     try:
-        eng.walk(len(prefix), eng.total, eng.found)
+        eng.walk(len(prefix), eng.total, _found)
     except _Found:
         witness = TripleColoring.from_bitstring(eng.N, "".join("01"[red] for red in eng.colour))
     except _Budget:
@@ -703,19 +827,28 @@ def _consecutive(pattern: OrderedTripleSystem) -> int:
 
 
 def _blue_table(N: int, blue, colour: list[bool]):
-    """The table the walker pushes each blue triple to, None for a monotone
-    path, which the engine tracks by its alpha table.  A member with n
-    jumps has 2n + 1 vertices, so no family with more than N // 2 jumps
-    fits in [N]; the member table, the one cap on a jump count, is built
-    for at most N // 2 + 1 jumps and walks the same tree."""
+    """The table the pair walker pushes each blue triple to, for any blue
+    spec but a monotone path.  A member with n jumps has 2n + 1 vertices,
+    so no family with more than N // 2 jumps fits in [N]; the member
+    table, the one cap on a jump count, is built for at most N // 2 + 1
+    jumps and walks the same tree."""
     if isinstance(blue, JumpsFamily):
         return _JumpMembers(N, min(blue.n, N // 2 + 1), colour)
-    width = _consecutive(blue)
-    if width == 2:
-        return None
-    if width:
+    if _consecutive(blue):
         return _Windows(N, blue, colour)
     return _Embeddings(N, blue, colour)
+
+
+def _is_path(blue) -> bool:
+    """Whether the blue spec is a monotone path, which the triple walker
+    tracks by its blue alpha table."""
+    return not isinstance(blue, JumpsFamily) and _consecutive(blue) == 2
+
+
+def _engine(problem: AvoidanceProblem):
+    """The walker of a problem: the triple walker for a blue monotone path,
+    the pair walker for every other blue spec."""
+    return _Engine if _is_path(problem.blue) else _PairEngine
 
 
 def _has_blue(c: TripleColoring, blue) -> bool:
@@ -799,7 +932,7 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     if workers < 1:
         raise ValueError("need at least one worker")
 
-    probe = _Engine(problem, cap=budget)
+    probe = _engine(problem)(problem, cap=budget)
     if not probe.live or _has_blue(TripleColoring.all_red(problem.N), problem.blue):
         # no colouring avoids both, or the blue spec embeds with no blue
         # triples at all: nothing to search

@@ -6,7 +6,7 @@ The value classes have a twin too: the frozen dataclass of their fields.
 """
 
 import dataclasses
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring, all_triples
@@ -377,28 +377,48 @@ def grid_downsets(n):
     return count
 
 
-def naive_decide(N, red_m, blue_kind, blue_arg):
-    """First avoiding coloring over all 2^C(N,3) assignments, or None.
+def avoids(c, red_m, blue_kind, blue_arg):
+    """Whether c has no red path on red_m vertices and no blue copy of the
+    blue spec, by the oracles above, not the package detectors.
 
-    blue_kind is 'path', 'pattern' or 'jumps'; the checks go through the
-    oracles above, not the package detectors.
+    blue_kind is 'path', 'pattern' or 'jumps'.
     """
+    if blue_kind == "path":
+        blue = longest_path(c, Color.BLUE)[0] >= blue_arg - 1
+    elif blue_kind == "pattern":
+        blue = naive_embedding(c, blue_arg) is not None
+    else:
+        blue = naive_member(c, blue_arg) is not None
+    return not blue and longest_path(c, Color.RED)[0] < red_m - 1
+
+
+def naive_decide(N, red_m, blue_kind, blue_arg):
+    """First avoiding coloring over all 2^C(N,3) assignments, or None."""
     for bits in range(1 << comb(N, 3)):
         c = TripleColoring(N, bits)
-        depth, _ = longest_path(c, Color.RED)
-        if depth >= red_m - 1:
+        if avoids(c, red_m, blue_kind, blue_arg):
+            return c
+    return None
+
+
+def naive_pair_decide(N, red_m, blue_kind, blue_arg):
+    """First avoiding lift over every alpha: pairs -> [red_m - 2], or None.
+
+    The lift of alpha is red at (u, v, w) exactly when alpha(u, v) <
+    alpha(v, w), built here from that definition, triple by triple.
+    """
+    pairs = list(combinations(range(1, N + 1), 2))
+    seen = set()  # lifts already checked: many tables share one
+    for values in product(range(1, red_m - 1), repeat=len(pairs)):
+        alpha = dict(zip(pairs, values))
+        marks = "".join("1" if alpha[u, v] < alpha[v, w] else "0"
+                        for u, v, w in all_triples(N))
+        if marks in seen:
             continue
-        if blue_kind == "path":
-            depth, _ = longest_path(c, Color.BLUE)
-            if depth >= blue_arg - 1:
-                continue
-        elif blue_kind == "pattern":
-            if naive_embedding(c, blue_arg) is not None:
-                continue
-        else:
-            if naive_member(c, blue_arg) is not None:
-                continue
-        return c
+        seen.add(marks)
+        c = TripleColoring.from_bitstring(N, marks)
+        if avoids(c, red_m, blue_kind, blue_arg):
+            return c
     return None
 
 

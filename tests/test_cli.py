@@ -663,18 +663,26 @@ def test_search_usage_errors():
 
 # (oversized spec, host-sized twin, stderr): no copy larger than the host
 # fits in it, so the spec is built on the host's scale and walks the same
-# tree; each of these hung building the full-size pattern before
+# tree; each of these hung building the full-size pattern before.  Under a
+# red path:N+1 the pair walk tries every value the fixed-point rule allows,
+# up to v at a pair (v, w), and still decides at once
 OVERSIZED_SPECS = [
     (["--n", "8", "--red", "path:4", "--blue", "path:1000000000"],
      ["--n", "8", "--red", "path:4", "--blue", "path:9"], "sat nodes=82 max-depth=56\n"),
     (["--n", "8", "--red", "path:4", "--blue", "jumps:1000000000"],
-     ["--n", "8", "--red", "path:4", "--blue", "jumps:5"], "sat nodes=82 max-depth=56\n"),
+     ["--n", "8", "--red", "path:4", "--blue", "jumps:5"], "sat nodes=30 max-depth=28\n"),
     (["--n", "8", "--red", "path:4", "--blue", "power:1000000000,4"],
-     ["--n", "8", "--red", "path:4", "--blue", "power:9,4"], "sat nodes=82 max-depth=56\n"),
+     ["--n", "8", "--red", "path:4", "--blue", "power:9,4"], "sat nodes=30 max-depth=28\n"),
     (["--n", "7", "--red", "path:1000000000", "--blue", "path:4"],
      ["--n", "7", "--red", "path:8", "--blue", "path:4"], "sat nodes=61 max-depth=35\n"),
     (["--nmax", "6", "--red", "path:4", "--blue", "path:1000000000"],
      ["--nmax", "6", "--red", "path:4", "--blue", "path:7"], ""),
+    (["--n", "8", "--red", "path:1000000000", "--blue", "jumps:2"],
+     ["--n", "8", "--red", "path:9", "--blue", "jumps:2"], "sat nodes=41 max-depth=28\n"),
+    (["--n", "7", "--red", "path:1000000000", "--blue", "power:4,4"],
+     ["--n", "7", "--red", "path:8", "--blue", "power:4,4"], "sat nodes=36 max-depth=21\n"),
+    (["--n", "8", "--red", "path:1000000000", "--blue", "power:4,4"],
+     ["--n", "8", "--red", "path:9", "--blue", "power:4,4"], "sat nodes=52 max-depth=28\n"),
 ]
 
 
@@ -713,7 +721,7 @@ def test_search_workers_env_and_flag(monkeypatch):
             "1",
         ]
     )
-    assert code == 0 and err == "sat nodes=36 max-depth=10\n"
+    assert code == 0 and err == "sat nodes=13 max-depth=10\n"
     monkeypatch.setenv(WORKERS_ENV, "2")
     code, out, _ = run(
         ["search", "--n", "7", "--red", "path:4", "--blue", "path:4"]

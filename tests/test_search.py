@@ -20,7 +20,8 @@ from jumpramsey.detect import (
     jump_states,
     longest_red_path,
 )
-from jumpramsey.core import (Color, OrderedTripleSystem, TripleColoring, all_pairs,
+from jumpramsey.construct import lift
+from jumpramsey.core import (Color, OrderedTripleSystem, PairColoring, TripleColoring, all_pairs,
                              all_triples, lex_rank)
 from jumpramsey.family import jump_min, monotone_path, power_path, required_edges
 from jumpramsey.search import (
@@ -31,7 +32,7 @@ from jumpramsey.search import (
     bracket,
     decide,
 )
-from oracles import forced_alphas, longest_path, naive_decide, naive_member
+from oracles import forced_alphas, longest_path, naive_decide, naive_member, naive_pair_decide
 
 
 def check_witness(out, problem):
@@ -64,6 +65,34 @@ def test_engine_agrees_with_enumeration_on_tiny_hosts():
             check_witness(out, problem)
 
 
+# blue specs of every kind, for the twins of the pair reduction
+TINY_BLUE = [
+    ("path", 3), ("path", 4), ("pattern", power_path(4, 4)), ("pattern", jump_min(2)[0]),
+    ("pattern", OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))),
+    ("jumps", 1), ("jumps", 2),
+]
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_some_alpha_table_lifts_to_an_avoiding_colouring_exactly_when_any_does(N):
+    # the reduction the pair walk rests on: a level is sat exactly when the
+    # lift of some alpha: pairs -> [m - 2] avoids both sides.  The two
+    # enumerations, over every triple colouring and over every alpha, must
+    # agree, and decide with them, whichever walker serves the blue spec
+    for red_m in (3, 4, 5):
+        red = monotone_path(red_m)
+        for kind, arg in TINY_BLUE:
+            blue = (monotone_path(arg) if kind == "path"
+                    else JumpsFamily(arg) if kind == "jumps" else arg)
+            problem = AvoidanceProblem(N, red, blue)
+            out = decide(problem)
+            triples = naive_decide(N, red_m, kind, arg) is not None
+            pairs = naive_pair_decide(N, red_m, kind, arg) is not None
+            assert triples == pairs == (out.status == "sat"), (red_m, kind, arg)
+            if out.status == "sat":
+                check_witness(out, problem)
+
+
 def test_path_four_against_itself():
     out6 = decide(AvoidanceProblem(6, monotone_path(4), monotone_path(4)))
     assert out6.status == "sat"
@@ -79,52 +108,68 @@ def test_path_four_against_itself():
 def test_small_red_path_against_jumps():
     out = decide(AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)))
     assert out.status == "sat"
-    assert out.stats.nodes == 36
-    assert out.witness.bitstring() == "1111110000"
+    assert out.stats.nodes == 13
+    assert out.witness.bitstring() == "0000010011"
 
 
 # (N, blue, budget): (status, SearchStats fields, witness) for red path:4;
-# budget stops after 1 to 50 nodes land in the split enumeration or the
-# first split, the larger ones deep in the search, where red is dead at
-# nearly every node
+# the pair walk counts one node per value tried and a blue hit per value
+# whose pushes find a copy.  Budget stops after 1 to 7 nodes land in the
+# split enumeration (the first SPLIT_DEPTH pairs) or the first split, the
+# larger ones deep in the search
+P4_JUMPS2_N8 = "00000000010110110101100010110110101111011010100000010011"
+P4_JUMPS2_N10 = (
+    "000000000010110101101110011010001111001011010110111001101000111110110111"
+    "001000000100000000101000000100000001110001101110")
 BLUE_STATS = {
     (7, JumpsFamily(2), DEFAULT_BUDGET):
-        ("sat", (7786, 35, 0, 5375, 0, 1184), "11111101100111100000000000001101110"),
+        ("sat", (29, 21, 0, 0, 0, 6), "00000000011111100001111111111110000"),
     (6, power_path(4, 4), DEFAULT_BUDGET):
-        ("sat", (1865, 20, 0, 1127, 0, 352), "11010111110000011100"),
+        ("sat", (27, 15, 0, 0, 0, 7), "00101010111010100011"),
     (7, power_path(5, 4), DEFAULT_BUDGET):
-        ("sat", (3483, 35, 0, 2737, 0, 352), "11111110101111100000000000000011100"),
+        ("sat", (29, 21, 0, 0, 0, 6), "00000000011111100001111111111110000"),
     (8, JumpsFamily(2), 1): ("inconclusive", (1, 1, 0, 0, 0, 0), None),
     (8, JumpsFamily(2), 2): ("inconclusive", (2, 2, 0, 0, 0, 0), None),
     (8, JumpsFamily(2), 3): ("inconclusive", (3, 3, 0, 0, 0, 0), None),
-    (8, JumpsFamily(2), 7): ("inconclusive", (7, 4, 0, 0, 0, 0), None),
-    (8, JumpsFamily(2), 50): ("inconclusive", (50, 24, 0, 4, 0, 0), None),
-    (8, JumpsFamily(2), 10_000): ("inconclusive", (10000, 47, 0, 9249, 0, 355), None),
+    (8, JumpsFamily(2), 7): ("inconclusive", (7, 5, 0, 0, 0, 0), None),
+    (8, JumpsFamily(2), 30): ("inconclusive", (30, 22, 0, 0, 0, 7), None),
+    (8, JumpsFamily(2), 50): ("sat", (45, 28, 0, 0, 0, 11), P4_JUMPS2_N8),
+    (8, JumpsFamily(2), 10_000): ("sat", (45, 28, 0, 0, 0, 11), P4_JUMPS2_N8),
     (7, power_path(4, 4), 1): ("inconclusive", (1, 1, 0, 0, 0, 0), None),
     (7, power_path(4, 4), 2): ("inconclusive", (2, 2, 0, 0, 0, 0), None),
     (7, power_path(4, 4), 3): ("inconclusive", (3, 3, 0, 0, 0, 0), None),
-    (7, power_path(4, 4), 7): ("inconclusive", (7, 4, 0, 0, 0, 0), None),
-    (7, power_path(4, 4), 50): ("inconclusive", (50, 24, 0, 10, 0, 0), None),
-    (7, power_path(4, 4), 20_000): ("inconclusive", (20000, 32, 0, 13211, 0, 3377), None),
-    (9, JumpsFamily(2), 200_000): ("inconclusive", (200000, 65, 0, 189699, 0, 5126), None),
-    (9, power_path(4, 4), 200_000): ("inconclusive", (200000, 50, 0, 183290, 0, 8331), None),
+    (7, power_path(4, 4), 7): ("inconclusive", (7, 5, 0, 0, 0, 0), None),
+    (7, power_path(4, 4), 50): ("inconclusive", (50, 16, 0, 0, 0, 16), None),
+    (7, power_path(4, 4), 20_000):
+        ("sat", (241, 21, 0, 0, 0, 91), "01010110100011111010001100000011110"),
+    # the first unsat level of p4 vs power:4,4, by exhaustion over alpha
+    (8, power_path(4, 4), DEFAULT_BUDGET): ("unsat", (649, 22, 0, 0, 0, 262), None),
+    (9, JumpsFamily(2), 200_000): ("sat", (65, 36, 0, 0, 0, 18), (
+        "000000000011011001100100111100011011001100100111111001100100100000000001110001111110")),
+    (9, power_path(4, 4), 200_000): ("unsat", (649, 22, 0, 0, 0, 262), None),
+    (10, JumpsFamily(2), 1000): ("inconclusive", (1000, 37, 0, 0, 0, 423), None),
+    (10, JumpsFamily(2), DEFAULT_BUDGET): ("sat", (31146, 45, 0, 0, 0, 13024), P4_JUMPS2_N10),
 }
 
 
 def test_blue_detector_searches_keep_their_outcomes():
-    # the engine pushes each triple that turns blue to its blue table;
-    # every prune counter, node count and witness is pinned here
+    # the pair walker pushes each triple of the lift that turns blue to its
+    # blue table; every prune counter, node count and witness is pinned here
     for (N, blue, budget), (status, stats, bits) in BLUE_STATS.items():
         problem = AvoidanceProblem(N, monotone_path(4), blue)
         out = decide(problem, budget=budget)
         got = None if out.witness is None else out.witness.bitstring()
         assert (out.status, out.stats, got) == (
             status, search.SearchStats(*stats), bits), (N, blue, budget)
-    problem = AvoidanceProblem(7, monotone_path(4), power_path(5, 4))
-    again = decide(problem, workers=2)
-    assert (again.status, again.stats, again.witness.bitstring()) == (
-        "sat", search.SearchStats(3483, 35, 0, 2737, 0, 352),
-        "11111110101111100000000000000011100")
+        if status == "sat":
+            check_witness(out, problem)
+    # the whole SearchStats and the witness at every worker count; the
+    # level has two splits, so the pool runs both
+    problem = AvoidanceProblem(10, monotone_path(4), JumpsFamily(2))
+    for workers in (2, 4):
+        again = decide(problem, workers=workers)
+        assert (again.status, again.stats, again.witness.bitstring()) == (
+            "sat", search.SearchStats(31146, 45, 0, 0, 0, 13024), P4_JUMPS2_N10), workers
 
 
 def _blue(text):
@@ -139,65 +184,72 @@ def _blue(text):
     return OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))
 
 
-# (red m, blue spec, N, budget): (status, nodes, max-depth, witness), taken
-# from the engine that ran a blue detector at every blue node; every prune
-# decision, and so every count and witness, must stay as it was, except
-# that the path/path rows (jmin:1) also prune by the pair lookahead
+# (red m, blue spec, N, budget): (status, nodes, max-depth, witness).  The
+# rows other than jmin:1 are served by the pair walk: each status is the
+# one the triple walker found with a blue detector at every blue node,
+# except that power:4,4 and power:4,5 at N=7, jumps:2 at N=8 and power:4,4
+# at N=8, which stopped at their budgets, are now decided
 BLUE_GRID = {
-    (4, 'jumps:1', 4, 20000): ('unsat', 7, 4, None),
-    (4, 'jumps:1', 5, 20000): ('unsat', 13, 7, None),
-    (4, 'jumps:1', 6, 20000): ('unsat', 21, 11, None),
-    (4, 'jumps:1', 7, 20000): ('unsat', 31, 16, None),
-    (4, 'jumps:2', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'jumps:2', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'jumps:2', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
-    (4, 'jumps:2', 7, 20000): ('sat', 7786, 35, '11111101100111100000000000001101110'),
-    (4, 'power:4,4', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'power:4,4', 5, 20000): ('sat', 58, 10, '1110110001'),
-    (4, 'power:4,4', 6, 20000): ('sat', 1865, 20, '11010111110000011100'),
-    (4, 'power:4,4', 7, 20000): ('inconclusive', 20000, 32, None),
-    (4, 'power:5,4', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'power:5,4', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'power:5,4', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
-    (4, 'power:5,4', 7, 20000): ('sat', 3483, 35, '11111110101111100000000000000011100'),
-    (4, 'power:6,4', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'power:6,4', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'power:6,4', 6, 20000): ('sat', 46, 20, '11111111110000000000'),
-    (4, 'power:6,4', 7, 20000): ('sat', 148, 35, '11111111111101100000000000000000001'),
-    (4, 'power:6,5', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'power:6,5', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'power:6,5', 6, 20000): ('sat', 46, 20, '11111111110000000000'),
-    (4, 'power:6,5', 7, 20000): ('sat', 148, 35, '11111111111101100000000000000000001'),
-    (4, 'power:7,5', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'power:7,5', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'power:7,5', 6, 20000): ('sat', 46, 20, '11111111110000000000'),
-    (4, 'power:7,5', 7, 20000): ('sat', 61, 35, '11111111111111100000000000000000000'),
-    (4, 'power:4,5', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'power:4,5', 5, 20000): ('sat', 58, 10, '1110110001'),
-    (4, 'power:4,5', 6, 20000): ('sat', 1865, 20, '11010111110000011100'),
-    (4, 'power:4,5', 7, 20000): ('inconclusive', 20000, 32, None),
-    (5, 'jumps:2', 5, 20000): ('sat', 36, 10, '1111111110'),
-    (5, 'jumps:2', 6, 20000): ('sat', 46, 20, '11111111111111110000'),
-    (5, 'jumps:2', 7, 20000): ('sat', 108, 35, '11111111111111111111110110000000001'),
-    (5, 'jumps:2', 8, 20000): ('sat', 7807, 56, '11111111111111111111111111101100111100000000000001101110'),
-    (4, 'jumps:2', 8, 10000): ('inconclusive', 10000, 47, None),
-    (4, 'power:4,4', 8, 20000): ('inconclusive', 20000, 37, None),
-    (5, 'power:5,5', 8, 20000): ('sat', 3504, 56, '11111111111111111111111111110101111100000000000000011100'),
-    (5, 'power:6,5', 8, 20000): ('sat', 169, 56, '11111111111111111111111111111111101100000000000000000001'),
-    (5, 'jumps:3', 9, 20000): ('sat', 257, 84, '111111111111111111111111111111111111111111111101100000000000000000000000000000000001'),
-    # jmin:1 is the blue path on 3 vertices: every blue triple is a copy and
-    # every pair starts at its blue dead level, so the pair lookahead kills
-    # every red write to a pair (v, w), w < N, rank 0's included: no node
+    (4, 'jumps:1', 4, 20000): ('unsat', 5, 4, None),
+    (4, 'jumps:1', 5, 20000): ('unsat', 5, 4, None),
+    (4, 'jumps:1', 6, 20000): ('unsat', 5, 4, None),
+    (4, 'jumps:1', 7, 20000): ('unsat', 5, 4, None),
+    (4, 'jumps:2', 4, 20000): ('sat', 8, 6, '0000'),
+    (4, 'jumps:2', 5, 20000): ('sat', 13, 10, '0000010011'),
+    (4, 'jumps:2', 6, 20000): ('sat', 20, 15, '00000001110001111110'),
+    (4, 'jumps:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
+    (4, 'power:4,4', 4, 20000): ('sat', 9, 6, '0011'),
+    (4, 'power:4,4', 5, 20000): ('sat', 15, 10, '0001111110'),
+    (4, 'power:4,4', 6, 20000): ('sat', 27, 15, '00101010111010100011'),
+    (4, 'power:4,4', 7, 20000): ('sat', 241, 21, '01010110100011111010001100000011110'),
+    (4, 'power:5,4', 4, 20000): ('sat', 8, 6, '0000'),
+    (4, 'power:5,4', 5, 20000): ('sat', 13, 10, '0000010011'),
+    (4, 'power:5,4', 6, 20000): ('sat', 20, 15, '00000001110001111110'),
+    (4, 'power:5,4', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
+    (4, 'power:6,4', 4, 20000): ('sat', 8, 6, '0000'),
+    (4, 'power:6,4', 5, 20000): ('sat', 12, 10, '0000000000'),
+    (4, 'power:6,4', 6, 20000): ('sat', 18, 15, '00000000010000010011'),
+    (4, 'power:6,4', 7, 20000): ('sat', 26, 21, '00000000000011100000001110001111110'),
+    (4, 'power:6,5', 4, 20000): ('sat', 8, 6, '0000'),
+    (4, 'power:6,5', 5, 20000): ('sat', 12, 10, '0000000000'),
+    (4, 'power:6,5', 6, 20000): ('sat', 18, 15, '00000000010000010011'),
+    (4, 'power:6,5', 7, 20000): ('sat', 26, 21, '00000000000011100000001110001111110'),
+    (4, 'power:7,5', 4, 20000): ('sat', 8, 6, '0000'),
+    (4, 'power:7,5', 5, 20000): ('sat', 12, 10, '0000000000'),
+    (4, 'power:7,5', 6, 20000): ('sat', 17, 15, '00000000000000000000'),
+    (4, 'power:7,5', 7, 20000): ('sat', 24, 21, '00000000000000100000000010000010011'),
+    (4, 'power:4,5', 4, 20000): ('sat', 9, 6, '0011'),
+    (4, 'power:4,5', 5, 20000): ('sat', 15, 10, '0001111110'),
+    (4, 'power:4,5', 6, 20000): ('sat', 27, 15, '00101010111010100011'),
+    (4, 'power:4,5', 7, 20000): ('sat', 241, 21, '01010110100011111010001100000011110'),
+    (5, 'jumps:2', 5, 20000): ('sat', 13, 10, '0000010011'),
+    (5, 'jumps:2', 6, 20000): ('sat', 20, 15, '00000001110001111110'),
+    (5, 'jumps:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
+    (5, 'jumps:2', 8, 20000): ('sat', 41, 28, '00000000000111111111100000111111111111111111110000010011'),
+    (4, 'jumps:2', 8, 10000): ('sat', 45, 28, P4_JUMPS2_N8),
+    (4, 'jumps:2', 9, 20000): ('sat', 65, 36, BLUE_STATS[9, JumpsFamily(2), 200_000][2]),
+    (4, 'power:4,4', 8, 20000): ('unsat', 649, 22, None),
+    (5, 'power:5,5', 8, 20000): ('sat', 41, 28, '00000000000111111111100000111111111111111111110000010011'),
+    (5, 'power:6,5', 8, 20000): ('sat', 36, 28, '00000000000000011111100000000011111100001111111111110000'),
+    (5, 'jumps:3', 9, 20000): ('sat', 44, 36, (
+        '000000000000000000000011111100000000000000011111100000000011111100001111111111110000')),
+    (5, 'jumps:3', 10, 20000): ('sat', 57, 45, (
+        '000000000000000000000000001111111111000000000000000000111111111100000000000111111111100000'
+        '111111111111111111110000000000')),
+    # jmin:1 is the blue path on 3 vertices, served by the triple walker:
+    # every blue triple is a copy and every pair starts at its blue dead
+    # level, so the pair lookahead kills every red write to a pair (v, w),
+    # w < N, rank 0's included: no node
     (4, 'jmin:1', 4, 20000): ('unsat', 0, 0, None),
     (4, 'jmin:1', 5, 20000): ('unsat', 0, 0, None),
     (4, 'jmin:1', 6, 20000): ('unsat', 0, 0, None),
-    (4, 'jmin:2', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'jmin:2', 6, 20000): ('sat', 93, 20, '11111110110000000001'),
-    (4, 'jmin:2', 7, 20000): ('sat', 7786, 35, '11111101100111100000000000001101110'),
-    (5, 'jmin:2', 7, 20000): ('sat', 108, 35, '11111111111111111111110110000000001'),
-    (4, 'pattern:', 4, 20000): ('sat', 26, 4, '1110'),
-    (4, 'pattern:', 5, 20000): ('sat', 36, 10, '1111110000'),
-    (4, 'pattern:', 6, 20000): ('sat', 333, 20, '11110111110000001100'),
+    (4, 'jmin:2', 5, 20000): ('sat', 13, 10, '0000010011'),
+    (4, 'jmin:2', 6, 20000): ('sat', 20, 15, '00000001110001111110'),
+    (4, 'jmin:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
+    (5, 'jmin:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
+    (4, 'pattern:', 4, 20000): ('sat', 8, 6, '0000'),
+    (4, 'pattern:', 5, 20000): ('sat', 13, 10, '0010000000'),
+    (4, 'pattern:', 6, 20000): ('sat', 20, 15, '00110010000010000000'),
 }
 
 
@@ -217,9 +269,9 @@ def test_blue_grid_keeps_every_outcome():
 
 def test_blue_grid_at_two_workers():
     # the whole SearchStats, prune counters included, and the witness match
-    # the one-worker run
+    # the one-worker run on every row that walks past its split enumeration
     for (red_m, blue, N, budget), want in BLUE_GRID.items():
-        if want[1] < 1000:
+        if want[1] <= SPLIT_DEPTH + 2:
             continue
         problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
         one, two = (decide(problem, budget=budget, workers=workers) for workers in (1, 2))
@@ -239,35 +291,47 @@ class Stale:
 
 
 def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
-    # the walker leaves the colours and table slots above its rank as an
-    # earlier branch set them, and never clears the slot of a rank that
-    # turns red, so a push may read only ranks below its own, and a slot
-    # only when its rank is blue on the branch: with every colour above the
-    # pushed rank refilled at random, and the slot of every rank above it or
-    # red made unreadable, before each push, every row of BLUE_GRID keeps
-    # its outcome.  The walker sees nothing of a table but its push
+    # a push at (u, v, w) may read the colours of the triples whose last
+    # vertex is below w and of the lower ranks (., b, w), b <= v, and a
+    # slot only when its rank is blue and its last vertex below w, so that
+    # its pair is assigned for good on the branch: with every other colour
+    # refilled at random and every other slot made unreadable during each
+    # push, and put back after it, every row of BLUE_GRID keeps its
+    # outcome.  The walker leaves the colours and slots of unassigned pairs
+    # as an earlier branch set them, and never clears the slot of a rank
+    # that turns red.  A detector-run table keeps no slots and reads the
+    # whole host [w].  The walker sees nothing of a table but its push
     rng = random.Random(26)
     table_of, pushed, stale = search._blue_table, set(), Stale()
 
     class Scrambling:
-        def __init__(self, table, colour):
-            self.table, self.colour = table, colour
+        def __init__(self, table, colour, N):
+            self.table, self.colour, self.triples = table, colour, list(all_triples(N))
 
         def push(self, rank):
             pushed.add(type(self.table))
-            colour, ends = self.colour, getattr(self.table, "ends", None)
-            above = len(colour) - rank - 1
-            if ends is not None:  # a detector-run table keeps no slots
-                ends[rank + 1:] = [stale] * above
-                for r in range(rank):
-                    if colour[r]:
-                        ends[r] = stale
-            colour[rank + 1:] = [rng.random() < 0.5 for _ in range(above)]
-            return self.table.push(rank)
+            colour, ends, triples = self.colour, getattr(self.table, "ends", None), self.triples
+            _, v, w = triples[rank]
+            saved = colour[:], None if ends is None else ends[:]
+            for r, (_, b, c) in enumerate(triples):
+                if ends is None:
+                    readable = c <= w
+                else:
+                    readable = c < w or (c == w and b <= v and r < rank)
+                if not readable:
+                    colour[r] = rng.random() < 0.5
+                if ends is not None and (c >= w or saved[0][r]):
+                    ends[r] = stale
+            hit = self.table.push(rank)
+            colour[:] = saved[0]
+            if ends is not None:
+                slot = ends[rank]
+                ends[:] = saved[1]
+                ends[rank] = slot
+            return hit
 
     def scrambling(N, blue, colour):
-        table = table_of(N, blue, colour)
-        return None if table is None else Scrambling(table, colour)
+        return Scrambling(table_of(N, blue, colour), colour, N)
 
     monkeypatch.setattr(search, "_blue_table", scrambling)
     for (red_m, blue, N, budget), want in BLUE_GRID.items():
@@ -323,15 +387,17 @@ def test_unsat_is_monotone_in_host_size():
 
 
 def test_worker_invariance():
-    # hosts with at most SPLIT_DEPTH triples: every split prefix is already
-    # a full assignment, so each split is a replay and an immediate leaf
+    # hosts with at most SPLIT_DEPTH triples: every split prefix of a
+    # path/path walk is already a full assignment, so each split is a replay
+    # and an immediate leaf; the pair walk of N=4 has 6 pairs, two past
+    # its split prefixes
     small = [
         (AvoidanceProblem(4, monotone_path(4), monotone_path(4)),
          ("sat", 11, 4, "1110")),
         (AvoidanceProblem(4, monotone_path(4), power_path(4, 4)),
-         ("sat", 26, 4, "1110")),
+         ("sat", 9, 6, "0011")),
         (AvoidanceProblem(4, monotone_path(3), JumpsFamily(1)),
-         ("unsat", 1, 1, None)),
+         ("unsat", 2, 2, None)),
         (AvoidanceProblem(2, monotone_path(3), monotone_path(3)),
          ("sat", 0, 0, "")),
     ]
@@ -344,7 +410,7 @@ def test_worker_invariance():
         AvoidanceProblem(8, monotone_path(5), monotone_path(4)),
         AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)),
         AvoidanceProblem(6, monotone_path(4), power_path(4, 4)),
-        # no consecutive triple (3, 4, 5): the blue table is _Embeddings
+        # no consecutive triple (3, 4, 5): the pair walk's table is _Embeddings
         AvoidanceProblem(6, monotone_path(4),
                          OrderedTripleSystem(5, {(1, 2, 5), (2, 3, 4)})),
     ] + [problem for problem, _ in small]
@@ -467,16 +533,28 @@ def test_budget_starvation_is_deterministic():
 
 
 def test_a_split_out_of_budget_at_its_start_has_no_depth():
-    # red path:3 is dead at every rank, so each split starts with a run of
-    # blue nodes; with no budget left the run stops before its first node,
-    # after counting that rank red-dead, and the split reaches no depth
-    problem = AvoidanceProblem(8, monotone_path(3), JumpsFamily(2))
+    # red path:3 is dead at every rank, so each split of the triple walk
+    # starts with a run of blue nodes; with no budget left the run stops
+    # before its first node, after counting that rank red-dead, and the
+    # split reaches no depth
+    problem = AvoidanceProblem(8, monotone_path(3), monotone_path(9))
     prefixes = search._Engine(problem, DEFAULT_BUDGET).decompose(SPLIT_DEPTH)
     assert prefixes == [(False,) * SPLIT_DEPTH]
     assert search._run_split((problem, prefixes[0], 0)) == (
         None, True, search.SearchStats(0, 0, 0, 1, 0, 0))
     assert search._run_split((problem, prefixes[0], 3)) == (
         None, True, search.SearchStats(3, SPLIT_DEPTH + 3, 0, 4, 0, 0))
+    # the pair walk gives every pair value 1 under red path:3, and the
+    # forced-blue read makes all of [5] blue at pair (1, 5), a member of
+    # J_2: the third node is a blue hit and ends the split, whose budget
+    # of three nodes is then spent but not overrun
+    problem = AvoidanceProblem(8, monotone_path(3), JumpsFamily(2))
+    prefixes = search._PairEngine(problem, DEFAULT_BUDGET).decompose(SPLIT_DEPTH)
+    assert prefixes == [(1,) * SPLIT_DEPTH]
+    assert search._run_split((problem, prefixes[0], 0)) == (
+        None, True, search.SearchStats(0, 0))
+    assert search._run_split((problem, prefixes[0], 3)) == (
+        None, False, search.SearchStats(3, SPLIT_DEPTH + 3, blue_hits=1))
 
 
 def test_symmetry_shortcut_only_for_identical_sides():
@@ -518,7 +596,9 @@ def test_oversized_jump_family_is_searched_on_the_hosts_scale(monkeypatch):
     small = decide(AvoidanceProblem(8, monotone_path(4), JumpsFamily(5)))
     assert huge.status == small.status == "sat"
     assert huge.stats == small.stats
-    assert huge.stats.nodes == 82
+    # no member fits, so every pair takes value 1 and the lift is all blue
+    assert huge.stats.nodes == 30
+    assert huge.witness.bits == 0
     assert huge.witness == small.witness
     assert set(built) == {5}
 
@@ -598,17 +678,18 @@ def full_detection(c, blue):
 
 
 def test_blue_tables_match_full_detection():
-    # colourings built the way the engine builds them: a lex-order prefix,
-    # each triple tried blue and kept blue unless that completes a blue
-    # copy, the rest read as red.  Half the prefixes try a planted copy's
-    # edges blue and end at its lex-largest edge, so that the last step
+    # colourings built in the order the pair walk colours them: pairs (v, w)
+    # in colex order and the triples (u, v, w) of each in order of u, each
+    # triple tried blue and kept blue unless that completes a blue copy,
+    # the rest read as red.  Half the runs try a planted copy's edges blue
+    # and end at the edge the walk colours last, so that the last step
     # often completes it.  Two engines of one problem, sharing its plans,
     # are driven in lockstep with their own random choices, their colour
     # lists and tables as the walker drives them: a triple whose push
     # completes a copy turns red, and its slot keeps what that push wrote.
     # Every blue push must report a copy exactly when a full detector run on
-    # that engine's own colours up to the pushed rank, the later ranks red,
-    # finds one, and the shared plans must still equal freshly built ones.
+    # that engine's own colours so far, the rest red, finds one, and the
+    # shared plans must still equal freshly built ones.
     rng = random.Random(59)
     for blue in TRACKED:
         pattern = jump_min(blue.n)[0] if isinstance(blue, JumpsFamily) else blue
@@ -616,29 +697,30 @@ def test_blue_tables_match_full_detection():
         for _ in range(50):
             N = rng.randint(max(5, pattern.m), 8)
             problem = AvoidanceProblem(N, monotone_path(N + 2), blue)
+            order = [r for _, block, lo, hi in search._pair_plans(N) for r, _ in block[lo:hi]]
+            step = {r: i for i, r in enumerate(order)}
             lanes = []
             for _ in range(2):
-                eng = search._Engine(problem, DEFAULT_BUDGET)
+                eng = search._PairEngine(problem, DEFAULT_BUDGET)
                 assert isinstance(eng.table, (search._Windows, search._JumpMembers))
                 plant = set()
                 if rng.random() < 0.5:
                     verts = sorted(rng.sample(range(1, N + 1), pattern.m))
-                    plant = {lex_rank(tuple(verts[p - 1] for p in e), N)
+                    plant = {step[lex_rank(tuple(verts[p - 1] for p in e), N)]
                              for e in pattern.edges}
-                top = max(plant) if plant else rng.randrange(eng.total)
+                top = max(plant) if plant else rng.randrange(len(order))
                 lanes.append([eng, plant, top, rng.uniform(0.3, 0.9), False])
             plans = lanes[0][0].table.plans
             assert lanes[1][0].table.plans is plans
-            for rank in range(max(lane[2] for lane in lanes) + 1):
+            for i, rank in enumerate(order[:max(lane[2] for lane in lanes) + 1]):
                 for lane in lanes:
                     eng, plant, top, share, _ = lane
-                    if rank > top:
+                    if i > top:
                         continue
-                    if rank == top or rank in plant or rng.random() < share:
+                    if i == top or i in plant or rng.random() < share:
                         eng.colour[rank] = False
-                        marks = "".join("1" if red else "0" for red in eng.colour[:rank + 1])
-                        c = TripleColoring.from_bitstring(N, marks.ljust(eng.total, "1"))
-                        found = full_detection(c, blue)
+                        marks = "".join("1" if red else "0" for red in eng.colour)
+                        found = full_detection(TripleColoring.from_bitstring(N, marks), blue)
                         assert eng.table.push(rank) is found, (blue, N, rank)
                         lane[4] = found
                         if not found:
@@ -656,8 +738,20 @@ def test_blue_tables_match_full_detection():
 
 @pytest.mark.parametrize("N", range(3, 10))
 def test_plans_read_the_ranks_they_name(N):
-    # the member plan's ranks, and the window plan's key slots and edge
-    # ranks, recomputed from the triples with lex_rank
+    # the pair plan's pairs and rows, the member plan's ranks, and the
+    # window plan's key slots and edge ranks, recomputed from the triples
+    # with lex_rank and the pairs in lex order
+    pair_rank = {pair: p for p, pair in enumerate(all_pairs(N))}
+    colex = sorted(pair_rank, key=lambda pair: pair[::-1])
+    plans = search._pair_plans(N)
+    assert len(plans) == len(colex)
+    for (v, w), (p, block, lo, hi) in zip(colex, plans):
+        assert p == pair_rank[v, w]
+        assert block == tuple((lex_rank((u, b, w), N), pair_rank[u, b])
+                              for b in range(1, w) for u in range(1, b))
+        # its own row; the rows after it follow, as the block is in row order
+        assert block[lo:hi] == tuple((lex_rank((u, v, w), N), pair_rank[u, v])
+                                     for u in range(1, v))
     for n in (1, 2, 3):
         for (u, v, w), (sources, uw, *_) in zip(all_triples(N), search._member_plans(N, n)):
             assert sources == tuple(
@@ -700,42 +794,50 @@ def test_plans_read_the_ranks_they_name(N):
 def engine_state(eng):
     """Copies of what the walker changes and must restore; the table slots
     it leaves as they are, as a table reads only slots of blue ranks."""
+    if isinstance(eng, search._PairEngine):
+        return list(eng.alpha)
     return copy.deepcopy((eng.ar, eng.ab, eng.trail, eng.packed))
 
 
 # the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
-# sat), so it walks its whole subtree with the memo on.  The table levels
-# are sat, and a leaf that returns makes each split visit every avoiding
-# colouring below its prefix, so at most 32 splits, spread over the DFS
-# order, are walked, and two levels split deeper, at WALK_DEPTHS, where the
-# subtrees are smaller.  The jump_min(2) member has a window table; the
+# sat), so it walks its whole subtree with the memo on.  The pair walk
+# levels are sat, and a leaf that returns makes each split visit every
+# avoiding table below its prefix; they split deeper, after the pairs of
+# the first five vertices, and at most 32 splits, spread over the DFS
+# order, are walked.  The jump_min(2) member has a window table; the
 # pattern lacking (1, 2, 3) runs a full detector at each push.
-# jumps:2 at N=7 splits before rank 12, (1, 5, 6): from block (2, 3, .) on
-# red is dead at most nodes, and a run of blue nodes covers up to 4 ranks
-WALK_DEPTHS = {(6, jump_min(2)[0]): 9, (7, JumpsFamily(2)): 12}
-
-
 @pytest.mark.parametrize("N, blue", [
     (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
     (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, _blue("pattern:"))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     problem = AvoidanceProblem(N, monotone_path(4), blue)
-    probe = search._Engine(problem, DEFAULT_BUDGET)
-    prefixes = probe.decompose(WALK_DEPTHS.get((N, blue), SPLIT_DEPTH))
-    if probe.table is None:  # a blue path: only the first split
+    engine = search._engine(problem)
+    pairs = engine is search._PairEngine
+    probe = engine(problem, DEFAULT_BUDGET)
+    prefixes = probe.decompose(10 if pairs else SPLIT_DEPTH)
+    if not pairs:  # a blue path: only the first split
         prefixes = prefixes[:1]
     prefixes = prefixes[::-(-len(prefixes) // 32)]
-    assert engine_state(probe) == engine_state(search._Engine(problem, DEFAULT_BUDGET))
+    assert engine_state(probe) == engine_state(engine(problem, DEFAULT_BUDGET))
     leaves = []
     pruned = 0
+
+    def leaf():
+        # the colour list is the lift of the table, and avoids both sides
+        if pairs:
+            lifted = lift(PairColoring(N, 2, tuple(eng.alpha)))
+            assert "".join("01"[red] for red in eng.colour) == lifted.bitstring()
+            assert not full_detection(lifted, blue)
+        leaves.append(1)
+
     for prefix in prefixes:
-        eng = search._Engine(problem, DEFAULT_BUDGET, prefix)
+        eng = engine(problem, DEFAULT_BUDGET, prefix)
         replayed = engine_state(eng)
-        eng.walk(len(prefix), eng.total, lambda: leaves.append(1))
+        eng.walk(len(prefix), eng.total, leaf)
         assert engine_state(eng) == replayed
-        pruned += eng.memo_hits + eng.blue_hits
+        pruned += eng.stats().memo_hits + eng.stats().blue_hits
     assert pruned > 0
-    assert bool(leaves) == (eng.table is not None)
+    assert bool(leaves) == pairs
 
 
 def test_memo_packs_no_live_value_of_a_last_pair():
@@ -808,8 +910,8 @@ def test_no_live_prefix_has_a_pair_dead_in_both_colours(red_m, blue_m, N, stops)
 def test_member_table_and_detector_step_through_one_function():
     states = jump_states(2)
     assert jump_states(2) is states
-    eng = search._Engine(AvoidanceProblem(7, monotone_path(4), JumpsFamily(2)),
-                         DEFAULT_BUDGET)
+    eng = search._PairEngine(AvoidanceProblem(7, monotone_path(4), JumpsFamily(2)),
+                             DEFAULT_BUDGET)
     assert eng.table.step == states.step
     states.steps.clear()
     find_blue_jump_member(TripleColoring.all_blue(7), 2)
@@ -829,12 +931,16 @@ def test_one_recogniser_reads_the_spec():
     assert search._consecutive(_blue("pattern:")) == 0
     assert search._consecutive(OrderedTripleSystem(4, {(1, 2, 3), (1, 2, 4)})) == 0
     assert search._consecutive(monotone_path(2)) == 0
-    # the engine's table follows the recogniser; the jump family has its own
-    tables = [type(search._blue_table(7, blue, [True] * 35)).__name__
-              for blue in (power_path(6, 3), power_path(4, 5), JumpsFamily(2),
-                           jump_min(2)[0], _blue("pattern:"), monotone_path(2))]
-    assert tables == [
-        "NoneType", "_Windows", "_JumpMembers", "_Windows", "_Embeddings", "_Embeddings"]
+    # the walker and the pair walk's table follow the recogniser: a blue
+    # monotone path goes to the triple walker, every other spec to the pair
+    # walk, and the jump family has its own table
+    specs = (monotone_path(4), power_path(6, 3), power_path(4, 5), JumpsFamily(2),
+             jump_min(2)[0], _blue("pattern:"), monotone_path(2))
+    engines = [search._engine(AvoidanceProblem(7, monotone_path(4), blue)).__name__
+               for blue in specs]
+    assert engines == ["_Engine", "_Engine"] + ["_PairEngine"] * 5
+    tables = [type(search._blue_table(7, blue, [True] * 35)).__name__ for blue in specs[2:]]
+    assert tables == ["_Windows", "_JumpMembers", "_Windows", "_Embeddings", "_Embeddings"]
     # one build of a spec is read once per process
     search._consecutive.cache_clear()
     for _ in range(3):
