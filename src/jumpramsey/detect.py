@@ -202,9 +202,12 @@ def _embedding_plan(pattern: OrderedTripleSystem):
 def find_blue_embedding(c: TripleColoring, pattern: OrderedTripleSystem) -> Embedding | None:
     """Least order-preserving embedding of pattern with every edge blue.
 
-    None when no embedding exists; patterns larger than the host never fit.
+    None when no embedding exists; patterns larger than the host never fit,
+    and a host with no blue triple holds no pattern with an edge, which is
+    answered without a search.  An edgeless pattern embeds on any host it
+    fits.
     """
-    if pattern.m > c.N:
+    if pattern.m > c.N or pattern.edges and c.bits.bit_count() == comb(c.N, 3):
         return None
     row = _rows(_red_blocks(c, Color.BLUE))
     found = _least_embedding(row, c.N, pattern)
@@ -316,12 +319,13 @@ def find_blue_jump_member(
 
     Searches every host size from 2n+1 up to N.  The witness minimizes the
     host vertex tuple first and the jump position tuple second; None when
-    no member of the family embeds with all required edges blue.
+    no member of the family embeds with all required edges blue, which a
+    host with no blue triple answers without a search.
     """
     if n < 1:
         raise ValueError("need at least one jump")
     N = c.N
-    if 2 * n + 1 > N:
+    if 2 * n + 1 > N or c.bits.bit_count() == comb(N, 3):
         return None
     row = _rows(_red_blocks(c, Color.BLUE))
     states = jump_states(n)

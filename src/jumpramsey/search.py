@@ -110,16 +110,26 @@ triple has a table whose push is a full detector run on the host [w], and
 which keeps nothing.  The root probe and the witness re-check are always
 full detector runs.
 
-After an assignment to (v, w) the walk also reads every later row of w
-ahead of time, the forced-blue read: (u, v', w), v' > v, reads as blue
-exactly when alpha(u, v') = m - 2, already final, as no value of (v', w)
-can exceed it, and every such triple is pushed too.  That is its least
-blue colour over all completions, so a copy found there is in every leaf
-below and kills the branch soundly.  The later rows are coloured again by
-their own assignments, which rewrite every slot they own before a later
-vertex reads it.  The walker has an explicit stack too: per open pair, the
-bitmask of the values still untried.  A full assignment leaves the colour
-list at the lift of alpha, which is the witness.
+At the first pair (1, w) of a vertex, whose row is empty, the walk also
+reads every later row of w ahead of time, the forced-blue read: (u, v', w)
+reads as blue exactly when alpha(u, v') = m - 2, already final, as no value
+of (v', w) can exceed it, and every such triple is pushed too.  That is its
+least blue colour over all completions, so a copy found there is in every
+leaf below and kills the branch soundly.  An assignment to (v, w), v >= 2,
+pushes the blue triples of its own row and re-pushes only the later
+triples whose push reads a triple of row v (_pair_plans).  Every other
+later push would read the triples and slots it read at its last push on
+the branch, which found no copy, so the dead assignments are those of a
+walk that re-pushes every later triple at every assignment.  The later
+rows stay at the forced read without being coloured again: the last value
+a pair tries is the largest j the fixed-point rule allows, and its lift of
+the row is the forced read, as a value alpha(u, v) = b with j <= b < m - 2
+would allow b + 1.  So a row the walk backs past is left as the forced
+read.  Each row is coloured again by its own assignment, which rewrites
+every slot it owns before a later vertex reads it.  The walker has an
+explicit stack too: per open pair, the bitmask of the values still
+untried.  A full assignment leaves the colour list at the lift of alpha,
+which is the witness.
 
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
@@ -247,7 +257,7 @@ class _Windows:
     """
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
-        self.colour = colour
+        self.colour, self.width = colour, pattern.width
         self.last, self.held = 1 << (pattern.m - 1), 1 << pattern.width
         self.plans = _window_plans(N, pattern)
         self.ends: list[list[int] | tuple[int, ...] | None] = [None] * comb(N, 3)
@@ -290,7 +300,10 @@ class _JumpMembers:
     of w, and writes ends[rank]; a red (y, u, v) is skipped, so a slot is
     read only when its rank is blue on the branch.  A prefix in an
     accepting state (all n jumps used, last position no jump) is a member.
+    A push reads the rows of w a window of width 3 reads (_pair_plans).
     """
+
+    width = 3
 
     def __init__(self, N: int, n: int, colour):
         self.colour = colour
@@ -337,16 +350,23 @@ class _JumpMembers:
 class _Embeddings:
     """A pattern lacking a consecutive triple: each push is a full detector
     run on the host [w] of the pushed triple (u, v, w), every row of w
-    coloured; no slots."""
+    coloured; no slots.  Every push of one assignment sees one host, so
+    the table keeps the host of its last run and that run's answer, and a
+    push on the same host runs no detector."""
+
+    width = 0  # a push reads every row of w
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
         self.N, self.pattern, self.colour = N, pattern, colour
         self.last = [w for _, _, w in _ranks(N)[0]]
+        self.host, self.hit = None, False
 
     def push(self, rank: int) -> bool:
-        marks = "".join("01"[red] for red in self.colour)
-        c = TripleColoring.from_bitstring(self.N, marks).restrict(self.last[rank])
-        return find_blue_embedding(c, self.pattern) is not None
+        host = self.last[rank], "".join("01"[red] for red in self.colour)
+        if host != self.host:
+            c = TripleColoring.from_bitstring(self.N, host[1]).restrict(host[0])
+            self.host, self.hit = host, find_blue_embedding(c, self.pattern) is not None
+        return self.hit
 
 
 class _Engine:
@@ -577,10 +597,11 @@ class _PairEngine:
 
     alpha holds per lex pair rank the value given on the current branch, 0
     while unassigned.  The colour list is the lift of the assigned pairs,
-    True for red; a rank whose last pair is unassigned keeps what an
-    earlier branch gave it, as nothing reads it before its pair is
-    assigned.  A probe (split None) starts with no pair assigned; a split
-    engine replays its prefix of values first.
+    True for red; a rank whose last pair (v, w) is unassigned holds the
+    forced read while the walk assigns the pairs of w, and before that
+    what an earlier branch gave it, as nothing reads it before (1, w)
+    colours it.  A probe (split None) starts with no pair assigned; a
+    split engine replays its prefix of values first.
     """
 
     live = True  # the root of the pair walk always holds
@@ -590,10 +611,10 @@ class _PairEngine:
         N = problem.N
         self.N, self.cap, self.top = N, cap, problem.red.m - 2
         self.total = comb(N, 2)
-        self.plans = _pair_plans(N)
         self.alpha = [0] * self.total
         self.colour = [True] * comb(N, 3)
         self.table = _blue_table(N, problem.blue, self.colour)
+        self.plans = _pair_plans(N, self.table.width)
         self.nodes = self.max_depth = self.blue_hits = 0
         if split is not None:
             self._replay(split)
@@ -607,12 +628,14 @@ class _PairEngine:
         assigned; returns with them unassigned.
 
         tries holds per open pair the bitmask of its values still untried,
-        bit j - 1 for value j.  A value colours the pair's row and reads
-        the later rows of its last vertex (the forced-blue read), then
-        pushes every blue triple of those rows; a push that completes a
-        copy is a dead end, which tries the next value, backing up past
-        pairs with none left.  Counters live in locals and go back to the
-        engine on every exit, _Budget and the leaf's _Found included."""
+        bit j - 1 for value j.  A value colours the pair's row, at (1, w)
+        reads the later rows of w (the forced-blue read), and pushes the
+        blue triples of its push list; a push that completes a copy is a
+        dead end, which tries the next value, backing up past pairs with
+        none left.  A pair backed past has its row at the forced read, the
+        lift of the last value it tried (module docstring).  Counters live
+        in locals and go back to the engine on every exit, _Budget and the
+        leaf's _Found included."""
         alpha, colour, plans, cap = self.alpha, self.colour, self.plans, self.cap
         push, top = self.table.push, self.top
         # the fixed-point values never exceed N - 1, whatever the red path
@@ -626,9 +649,8 @@ class _PairEngine:
                     leaf()
                     d -= 1
                 else:
-                    p, block, lo, hi = plans[d]
                     mask = 1
-                    for _, iuv in block[lo:hi]:
+                    for _, iuv in plans[d][1]:
                         mask |= 1 << alpha[iuv]
                     tries.append(mask & values)
                 while True:
@@ -647,13 +669,13 @@ class _PairEngine:
                     nodes += 1
                     if d >= max_depth:
                         max_depth = d + 1
-                    p, block, lo, hi = plans[d]
+                    p, own, later, pushes = plans[d]
                     j = alpha[p] = low.bit_length()
-                    for r, iuv in block[lo:hi]:
+                    for r, iuv in own:
                         colour[r] = alpha[iuv] < j
-                    for r, iuv in block[hi:]:
+                    for r, iuv in later:
                         colour[r] = alpha[iuv] != top
-                    for r, _ in block[lo:]:
+                    for r in pushes:
                         if not colour[r] and push(r):
                             blue_hits += 1
                             break
@@ -671,17 +693,19 @@ class _PairEngine:
         return prefixes
 
     def _replay(self, prefix: tuple[int, ...]) -> None:
-        """Assign a live prefix as the walk would, with nothing to count;
-        no push of it finds a copy."""
-        alpha, colour = self.alpha, self.colour
-        for (p, block, lo, hi), j in zip(self.plans, prefix):
+        """Assign a live prefix as the walk would, with nothing to count, so
+        the later rows of the boundary vertex are at the forced read with
+        their blue triples pushed; no push of it finds a copy."""
+        alpha, colour, push, top = self.alpha, self.colour, self.table.push, self.top
+        for (p, own, later, pushes), j in zip(self.plans, prefix):
             alpha[p] = j
-            own = block[lo:hi]
             for r, iuv in own:
                 colour[r] = alpha[iuv] < j
-            for r, _ in own:
+            for r, iuv in later:
+                colour[r] = alpha[iuv] != top
+            for r in pushes:
                 if not colour[r]:
-                    self.table.push(r)
+                    push(r)
 
 
 @lru_cache(maxsize=16)
@@ -694,18 +718,39 @@ def _ranks(N: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, i
 
 
 @lru_cache(maxsize=16)
-def _pair_plans(N: int):
-    """Per pair (v, w) in colex order (w, then v), (p, block, lo, hi): p
-    its lex pair rank, and block[lo:hi] its row, (rank of (u, v, w), lex
-    pair rank of (u, v)) for u < v, in the block of every row of w, rows
-    v = 1..w-1 in turn; block[hi:] are the later rows of w."""
+def _pair_plans(N: int, width: int):
+    """Per pair (v, w) in colex order (w, then v), (p, own, later, pushes)
+    for a blue table of that width: p its lex pair rank; own its row,
+    (rank of (u, v, w), lex pair rank of (u, v)) for u < v; later every
+    later row of w in the same form at the first pair (1, w), and nothing
+    at the others; pushes the ranks that an assignment pushes when blue.
+
+    At (1, w), whose row is empty, pushes are every later row of w.  At
+    (v, w), v >= 2, they are its own row, then the later triples (u, v',
+    w), v' > v, whose push reads a triple of row v.  A push at (u, v', w)
+    reads the rows u and v' of w at width 3 (a member's last four vertices,
+    or a window of four), every row from 2 to u and v' at a width of 4 or
+    more, and every row of w at width 0 (a detector-run table).  So a
+    later triple is pushed at v = u at width 3, at each v <= u when wider,
+    and at every v at width 0.  Each later push left out reads the triples
+    and slots it read at its last push on the branch, which found no copy.
+    No plan colours a later row again after (1, w): a pair the walk backs
+    past leaves its row at the forced read (module docstring).
+    """
     row = pair_offsets(N)
     plans = []
     for w in range(2, N + 1):
-        block = tuple((lex_rank((u, v, w), N), row[u] + v)
-                      for v in range(1, w) for u in range(1, v))
-        plans += ((row[v] + w, block, (v - 1) * (v - 2) // 2, v * (v - 1) // 2)
-                  for v in range(1, w))
+        rows = [tuple((lex_rank((u, v, w), N), row[u] + v) for u in range(1, v))
+                for v in range(w)]
+        later = tuple(t for v in range(2, w) for t in rows[v])
+        plans.append((row[1] + w, (), later, tuple(r for r, _ in later)))
+        for v in range(2, w):
+            pushes = [r for r, _ in rows[v]]
+            for b in range(v + 1, w):
+                # rows[b][u - 1] is (u, b, w)
+                reads = rows[b] if width == 0 else rows[b][v - 1:v if width == 3 else b]
+                pushes += (r for r, _ in reads)
+            plans.append((row[v] + w, rows[v], (), tuple(pushes)))
     return tuple(plans)
 
 

@@ -2,6 +2,9 @@
 
 Everything here enumerates straight from the definitions: no windows, no
 memo tables, no dynamic programming.  Exponential, so hosts stay small.
+One exception, PlainPairEngine, is the pair walk under its plain push
+rule: it drives the engine's own blue tables, and only the push rule is
+the twin.
 The value classes have a twin too: the frozen dataclass of their fields.
 """
 
@@ -9,7 +12,8 @@ import dataclasses
 from itertools import combinations, product
 from math import comb
 
-from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring, all_triples
+from jumpramsey.core import Color, FormatError, PairColoring, TripleColoring, all_triples, lex_rank
+from jumpramsey.search import _Budget, _PairEngine
 
 
 def dataclass_twin(cls):
@@ -420,6 +424,58 @@ def naive_pair_decide(N, red_m, blue_kind, blue_arg):
         if avoids(c, red_m, blue_kind, blue_arg):
             return c
     return None
+
+
+class PlainPairEngine(_PairEngine):
+    """The pair walk under the plain push rule, a drop-in engine for
+    search.decide: every assignment to (v, w) colours its row as the lift
+    of alpha and every later row of w by the forced-blue read, then pushes
+    every blue triple of those rows, row by row, up to the first copy.  It
+    recurses over the pairs by name and keeps no push plan."""
+
+    def walk(self, start, stop, leaf):
+        N, alpha, colour, push, top = self.N, self.alpha, self.colour, self.table.push, self.top
+        rank = {pair: p for p, pair in enumerate(combinations(range(1, N + 1), 2))}
+        colex = sorted(rank, key=lambda pair: pair[::-1])
+
+        def visit(d):
+            if d == stop:
+                leaf()
+                return
+            v, w = colex[d]
+            for j in range(1, min(top, N) + 1):
+                if j > 1 and all(alpha[rank[u, v]] != j - 1 for u in range(1, v)):
+                    continue
+                if self.nodes == self.cap:
+                    raise _Budget()
+                self.nodes += 1
+                self.max_depth = max(self.max_depth, d + 1)
+                alpha[rank[v, w]] = j
+                for b in range(v, w):
+                    for u in range(1, b):
+                        value = alpha[rank[u, b]]
+                        colour[lex_rank((u, b, w), N)] = value < j if b == v else value != top
+                if any(not colour[r] and push(r) for r in
+                       (lex_rank((u, b, w), N) for b in range(v, w) for u in range(1, b))):
+                    self.blue_hits += 1
+                    continue
+                visit(d + 1)
+            alpha[rank[v, w]] = 0
+
+        visit(start)
+
+    def _replay(self, prefix):
+        """Each pair of the prefix assigned, its row coloured and its blue
+        triples pushed; the walk colours every later row itself."""
+        N, alpha, colour = self.N, self.alpha, self.colour
+        rank = {pair: p for p, pair in enumerate(combinations(range(1, N + 1), 2))}
+        for (v, w), j in zip(sorted(rank, key=lambda pair: pair[::-1]), prefix):
+            alpha[rank[v, w]] = j
+            for u in range(1, v):
+                r = lex_rank((u, v, w), N)
+                colour[r] = alpha[rank[u, v]] < j
+                if not colour[r]:
+                    self.table.push(r)
 
 
 def scan_pair_coloring(text):

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from jumpramsey import detect
 from jumpramsey.construct import lift, pentagon_coloring
 from jumpramsey.core import (
     Color,
@@ -271,6 +272,33 @@ def test_find_blue_embedding_edge_cases():
     empty = monotone_path(0)
     assert find_blue_embedding(c, empty).vertices == ()
     # edgeless pattern on two vertices embeds as the first two hosts
+    assert find_blue_embedding(c, monotone_path(2)).vertices == (1, 2)
+
+
+def test_a_host_with_no_blue_triple_holds_only_edgeless_patterns(monkeypatch):
+    # an all-red host holds no jump-family member and no pattern with an
+    # edge, as the oracles find; an edgeless pattern still embeds at the
+    # start of the host.  On [300] both detectors answer without decoding
+    # the host or searching it
+    edgeless = (monotone_path(0), monotone_path(2), OrderedTripleSystem(3, frozenset()))
+    patterns = edgeless + (monotone_path(3), power_path(4, 4), power_path(6, 5), jump_min(2)[0],
+                           OrderedTripleSystem(5, {(1, 2, 5), (2, 3, 4)}))
+    for N in range(9):
+        c = TripleColoring.all_red(N)
+        for n in (1, 2, 3):
+            assert find_blue_jump_member(c, n) is None is naive_member(c, n), (N, n)
+        for pattern in patterns:
+            found, want = find_blue_embedding(c, pattern), naive_embedding(c, pattern)
+            assert (None if found is None else found.vertices) == want, (N, pattern)
+            assert (want is None) == (pattern not in edgeless or pattern.m > N), (N, pattern)
+    c = TripleColoring.all_red(300)
+    with monkeypatch.context() as patched:
+        for name in ("_red_blocks", "_least_embedding"):
+            patched.setattr(detect, name, None)
+        for n in (1, 2, 149):
+            assert find_blue_jump_member(c, n) is None
+        for pattern in patterns[3:] + (monotone_path(300),):
+            assert find_blue_embedding(c, pattern) is None
     assert find_blue_embedding(c, monotone_path(2)).vertices == (1, 2)
 
 

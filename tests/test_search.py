@@ -7,6 +7,7 @@ import hashlib
 import io
 import multiprocessing
 import random
+from contextlib import suppress
 from itertools import combinations
 
 import pytest
@@ -32,7 +33,8 @@ from jumpramsey.search import (
     bracket,
     decide,
 )
-from oracles import forced_alphas, longest_path, naive_decide, naive_member, naive_pair_decide
+from oracles import (PlainPairEngine, forced_alphas, longest_path, naive_decide, naive_member,
+                     naive_pair_decide)
 
 
 def check_witness(out, problem):
@@ -307,6 +309,7 @@ def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
     class Scrambling:
         def __init__(self, table, colour, N):
             self.table, self.colour, self.triples = table, colour, list(all_triples(N))
+            self.width = table.width
 
         def push(self, rank):
             pushed.add(type(self.table))
@@ -697,7 +700,7 @@ def test_blue_tables_match_full_detection():
         for _ in range(50):
             N = rng.randint(max(5, pattern.m), 8)
             problem = AvoidanceProblem(N, monotone_path(N + 2), blue)
-            order = [r for _, block, lo, hi in search._pair_plans(N) for r, _ in block[lo:hi]]
+            order = [r for _, own, _, _ in search._pair_plans(N, 3) for r, _ in own]
             step = {r: i for i, r in enumerate(order)}
             lanes = []
             for _ in range(2):
@@ -743,15 +746,20 @@ def test_plans_read_the_ranks_they_name(N):
     # with lex_rank and the pairs in lex order
     pair_rank = {pair: p for p, pair in enumerate(all_pairs(N))}
     colex = sorted(pair_rank, key=lambda pair: pair[::-1])
-    plans = search._pair_plans(N)
-    assert len(plans) == len(colex)
-    for (v, w), (p, block, lo, hi) in zip(colex, plans):
-        assert p == pair_rank[v, w]
-        assert block == tuple((lex_rank((u, b, w), N), pair_rank[u, b])
-                              for b in range(1, w) for u in range(1, b))
-        # its own row; the rows after it follow, as the block is in row order
-        assert block[lo:hi] == tuple((lex_rank((u, v, w), N), pair_rank[u, v])
-                                     for u in range(1, v))
+    for width in (0, 3, 4):
+        plans = search._pair_plans(N, width)
+        assert len(plans) == len(colex)
+        for (v, w), (p, own, later, pushes) in zip(colex, plans):
+            assert p == pair_rank[v, w]
+            assert own == tuple((lex_rank((u, v, w), N), pair_rank[u, v]) for u in range(1, v))
+            rest = tuple((lex_rank((u, b, w), N), pair_rank[u, b])
+                         for b in range(v + 1, w) for u in range(1, b))
+            # the first pair of w reads every later row ahead; the others none
+            assert later == (rest if v == 1 else ())
+            # its own row, then later ranks in row order, each at most once
+            assert pushes[:len(own)] == tuple(r for r, _ in own)
+            ahead = [r for r, _ in rest]
+            assert list(pushes[len(own):]) == sorted(set(pushes[len(own):]), key=ahead.index)
     for n in (1, 2, 3):
         for (u, v, w), (sources, uw, *_) in zip(all_triples(N), search._member_plans(N, n)):
             assert sources == tuple(
@@ -791,30 +799,163 @@ def test_plans_read_the_ranks_they_name(N):
             assert keys == tuple(enumerate(map(tuple, want)))
 
 
+def push_reads(N, blue):
+    """Per lex rank, the ranks of the colours a push there reads, taken
+    from the member or window plan."""
+    if isinstance(blue, JumpsFamily):
+        return [{r for src, _, yuw, yvw in sources for r in (src, yuw, yvw)} | set(uw[1:])
+                for sources, uw, *_ in search._member_plans(N, blue.n)]
+    return [{e for _, prevs in keys for *_, edges in prevs for e in edges}
+            for keys, _ in search._window_plans(N, blue)]
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_push_lists_hold_every_push_that_reads_the_row(N):
+    # at (v, w), v >= 2, the walk pushes its own row and of the later rows
+    # of w only the triples whose push reads a triple of row v; a push that
+    # reads none reads what it read at its last push on the branch.  So the
+    # push list must hold every later rank whose read set, brute-forced
+    # from the plan, meets row v; the member table's holds no other
+    triples = list(all_triples(N))
+    colex = sorted(all_pairs(N), key=lambda pair: pair[::-1])
+    for blue in (JumpsFamily(1), JumpsFamily(2), JumpsFamily(3), power_path(4, 4),
+                 power_path(5, 4), power_path(5, 5), power_path(6, 5), power_path(7, 5),
+                 jump_min(3)[0], required_edges(7, {3, 5})):
+        table = search._blue_table(N, blue, [True] * len(triples))
+        reads = push_reads(N, blue)
+        for (v, w), (_, own, _, pushes) in zip(colex, search._pair_plans(N, table.width)):
+            ahead = [r for r, (_, b, x) in enumerate(triples) if x == w and b > v]
+            if v == 1:
+                assert sorted(pushes) == ahead, (blue, v, w)
+                continue
+            row = {r for r, _ in own}
+            need = {r for r in ahead if reads[r] & row}
+            assert need <= set(pushes), (blue, v, w)
+            if isinstance(blue, JumpsFamily):
+                assert need == set(pushes) - row, (v, w)
+    # a detector-run table reads the whole host: every later rank, always
+    for (v, w), (*_, pushes) in zip(colex, search._pair_plans(N, 0)):
+        assert set(pushes) == {r for r, (_, b, x) in enumerate(triples) if x == w and b >= v}
+
+
+@pytest.mark.parametrize("blue", ["jumps:1", "jumps:2", "jumps:3", "power:4,4", "power:5,4",
+                                  "power:5,5", "power:6,5", "power:7,5", "pattern:"])
+def test_planned_pushes_walk_as_the_plain_rule(monkeypatch, blue):
+    # the push lists leave out only pushes that would find no copy, so the
+    # planned walk gives the whole SearchStats, status and witness of
+    # oracles.PlainPairEngine, which re-pushes every later row at every
+    # assignment, budget stops included, at one worker and at two
+    spec = _blue(blue)
+    for N in range(3, 10):
+        for red_m, budget in ((4, 20000), (5, 20000), (4, 40)):
+            problem = AvoidanceProblem(N, monotone_path(red_m), spec)
+            with monkeypatch.context() as plain:
+                plain.setattr(search, "_engine", lambda problem: PlainPairEngine)
+                want = decide(problem, budget=budget)
+            workers = (1, 2) if N in (7, 9) and want.stats.nodes > SPLIT_DEPTH + 2 else (1,)
+            for w in workers:
+                got = decide(problem, budget=budget, workers=w)
+                assert (got.status, got.stats, got.witness) == (
+                    want.status, want.stats, want.witness), (blue, N, red_m, budget, w)
+
+
+def test_table_push_counts(monkeypatch):
+    # the work the push lists save, counted with a wrapped push over the
+    # probe, the split replays and the splits: the plain rule pushed
+    # 234,947 and 2,065 times
+    table_of, pushes = search._blue_table, [0]
+
+    def counted(N, blue, colour):
+        table = table_of(N, blue, colour)
+        push = table.push
+
+        def count(rank):
+            pushes[0] += 1
+            return push(rank)
+
+        table.push = count
+        return table
+
+    monkeypatch.setattr(search, "_blue_table", counted)
+    for N, blue, want in ((10, JumpsFamily(2), 172_828), (8, power_path(4, 4), 1_756)):
+        pushes[0] = 0
+        out = decide(AvoidanceProblem(N, monotone_path(4), blue))
+        assert out.status == BLUE_STATS[N, blue, DEFAULT_BUDGET][0]
+        assert pushes[0] == want, (N, blue)
+
+
+@pytest.mark.parametrize("N, pattern, runs", [
+    (8, OrderedTripleSystem(5, {(1, 2, 3), (1, 3, 5), (2, 4, 5)}), 45),
+    (7, OrderedTripleSystem(4, {(1, 2, 4), (1, 3, 4)}), 106)])
+def test_a_detector_table_runs_one_detector_per_assignment(monkeypatch, N, pattern, runs):
+    # every push of one assignment sees one host, so a walk to the first
+    # leaf runs the detector at most once per assignment, each run at a
+    # distinct alpha table, and keeps the plain walk's node and blue-hit
+    # counts.  A table that ran it at every blue push made 116 and 169 runs
+    # at the same 45 and 106 assignments
+    problem = AvoidanceProblem(N, monotone_path(4), pattern)
+    eng = search._PairEngine(problem, DEFAULT_BUDGET)
+    plain = PlainPairEngine(problem, DEFAULT_BUDGET)
+    assert isinstance(eng.table, search._Embeddings)
+    seen = []
+
+    def counted(c, blue):
+        seen.append(tuple(eng.alpha))
+        return find_blue_embedding(c, blue)
+
+    for walker in (plain, eng):
+        with suppress(search._Found):
+            walker.walk(0, walker.total, search._found)
+        monkeypatch.setattr(search, "find_blue_embedding", counted)
+    assert eng.stats() == plain.stats()
+    assert len(seen) == len(set(seen)) == runs, (len(seen), len(set(seen)))
+
+
 def engine_state(eng):
     """Copies of what the walker changes and must restore; the table slots
-    it leaves as they are, as a table reads only slots of blue ranks."""
+    it leaves as they are, as a table reads only slots of blue ranks.  Of
+    the pair walk's colours, those of the assigned rows, and of the later
+    rows of w when the first unassigned pair (v, w) has v > 1, which the
+    walk reads at the forced read."""
     if isinstance(eng, search._PairEngine):
-        return list(eng.alpha)
+        N = eng.N
+        colex = sorted(all_pairs(N), key=lambda pair: pair[::-1]) + [(1, N + 1)]
+        v, w = colex[next(d for d, (p, *_) in enumerate(eng.plans + ((None,),))
+                          if p is None or not eng.alpha[p])]
+        return list(eng.alpha), [red for red, (_, _, x) in zip(eng.colour, all_triples(N))
+                                 if x < w or x == w and v > 1]
     return copy.deepcopy((eng.ar, eng.ab, eng.trail, eng.packed))
 
 
 # the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
 # sat), so it walks its whole subtree with the memo on.  The pair walk
 # levels are sat, and a leaf that returns makes each split visit every
-# avoiding table below its prefix; they split deeper, after the pairs of
-# the first five vertices, and at most 32 splits, spread over the DFS
-# order, are walked.  The jump_min(2) member has a window table; the
-# pattern lacking (1, 2, 3) runs a full detector at each push.
+# avoiding table below its prefix; they split deeper, after the first 12
+# pairs, inside the pairs of vertex 6, so that the walk must leave the
+# later rows of vertex 6 at the forced read, and at most 32 splits, spread
+# over the DFS order, are walked.  The jump_min(2) member has a window
+# table; the pattern lacking (1, 2, 3) runs a full detector at each push.
 @pytest.mark.parametrize("N, blue", [
     (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
     (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, _blue("pattern:"))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
-    problem = AvoidanceProblem(N, monotone_path(4), blue)
+    walk_every_split(AvoidanceProblem(N, monotone_path(4), blue))
+
+
+def test_pair_walk_leaves_backed_past_rows_at_the_forced_read_under_path_five():
+    # under red path:4 a pair's last value is 2 = m - 2, whose lift of its
+    # row is the forced read whatever the row; under path:5 the last value
+    # of a pair may be below m - 2, and its row must still lift to the
+    # forced read when the walk backs past it
+    walk_every_split(AvoidanceProblem(6, monotone_path(5), power_path(5, 5)))
+
+
+def walk_every_split(problem):
+    N, blue = problem.N, problem.blue
     engine = search._engine(problem)
     pairs = engine is search._PairEngine
     probe = engine(problem, DEFAULT_BUDGET)
-    prefixes = probe.decompose(10 if pairs else SPLIT_DEPTH)
+    prefixes = probe.decompose(12 if pairs else SPLIT_DEPTH)
     if not pairs:  # a blue path: only the first split
         prefixes = prefixes[:1]
     prefixes = prefixes[::-(-len(prefixes) // 32)]
@@ -825,7 +966,7 @@ def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     def leaf():
         # the colour list is the lift of the table, and avoids both sides
         if pairs:
-            lifted = lift(PairColoring(N, 2, tuple(eng.alpha)))
+            lifted = lift(PairColoring(N, problem.red.m - 2, tuple(eng.alpha)))
             assert "".join("01"[red] for red in eng.colour) == lifted.bitstring()
             assert not full_detection(lifted, blue)
         leaves.append(1)
@@ -951,8 +1092,8 @@ def test_one_recogniser_reads_the_spec():
 def test_a_window_table_runs_no_detector_at_a_node(monkeypatch):
     # jump_min(2) holds every consecutive triple, so its window table finds
     # every blue copy: the detector runs once on the root probe and once on
-    # the witness.  A pattern lacking a consecutive triple runs it at every
-    # blue node
+    # the witness.  A pattern lacking a consecutive triple runs it at blue
+    # nodes, once an assignment at most
     calls = []
 
     def counted(c, pattern):
