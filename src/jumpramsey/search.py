@@ -2,113 +2,47 @@
 
 decide answers "is there a coloring of all triples of [N] with no red copy
 of the red pattern and no blue copy of the blue spec".  The red pattern
-must be a monotone path on m vertices.  Two walkers serve it, chosen by the
-blue spec: a blue monotone path goes to the triple walker, every other blue
-spec (power paths, jump families, other patterns) to the pair walk.
-
-The triple walker branches over triples in lex rank order, red first.  The
-red path is tracked by an incremental alpha table, and a branch dies the
-moment a pair's depth reaches the path length.  Lex order makes the table
-exact without cascades: every triple ending at a pair is decided before any
-triple starting there.  The blue path gets the same treatment, and the two
-tables also follow forced colours.  A pair (x, y), y < N, at its red dead
-level m - 2 starts no red triple, so every (x, y, z) is blue and the blue
-value of every (y, z) is at least ab(x, y) + 1; the same holds with the
-colours swapped.  Each write raises its pair in its colour and follows
-these rules to a fixpoint, unit propagation: the write dies when a value
-reaches m - 1 in its colour, a path, which it does when a pair (x, y),
-y < N, is at both dead levels, as (x, y, y+1) then has no colour left.
-
-This is exact.  The write at (u, v, w) raises (v, w), and a raise of
-(x, y) raises pairs (y, z) only, so every raised pair has its first vertex
-after u.  Every triple coloured so far has its first vertex at most u, so
-every triple a raise forces is still uncoloured, and no coloured triple
-starts at a raised pair.  The values are then the least fixpoint of the
-alpha recurrences and the forced rules over the coloured prefix, a function
-of the prefix, and lower bounds on the alpha values of every avoiding
-colouring that extends it: a write that fails has no leaf below it.  Only
-such subtrees are cut, so the DFS order and the first sat leaf stay as they
-were.  Each raise goes on a trail that the back-up unwinds.  A root whose
-own fixpoint fails (a side with m = 3 on enough vertices) is unsat at once.
-
-The triple walker runs over a range of ranks with an explicit stack, so
-search depth C(N, 3) is bounded by memory and the node budget, not by the
-interpreter's recursion limit.  A node's whole job is done inline, on local
-variables, since a method call per step (apply, undo, count) was most of a
-node's cost.  Its stack is the red ranks of the branch whose blue is
-untried; every other rank of the branch is blue.  A dead end backs up to
-the last of them, c, in one step: c's own undo, an unwind of the trail to
-c's mark, takes the raises of the ranks above with it.  Red at (u, v, w) is
-dead exactly when ar(u, v) is at the red dead level, and no write in the
-row of (u, v), its ranks (u, v, .) in core.row_starts, raises ar(u, v); so
-the rest of such a row, up to the end of the walk, goes blue in one step.
-Each of those blue writes is alive and raises nothing, as the fixpoint
-already holds ab(v, z) > ab(u, v) for every z.  Each rank of the run still
-counts as a red-dead write and a node, and the budget stops it on the node
-where a walk of one rank at a time would stop.  25,304 of the 42,272 nodes
-of p4/p5 at N=9 fall in such runs.
-
-The triple walker also skips states that failed before.  At the start of
-row (a, b), rank (a, b, b+1), the rest of the walk reads only the red and
-blue alpha values of pair (a, b) and of the pairs after it in pair lex
-order, a suffix: a later write (a', v, w), a' >= a, reads (a', v) and
-raises pairs whose first vertex is after a'.  What pairs before the row
-start forced is already in the suffix values.  Pairs (x, N) are never
-read: a raise there fails exactly when it reaches m - 1, whatever value it
-raises.  A value d at pair (x, y) with d + (N - y) < m - 1 (m the path
-length of that colour) is packed as 0; at a pair (x, N) that is every
-live value, which is at most m - 2.  It is below the dead level, so no
-forced rule reads it, and a chain of raises adds one per pair along
-increasing vertices, so it carries at most d + (N - y) - 1 to a pair
-(., y'), y' < N, and d + (N - y) to a pair (., N): it reaches no dead level
-and no m - 1, directly or through a max.  The clamped suffix is one int,
-kept up to date with every raise and its undo.  The back-up records each
-row start of the branch it passes that is blue or had both colours
-tried, on the int it had on arrival, and a later arrival with the same int
-backs out at once and counts a memo hit, not a node.  Only failed
-subtrees are skipped, so the first sat leaf, every status and every witness
-stay as they were; only the node counts and depths move.  Each split has
-its own memo, so the worker count changes nothing, and a memo holding
-MEMO_CAP states is cleared.  The split enumeration has none: its leaf
-returns, so a subtree it leaves has not failed.
-
-The pair walk searches the red alpha table instead of the triples.  Its
-lemma: level N is sat exactly when some alpha: pairs -> [m - 2] has a lift
-(construct.lift: (u, v, w) red iff alpha(u, v) < alpha(v, w)) with no blue
-copy.  Proof: a lift of m - 2 values has no red path on m vertices, as the
-values rise strictly along one.  Conversely, let c avoid both and alpha be
-its red alpha table; a red triple (u, v, w) of c has alpha(u, v) <
-alpha(v, w), so it is red in the lift, whose blue triples are then blue in
-c and hold no copy.  So for m = 4 the walk has 2^C(N-1, 2) leaves at most,
-where the triple walker has 2^C(N, 3).  An alpha table is a fixed point:
-alpha(1, w) = 1, and alpha(v, w) = j > 1 only if some u < v has
-alpha(u, v) = j - 1.  Searching only these loses nothing, and it caps the
-values at v, so a red path longer than the host tries no more values than
-the host allows.
+must be a monotone path on m vertices, and the search walks its red alpha
+table instead of the triples.  Its lemma: level N is sat exactly when
+some alpha: pairs -> [m - 2] has a lift (construct.lift: (u, v, w) red
+iff alpha(u, v) < alpha(v, w)) with no blue copy.  Proof: a lift of m - 2
+values has no red path on m vertices, as the values rise strictly along
+one.  Conversely, let c avoid both and alpha be its red alpha table; a red
+triple (u, v, w) of c has alpha(u, v) < alpha(v, w), so it is red in the
+lift, whose blue triples are then blue in c and hold no copy.  So for
+m = 4 the walk has 2^C(N-1, 2) leaves at most, against 2^C(N, 3) triple
+colourings.  An alpha table is a fixed point: alpha(1, w) = 1, and
+alpha(v, w) = j > 1 only if some u < v has alpha(u, v) = j - 1.  Searching
+only these loses nothing, and it caps the values at v, so a red path
+longer than the host tries no more values than the host allows.  When the
+blue spec is the red path itself, the complement of an avoiding colouring
+avoids both too, and the red alpha table of the one of the two with
+(1, 2, 3) red has alpha(2, 3) = 2: that pair takes no other value.
 
 The walk assigns the pairs (v, w) in colex order, w outer and v inner,
 each value from 1 up.  One assignment colours the whole row of (v, w),
 every triple (u, v, w), u < v, red iff alpha(u, v) < alpha(v, w), and
-then pushes its blue triples, lowest u first, to the blue table.  A power
-path or other pattern of width W >= 3 that holds every consecutive triple
-is tracked per W-vertex key (_Windows), a jump-family member per last four
-vertices (_JumpMembers).  Both rest on one fact: a copy's lex-largest edge
-is its last three vertices (u, v, w), and every other edge of the copy, or
-of the window or member prefix being extended, has its last vertex below
-w, or is a triple (., v', w) with v' <= v of lower lex rank: an edge the
-walk has already coloured when it pushes (u, v, w).  Every key or prefix a
-push writes ends in its own triple, so a table keeps one slot per lex rank,
-ends[rank], and what a push at a rank reads and writes depends only on N
-and the spec: it is planned once per (N, spec), cached, and shared by the
-probe and every split engine of the process, which keep only their ends.
-A push reads a slot only when its rank is blue and its last vertex below w,
-so the final assignment of its pair wrote it on the current branch: the
-walker only pushes, never clears a slot, and a pair not yet assigned may
-hold what an earlier branch left.  A push that completes a copy is a blue
-hit, and the walk tries the next value.  A pattern lacking a consecutive
-triple has a table whose push is a full detector run on the host [w], and
-which keeps nothing.  The root probe and the witness re-check are always
-full detector runs.
+then pushes its blue triples, lowest u first, to the blue table.  A
+pattern of width W that holds every consecutive triple, a monotone or a
+power path among them, is tracked per key of max(W, 3) vertices
+(_Windows), a jump-family member per last four vertices (_JumpMembers).
+Both rest on one fact: a copy's lex-largest edge is its last three
+vertices (u, v, w), and every other edge of the copy, or of the window or
+member prefix being extended, has its last vertex below w, or is a triple
+(., v', w) with v' <= v of lower lex rank: an edge the walk has already
+coloured when it pushes (u, v, w).  Every key or prefix a push writes ends
+in its own triple, so a table keeps one slot per lex rank, ends[rank], and
+what a push at a rank reads and writes depends only on N and the spec: it
+is planned once per (N, spec), cached, and shared by the probe and every
+split engine of the process, which keep only their ends.  A push reads a
+slot only when its rank is blue and its last vertex below w, so the final
+assignment of its pair wrote it on the current branch: the walker only
+pushes, never clears a slot, and a pair not yet assigned may hold what an
+earlier branch left.  A push that completes a copy is a blue hit, and the
+walk tries the next value.  Any other pattern, the one-edge path (1, 2, 3)
+among them, has a table whose push is a full detector run on the host
+[w], and which keeps nothing.  The root probe and the witness re-check are
+always full detector runs.
 
 At the first pair (1, w) of a vertex, whose row is empty, the walk also
 reads every later row of w ahead of time, the forced-blue read: (u, v', w)
@@ -116,30 +50,35 @@ reads as blue exactly when alpha(u, v') = m - 2, already final, as no value
 of (v', w) can exceed it, and every such triple is pushed too.  That is its
 least blue colour over all completions, so a copy found there is in every
 leaf below and kills the branch soundly.  An assignment to (v, w), v >= 2,
-pushes the blue triples of its own row and re-pushes only the later
-triples whose push reads a triple of row v (_pair_plans).  Every other
-later push would read the triples and slots it read at its last push on
-the branch, which found no copy, so the dead assignments are those of a
-walk that re-pushes every later triple at every assignment.  The later
-rows stay at the forced read without being coloured again: the last value
-a pair tries is the largest j the fixed-point rule allows, and its lift of
-the row is the forced read, as a value alpha(u, v) = b with j <= b < m - 2
-would allow b + 1.  So a row the walk backs past is left as the forced
-read.  Each row is coloured again by its own assignment, which rewrites
-every slot it owns before a later vertex reads it.  The walker has an
-explicit stack too: per open pair, the bitmask of the values still
-untried.  A full assignment leaves the colour list at the lift of alpha,
-which is the witness.
+pushes only the blue triples of its own row.  A later push left out there,
+of a triple (u, v', w), v' > v, blue at the forced read, could find only
+a copy that the own-row push of (u, v', w) finds at every value of
+(v', w).  A push finds every copy that ends in its triple, and at
+(v', w) (u, v', w) is blue, as alpha(u, v') = m - 2, the slots it reads
+are those of triples below w, already final, and the rows up to v' of w
+hold their values, whose blue triples include those of the forced read.
+So a branch such a push would kill has no leaf, and the statuses and
+witnesses are those of a walk that pushes every later triple at every
+assignment.  The later rows stay at the forced read without being
+coloured again: the last value a pair tries is the largest j the
+fixed-point rule allows, and its lift of the row is the forced read, as a
+value alpha(u, v) = b with j <= b < m - 2 would allow b + 1.  So a row the
+walk backs past is left as the forced read.  Each row is coloured again by its own assignment, which rewrites
+every slot it owns before a later vertex reads it.  The walker keeps its
+branch on an explicit stack, per open pair the bitmask of the values still
+untried, so search depth C(N, 2) is bounded by memory and the node budget,
+not by the interpreter's recursion limit.  A full assignment leaves the
+colour list at the lift of alpha, which is the witness.
 
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
-the worker count), the colours of the first ranks or the values of the
-first pairs.  Each subproblem runs under the same node cap, and the
-results fold in prefix order exactly as a single-threaded run would have
-encountered them; the budget accounting replays sequential semantics, so
-a run that would have starved sequentially reports inconclusive no matter
-how many workers finished their pieces.  Each worker has a pipe of its
-own, and the workers are killed as soon as the fold decides.
+the worker count), the values of the first pairs.  Each subproblem runs
+under the same node cap, and the results fold in prefix order exactly as a
+single-threaded run would have encountered them; the budget accounting
+replays sequential semantics, so a run that would have starved
+sequentially reports inconclusive no matter how many workers finished
+their pieces.  Each worker has a pipe of its own, and the workers are
+killed as soon as the fold decides.
 """
 
 from __future__ import annotations
@@ -149,14 +88,12 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import (Color, OrderedTripleSystem, TripleColoring, all_pairs, all_triples,
-                   lex_rank, pair_offsets, record, row_starts)
+from .core import (Color, OrderedTripleSystem, TripleColoring, all_triples, lex_rank,
+                   pair_offsets, record)
 from .detect import alpha_table, find_blue_embedding, find_blue_jump_member, jump_states
 
 DEFAULT_BUDGET = 10**9
 SPLIT_DEPTH = 4
-# failed path/path states one split remembers; the memo is cleared when full
-MEMO_CAP = 1 << 19
 
 
 @record
@@ -183,24 +120,13 @@ class AvoidanceProblem:
 
 @record
 class SearchStats:
-    """Work counts of a search.
-
-    In the triple walker (a blue path): nodes entered, the deepest rank
-    reached, and the pruned arrivals by reason: memo hits (a failed state
-    seen again), red-dead (red writes whose propagation fails, and the
-    ranks a red-dead run makes blue) and blue-dead (blue writes whose
-    propagation fails); it has no blue hits.  In the
-    pair walk (every other blue spec): nodes are the values tried, one
-    pair assignment each, max_depth the most pairs assigned on a branch,
-    and blue hits the values whose pushes complete a blue copy (their
-    nodes are counted); the other counts stay 0.  The node budget counts
-    the same nodes."""
+    """Work counts of a search: nodes are the values tried, one pair
+    assignment each, max_depth the most pairs assigned on a branch, and
+    blue hits the values whose pushes complete a blue copy (their nodes
+    are counted).  The node budget counts the same nodes."""
 
     nodes: int
     max_depth: int
-    memo_hits: int = 0
-    red_dead: int = 0
-    blue_dead: int = 0
     blue_hits: int = 0
 
 
@@ -238,8 +164,8 @@ def _found() -> None:
 
 
 class _Windows:
-    """Blue copies of a pattern of width W >= 3 that holds every
-    consecutive triple, kept per W-vertex key.
+    """Blue copies of a pattern that holds every consecutive triple, kept
+    per W-vertex key, W the larger of its width and 3.
 
     Position k + 1 shares edges only with the W positions before it, so a
     key holds the bitmask of the k for which a blue copy of positions 1..k
@@ -253,12 +179,14 @@ class _Windows:
     (u, v, w)] holds the keys ending there.  A prev key ends in (S[-1], u,
     v), an edge the window reads, so its slot is read only when that rank
     is blue on the branch, and the push of its pair's final value stored
-    it.
+    it.  A monotone path, of width 2, is kept per triple: key (u, v, w)
+    holds the lengths of the blue paths ending there.  Bit k only steps to
+    k + 1, so a pattern on m <= W vertices never reports a copy.
     """
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
-        self.colour, self.width = colour, pattern.width
-        self.last, self.held = 1 << (pattern.m - 1), 1 << pattern.width
+        self.colour = colour
+        self.last, self.held = 1 << (pattern.m - 1), 1 << max(pattern.width, 3)
         self.plans = _window_plans(N, pattern)
         self.ends: list[list[int] | tuple[int, ...] | None] = [None] * comb(N, 3)
 
@@ -300,10 +228,7 @@ class _JumpMembers:
     of w, and writes ends[rank]; a red (y, u, v) is skipped, so a slot is
     read only when its rank is blue on the branch.  A prefix in an
     accepting state (all n jumps used, last position no jump) is a member.
-    A push reads the rows of w a window of width 3 reads (_pair_plans).
     """
-
-    width = 3
 
     def __init__(self, N: int, n: int, colour):
         self.colour = colour
@@ -348,17 +273,16 @@ class _JumpMembers:
 
 
 class _Embeddings:
-    """A pattern lacking a consecutive triple: each push is a full detector
-    run on the host [w] of the pushed triple (u, v, w), every row of w
-    coloured; no slots.  Every push of one assignment sees one host, so
-    the table keeps the host of its last run and that run's answer, and a
-    push on the same host runs no detector."""
-
-    width = 0  # a push reads every row of w
+    """A pattern with no window table, one lacking a consecutive triple or
+    the one-edge path (1, 2, 3): each push is a full detector run on the
+    host [w] of the pushed triple (u, v, w), every row of w coloured; no
+    slots.  Every push of one assignment sees one host, so the table keeps
+    the host of its last run and that run's answer, and a push on the same
+    host runs no detector."""
 
     def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
         self.N, self.pattern, self.colour = N, pattern, colour
-        self.last = [w for _, _, w in _ranks(N)[0]]
+        self.last = [w for _, _, w in all_triples(N)]
         self.host, self.hit = None, False
 
     def push(self, rank: int) -> bool:
@@ -367,228 +291,6 @@ class _Embeddings:
             c = TripleColoring.from_bitstring(self.N, host[1]).restrict(host[0])
             self.host, self.hit = host, find_blue_embedding(c, self.pattern) is not None
         return self.hit
-
-
-class _Engine:
-    """One search lane of the triple walker (red path, blue path): the two
-    alpha tables, the partial colouring and an explicit branch stack, all
-    worked by walk.
-
-    Per rank it keeps the colour given on the current branch, True for red,
-    and its token, what undoing it needs: the trail length before its
-    raises.  The ranks above the walk's current one keep what an earlier
-    branch gave them, as nothing reads a rank before the walk writes it.
-
-    The probe (split None) starts on uncoloured tables with no memo; a
-    split engine replays its live prefix first and starts its failed-state
-    memo on the replayed tables.
-    """
-
-    def __init__(self, problem: AvoidanceProblem, cap: int,
-                 split: tuple[bool, ...] | None = None):
-        N = problem.N
-        self.N = N
-        self.red_m, self.blue_m = problem.red.m, problem.blue.m
-        self.symmetric = problem.blue == problem.red
-        self.cap = cap
-        self.total = comb(N, 3)
-        self.pairs_idx = _ranks(N)[1]
-        npairs = comb(N, 2)
-        self.ar, self.ab = [1] * npairs, [1] * npairs
-        self.colour = [True] * self.total
-        self.token = [0] * self.total
-        self.nodes = self.max_depth = 0
-        self.memo = None
-        self.memo_hits = self.red_dead = self.blue_dead = 0
-        self.front = [None] * self.total
-        # the raises made so far, as (values, pair, old value, packed)
-        self.trail = []
-        self.packs, front, sentinel = _memo_layout(N, self.red_m, self.blue_m)
-        bpack, rpack = self.packs
-        self.packed = sentinel + sum(p[1] for p in rpack + bpack)
-        # per pair (x, y), the pair ranks of (y, y+1) .. (y, N)
-        row = pair_offsets(N)
-        nexts = [range(row[y] + y + 1, row[y] + N + 1) for _, y in all_pairs(N)]
-        # what _settle reads; per colour its values, their packing and
-        # m - 1, a path, then the dead levels m - 2
-        self.spread = (self.ar, self.ab, self.trail, nexts,
-                       (self.ab, bpack, self.blue_m - 1),
-                       (self.ar, rpack, self.red_m - 1), self.red_m - 2, self.blue_m - 2)
-        # the root's fixpoint, from every pair
-        self.live = self._settle(True, None, 0, (1 << npairs) - 1)
-        if split is not None:
-            # a split's failed-state memo starts on the replayed tables
-            self.front, self.memo = front, set()
-            self._replay(split)
-
-    def _settle(self, red: bool, i: int | None, d: int, dirty: int = 0) -> bool:
-        """Raise pair i to at least d in red (blue if not red) and follow
-        the forced colours from it, and from the pairs in the bitmask dirty,
-        to a fixpoint; i None raises nothing.
-
-        A pair at the red dead level raises every pair after it, (y, z), to
-        its own blue value plus one, and one at the blue dead level the same
-        in red.  Raised pairs are taken in pair rank order: a raise only goes
-        to a later pair, so each is taken once, with its final values.  Every
-        raise goes on the trail; False, with them undone, when a value
-        reaches m - 1.
-        """
-        ar, ab, trail, nexts, bside, rside, red_dead, blue_dead = self.spread
-        values, pack, top = side = rside if red else bside
-        mark, packed = len(trail), self.packed
-        targets = () if i is None else (i,)
-        while True:
-            for j in targets:
-                old = values[j]
-                if d > old:
-                    if d >= top:
-                        self._unwind(mark)
-                        return False
-                    trail.append((values, j, old, packed))
-                    values[j] = d
-                    packed += pack[j][d] - pack[j][old]
-                    dirty |= 1 << j
-            while dirty:
-                low = dirty & -dirty
-                dirty ^= low
-                i = low.bit_length() - 1
-                if ar[i] >= red_dead:
-                    side, d = bside, ab[i] + 1
-                    break
-                if ab[i] >= blue_dead:
-                    side, d = rside, ar[i] + 1
-                    break
-            else:
-                self.packed = packed
-                return True
-            values, pack, top = side
-            targets = nexts[i]
-
-    def _unwind(self, mark: int) -> None:
-        """Undo the raises on the trail after mark, the latest first."""
-        trail = self.trail
-        while len(trail) > mark:
-            values, j, old, self.packed = trail.pop()
-            values[j] = old
-
-    def stats(self) -> SearchStats:
-        return SearchStats(self.nodes, self.max_depth, self.memo_hits,
-                           self.red_dead, self.blue_dead)
-
-    def walk(self, start: int, stop: int, leaf) -> None:
-        """Depth-first over ranks start..stop-1, red before blue, calling
-        leaf() with ranks below stop coloured; returns with them undone.
-
-        reds is the branch stack of the module docstring: a dead end (a
-        write that dies, a memo hit, or a leaf that returns) pops its last
-        rank, c, and tries blue at c.  A red write that fails to propagate
-        goes onto reds too.  starts holds the branch's row starts for the
-        memo (splits only), each recorded at its own mark as the back-up
-        passes it.  The back-up restores the alpha tables, the trail and
-        packed only: nothing reads a colour above c before the walk has
-        rewritten it.  Counters live in locals and go back to the engine on
-        every exit, _Budget and the leaf's _Found included."""
-        colour, token, pairs_idx, front, cap = (
-            self.colour, self.token, self.pairs_idx, self.front, self.cap)
-        ar, ab, memo, trail = self.ar, self.ab, self.memo, self.trail
-        settle, unwind = self._settle, self._unwind
-        row_start = row_starts(self.N)
-        red_top, blue_top = self.red_m - 1, self.blue_m - 1
-        # the blue of rank 0 is the colour swap of its red when the sides agree
-        first = 1 if self.symmetric else 0
-        nodes, max_depth = self.nodes, self.max_depth
-        memo_hits, red_dead, blue_dead = self.memo_hits, self.red_dead, self.blue_dead
-        reds, starts, base = [], [], len(trail)
-        rank = start
-        try:
-            while True:
-                if rank == stop:
-                    leaf()
-                elif front[rank] is not None and self.packed >> front[rank] in memo:
-                    memo_hits += 1
-                else:
-                    iuv, ivw = pairs_idx[rank]
-                    cand = ar[iuv] + 1
-                    if cand < red_top:
-                        token[rank] = len(trail)
-                        if rank >= first:
-                            reds.append(rank)
-                        if cand <= ar[ivw] or settle(True, ivw, cand):
-                            if nodes == cap:
-                                raise _Budget()
-                            nodes += 1
-                            if rank >= max_depth:
-                                max_depth = rank + 1
-                            colour[rank] = True
-                            rank += 1
-                            continue
-                        red_dead += 1
-                    else:
-                        # red is dead for the rest of the row: a run of blue nodes
-                        if front[rank] is not None:
-                            token[rank] = len(trail)
-                            starts.append(rank)
-                        end = row_start[iuv + 1]  # past the last rank of row (u, v)
-                        if end > stop:
-                            end = stop
-                        limit = rank + cap - nodes  # the budget stops the run there
-                        if limit > end:
-                            limit = end
-                        colour[rank:limit] = [False] * (limit - rank)
-                        nodes += limit - rank
-                        red_dead += limit - rank
-                        if limit > max_depth and limit > rank:
-                            max_depth = limit
-                        if limit < end:  # out of budget; red at limit is dead too
-                            red_dead += 1
-                            raise _Budget()
-                        rank = end
-                        continue
-                # a dead end: back up to the last red rank and try its blue
-                while True:
-                    c = reds.pop() if reds else start - 1
-                    while starts and starts[-1] > c:
-                        s = starts.pop()
-                        unwind(token[s])
-                        if len(memo) >= MEMO_CAP:
-                            memo.clear()
-                        memo.add(self.packed >> front[s])
-                    if c < start:
-                        unwind(base)
-                        return
-                    iuv, ivw = pairs_idx[c]
-                    colour[c] = False
-                    unwind(token[c])
-                    if front[c] is not None:
-                        starts.append(c)
-                    cand = ab[iuv] + 1
-                    if not (cand <= ab[ivw] or (cand < blue_top and settle(False, ivw, cand))):
-                        blue_dead += 1
-                        continue
-                    if nodes == cap:
-                        raise _Budget()
-                    nodes += 1
-                    if c >= max_depth:
-                        max_depth = c + 1
-                    rank = c + 1
-                    break
-        finally:
-            self.nodes, self.max_depth = nodes, max_depth
-            self.memo_hits, self.red_dead, self.blue_dead = memo_hits, red_dead, blue_dead
-
-    def decompose(self, depth: int) -> list[tuple[bool, ...]]:
-        """All live branch prefixes at the split depth, in DFS order."""
-        prefixes: list[tuple[bool, ...]] = []
-        self.walk(0, depth, lambda: prefixes.append(tuple(self.colour[:depth])))
-        return prefixes
-
-    def _replay(self, prefix: tuple[bool, ...]) -> None:
-        """Colour a live prefix as the walk would, with nothing to count;
-        no write of it dies and no push of it finds a copy."""
-        for rank, red in enumerate(prefix):
-            self.colour[rank] = red
-            iuv, ivw = self.pairs_idx[rank]
-            self._settle(red, ivw, (self.ar if red else self.ab)[iuv] + 1)
 
 
 class _PairEngine:
@@ -600,11 +302,11 @@ class _PairEngine:
     True for red; a rank whose last pair (v, w) is unassigned holds the
     forced read while the walk assigns the pairs of w, and before that
     what an earlier branch gave it, as nothing reads it before (1, w)
-    colours it.  A probe (split None) starts with no pair assigned; a
-    split engine replays its prefix of values first.
+    colours it.  ones holds per pair in colex order the bit of value 1,
+    0 at (2, 3) when the blue spec is the red path (module docstring).  A
+    probe (split None) starts with no pair assigned; a split engine
+    replays its prefix of values first.
     """
-
-    live = True  # the root of the pair walk always holds
 
     def __init__(self, problem: AvoidanceProblem, cap: int,
                  split: tuple[int, ...] | None = None):
@@ -614,13 +316,16 @@ class _PairEngine:
         self.alpha = [0] * self.total
         self.colour = [True] * comb(N, 3)
         self.table = _blue_table(N, problem.blue, self.colour)
-        self.plans = _pair_plans(N, self.table.width)
+        self.plans = _pair_plans(N)
+        self.ones = [1] * self.total
+        if problem.blue == problem.red and N >= 3:
+            self.ones[2] = 0
         self.nodes = self.max_depth = self.blue_hits = 0
         if split is not None:
             self._replay(split)
 
     def stats(self) -> SearchStats:
-        return SearchStats(self.nodes, self.max_depth, blue_hits=self.blue_hits)
+        return SearchStats(self.nodes, self.max_depth, self.blue_hits)
 
     def walk(self, start: int, stop: int, leaf) -> None:
         """Depth-first over the pairs start..stop-1 in colex order, the
@@ -628,16 +333,16 @@ class _PairEngine:
         assigned; returns with them unassigned.
 
         tries holds per open pair the bitmask of its values still untried,
-        bit j - 1 for value j.  A value colours the pair's row, at (1, w)
-        reads the later rows of w (the forced-blue read), and pushes the
-        blue triples of its push list; a push that completes a copy is a
-        dead end, which tries the next value, backing up past pairs with
-        none left.  A pair backed past has its row at the forced read, the
-        lift of the last value it tried (module docstring).  Counters live
-        in locals and go back to the engine on every exit, _Budget and the
-        leaf's _Found included."""
+        bit j - 1 for value j, from its ones bit and the fixed-point rule.
+        A value colours the pair's row, at (1, w) reads the later rows of w
+        (the forced-blue read), and pushes the blue triples of its push
+        list; a push that completes a copy is a dead end, which tries the
+        next value, backing up past pairs with none left.  A pair backed
+        past has its row at the forced read, the lift of the last value it
+        tried (module docstring).  Counters live in locals and go back to
+        the engine on every exit, _Budget and the leaf's _Found included."""
         alpha, colour, plans, cap = self.alpha, self.colour, self.plans, self.cap
-        push, top = self.table.push, self.top
+        push, top, ones = self.table.push, self.top, self.ones
         # the fixed-point values never exceed N - 1, whatever the red path
         values = (1 << min(top, self.N)) - 1
         nodes, max_depth, blue_hits = self.nodes, self.max_depth, self.blue_hits
@@ -649,7 +354,7 @@ class _PairEngine:
                     leaf()
                     d -= 1
                 else:
-                    mask = 1
+                    mask = ones[d]
                     for _, iuv in plans[d][1]:
                         mask |= 1 << alpha[iuv]
                     tries.append(mask & values)
@@ -709,33 +414,14 @@ class _PairEngine:
 
 
 @lru_cache(maxsize=16)
-def _ranks(N: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
-    """Per lex rank, the triple (u, v, w) and the pair ranks of (u, v) and
-    (v, w)."""
-    triples = tuple(all_triples(N))
-    row = pair_offsets(N)
-    return triples, tuple((row[u] + v, row[v] + w) for u, v, w in triples)
-
-
-@lru_cache(maxsize=16)
-def _pair_plans(N: int, width: int):
-    """Per pair (v, w) in colex order (w, then v), (p, own, later, pushes)
-    for a blue table of that width: p its lex pair rank; own its row,
-    (rank of (u, v, w), lex pair rank of (u, v)) for u < v; later every
-    later row of w in the same form at the first pair (1, w), and nothing
-    at the others; pushes the ranks that an assignment pushes when blue.
-
-    At (1, w), whose row is empty, pushes are every later row of w.  At
-    (v, w), v >= 2, they are its own row, then the later triples (u, v',
-    w), v' > v, whose push reads a triple of row v.  A push at (u, v', w)
-    reads the rows u and v' of w at width 3 (a member's last four vertices,
-    or a window of four), every row from 2 to u and v' at a width of 4 or
-    more, and every row of w at width 0 (a detector-run table).  So a
-    later triple is pushed at v = u at width 3, at each v <= u when wider,
-    and at every v at width 0.  Each later push left out reads the triples
-    and slots it read at its last push on the branch, which found no copy.
-    No plan colours a later row again after (1, w): a pair the walk backs
-    past leaves its row at the forced read (module docstring).
+def _pair_plans(N: int):
+    """Per pair (v, w) in colex order (w, then v), (p, own, later, pushes):
+    p its lex pair rank; own its row, (rank of (u, v, w), lex pair rank of
+    (u, v)) for u < v; later every later row of w in the same form at the
+    first pair (1, w), and nothing at the others; pushes the ranks that an
+    assignment pushes when blue, those of own or later.  No plan colours a
+    later row again after (1, w): a pair the walk backs past leaves its row
+    at the forced read (module docstring).
     """
     row = pair_offsets(N)
     plans = []
@@ -745,48 +431,8 @@ def _pair_plans(N: int, width: int):
         later = tuple(t for v in range(2, w) for t in rows[v])
         plans.append((row[1] + w, (), later, tuple(r for r, _ in later)))
         for v in range(2, w):
-            pushes = [r for r, _ in rows[v]]
-            for b in range(v + 1, w):
-                # rows[b][u - 1] is (u, b, w)
-                reads = rows[b] if width == 0 else rows[b][v - 1:v if width == 3 else b]
-                pushes += (r for r, _ in reads)
-            plans.append((row[v] + w, rows[v], (), tuple(pushes)))
+            plans.append((row[v] + w, rows[v], (), tuple(r for r, _ in rows[v])))
     return tuple(plans)
-
-
-@lru_cache(maxsize=16)
-def _memo_layout(N: int, rm: int, bm: int):
-    """(packs, front, sentinel): how the path/path memo packs its state,
-    built once per problem and shared by every split.
-
-    packed holds the clamped ar and ab value of every pair, lowest pair
-    rank in the lowest bits, under the sentinel bit; packs[red][pair][d] is
-    what value d of that pair in ar (red) or ab adds to packed, 0 below the
-    pair's clamp threshold.  At a pair (x, N) the threshold is m - 1, above
-    every live value, so its fields stay 0.  front[rank] is the
-    offset of pair (a, b) when rank starts its nonempty row in
-    core.row_starts, else None, so packed >> front[rank] is the state of
-    every pair still read.
-    """
-    # live values never exceed m - 2: a larger one kills its branch first
-    rwidth, bwidth = (rm - 2).bit_length(), (bm - 2).bit_length()
-    rfield, bfield, offset = [], [], []
-    width = 0
-    for _, y in all_pairs(N):
-        offset.append(width)
-        # a value d below m - 1 - (N - y) cannot reach a dead check
-        rfield.append((rm - 1 - (N - y), width))
-        bfield.append((bm - 1 - (N - y), width + rwidth))
-        width += rwidth + bwidth
-    packs = tuple(
-        tuple(tuple(d << shift if d >= thr else 0 for d in range(m)) for thr, shift in fs)
-        for m, fs in ((bm, bfield), (rm, rfield)))
-    starts = row_starts(N)
-    front = [None] * starts[-1]
-    for p, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        if lo < hi:
-            front[lo] = offset[p]
-    return packs, tuple(front), 1 << width
 
 
 @lru_cache(maxsize=16)
@@ -801,7 +447,7 @@ def _window_plans(N: int, pattern: OrderedTripleSystem):
     key's L and per group: its prev key S + (u, v) is key j' of rank r, span
     has the group's k < N, and edges the ranks of the group's edges, sorted.
     """
-    W = pattern.width
+    W = max(pattern.width, 3)
     # each group's edges at positions k - W + 1 .. k + 1, as 0..W, -> its k
     groups = {}
     for k in range(W, min(pattern.m, N)):
@@ -810,7 +456,7 @@ def _window_plans(N: int, pattern: OrderedTripleSystem):
                           if a >= low and c <= k + 1) - {(W - 2, W - 1, W)}
         groups[edges] = groups.get(edges, 0) | 1 << k
     slot, plans = {}, []
-    for r, (u, v, w) in enumerate(_ranks(N)[0]):
+    for r, (u, v, w) in enumerate(all_triples(N)):
         keys = {lead: [] for lead in combinations(range(1, u), W - 3)}
         for lead in combinations(range(1, u), W - 2):
             window = lead + (u, v, w)
@@ -839,7 +485,7 @@ def _member_plans(N: int, n: int):
     jumps = jump_states(n)
     third = jumps.step(jumps.step(1, 7), 7)
     plans = []
-    for u, v, w in _ranks(N)[0]:
+    for u, v, w in all_triples(N):
         uw = (None,) + tuple(lex_rank((x, u, w), N) for x in range(1, u))
         sources = tuple((lex_rank((y, u, v), N), y, uw[y], lex_rank((y, v, w), N))
                         for y in range(1, u))
@@ -851,7 +497,7 @@ def _member_plans(N: int, n: int):
 
 def _run_split(args) -> tuple[TripleColoring | None, bool, SearchStats]:
     problem, prefix, cap = args
-    eng = _engine(problem)(problem, cap, prefix)
+    eng = _PairEngine(problem, cap, prefix)
     witness, hit = None, False
     try:
         eng.walk(len(prefix), eng.total, _found)
@@ -866,34 +512,24 @@ def _run_split(args) -> tuple[TripleColoring | None, bool, SearchStats]:
 def _consecutive(pattern: OrderedTripleSystem) -> int:
     """The width of pattern when it holds every consecutive triple (i, i+1,
     i+2), else 0, which is also the width with no edge.  Width 2 is exactly
-    the monotone path; a wider one has a window table."""
+    the monotone path, which the root probe and the witness re-check read
+    off the blue alpha table."""
     consecutive = all((i, i + 1, i + 2) in pattern.edges for i in range(1, pattern.m - 1))
     return pattern.width if consecutive else 0
 
 
 def _blue_table(N: int, blue, colour: list[bool]):
-    """The table the pair walker pushes each blue triple to, for any blue
-    spec but a monotone path.  A member with n jumps has 2n + 1 vertices,
-    so no family with more than N // 2 jumps fits in [N]; the member
-    table, the one cap on a jump count, is built for at most N // 2 + 1
-    jumps and walks the same tree."""
+    """The table the pair walker pushes each blue triple to.  A member with
+    n jumps has 2n + 1 vertices, so no family with more than N // 2 jumps
+    fits in [N]; the member table, the one cap on a jump count, is built
+    for at most N // 2 + 1 jumps and walks the same tree.  A window table
+    reports no copy of a pattern on 3 vertices, so the one-edge path
+    (1, 2, 3) runs the detector."""
     if isinstance(blue, JumpsFamily):
         return _JumpMembers(N, min(blue.n, N // 2 + 1), colour)
-    if _consecutive(blue):
+    if _consecutive(blue) and blue.m > 3:
         return _Windows(N, blue, colour)
     return _Embeddings(N, blue, colour)
-
-
-def _is_path(blue) -> bool:
-    """Whether the blue spec is a monotone path, which the triple walker
-    tracks by its blue alpha table."""
-    return not isinstance(blue, JumpsFamily) and _consecutive(blue) == 2
-
-
-def _engine(problem: AvoidanceProblem):
-    """The walker of a problem: the triple walker for a blue monotone path,
-    the pair walker for every other blue spec."""
-    return _Engine if _is_path(problem.blue) else _PairEngine
 
 
 def _has_blue(c: TripleColoring, blue) -> bool:
@@ -977,10 +613,9 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
     if workers < 1:
         raise ValueError("need at least one worker")
 
-    probe = _engine(problem)(problem, cap=budget)
-    if not probe.live or _has_blue(TripleColoring.all_red(problem.N), problem.blue):
-        # no colouring avoids both, or the blue spec embeds with no blue
-        # triples at all: nothing to search
+    probe = _PairEngine(problem, cap=budget)
+    if _has_blue(TripleColoring.all_red(problem.N), problem.blue):
+        # the blue spec embeds with no blue triples at all: nothing to search
         return SearchOutcome("unsat", None, SearchStats(0, 0))
     try:
         prefixes = probe.decompose(min(SPLIT_DEPTH, probe.total))
@@ -1003,21 +638,18 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
 def _fold(results, budget: int,
           head: SearchStats) -> tuple[str, TripleColoring | None, SearchStats]:
     """Split results in prefix order, as one sequential run would meet
-    them, after the split enumeration's work head.  The prune counts add
-    up over every split read, the one that stops the fold included."""
-    used = head.nodes
-    depth = head.max_depth
-    counts = head.memo_hits, head.red_dead, head.blue_dead, head.blue_hits
+    them, after the split enumeration's work head.  The blue hits add up
+    over every split read, the one that stops the fold included."""
+    used, depth, hits = head.nodes, head.max_depth, head.blue_hits
     for witness, hit_i, st in results:
         depth = max(depth, st.max_depth)
-        counts = tuple(a + b for a, b in zip(counts, (
-            st.memo_hits, st.red_dead, st.blue_dead, st.blue_hits)))
+        hits += st.blue_hits
         if hit_i or st.nodes > budget - used:
-            return "inconclusive", None, SearchStats(budget, depth, *counts)
+            return "inconclusive", None, SearchStats(budget, depth, hits)
         if witness is not None:
-            return "sat", witness, SearchStats(used + st.nodes, depth, *counts)
+            return "sat", witness, SearchStats(used + st.nodes, depth, hits)
         used += st.nodes
-    return "unsat", None, SearchStats(used, depth, *counts)
+    return "unsat", None, SearchStats(used, depth, hits)
 
 
 def _finish(folded: tuple[str, TripleColoring | None, SearchStats],

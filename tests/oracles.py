@@ -150,42 +150,6 @@ def longest_path(c, target=Color.RED):
     return best_len - 1, best_seq
 
 
-def forced_alphas(N, prefix, red_m, blue_m):
-    """(red, blue) alpha values in pair lex order that a coloured prefix
-    forces, or None when it forces a red path on red_m vertices or a blue
-    one on blue_m.
-
-    prefix colours the first len(prefix) triples in lex order, True for
-    red.  A pair (u, v) with red alpha at least red_m - 2 leaves every
-    uncoloured (u, v, w) blue, since red would end a red path there; the
-    same with the colours swapped, and a pair at both levels leaves it no
-    colour.  Pairs are filled by the alpha recurrences in order of their
-    first vertex, the middle vertex of the triples that end there, so each
-    (u, v) is final before any (u, v, w) is read.
-    """
-    colour = dict(zip(combinations(range(1, N + 1), 3), prefix))
-    red, blue = {}, {}
-    for v in range(1, N + 1):
-        for w in range(v + 1, N + 1):
-            r = b = 1
-            for u in range(1, v):
-                c = colour.get((u, v, w))
-                if c is None:
-                    to_blue, to_red = red[u, v] >= red_m - 2, blue[u, v] >= blue_m - 2
-                    if to_blue and to_red:
-                        return None
-                    c = True if to_red else False if to_blue else None
-                if c is True:
-                    r = max(r, red[u, v] + 1)
-                elif c is False:
-                    b = max(b, blue[u, v] + 1)
-            if r >= red_m - 1 or b >= blue_m - 1:
-                return None
-            red[v, w], blue[v, w] = r, b
-    pairs = list(combinations(range(1, N + 1), 2))
-    return [red[p] for p in pairs], [blue[p] for p in pairs]
-
-
 def forward_red_path(c):
     """(depth, witness) of the longest red path by the per-triple forward
     table: cont(u, v), the most red triples that can follow the pair
@@ -431,7 +395,8 @@ class PlainPairEngine(_PairEngine):
     search.decide: every assignment to (v, w) colours its row as the lift
     of alpha and every later row of w by the forced-blue read, then pushes
     every blue triple of those rows, row by row, up to the first copy.  It
-    recurses over the pairs by name and keeps no push plan."""
+    recurses over the pairs by name and keeps no push plan; value 1 is
+    skipped where the engine's ones say so."""
 
     def walk(self, start, stop, leaf):
         N, alpha, colour, push, top = self.N, self.alpha, self.colour, self.table.push, self.top
@@ -444,6 +409,8 @@ class PlainPairEngine(_PairEngine):
                 return
             v, w = colex[d]
             for j in range(1, min(top, N) + 1):
+                if j == 1 and not self.ones[d]:
+                    continue
                 if j > 1 and all(alpha[rank[u, v]] != j - 1 for u in range(1, v)):
                     continue
                 if self.nodes == self.cap:

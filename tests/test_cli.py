@@ -441,9 +441,9 @@ def test_search_single_level_sat(tmp_path):
         ]
     )
     assert code == 0
-    assert "sat nodes=24" in err
+    assert "sat nodes=18" in err
     c = parse_triple_coloring(out_file.read_text())
-    assert c.bitstring() == "10110011110001101110"
+    assert c.bitstring() == "10000001110001111110"
 
 
 def test_search_single_level_unsat_certificate():
@@ -457,18 +457,18 @@ def test_search_single_level_unsat_certificate():
         "blue path:4\n"
         "budget 1000000000\n"
         "split-depth 4\n"
-        "nodes 0\n"
-        "max-depth 0\n"
+        "nodes 102\n"
+        "max-depth 16\n"
     )
 
 
 def test_search_depth_is_not_bound_by_the_recursion_limit():
-    # C(20, 3) = 1140 ranks on one branch, more than the default limit
+    # C(46, 2) = 1035 pairs on one branch, more than the default limit
     code, out, err = run(
-        ["search", "--n", "20", "--red", "path:3", "--blue", "path:30"]
+        ["search", "--n", "46", "--red", "path:3", "--blue", "path:60"]
     )
     assert code == 0
-    assert err == "sat nodes=1140 max-depth=1140\n"
+    assert err == "sat nodes=1035 max-depth=1035\n"
     assert parse_triple_coloring(out).bits == 0
 
 
@@ -495,9 +495,10 @@ def test_search_inconclusive_exit_code():
             "--blue",
             "path:5",
             "--budget",
-            "1000",
+            "100",
         ]
     )
+    # sat after 854 pair assignments, so 100 stop it
     assert code == 3 and "inconclusive" in err
 
 
@@ -613,7 +614,7 @@ OUTPUT_RUNS = [
     ("search --n 6 --red path:4 --blue path:4", None, 0),
     ("search --n 7 --red path:4 --blue path:4", None, 1),
     ("detect jumps --n 3", "gf16-lift", 1),
-    ("search --n 9 --red path:4 --blue path:5 --budget 1000", None, 3),
+    ("search --n 9 --red path:4 --blue path:5 --budget 100", None, 3),
 ]
 
 
@@ -668,13 +669,13 @@ def test_search_usage_errors():
 # up to v at a pair (v, w), and still decides at once
 OVERSIZED_SPECS = [
     (["--n", "8", "--red", "path:4", "--blue", "path:1000000000"],
-     ["--n", "8", "--red", "path:4", "--blue", "path:9"], "sat nodes=82 max-depth=56\n"),
+     ["--n", "8", "--red", "path:4", "--blue", "path:9"], "sat nodes=30 max-depth=28\n"),
     (["--n", "8", "--red", "path:4", "--blue", "jumps:1000000000"],
      ["--n", "8", "--red", "path:4", "--blue", "jumps:5"], "sat nodes=30 max-depth=28\n"),
     (["--n", "8", "--red", "path:4", "--blue", "power:1000000000,4"],
      ["--n", "8", "--red", "path:4", "--blue", "power:9,4"], "sat nodes=30 max-depth=28\n"),
     (["--n", "7", "--red", "path:1000000000", "--blue", "path:4"],
-     ["--n", "7", "--red", "path:8", "--blue", "path:4"], "sat nodes=61 max-depth=35\n"),
+     ["--n", "7", "--red", "path:8", "--blue", "path:4"], "sat nodes=36 max-depth=21\n"),
     (["--nmax", "6", "--red", "path:4", "--blue", "path:1000000000"],
      ["--nmax", "6", "--red", "path:4", "--blue", "path:7"], ""),
     (["--n", "8", "--red", "path:1000000000", "--blue", "jumps:2"],
@@ -726,7 +727,7 @@ def test_search_workers_env_and_flag(monkeypatch):
     code, out, _ = run(
         ["search", "--n", "7", "--red", "path:4", "--blue", "path:4"]
     )
-    assert code == 1 and "nodes 0\n" in out
+    assert code == 1 and "nodes 102\n" in out
 
 
 def test_verify_member_paths(tmp_path):

@@ -2,7 +2,6 @@
 hosts, the known path-vs-path values, budget semantics and worker
 invariance."""
 
-import copy
 import hashlib
 import io
 import multiprocessing
@@ -33,7 +32,7 @@ from jumpramsey.search import (
     bracket,
     decide,
 )
-from oracles import (PlainPairEngine, forced_alphas, longest_path, naive_decide, naive_member,
+from oracles import (PlainPairEngine, alpha_map, longest_path, naive_decide, naive_member,
                      naive_pair_decide)
 
 
@@ -80,7 +79,7 @@ def test_some_alpha_table_lifts_to_an_avoiding_colouring_exactly_when_any_does(N
     # the reduction the pair walk rests on: a level is sat exactly when the
     # lift of some alpha: pairs -> [m - 2] avoids both sides.  The two
     # enumerations, over every triple colouring and over every alpha, must
-    # agree, and decide with them, whichever walker serves the blue spec
+    # agree, and decide with them, whichever table serves the blue spec
     for red_m in (3, 4, 5):
         red = monotone_path(red_m)
         for kind, arg in TINY_BLUE:
@@ -98,13 +97,13 @@ def test_some_alpha_table_lifts_to_an_avoiding_colouring_exactly_when_any_does(N
 def test_path_four_against_itself():
     out6 = decide(AvoidanceProblem(6, monotone_path(4), monotone_path(4)))
     assert out6.status == "sat"
-    assert out6.stats.nodes == 24
-    assert out6.stats.max_depth == 20
-    assert out6.witness.bitstring() == "10110011110001101110"
-    # the first write's propagation fails, and its blue mirror is skipped
+    assert out6.stats.nodes == 18
+    assert out6.stats.max_depth == 15
+    assert out6.witness.bitstring() == "10000001110001111110"
+    # alpha(2, 3) takes only the value 2, as the sides agree
     out7 = decide(AvoidanceProblem(7, monotone_path(4), monotone_path(4)))
     assert out7.status == "unsat"
-    assert out7.stats == search.SearchStats(0, 0, 0, 1, 0, 0)
+    assert out7.stats == search.SearchStats(102, 16, 40)
 
 
 def test_small_red_path_against_jumps():
@@ -125,38 +124,38 @@ P4_JUMPS2_N10 = (
     "001000000100000000101000000100000001110001101110")
 BLUE_STATS = {
     (7, JumpsFamily(2), DEFAULT_BUDGET):
-        ("sat", (29, 21, 0, 0, 0, 6), "00000000011111100001111111111110000"),
+        ("sat", (29, 21, 6), "00000000011111100001111111111110000"),
     (6, power_path(4, 4), DEFAULT_BUDGET):
-        ("sat", (27, 15, 0, 0, 0, 7), "00101010111010100011"),
+        ("sat", (27, 15, 7), "00101010111010100011"),
     (7, power_path(5, 4), DEFAULT_BUDGET):
-        ("sat", (29, 21, 0, 0, 0, 6), "00000000011111100001111111111110000"),
-    (8, JumpsFamily(2), 1): ("inconclusive", (1, 1, 0, 0, 0, 0), None),
-    (8, JumpsFamily(2), 2): ("inconclusive", (2, 2, 0, 0, 0, 0), None),
-    (8, JumpsFamily(2), 3): ("inconclusive", (3, 3, 0, 0, 0, 0), None),
-    (8, JumpsFamily(2), 7): ("inconclusive", (7, 5, 0, 0, 0, 0), None),
-    (8, JumpsFamily(2), 30): ("inconclusive", (30, 22, 0, 0, 0, 7), None),
-    (8, JumpsFamily(2), 50): ("sat", (45, 28, 0, 0, 0, 11), P4_JUMPS2_N8),
-    (8, JumpsFamily(2), 10_000): ("sat", (45, 28, 0, 0, 0, 11), P4_JUMPS2_N8),
-    (7, power_path(4, 4), 1): ("inconclusive", (1, 1, 0, 0, 0, 0), None),
-    (7, power_path(4, 4), 2): ("inconclusive", (2, 2, 0, 0, 0, 0), None),
-    (7, power_path(4, 4), 3): ("inconclusive", (3, 3, 0, 0, 0, 0), None),
-    (7, power_path(4, 4), 7): ("inconclusive", (7, 5, 0, 0, 0, 0), None),
-    (7, power_path(4, 4), 50): ("inconclusive", (50, 16, 0, 0, 0, 16), None),
+        ("sat", (29, 21, 6), "00000000011111100001111111111110000"),
+    (8, JumpsFamily(2), 1): ("inconclusive", (1, 1, 0), None),
+    (8, JumpsFamily(2), 2): ("inconclusive", (2, 2, 0), None),
+    (8, JumpsFamily(2), 3): ("inconclusive", (3, 3, 0), None),
+    (8, JumpsFamily(2), 7): ("inconclusive", (7, 5, 0), None),
+    (8, JumpsFamily(2), 30): ("inconclusive", (30, 22, 7), None),
+    (8, JumpsFamily(2), 50): ("sat", (45, 28, 11), P4_JUMPS2_N8),
+    (8, JumpsFamily(2), 10_000): ("sat", (45, 28, 11), P4_JUMPS2_N8),
+    (7, power_path(4, 4), 1): ("inconclusive", (1, 1, 0), None),
+    (7, power_path(4, 4), 2): ("inconclusive", (2, 2, 0), None),
+    (7, power_path(4, 4), 3): ("inconclusive", (3, 3, 0), None),
+    (7, power_path(4, 4), 7): ("inconclusive", (7, 5, 0), None),
+    (7, power_path(4, 4), 50): ("inconclusive", (50, 16, 16), None),
     (7, power_path(4, 4), 20_000):
-        ("sat", (241, 21, 0, 0, 0, 91), "01010110100011111010001100000011110"),
+        ("sat", (241, 21, 91), "01010110100011111010001100000011110"),
     # the first unsat level of p4 vs power:4,4, by exhaustion over alpha
-    (8, power_path(4, 4), DEFAULT_BUDGET): ("unsat", (649, 22, 0, 0, 0, 262), None),
-    (9, JumpsFamily(2), 200_000): ("sat", (65, 36, 0, 0, 0, 18), (
+    (8, power_path(4, 4), DEFAULT_BUDGET): ("unsat", (649, 22, 262), None),
+    (9, JumpsFamily(2), 200_000): ("sat", (65, 36, 18), (
         "000000000011011001100100111100011011001100100111111001100100100000000001110001111110")),
-    (9, power_path(4, 4), 200_000): ("unsat", (649, 22, 0, 0, 0, 262), None),
-    (10, JumpsFamily(2), 1000): ("inconclusive", (1000, 37, 0, 0, 0, 423), None),
-    (10, JumpsFamily(2), DEFAULT_BUDGET): ("sat", (31146, 45, 0, 0, 0, 13024), P4_JUMPS2_N10),
+    (9, power_path(4, 4), 200_000): ("unsat", (649, 22, 262), None),
+    (10, JumpsFamily(2), 1000): ("inconclusive", (1000, 37, 423), None),
+    (10, JumpsFamily(2), DEFAULT_BUDGET): ("sat", (31146, 45, 13024), P4_JUMPS2_N10),
 }
 
 
 def test_blue_detector_searches_keep_their_outcomes():
     # the pair walker pushes each triple of the lift that turns blue to its
-    # blue table; every prune counter, node count and witness is pinned here
+    # blue table; every blue hit, node count and witness is pinned here
     for (N, blue, budget), (status, stats, bits) in BLUE_STATS.items():
         problem = AvoidanceProblem(N, monotone_path(4), blue)
         out = decide(problem, budget=budget)
@@ -171,11 +170,13 @@ def test_blue_detector_searches_keep_their_outcomes():
     for workers in (2, 4):
         again = decide(problem, workers=workers)
         assert (again.status, again.stats, again.witness.bitstring()) == (
-            "sat", search.SearchStats(31146, 45, 0, 0, 0, 13024), P4_JUMPS2_N10), workers
+            "sat", search.SearchStats(31146, 45, 13024), P4_JUMPS2_N10), workers
 
 
 def _blue(text):
     kind, _, arg = text.partition(":")
+    if kind == "path":
+        return monotone_path(int(arg))
     if kind == "jumps":
         return JumpsFamily(int(arg))
     if kind == "power":
@@ -186,11 +187,10 @@ def _blue(text):
     return OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))
 
 
-# (red m, blue spec, N, budget): (status, nodes, max-depth, witness).  The
-# rows other than jmin:1 are served by the pair walk: each status is the
-# one the triple walker found with a blue detector at every blue node,
-# except that power:4,4 and power:4,5 at N=7, jumps:2 at N=8 and power:4,4
-# at N=8, which stopped at their budgets, are now decided
+# (red m, blue spec, N, budget): (status, nodes, max-depth, witness).  Each
+# status is the one an earlier triple walker found with a blue detector at
+# every blue node, except that power:4,4 and power:4,5 at N=7, jumps:2 at
+# N=8 and power:4,4 at N=8, which stopped at their budgets, are now decided
 BLUE_GRID = {
     (4, 'jumps:1', 4, 20000): ('unsat', 5, 4, None),
     (4, 'jumps:1', 5, 20000): ('unsat', 5, 4, None),
@@ -238,13 +238,11 @@ BLUE_GRID = {
     (5, 'jumps:3', 10, 20000): ('sat', 57, 45, (
         '000000000000000000000000001111111111000000000000000000111111111100000000000111111111100000'
         '111111111111111111110000000000')),
-    # jmin:1 is the blue path on 3 vertices, served by the triple walker:
-    # every blue triple is a copy and every pair starts at its blue dead
-    # level, so the pair lookahead kills every red write to a pair (v, w),
-    # w < N, rank 0's included: no node
-    (4, 'jmin:1', 4, 20000): ('unsat', 0, 0, None),
-    (4, 'jmin:1', 5, 20000): ('unsat', 0, 0, None),
-    (4, 'jmin:1', 6, 20000): ('unsat', 0, 0, None),
+    # jmin:1 is the blue path on 3 vertices, whose every blue triple is a
+    # copy: its table runs the detector, and the first blue triple kills
+    (4, 'jmin:1', 4, 20000): ('unsat', 5, 4, None),
+    (4, 'jmin:1', 5, 20000): ('unsat', 5, 4, None),
+    (4, 'jmin:1', 6, 20000): ('unsat', 5, 4, None),
     (4, 'jmin:2', 5, 20000): ('sat', 13, 10, '0000010011'),
     (4, 'jmin:2', 6, 20000): ('sat', 20, 15, '00000001110001111110'),
     (4, 'jmin:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
@@ -270,7 +268,7 @@ def test_blue_grid_keeps_every_outcome():
 
 
 def test_blue_grid_at_two_workers():
-    # the whole SearchStats, prune counters included, and the witness match
+    # the whole SearchStats, blue hits included, and the witness match
     # the one-worker run on every row that walks past its split enumeration
     for (red_m, blue, N, budget), want in BLUE_GRID.items():
         if want[1] <= SPLIT_DEPTH + 2:
@@ -309,7 +307,6 @@ def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
     class Scrambling:
         def __init__(self, table, colour, N):
             self.table, self.colour, self.triples = table, colour, list(all_triples(N))
-            self.width = table.width
 
         def push(self, rank):
             pushed.add(type(self.table))
@@ -390,19 +387,18 @@ def test_unsat_is_monotone_in_host_size():
 
 
 def test_worker_invariance():
-    # hosts with at most SPLIT_DEPTH triples: every split prefix of a
-    # path/path walk is already a full assignment, so each split is a replay
-    # and an immediate leaf; the pair walk of N=4 has 6 pairs, two past
-    # its split prefixes
+    # hosts with at most four vertices: the walk of N=4 has 6 pairs, two
+    # past its split prefixes, and the walk of N=2 one pair, a prefix that
+    # is already a full assignment, so its split is a replay and a leaf
     small = [
         (AvoidanceProblem(4, monotone_path(4), monotone_path(4)),
-         ("sat", 11, 4, "1110")),
+         ("sat", 6, 6, "1000")),
         (AvoidanceProblem(4, monotone_path(4), power_path(4, 4)),
          ("sat", 9, 6, "0011")),
         (AvoidanceProblem(4, monotone_path(3), JumpsFamily(1)),
          ("unsat", 2, 2, None)),
         (AvoidanceProblem(2, monotone_path(3), monotone_path(3)),
-         ("sat", 0, 0, "")),
+         ("sat", 1, 1, "")),
     ]
     for problem, want in small:
         out = decide(problem)
@@ -417,19 +413,17 @@ def test_worker_invariance():
         AvoidanceProblem(6, monotone_path(4),
                          OrderedTripleSystem(5, {(1, 2, 5), (2, 3, 4)})),
     ] + [problem for problem, _ in small]
-    prunes = {"red_dead": 0, "blue_dead": 0, "blue_hits": 0}
+    hits = 0
     for problem in problems:
         base = decide(problem, workers=1)
-        for name in prunes:
-            prunes[name] += getattr(base.stats, name)
+        hits += base.stats.blue_hits
         for workers in (2, 4):
             again = decide(problem, workers=workers)
             assert again.status == base.status
             assert again.stats == base.stats
-            for name in prunes:
-                assert getattr(again.stats, name) == getattr(base.stats, name)
+            assert again.stats.blue_hits == base.stats.blue_hits
             assert again.witness == base.witness
-    assert all(prunes.values()), prunes
+    assert hits
 
 
 def test_pool_never_outnumbers_the_splits(monkeypatch):
@@ -445,11 +439,12 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
             yield results[-1]
 
     def splits(problem):
-        probe = search._Engine(problem, DEFAULT_BUDGET)
+        probe = search._PairEngine(problem, DEFAULT_BUDGET)
         return len(probe.decompose(min(SPLIT_DEPTH, probe.total)))
 
     monkeypatch.setattr(search, "_pool", inline_pool)
-    problem = AvoidanceProblem(6, monotone_path(4), monotone_path(4))
+    # two splits, and the first is sat
+    problem = AvoidanceProblem(6, monotone_path(4), monotone_path(5))
     base = decide(problem)
     assert seen == []
     out = decide(problem, workers=5000)
@@ -467,28 +462,29 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
 
 def test_a_split_that_raises_in_a_worker_is_an_error(monkeypatch):
     # the split enumeration runs in this process, so a prefix longer than
-    # the host has triples, put first, reaches a worker, whose replay
-    # raises IndexError under every start method; the error must come back
-    # through decide and the CLI (exit 4, never a hang or exit 1), and the
-    # pool must leave no worker behind
-    enumerate_splits = search._Engine.decompose
+    # the host has pairs, put first, reaches a worker, whose walk starts
+    # past the last pair and raises IndexError under every start method
+    # (its values lift to the all-blue host, which holds no blue path on 7
+    # vertices); the error must come back through decide and the CLI (exit
+    # 4, never a hang or exit 1), and the pool must leave no worker behind
+    enumerate_splits = search._PairEngine.decompose
 
     def decompose(self, depth):
-        return [(True,) * (self.total + 1)] + enumerate_splits(self, depth)
+        return [(1,) * (self.total + 1)] + enumerate_splits(self, depth)
 
-    monkeypatch.setattr(search._Engine, "decompose", decompose)
-    problem = AvoidanceProblem(6, monotone_path(4), monotone_path(4))
+    monkeypatch.setattr(search._PairEngine, "decompose", decompose)
+    problem = AvoidanceProblem(6, monotone_path(4), monotone_path(7))
     with pytest.raises(RuntimeError) as err:
         decide(problem, workers=2)
     assert isinstance(err.value.__cause__, IndexError)
     # the worker's traceback names the frame that raised
-    assert "in _replay" in str(err.value)
+    assert "in walk" in str(err.value)
     assert multiprocessing.active_children() == []
     stderr = io.StringIO()
-    argv = ["search", "--n", "6", "--red", "path:4", "--blue", "path:4", "--workers", "2"]
+    argv = ["search", "--n", "6", "--red", "path:4", "--blue", "path:7", "--workers", "2"]
     assert dispatch(argv, io.StringIO(), io.StringIO(), stderr) == 4
     assert stderr.getvalue().startswith("internal error: RuntimeError")
-    assert "in _replay" in stderr.getvalue()
+    assert "in walk" in stderr.getvalue()
     assert multiprocessing.active_children() == []
 
 
@@ -504,14 +500,13 @@ def test_a_worker_whose_parent_has_gone_exits_quietly(capfd):
 
 
 def test_path_budget_stops_keep_their_stats():
-    # a budget stop early in a path/path walk, where red dies at single
-    # writes and the back-up tries their blue: every counter is pinned,
-    # max_depth included
+    # a budget stop in a path/path walk, before the first blue hit or after
+    # a few: every counter is pinned, max_depth included
     for red_m, blue_m, N, budget, stats in [
-            (4, 4, 5, 7, (7, 4, 0, 2, 0, 0)),
-            (4, 4, 6, 2, (2, 2, 0, 1, 0, 0)),
-            (4, 5, 9, 50, (50, 24, 0, 8, 0, 0)),
-            (4, 6, 9, 50, (50, 24, 0, 5, 0, 0))]:
+            (4, 4, 5, 7, (7, 7, 0)),
+            (4, 4, 6, 2, (2, 2, 0)),
+            (4, 5, 9, 50, (50, 22, 16)),
+            (4, 5, 10, 1000, (1000, 37, 417))]:
         problem = AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m))
         out = decide(problem, budget=budget)
         assert (out.status, out.stats, out.witness) == (
@@ -519,11 +514,11 @@ def test_path_budget_stops_keep_their_stats():
 
 
 def test_budget_starvation_is_deterministic():
-    # 42,272 nodes decide it: 30 in the split enumeration, then a split of
-    # 42,162 that fails and a sat one of 80; 40 nodes short starves the
-    # second split, while the workers run others beside the first
+    # 854 nodes decide it: 6 in the split enumeration, then a sat split of
+    # 848; 40 nodes short starves that split, while the workers run the
+    # second split, also sat in 116 nodes, beside it
     problem = AvoidanceProblem(9, monotone_path(4), monotone_path(5))
-    budget = 42_272 - 40
+    budget = 854 - 40
     base = decide(problem, budget=budget, workers=1)
     assert base.status == "inconclusive"
     assert base.stats.nodes == budget
@@ -536,17 +531,6 @@ def test_budget_starvation_is_deterministic():
 
 
 def test_a_split_out_of_budget_at_its_start_has_no_depth():
-    # red path:3 is dead at every rank, so each split of the triple walk
-    # starts with a run of blue nodes; with no budget left the run stops
-    # before its first node, after counting that rank red-dead, and the
-    # split reaches no depth
-    problem = AvoidanceProblem(8, monotone_path(3), monotone_path(9))
-    prefixes = search._Engine(problem, DEFAULT_BUDGET).decompose(SPLIT_DEPTH)
-    assert prefixes == [(False,) * SPLIT_DEPTH]
-    assert search._run_split((problem, prefixes[0], 0)) == (
-        None, True, search.SearchStats(0, 0, 0, 1, 0, 0))
-    assert search._run_split((problem, prefixes[0], 3)) == (
-        None, True, search.SearchStats(3, SPLIT_DEPTH + 3, 0, 4, 0, 0))
     # the pair walk gives every pair value 1 under red path:3, and the
     # forced-blue read makes all of [5] blue at pair (1, 5), a member of
     # J_2: the third node is a blue hit and ends the split, whose budget
@@ -562,7 +546,11 @@ def test_a_split_out_of_budget_at_its_start_has_no_depth():
 
 def test_symmetry_shortcut_only_for_identical_sides():
     # red P4 vs blue P5 is asymmetric: flipping colors of a witness is not
-    # allowed to count, so both root branches must be explored
+    # allowed to count, so alpha(2, 3) must take both its values; with
+    # identical sides it takes only 2, so one split is left
+    splits = [search._PairEngine(AvoidanceProblem(6, monotone_path(4), monotone_path(blue_m)),
+                                 DEFAULT_BUDGET).decompose(SPLIT_DEPTH) for blue_m in (5, 4)]
+    assert splits == [[(1, 1, 1, 1), (1, 1, 2, 1)], [(1, 1, 2, 1)]]
     problem = AvoidanceProblem(5, monotone_path(4), monotone_path(5))
     out = decide(problem)
     assert out.status == "sat"
@@ -653,13 +641,15 @@ def test_bracket_left_open_at_nmax():
 
 
 def test_bracket_inconclusive_on_starved_budget():
-    # N=8 is sat in 82 nodes, N=9 needs 42,272
+    # N=9 is sat in 854 nodes, N=10 needs 23,698
     out = bracket(monotone_path(4), monotone_path(5), nmax=10, budget=1000)
     assert out.status == "inconclusive"
     assert out.levels[-1].outcome.status == "inconclusive"
 
 
 TRACKED = [
+    monotone_path(4),
+    monotone_path(5),
     power_path(4, 4),
     power_path(5, 4),
     power_path(6, 5),
@@ -700,7 +690,7 @@ def test_blue_tables_match_full_detection():
         for _ in range(50):
             N = rng.randint(max(5, pattern.m), 8)
             problem = AvoidanceProblem(N, monotone_path(N + 2), blue)
-            order = [r for _, own, _, _ in search._pair_plans(N, 3) for r, _ in own]
+            order = [r for _, own, _, _ in search._pair_plans(N) for r, _ in own]
             step = {r: i for i, r in enumerate(order)}
             lanes = []
             for _ in range(2):
@@ -746,20 +736,17 @@ def test_plans_read_the_ranks_they_name(N):
     # with lex_rank and the pairs in lex order
     pair_rank = {pair: p for p, pair in enumerate(all_pairs(N))}
     colex = sorted(pair_rank, key=lambda pair: pair[::-1])
-    for width in (0, 3, 4):
-        plans = search._pair_plans(N, width)
-        assert len(plans) == len(colex)
-        for (v, w), (p, own, later, pushes) in zip(colex, plans):
-            assert p == pair_rank[v, w]
-            assert own == tuple((lex_rank((u, v, w), N), pair_rank[u, v]) for u in range(1, v))
-            rest = tuple((lex_rank((u, b, w), N), pair_rank[u, b])
-                         for b in range(v + 1, w) for u in range(1, b))
-            # the first pair of w reads every later row ahead; the others none
-            assert later == (rest if v == 1 else ())
-            # its own row, then later ranks in row order, each at most once
-            assert pushes[:len(own)] == tuple(r for r, _ in own)
-            ahead = [r for r, _ in rest]
-            assert list(pushes[len(own):]) == sorted(set(pushes[len(own):]), key=ahead.index)
+    plans = search._pair_plans(N)
+    assert len(plans) == len(colex)
+    for (v, w), (p, own, later, pushes) in zip(colex, plans):
+        assert p == pair_rank[v, w]
+        assert own == tuple((lex_rank((u, v, w), N), pair_rank[u, v]) for u in range(1, v))
+        rest = tuple((lex_rank((u, b, w), N), pair_rank[u, b])
+                     for b in range(v + 1, w) for u in range(1, b))
+        # the first pair of w reads every later row ahead; the others none
+        assert later == (rest if v == 1 else ())
+        # and pushes what it colours, row by row
+        assert pushes == tuple(r for r, _ in own + later)
     for n in (1, 2, 3):
         for (u, v, w), (sources, uw, *_) in zip(all_triples(N), search._member_plans(N, n)):
             assert sources == tuple(
@@ -811,35 +798,40 @@ def push_reads(N, blue):
 
 @pytest.mark.parametrize("N", range(3, 10))
 def test_push_lists_hold_every_push_that_reads_the_row(N):
-    # at (v, w), v >= 2, the walk pushes its own row and of the later rows
-    # of w only the triples whose push reads a triple of row v; a push that
-    # reads none reads what it read at its last push on the branch.  So the
-    # push list must hold every later rank whose read set, brute-forced
-    # from the plan, meets row v; the member table's holds no other
+    # at (v, w), v >= 2, the walk pushes only its own row.  A later triple
+    # (u, v', w) whose push reads a triple of row v is held by the push
+    # list of its own pair (v', w), later in colex order, and every colour
+    # that push reads, brute-forced from the plan, is of a triple below w
+    # or of a lower rank in a row v'' <= v' of w: assigned by then, and at
+    # least as blue as at the forced read (module docstring)
     triples = list(all_triples(N))
     colex = sorted(all_pairs(N), key=lambda pair: pair[::-1])
+    plans = dict(zip(colex, search._pair_plans(N)))
     for blue in (JumpsFamily(1), JumpsFamily(2), JumpsFamily(3), power_path(4, 4),
                  power_path(5, 4), power_path(5, 5), power_path(6, 5), power_path(7, 5),
-                 jump_min(3)[0], required_edges(7, {3, 5})):
-        table = search._blue_table(N, blue, [True] * len(triples))
+                 jump_min(3)[0], required_edges(7, {3, 5}), monotone_path(4),
+                 monotone_path(6)):
         reads = push_reads(N, blue)
-        for (v, w), (_, own, _, pushes) in zip(colex, search._pair_plans(N, table.width)):
+        for (v, w), (_, own, _, pushes) in plans.items():
             ahead = [r for r, (_, b, x) in enumerate(triples) if x == w and b > v]
             if v == 1:
                 assert sorted(pushes) == ahead, (blue, v, w)
                 continue
             row = {r for r, _ in own}
-            need = {r for r in ahead if reads[r] & row}
-            assert need <= set(pushes), (blue, v, w)
-            if isinstance(blue, JumpsFamily):
-                assert need == set(pushes) - row, (v, w)
-    # a detector-run table reads the whole host: every later rank, always
-    for (v, w), (*_, pushes) in zip(colex, search._pair_plans(N, 0)):
-        assert set(pushes) == {r for r, (_, b, x) in enumerate(triples) if x == w and b >= v}
+            assert set(pushes) == row, (blue, v, w)
+            for r in ahead:
+                if not reads[r] & row:
+                    continue
+                _, b, _ = triples[r]
+                assert r in plans[b, w][3], (blue, v, w, r)
+                for e in reads[r]:
+                    _, eb, ex = triples[e]
+                    assert ex < w or (ex == w and eb <= b and e < r), (blue, r, e)
 
 
 @pytest.mark.parametrize("blue", ["jumps:1", "jumps:2", "jumps:3", "power:4,4", "power:5,4",
-                                  "power:5,5", "power:6,5", "power:7,5", "pattern:"])
+                                  "power:5,5", "power:6,5", "power:7,5", "pattern:", "path:4",
+                                  "path:5", "jmin:1"])
 def test_planned_pushes_walk_as_the_plain_rule(monkeypatch, blue):
     # the push lists leave out only pushes that would find no copy, so the
     # planned walk gives the whole SearchStats, status and witness of
@@ -850,7 +842,7 @@ def test_planned_pushes_walk_as_the_plain_rule(monkeypatch, blue):
         for red_m, budget in ((4, 20000), (5, 20000), (4, 40)):
             problem = AvoidanceProblem(N, monotone_path(red_m), spec)
             with monkeypatch.context() as plain:
-                plain.setattr(search, "_engine", lambda problem: PlainPairEngine)
+                plain.setattr(search, "_PairEngine", PlainPairEngine)
                 want = decide(problem, budget=budget)
             workers = (1, 2) if N in (7, 9) and want.stats.nodes > SPLIT_DEPTH + 2 else (1,)
             for w in workers:
@@ -862,7 +854,8 @@ def test_planned_pushes_walk_as_the_plain_rule(monkeypatch, blue):
 def test_table_push_counts(monkeypatch):
     # the work the push lists save, counted with a wrapped push over the
     # probe, the split replays and the splits: the plain rule pushed
-    # 234,947 and 2,065 times
+    # 234,947 and 2,065 times, and lists with the later triples that read
+    # the row 172,828 and 1,756
     table_of, pushes = search._blue_table, [0]
 
     def counted(N, blue, colour):
@@ -877,7 +870,7 @@ def test_table_push_counts(monkeypatch):
         return table
 
     monkeypatch.setattr(search, "_blue_table", counted)
-    for N, blue, want in ((10, JumpsFamily(2), 172_828), (8, power_path(4, 4), 1_756)):
+    for N, blue, want in ((10, JumpsFamily(2), 159_466), (8, power_path(4, 4), 1_564)):
         pushes[0] = 0
         out = decide(AvoidanceProblem(N, monotone_path(4), blue))
         assert out.status == BLUE_STATS[N, blue, DEFAULT_BUDGET][0]
@@ -885,14 +878,15 @@ def test_table_push_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("N, pattern, runs", [
-    (8, OrderedTripleSystem(5, {(1, 2, 3), (1, 3, 5), (2, 4, 5)}), 45),
-    (7, OrderedTripleSystem(4, {(1, 2, 4), (1, 3, 4)}), 106)])
+    (8, OrderedTripleSystem(5, {(1, 2, 3), (1, 3, 5), (2, 4, 5)}), 40),
+    (7, OrderedTripleSystem(4, {(1, 2, 4), (1, 3, 4)}), 89)])
 def test_a_detector_table_runs_one_detector_per_assignment(monkeypatch, N, pattern, runs):
     # every push of one assignment sees one host, so a walk to the first
     # leaf runs the detector at most once per assignment, each run at a
     # distinct alpha table, and keeps the plain walk's node and blue-hit
-    # counts.  A table that ran it at every blue push made 116 and 169 runs
-    # at the same 45 and 106 assignments
+    # counts: 40 and 89 runs at 50 and 113 assignments.  Push lists with
+    # the later triples that read the row made 45 and 106 runs, and a
+    # table that ran the detector at every blue push 116 and 169
     problem = AvoidanceProblem(N, monotone_path(4), pattern)
     eng = search._PairEngine(problem, DEFAULT_BUDGET)
     plain = PlainPairEngine(problem, DEFAULT_BUDGET)
@@ -914,32 +908,29 @@ def test_a_detector_table_runs_one_detector_per_assignment(monkeypatch, N, patte
 def engine_state(eng):
     """Copies of what the walker changes and must restore; the table slots
     it leaves as they are, as a table reads only slots of blue ranks.  Of
-    the pair walk's colours, those of the assigned rows, and of the later
-    rows of w when the first unassigned pair (v, w) has v > 1, which the
-    walk reads at the forced read."""
-    if isinstance(eng, search._PairEngine):
-        N = eng.N
-        colex = sorted(all_pairs(N), key=lambda pair: pair[::-1]) + [(1, N + 1)]
-        v, w = colex[next(d for d, (p, *_) in enumerate(eng.plans + ((None,),))
-                          if p is None or not eng.alpha[p])]
-        return list(eng.alpha), [red for red, (_, _, x) in zip(eng.colour, all_triples(N))
-                                 if x < w or x == w and v > 1]
-    return copy.deepcopy((eng.ar, eng.ab, eng.trail, eng.packed))
+    the colours, those of the assigned rows, and of the later rows of w
+    when the first unassigned pair (v, w) has v > 1, which the walk reads
+    at the forced read."""
+    N = eng.N
+    colex = sorted(all_pairs(N), key=lambda pair: pair[::-1]) + [(1, N + 1)]
+    v, w = colex[next(d for d, (p, *_) in enumerate(eng.plans + ((None,),))
+                      if p is None or not eng.alpha[p])]
+    return list(eng.alpha), [red for red, (_, _, x) in zip(eng.colour, all_triples(N))
+                             if x < w or x == w and v > 1]
 
 
-# the first split of p4/p5 at N=9 fails after 42,162 nodes (the second is
-# sat), so it walks its whole subtree with the memo on.  The pair walk
-# levels are sat, and a leaf that returns makes each split visit every
-# avoiding table below its prefix; they split deeper, after the first 12
-# pairs, inside the pairs of vertex 6, so that the walk must leave the
+# every level is sat, and a leaf that returns makes each split visit every
+# avoiding table below its prefix; they split after the first 12 pairs, 14
+# at N=9, inside the pairs of vertex 6, so that the walk must leave the
 # later rows of vertex 6 at the forced read, and at most 32 splits, spread
-# over the DFS order, are walked.  The jump_min(2) member has a window
-# table; the pattern lacking (1, 2, 3) runs a full detector at each push.
+# over the DFS order, are walked.  The blue path on 5 vertices and the jump_min(2)
+# member have window tables; the pattern lacking (1, 2, 3) runs a full
+# detector at each push.
 @pytest.mark.parametrize("N, blue", [
     (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
     (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, _blue("pattern:"))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
-    walk_every_split(AvoidanceProblem(N, monotone_path(4), blue))
+    walk_every_split(AvoidanceProblem(N, monotone_path(4), blue), 12 if N < 9 else 14)
 
 
 def test_pair_walk_leaves_backed_past_rows_at_the_forced_read_under_path_five():
@@ -950,102 +941,95 @@ def test_pair_walk_leaves_backed_past_rows_at_the_forced_read_under_path_five():
     walk_every_split(AvoidanceProblem(6, monotone_path(5), power_path(5, 5)))
 
 
-def walk_every_split(problem):
+def walk_every_split(problem, depth=12):
     N, blue = problem.N, problem.blue
-    engine = search._engine(problem)
-    pairs = engine is search._PairEngine
-    probe = engine(problem, DEFAULT_BUDGET)
-    prefixes = probe.decompose(12 if pairs else SPLIT_DEPTH)
-    if not pairs:  # a blue path: only the first split
-        prefixes = prefixes[:1]
+    probe = search._PairEngine(problem, DEFAULT_BUDGET)
+    prefixes = probe.decompose(depth)
     prefixes = prefixes[::-(-len(prefixes) // 32)]
-    assert engine_state(probe) == engine_state(engine(problem, DEFAULT_BUDGET))
+    assert engine_state(probe) == engine_state(search._PairEngine(problem, DEFAULT_BUDGET))
     leaves = []
-    pruned = 0
+    hits = 0
 
     def leaf():
         # the colour list is the lift of the table, and avoids both sides
-        if pairs:
-            lifted = lift(PairColoring(N, problem.red.m - 2, tuple(eng.alpha)))
-            assert "".join("01"[red] for red in eng.colour) == lifted.bitstring()
-            assert not full_detection(lifted, blue)
+        lifted = lift(PairColoring(N, problem.red.m - 2, tuple(eng.alpha)))
+        assert "".join("01"[red] for red in eng.colour) == lifted.bitstring()
+        assert not full_detection(lifted, blue)
         leaves.append(1)
 
     for prefix in prefixes:
-        eng = engine(problem, DEFAULT_BUDGET, prefix)
+        eng = search._PairEngine(problem, DEFAULT_BUDGET, prefix)
         replayed = engine_state(eng)
         eng.walk(len(prefix), eng.total, leaf)
         assert engine_state(eng) == replayed
-        pruned += eng.stats().memo_hits + eng.stats().blue_hits
-    assert pruned > 0
-    assert bool(leaves) == pairs
+        hits += eng.stats().blue_hits
+    assert hits > 0
+    assert leaves
 
 
-def test_memo_packs_no_live_value_of_a_last_pair():
-    # a pair (x, N) is never read again: every live value, 1..m - 2, of
-    # either colour packs as 0 there
-    for N in range(3, 11):
-        for red_m in range(3, 7):
-            for blue_m in range(3, 7):
-                bpack, rpack = search._memo_layout(N, red_m, blue_m)[0]
-                for pack, m in ((rpack, red_m), (bpack, blue_m)):
-                    for p, (_, y) in enumerate(all_pairs(N)):
-                        if y == N:
-                            assert pack[p][1:m - 1] == (0,) * (m - 2), (N, red_m, blue_m, p)
+def prefix_host(N, values, top):
+    """The colours of the host [w] that the walk reads after assigning the
+    first len(values) pairs in colex order, the last (v, w), from the
+    definitions: a triple (a, b, x) of an assigned row is red iff
+    alpha(a, b) < alpha(b, x), and one of a later row of w is blue iff
+    alpha(a, b) = top, the forced read.  Returns (w, colouring, alpha)."""
+    colex = sorted(all_pairs(N), key=lambda pair: pair[::-1])
+    alpha = dict(zip(colex, values))
+    v, w = colex[len(values) - 1]
+    marks = "".join(
+        "01"[alpha[a, b] < alpha[b, x] if x < w or b <= v else alpha[a, b] != top]
+        for a, b, x in all_triples(w))
+    return w, TripleColoring.from_bitstring(w, marks), alpha
 
 
-# the probe engine has no memo, so walk(0, stop, leaf) calls the leaf at
-# every live prefix of length stop: 401 for p4/p4 at N=6, 927 for p4/p5
-# and p5/p4 at N=6, 3,343 at N=7
+# walk(0, stop, leaf) calls the leaf at every live prefix of stop pairs
 @pytest.mark.parametrize("red_m, blue_m, N, stops", [
-    (4, 4, 6, range(21)), (4, 5, 6, range(10)), (5, 4, 6, range(10)),
-    (4, 5, 7, range(12)), (5, 4, 7, range(12))])
+    (4, 4, 6, range(16)), (4, 5, 6, range(16)), (5, 4, 6, range(16)),
+    (4, 5, 7, range(16)), (5, 4, 7, range(16))])
 def test_no_live_prefix_has_a_pair_dead_in_both_colours(red_m, blue_m, N, stops):
-    # at every live prefix the path tables hold exactly the values the
-    # prefix forces, recomputed from scratch by the oracle, and packed their
-    # packing; so no pair (v, w), w < N, is at both dead levels, where
-    # (v, w, w+1) would have no colour.  The next write in either colour
-    # dies exactly when the oracle finds a path in the prefix plus that
-    # write, and a live one leaves the values the oracle gives for it,
-    # undone by unwinding the trail
-    eng = search._Engine(
-        AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m)), DEFAULT_BUDGET)
-    bpack, rpack = eng.packs
-    sentinel = search._memo_layout(N, red_m, blue_m)[2]
-    seen = {True: 0, False: 0}
-    forced = 0
-    reached = set()
-
-    def leaf():
-        nonlocal forced
-        reached.add(stop)
-        prefix = tuple(eng.colour[:stop])
-        values = list(eng.ar), list(eng.ab)
-        assert values == forced_alphas(N, prefix, red_m, blue_m), prefix
-        for (_, w), r, b in zip(all_pairs(N), *values):
-            assert w == N or r < red_m - 2 or b < blue_m - 2
-        assert eng.packed == sentinel + sum(
-            p[d] for p, d in zip(rpack + bpack, eng.ar + eng.ab))
-        # the values from the coloured triples alone, nothing forced
-        forced += values != forced_alphas(N, prefix, N + 2, N + 2)
-        if stop == eng.total:
-            return
-        iuv, ivw = eng.pairs_idx[stop]
-        for red, table in ((True, eng.ar), (False, eng.ab)):
-            want = forced_alphas(N, prefix + (red,), red_m, blue_m)
-            mark = len(eng.trail)
-            live = eng._settle(red, ivw, table[iuv] + 1)
-            assert live == (want is not None), (prefix, red)
-            if live:
-                assert (eng.ar, eng.ab) == want
-                eng._unwind(mark)
-            assert (eng.ar, eng.ab) == values
-            seen[live] += 1
-
+    # at every live prefix, the host [w] it colours, its assigned rows
+    # lifted and the later rows of w at the forced read, has red alpha
+    # values equal to the assigned ones, and no blue path on blue_m
+    # vertices, by the brute-force oracles; so no pair (a, b), b < w, is at
+    # both dead levels, red m - 2 and blue m - 2, where (a, b, w) would have
+    # no colour.  The live prefixes one pair longer are exactly the values
+    # the fixed-point rule allows whose host has no blue path, all but
+    # value 1 of (2, 3) when the sides agree
+    problem = AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m))
+    eng = search._PairEngine(problem, DEFAULT_BUDGET)
+    colex = sorted(all_pairs(N), key=lambda pair: pair[::-1])
+    top = red_m - 2
+    live = {}
     for stop in stops:
-        eng.walk(0, stop, leaf)
-    assert reached == set(stops)
-    assert seen[True] > 0 and seen[False] > 0 and forced > 0
+        live[stop] = []
+        eng.walk(0, stop, lambda: live[stop].append(
+            tuple(eng.alpha[p] for p, *_ in eng.plans[:stop])))
+    dead = 0
+    for stop in stops:
+        for values in live[stop]:
+            if not values:
+                continue
+            w, c, alpha = prefix_host(N, values, top)
+            reds, blues = alpha_map(c), alpha_map(c, Color.BLUE)
+            assert all(reds[pair] == value for pair, value in alpha.items()), values
+            assert longest_path(c, Color.BLUE)[0] < blue_m - 1, values
+            for (a, b), value in alpha.items():
+                assert b == w or value < top or blues[a, b] < blue_m - 2, values
+        if stop + 1 not in live:
+            continue
+        want = []
+        for values in live[stop]:
+            v, w = colex[stop]
+            below = {alpha for (a, b), alpha in zip(colex, values) if b == v}
+            for j in range(1, top + 1):
+                if j > 1 and j - 1 not in below or j == 1 and stop == 2 and red_m == blue_m:
+                    continue
+                if longest_path(prefix_host(N, values + (j,), top)[1], Color.BLUE)[0] < blue_m - 1:
+                    want.append(values + (j,))
+                else:
+                    dead += 1
+        assert live[stop + 1] == want, stop
+    assert dead > 0
 
 
 def test_member_table_and_detector_step_through_one_function():
@@ -1072,16 +1056,14 @@ def test_one_recogniser_reads_the_spec():
     assert search._consecutive(_blue("pattern:")) == 0
     assert search._consecutive(OrderedTripleSystem(4, {(1, 2, 3), (1, 2, 4)})) == 0
     assert search._consecutive(monotone_path(2)) == 0
-    # the walker and the pair walk's table follow the recogniser: a blue
-    # monotone path goes to the triple walker, every other spec to the pair
-    # walk, and the jump family has its own table
+    # the pair walk's table follows the recogniser: a spec with every
+    # consecutive triple on more than 3 vertices has a window table, the
+    # jump family its own table, and every other spec, the one-edge path
+    # on 3 vertices among them, runs the detector
     specs = (monotone_path(4), power_path(6, 3), power_path(4, 5), JumpsFamily(2),
-             jump_min(2)[0], _blue("pattern:"), monotone_path(2))
-    engines = [search._engine(AvoidanceProblem(7, monotone_path(4), blue)).__name__
-               for blue in specs]
-    assert engines == ["_Engine", "_Engine"] + ["_PairEngine"] * 5
-    tables = [type(search._blue_table(7, blue, [True] * 35)).__name__ for blue in specs[2:]]
-    assert tables == ["_Windows", "_JumpMembers", "_Windows", "_Embeddings", "_Embeddings"]
+             jump_min(2)[0], _blue("pattern:"), monotone_path(2), monotone_path(3))
+    tables = [type(search._blue_table(7, blue, [True] * 35)).__name__ for blue in specs]
+    assert tables == ["_Windows"] * 3 + ["_JumpMembers", "_Windows"] + ["_Embeddings"] * 3
     # one build of a spec is read once per process
     search._consecutive.cache_clear()
     for _ in range(3):
