@@ -408,31 +408,28 @@ def _parse_gh_coloring(text: str) -> dict[tuple[int, int], int]:
 
 def _parse_spec(text: str, side: str, N: int):
     """The --red or --blue spec for hosts of up to N vertices, and its text
-    as certificates print it, with the numbers given.  No copy larger than
-    the host fits in it, so a path or power path is built on at most
-    max(N + 1, 3) vertices.  The search walks the same tree: no table can
-    report a copy, and a path value at pair (x, y), at most y - 1, reaches
-    neither the capped path's dead level N - 1 nor its length, and packs as
-    0 either way.  The pair walk's red values are at most x, so it tries
-    the same values under either red path, and its forced-blue read, which
-    looks for the value m - 2 >= N - 1 at pairs (x, y), y < N, finds none.
-    A jump family is only its count, so it is kept as given; the search
-    caps the count where it builds its member table."""
+    as certificates print it, with the numbers given.  A path or power path
+    needs at least 3 vertices, as one with no edge has a copy in every host
+    and decide refuses it.  No copy larger than the host fits in it, so one
+    is built on at most max(N + 1, 3) vertices, and the search walks the
+    same tree: no blue table can report a copy, the pair walk's red values
+    at a pair (x, y) are at most x under either red path, and its
+    forced-blue read, which looks for the value m - 2 >= N - 1 at pairs
+    (x, y), y < N, finds none.  A jump family is only its count, so it is
+    kept as given; the search caps the count where it builds its member
+    table."""
     kind, _, rest = text.partition(":")
     if kind != "path" and (side == "red" or kind not in ("power", "jumps")):
         raise _UsageError(f"{side} spec must be {_SPEC_FORMS[side]}, got {text!r}")
-    top = max(N + 1, 3)
     try:
-        if kind == "path":
-            m = int(rest)
-            if m < 3:
-                raise _UsageError(f"{side} path needs at least 3 vertices")
-            return monotone_path(min(m, top)), f"path:{m}"
-        if kind == "power":
-            m, t = (int(x) for x in rest.split(","))
-            return power_path(min(m, top), t), f"power:{m},{t}"
-        n = int(rest)
-        return JumpsFamily(n), f"jumps:{n}"
+        if kind == "jumps":
+            n = int(rest)
+            return JumpsFamily(n), f"jumps:{n}"
+        m, t = (int(x) for x in rest.split(",")) if kind == "power" else (int(rest), 3)
+        if m < 3:
+            raise _UsageError(f"{side} spec {text!r} needs at least 3 vertices")
+        given = f"power:{m},{t}" if kind == "power" else f"path:{m}"
+        return power_path(min(m, max(N + 1, 3)), t), given
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad {side} spec {text!r}: {exc}")
 

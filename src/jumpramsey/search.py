@@ -21,28 +21,29 @@ avoids both too, and the red alpha table of the one of the two with
 
 The walk assigns the pairs (v, w) in colex order, w outer and v inner,
 each value from 1 up.  One assignment colours the whole row of (v, w),
-every triple (u, v, w), u < v, red iff alpha(u, v) < alpha(v, w), and
-then pushes its blue triples, lowest u first, to the blue table.  A
-pattern of width W that holds every consecutive triple, a monotone or a
-power path among them, is tracked per key of max(W, 3) vertices
-(_Windows), a jump-family member per last four vertices (_JumpMembers).
-Both rest on one fact: a copy's lex-largest edge is its last three
-vertices (u, v, w), and every other edge of the copy, or of the window or
-member prefix being extended, has its last vertex below w, or is a triple
-(., v', w) with v' <= v of lower lex rank: an edge the walk has already
-coloured when it pushes (u, v, w).  Every key or prefix a push writes ends
-in its own triple, so a table keeps one slot per lex rank, ends[rank], and
-what a push at a rank reads and writes depends only on N and the spec: it
-is planned once per (N, spec), cached, and shared by the probe and every
-split engine of the process, which keep only their ends.  A push reads a
-slot only when its rank is blue and its last vertex below w, so the final
-assignment of its pair wrote it on the current branch: the walker only
-pushes, never clears a slot, and a pair not yet assigned may hold what an
-earlier branch left.  A push that completes a copy is a blue hit, and the
-walk tries the next value.  Any other pattern, the one-edge path (1, 2, 3)
-among them, has a table whose push is a full detector run on the host
-[w], and which keeps nothing.  The root probe and the witness re-check are
-always full detector runs.
+every triple (u, v, w), u < v, red iff alpha(u, v) < alpha(v, w), and then
+pushes its blue triples, lowest u first, to the blue table.  A pattern of
+width W on more than 3 vertices that holds every consecutive triple, a
+monotone or a power path among them, is tracked per key of max(W, 3)
+vertices (_Windows), a jump-family member per last four vertices
+(_JumpMembers).  Both rest on one fact: a copy's lex-largest edge is its
+last three vertices (u, v, w), and every other edge of the copy, or of the
+window or member prefix being extended, has its last vertex below w, or is
+a triple (., v', w) with v' <= v of lower lex rank: an edge the walk has
+already coloured when it pushes (u, v, w).  Every key or prefix a push
+writes ends in its own triple, so a table keeps one slot per lex rank,
+ends[rank], and what a push at a rank reads and writes depends only on N
+and the spec: it is planned once per (N, spec), cached, and shared by the
+probe and every split engine of the process, which keep only their ends.
+A push reads a slot only when its rank is blue and its last vertex below
+w, so the final assignment of its pair wrote it on the current branch: the
+walker only pushes, never clears a slot, and a pair not yet assigned may
+hold what an earlier branch left.  A push that completes a copy is a blue
+hit, and the walk tries the next value.  The one-edge path (1, 2, 3),
+which no window of 3 vertices steps to, is the least member of the 1-jump
+family: every blue triple is a copy, and the member table of one jump
+tracks it.  No detector runs inside the walk; the witness re-check is a
+full run.
 
 At the first pair (1, w) of a vertex, whose row is empty, the walk also
 reads every later row of w ahead of time, the forced-blue read: (u, v', w)
@@ -272,27 +273,6 @@ class _JumpMembers:
         return bool(seen & self.accept)
 
 
-class _Embeddings:
-    """A pattern with no window table, one lacking a consecutive triple or
-    the one-edge path (1, 2, 3): each push is a full detector run on the
-    host [w] of the pushed triple (u, v, w), every row of w coloured; no
-    slots.  Every push of one assignment sees one host, so the table keeps
-    the host of its last run and that run's answer, and a push on the same
-    host runs no detector."""
-
-    def __init__(self, N: int, pattern: OrderedTripleSystem, colour):
-        self.N, self.pattern, self.colour = N, pattern, colour
-        self.last = [w for _, _, w in all_triples(N)]
-        self.host, self.hit = None, False
-
-    def push(self, rank: int) -> bool:
-        host = self.last[rank], "".join("01"[red] for red in self.colour)
-        if host != self.host:
-            c = TripleColoring.from_bitstring(self.N, host[1]).restrict(host[0])
-            self.host, self.hit = host, find_blue_embedding(c, self.pattern) is not None
-        return self.hit
-
-
 class _PairEngine:
     """One search lane of the pair walk: the red alpha table being
     assigned, the colours of its lift, the blue table, and walk.
@@ -511,9 +491,9 @@ def _run_split(args) -> tuple[TripleColoring | None, bool, SearchStats]:
 @lru_cache(maxsize=16)
 def _consecutive(pattern: OrderedTripleSystem) -> int:
     """The width of pattern when it holds every consecutive triple (i, i+1,
-    i+2), else 0, which is also the width with no edge.  Width 2 is exactly
-    the monotone path, which the root probe and the witness re-check read
-    off the blue alpha table."""
+    i+2), else 0, which is also the width with no edge: decide takes a
+    pattern only where this is nonzero.  Width 2 is exactly the monotone
+    path, which the witness re-check reads off the blue alpha table."""
     consecutive = all((i, i + 1, i + 2) in pattern.edges for i in range(1, pattern.m - 1))
     return pattern.width if consecutive else 0
 
@@ -523,13 +503,14 @@ def _blue_table(N: int, blue, colour: list[bool]):
     n jumps has 2n + 1 vertices, so no family with more than N // 2 jumps
     fits in [N]; the member table, the one cap on a jump count, is built
     for at most N // 2 + 1 jumps and walks the same tree.  A window table
-    reports no copy of a pattern on 3 vertices, so the one-edge path
-    (1, 2, 3) runs the detector."""
+    reports no copy of a pattern on 3 vertices, and the one pattern on 3
+    vertices decide takes is the one-edge path (1, 2, 3), jump_min(1)[0]:
+    it has the member table of one jump."""
     if isinstance(blue, JumpsFamily):
         return _JumpMembers(N, min(blue.n, N // 2 + 1), colour)
-    if _consecutive(blue) and blue.m > 3:
-        return _Windows(N, blue, colour)
-    return _Embeddings(N, blue, colour)
+    if blue.m == 3:
+        return _JumpMembers(N, 1, colour)
+    return _Windows(N, blue, colour)
 
 
 def _has_blue(c: TripleColoring, blue) -> bool:
@@ -602,21 +583,23 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
            workers: int = 1) -> SearchOutcome:
     """Search for an avoidance coloring; see the module docstring.
 
-    The red pattern must be a monotone path on at least 3 vertices.  A
-    found witness is re-verified with the full detectors before return;
-    running out of node budget reports inconclusive, never a guess.
+    The red pattern must be a monotone path on at least 3 vertices, and
+    the blue spec a JumpsFamily or a pattern that holds an edge and every
+    consecutive triple: a monotone or power path on at least 3 vertices,
+    or a fixed jump-family member.  A found witness is re-verified with
+    the full detectors before return; running out of node budget reports
+    inconclusive, never a guess.
     """
     if _consecutive(problem.red) != 2:
         raise ValueError("red pattern must be a monotone path on >= 3 vertices")
+    if not isinstance(problem.blue, JumpsFamily) and not _consecutive(problem.blue):
+        raise ValueError("blue pattern must hold an edge and every consecutive triple")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if workers < 1:
         raise ValueError("need at least one worker")
 
     probe = _PairEngine(problem, cap=budget)
-    if _has_blue(TripleColoring.all_red(problem.N), problem.blue):
-        # the blue spec embeds with no blue triples at all: nothing to search
-        return SearchOutcome("unsat", None, SearchStats(0, 0))
     try:
         prefixes = probe.decompose(min(SPLIT_DEPTH, probe.total))
     except _Budget:

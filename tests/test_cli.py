@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from jumpramsey import cli, detect
+from jumpramsey import cli, detect, search
 from jumpramsey.cli import WORKERS_ENV, dispatch
 from jumpramsey.core import (
     PairColoring,
@@ -31,6 +31,7 @@ from jumpramsey.construct import (
     pentagon_coloring,
     product_coloring,
 )
+from jumpramsey.family import monotone_path
 
 
 def run(argv, stdin=""):
@@ -660,6 +661,38 @@ def test_search_usage_errors():
         ["search", "--n", "5", "--red", "path:4", "--blue", "path:2"]
     )
     assert code == 2
+    # power:2,3 is the same edgeless pattern as path:2
+    code, _, err = run(
+        ["search", "--n", "5", "--red", "path:4", "--blue", "power:2,3"]
+    )
+    assert code == 2 and "at least 3 vertices" in err
+
+
+def test_search_and_decide_take_the_same_specs():
+    # each spec form over small numbers is refused by the CLI (exit 2) or
+    # taken by decide, never refused there; a taken spec searches to a
+    # decided level or its budget through the CLI too
+    texts = [f"path:{m}" for m in range(-1, 8)]
+    texts += [f"power:{m},{t}" for m in range(-1, 8) for t in range(-1, 7)]
+    texts += [f"jumps:{n}" for n in range(-1, 5)]
+    taken = 0
+    for side, other in (("blue", "path:4"), ("red", "jumps:2")):
+        for text in texts:
+            red, blue = (other, text) if side == "blue" else (text, other)
+            argv = ["search", "--n", "5", "--red", red, "--blue", blue, "--budget", "50"]
+            code, _, err = run(argv)
+            try:
+                spec, _ = cli._parse_spec(text, side, 5)
+            except cli._UsageError:
+                assert code == 2 and err, (side, text, code)
+                continue
+            problem = (search.AvoidanceProblem(5, monotone_path(4), spec) if side == "blue"
+                       else search.AvoidanceProblem(5, spec, search.JumpsFamily(2)))
+            search.decide(problem, budget=50)
+            assert code in (0, 1, 3), (side, text, code, err)
+            taken += 1
+    # path:3..7, power:3..7 with t 3..6, jumps:1..4, and the red paths
+    assert taken == 5 + 5 * 4 + 4 + 5
 
 
 # (oversized spec, host-sized twin, stderr): no copy larger than the host
@@ -695,11 +728,17 @@ def test_oversized_spec_searches_as_its_host_sized_twin(big, twin, err):
 
 
 def test_oversized_red_spec_keeps_its_numbers_in_the_certificate():
+    # a red path too long for the host is avoided by the all-red host,
+    # which has no blue copy of any spec search takes, so the level is sat;
+    # an oversized blue spec shows the numbers given in its certificate
     code, out, _ = run(
-        ["search", "--n", "5", "--red", "path:1000000000", "--blue", "power:2,4"])
+        ["search", "--n", "5", "--red", "path:1000000000", "--blue", "path:3"])
+    assert code == 0
+    assert out == "triples 5\n" + "1" * 10 + "\n"
+    code, out, _ = run(
+        ["search", "--n", "5", "--red", "path:3", "--blue", "power:4,1000000000"])
     assert code == 1
-    assert out.startswith("unsat N=5\nred path:1000000000\nblue power:2,4\n")
-    assert "\nnodes 0\n" in out
+    assert out.startswith("unsat N=5\nred path:3\nblue power:4,1000000000\n")
 
 
 def test_search_workers_env_and_flag(monkeypatch):

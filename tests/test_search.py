@@ -6,7 +6,6 @@ import hashlib
 import io
 import multiprocessing
 import random
-from contextlib import suppress
 from itertools import combinations
 
 import pytest
@@ -69,7 +68,6 @@ def test_engine_agrees_with_enumeration_on_tiny_hosts():
 # blue specs of every kind, for the twins of the pair reduction
 TINY_BLUE = [
     ("path", 3), ("path", 4), ("pattern", power_path(4, 4)), ("pattern", jump_min(2)[0]),
-    ("pattern", OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))),
     ("jumps", 1), ("jumps", 2),
 ]
 
@@ -181,10 +179,13 @@ def _blue(text):
         return JumpsFamily(int(arg))
     if kind == "power":
         return power_path(*(int(x) for x in arg.split(",")))
-    if kind == "jmin":  # jump_min(1) is the path on 3 vertices, (2) is generic
-        return jump_min(int(arg))[0]
-    # lex-largest edge (2, 3, 4) is not on the last position
-    return OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))
+    # jump_min(1) is the path on 3 vertices, (2) is generic
+    return jump_min(int(arg))[0]
+
+
+# holds an edge but not the consecutive triples (1, 2, 3) and (3, 4, 5):
+# decide refuses it, as it does an edgeless pattern
+GAPPED = OrderedTripleSystem(5, frozenset({(1, 2, 5), (2, 3, 4)}))
 
 
 # (red m, blue spec, N, budget): (status, nodes, max-depth, witness).  Each
@@ -239,7 +240,8 @@ BLUE_GRID = {
         '000000000000000000000000001111111111000000000000000000111111111100000000000111111111100000'
         '111111111111111111110000000000')),
     # jmin:1 is the blue path on 3 vertices, whose every blue triple is a
-    # copy: its table runs the detector, and the first blue triple kills
+    # copy: its table is the member table of one jump, and the first blue
+    # triple kills
     (4, 'jmin:1', 4, 20000): ('unsat', 5, 4, None),
     (4, 'jmin:1', 5, 20000): ('unsat', 5, 4, None),
     (4, 'jmin:1', 6, 20000): ('unsat', 5, 4, None),
@@ -247,9 +249,6 @@ BLUE_GRID = {
     (4, 'jmin:2', 6, 20000): ('sat', 20, 15, '00000001110001111110'),
     (4, 'jmin:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
     (5, 'jmin:2', 7, 20000): ('sat', 29, 21, '00000000011111100001111111111110000'),
-    (4, 'pattern:', 4, 20000): ('sat', 8, 6, '0000'),
-    (4, 'pattern:', 5, 20000): ('sat', 13, 10, '0010000000'),
-    (4, 'pattern:', 6, 20000): ('sat', 20, 15, '00110010000010000000'),
 }
 
 
@@ -299,8 +298,7 @@ def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
     # push, and put back after it, every row of BLUE_GRID keeps its
     # outcome.  The walker leaves the colours and slots of unassigned pairs
     # as an earlier branch set them, and never clears the slot of a rank
-    # that turns red.  A detector-run table keeps no slots and reads the
-    # whole host [w].  The walker sees nothing of a table but its push
+    # that turns red.  The walker sees nothing of a table but its push
     rng = random.Random(26)
     table_of, pushed, stale = search._blue_table, set(), Stale()
 
@@ -310,24 +308,19 @@ def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
 
         def push(self, rank):
             pushed.add(type(self.table))
-            colour, ends, triples = self.colour, getattr(self.table, "ends", None), self.triples
+            colour, ends, triples = self.colour, self.table.ends, self.triples
             _, v, w = triples[rank]
-            saved = colour[:], None if ends is None else ends[:]
+            saved = colour[:], ends[:]
             for r, (_, b, c) in enumerate(triples):
-                if ends is None:
-                    readable = c <= w
-                else:
-                    readable = c < w or (c == w and b <= v and r < rank)
-                if not readable:
+                if not (c < w or (c == w and b <= v and r < rank)):
                     colour[r] = rng.random() < 0.5
-                if ends is not None and (c >= w or saved[0][r]):
+                if c >= w or saved[0][r]:
                     ends[r] = stale
             hit = self.table.push(rank)
             colour[:] = saved[0]
-            if ends is not None:
-                slot = ends[rank]
-                ends[:] = saved[1]
-                ends[rank] = slot
+            slot = ends[rank]
+            ends[:] = saved[1]
+            ends[rank] = slot
             return hit
 
     def scrambling(N, blue, colour):
@@ -337,13 +330,13 @@ def test_tables_read_no_colour_above_the_rank_they_push(monkeypatch):
     for (red_m, blue, N, budget), want in BLUE_GRID.items():
         problem = AvoidanceProblem(N, monotone_path(red_m), _blue(blue))
         assert outcome_key(decide(problem, budget=budget)) == want, (red_m, blue, N)
-    assert pushed == {search._Windows, search._JumpMembers, search._Embeddings}
+    assert pushed == {search._Windows, search._JumpMembers}
 
 
 # a colouring of the triples of [11] with no red path on 4 vertices and no
 # blue member of J_2, so R(P_4, J_2) >= 12, found by a local search; mark r
-# is the triple of lex rank r, 1 red.  decide reaches neither its N=11 level
-# nor its restrictions to N = 9 and 10
+# is the triple of lex rank r, 1 red.  decide finds witnesses of its own at
+# N = 9, 10 and 11, sat in 65, 31,146 and 4,107,417 nodes
 P4_JUMPS2_N11 = (
     "1000010111000000100001001001010101110010001000000000000111111001111001110100000100"
     "00000010001011001101100010110011111010000000000000000100100000000000001100001101110")
@@ -372,6 +365,22 @@ def test_pinned_n11_witness_avoids_both():
         part = c.restrict(M)
         assert alpha_table(part, Color.RED).max_value < 3, M
         assert find_blue_jump_member(part, 2) is None, M
+
+
+def test_path_five_against_three_jumps_is_sat_at_n20():
+    # R(P_5, J_3) >= 21, where the paper's lower bound is r(3;3) = 17: the
+    # witness has red depth 3 by the path oracle and no blue member with
+    # 3 jumps.  oracles.naive_member, which tries every member, is left
+    # out: on this 20-vertex host it takes over two minutes
+    problem = AvoidanceProblem(20, monotone_path(5), JumpsFamily(3))
+    for workers in (1, 2):
+        out = decide(problem, workers=workers)
+        assert (out.status, out.stats) == ("sat", search.SearchStats(408, 190, 186)), workers
+        text = f"triples 20\n{out.witness.bitstring()}\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7395bb60e35498df7b0bebe9060f50194ec88db5493accc05e4c0299c4aee3f3"), workers
+    assert longest_path(out.witness)[0] == 3
+    assert find_blue_jump_member(out.witness, 3) is None
 
 
 def test_unsat_is_monotone_in_host_size():
@@ -409,9 +418,9 @@ def test_worker_invariance():
         AvoidanceProblem(8, monotone_path(5), monotone_path(4)),
         AvoidanceProblem(5, monotone_path(4), JumpsFamily(2)),
         AvoidanceProblem(6, monotone_path(4), power_path(4, 4)),
-        # no consecutive triple (3, 4, 5): the pair walk's table is _Embeddings
-        AvoidanceProblem(6, monotone_path(4),
-                         OrderedTripleSystem(5, {(1, 2, 5), (2, 3, 4)})),
+        # the path on 3 vertices, built as a power path: the member table
+        # of one jump
+        AvoidanceProblem(5, monotone_path(5), power_path(3, 5)),
     ] + [problem for problem, _ in small]
     hits = 0
     for problem in problems:
@@ -563,11 +572,14 @@ def test_symmetry_shortcut_only_for_identical_sides():
     assert out.stats.nodes != sym.stats.nodes
 
 
-def test_blue_pattern_present_at_root_is_instant():
-    # an edgeless blue pattern embeds into any host, red-only or not
-    out = decide(AvoidanceProblem(5, monotone_path(3), monotone_path(2)))
-    assert out.status == "unsat"
-    assert out.stats.nodes == 0
+def test_a_blue_pattern_without_every_consecutive_triple_is_refused():
+    # an edgeless blue pattern embeds into any host, and one that lacks a
+    # consecutive triple has no table in the walk: decide refuses both,
+    # before it builds an engine
+    for blue in (monotone_path(2), power_path(2, 5), OrderedTripleSystem(3, frozenset()),
+                 GAPPED, OrderedTripleSystem(4, {(1, 2, 3), (1, 2, 4)})):
+        with pytest.raises(ValueError, match="every consecutive triple"):
+            decide(AvoidanceProblem(5, monotone_path(3), blue))
 
 
 def test_oversized_jump_family_is_searched_on_the_hosts_scale(monkeypatch):
@@ -648,6 +660,7 @@ def test_bracket_inconclusive_on_starved_budget():
 
 
 TRACKED = [
+    monotone_path(3),
     monotone_path(4),
     monotone_path(5),
     power_path(4, 4),
@@ -722,8 +735,9 @@ def test_blue_tables_match_full_detection():
             for *_, found in lanes:
                 runs += 1
                 last_hits += found
-            if isinstance(blue, JumpsFamily):
-                assert plans == search._member_plans.__wrapped__(N, blue.n)
+            if isinstance(blue, JumpsFamily) or blue.m == 3:
+                # the path on 3 vertices is jump_min(1)[0], a member of 1 jump
+                assert plans == search._member_plans.__wrapped__(N, pattern.m // 2)
             else:
                 assert plans == search._window_plans.__wrapped__(N, blue)
         assert last_hits > runs // 10, blue
@@ -830,8 +844,8 @@ def test_push_lists_hold_every_push_that_reads_the_row(N):
 
 
 @pytest.mark.parametrize("blue", ["jumps:1", "jumps:2", "jumps:3", "power:4,4", "power:5,4",
-                                  "power:5,5", "power:6,5", "power:7,5", "pattern:", "path:4",
-                                  "path:5", "jmin:1"])
+                                  "power:5,5", "power:6,5", "power:7,5", "path:4",
+                                  "path:5", "jmin:1", "path:3", "power:3,5"])
 def test_planned_pushes_walk_as_the_plain_rule(monkeypatch, blue):
     # the push lists leave out only pushes that would find no copy, so the
     # planned walk gives the whole SearchStats, status and witness of
@@ -877,34 +891,6 @@ def test_table_push_counts(monkeypatch):
         assert pushes[0] == want, (N, blue)
 
 
-@pytest.mark.parametrize("N, pattern, runs", [
-    (8, OrderedTripleSystem(5, {(1, 2, 3), (1, 3, 5), (2, 4, 5)}), 40),
-    (7, OrderedTripleSystem(4, {(1, 2, 4), (1, 3, 4)}), 89)])
-def test_a_detector_table_runs_one_detector_per_assignment(monkeypatch, N, pattern, runs):
-    # every push of one assignment sees one host, so a walk to the first
-    # leaf runs the detector at most once per assignment, each run at a
-    # distinct alpha table, and keeps the plain walk's node and blue-hit
-    # counts: 40 and 89 runs at 50 and 113 assignments.  Push lists with
-    # the later triples that read the row made 45 and 106 runs, and a
-    # table that ran the detector at every blue push 116 and 169
-    problem = AvoidanceProblem(N, monotone_path(4), pattern)
-    eng = search._PairEngine(problem, DEFAULT_BUDGET)
-    plain = PlainPairEngine(problem, DEFAULT_BUDGET)
-    assert isinstance(eng.table, search._Embeddings)
-    seen = []
-
-    def counted(c, blue):
-        seen.append(tuple(eng.alpha))
-        return find_blue_embedding(c, blue)
-
-    for walker in (plain, eng):
-        with suppress(search._Found):
-            walker.walk(0, walker.total, search._found)
-        monkeypatch.setattr(search, "find_blue_embedding", counted)
-    assert eng.stats() == plain.stats()
-    assert len(seen) == len(set(seen)) == runs, (len(seen), len(set(seen)))
-
-
 def engine_state(eng):
     """Copies of what the walker changes and must restore; the table slots
     it leaves as they are, as a table reads only slots of blue ranks.  Of
@@ -923,12 +909,11 @@ def engine_state(eng):
 # avoiding table below its prefix; they split after the first 12 pairs, 14
 # at N=9, inside the pairs of vertex 6, so that the walk must leave the
 # later rows of vertex 6 at the forced read, and at most 32 splits, spread
-# over the DFS order, are walked.  The blue path on 5 vertices and the jump_min(2)
-# member have window tables; the pattern lacking (1, 2, 3) runs a full
-# detector at each push.
+# over the DFS order, are walked.  The blue path on 5 vertices, the jump_min(2)
+# member and the power paths have window tables, the families member tables.
 @pytest.mark.parametrize("N, blue", [
     (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
-    (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, _blue("pattern:"))])
+    (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, power_path(5, 4))])
 def test_walker_leaves_the_engine_as_it_found_it(N, blue):
     walk_every_split(AvoidanceProblem(N, monotone_path(4), blue), 12 if N < 9 else 14)
 
@@ -1053,17 +1038,19 @@ def test_one_recogniser_reads_the_spec():
     assert search._consecutive(power_path(4, 5)) == 3
     assert search._consecutive(jump_min(2)[0]) == 4
     assert search._consecutive(required_edges(7, {3, 5})) == 4
-    assert search._consecutive(_blue("pattern:")) == 0
+    assert search._consecutive(GAPPED) == 0
     assert search._consecutive(OrderedTripleSystem(4, {(1, 2, 3), (1, 2, 4)})) == 0
     assert search._consecutive(monotone_path(2)) == 0
-    # the pair walk's table follows the recogniser: a spec with every
-    # consecutive triple on more than 3 vertices has a window table, the
-    # jump family its own table, and every other spec, the one-edge path
-    # on 3 vertices among them, runs the detector
+    # decide takes a pattern where the recogniser is nonzero: one on more
+    # than 3 vertices has a window table, and the one-edge path on 3
+    # vertices, in each of its builds, the member table of one jump, as
+    # the jump family has
     specs = (monotone_path(4), power_path(6, 3), power_path(4, 5), JumpsFamily(2),
-             jump_min(2)[0], _blue("pattern:"), monotone_path(2), monotone_path(3))
-    tables = [type(search._blue_table(7, blue, [True] * 35)).__name__ for blue in specs]
-    assert tables == ["_Windows"] * 3 + ["_JumpMembers", "_Windows"] + ["_Embeddings"] * 3
+             jump_min(2)[0], monotone_path(3), power_path(3, 5), jump_min(1)[0])
+    tables = [search._blue_table(7, blue, [True] * 35) for blue in specs]
+    assert [type(table).__name__ for table in tables] == (
+        ["_Windows"] * 3 + ["_JumpMembers", "_Windows"] + ["_JumpMembers"] * 3)
+    assert tables[-1].plans is search._member_plans(7, 1)
     # one build of a spec is read once per process
     search._consecutive.cache_clear()
     for _ in range(3):
@@ -1072,19 +1059,24 @@ def test_one_recogniser_reads_the_spec():
 
 
 def test_a_window_table_runs_no_detector_at_a_node(monkeypatch):
-    # jump_min(2) holds every consecutive triple, so its window table finds
-    # every blue copy: the detector runs once on the root probe and once on
-    # the witness.  A pattern lacking a consecutive triple runs it at blue
-    # nodes, once an assignment at most
+    # every table tracks its copies itself, so no detector runs inside the
+    # walk: a sat level runs one, on the witness, and an unsat or stopped
+    # level none.  The witness check of a monotone path, the one-edge path
+    # among them, reads the blue alpha table and runs no detector at all
     calls = []
 
-    def counted(c, pattern):
-        calls.append(pattern)
-        return find_blue_embedding(c, pattern)
+    def counted(detector):
+        def run(c, blue):
+            calls.append(blue)
+            return detector(c, blue)
+        return run
 
-    monkeypatch.setattr(search, "find_blue_embedding", counted)
-    for blue, N in (("jmin:2", 7), ("pattern:", 6)):
+    monkeypatch.setattr(search, "find_blue_embedding", counted(find_blue_embedding))
+    monkeypatch.setattr(search, "find_blue_jump_member", counted(find_blue_jump_member))
+    for (red_m, blue, N, budget), want in BLUE_GRID.items():
         calls.clear()
-        out = decide(AvoidanceProblem(N, monotone_path(4), _blue(blue)), budget=20000)
-        assert outcome_key(out) == BLUE_GRID[(4, blue, N, 20000)]
-        assert (len(calls) == 2) == (blue == "jmin:2"), (blue, len(calls))
+        spec = _blue(blue)
+        out = decide(AvoidanceProblem(N, monotone_path(red_m), spec), budget=budget)
+        assert outcome_key(out) == want, (red_m, blue, N)
+        path = not isinstance(spec, JumpsFamily) and search._consecutive(spec) == 2
+        assert len(calls) == (out.status == "sat" and not path), (red_m, blue, N, len(calls))
