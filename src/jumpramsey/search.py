@@ -33,13 +33,13 @@ a triple (., v', w) with v' <= v of lower lex rank: an edge the walk has
 already coloured when it pushes (u, v, w).  Every key or prefix a push
 writes ends in its own triple, so a table keeps one slot per lex rank,
 ends[rank], and what a push at a rank reads and writes depends only on N
-and the spec: it is planned once per (N, spec), cached, and shared by the
-probe and every split engine of the process, which keep only their ends.
-A push reads a slot only when its rank is blue and its last vertex below
-w, so the final assignment of its pair wrote it on the current branch: the
-walker only pushes, never clears a slot, and a pair not yet assigned may
-hold what an earlier branch left.  A push that completes a copy is a blue
-hit, and the walk tries the next value.  The one-edge path (1, 2, 3),
+and the spec: it is planned once per (N, spec) and cached, and an engine
+keeps only its ends.  A push reads a slot only when its rank is blue and
+its last vertex below w, so the final assignment of its pair wrote it on
+the current branch: the walker only pushes, never clears a slot, and a
+pair not yet assigned may hold what an earlier branch or split left.  A
+push that completes a copy is a blue hit, and the walk tries the next
+value.  The one-edge path (1, 2, 3),
 which no window of 3 vertices steps to, is the least member of the 1-jump
 family: every blue triple is a copy, and the member table of one jump
 tracks it.  No detector runs inside the walk; the witness re-check is a
@@ -64,22 +64,24 @@ assignment.  The later rows stay at the forced read without being
 coloured again: the last value a pair tries is the largest j the
 fixed-point rule allows, and its lift of the row is the forced read, as a
 value alpha(u, v) = b with j <= b < m - 2 would allow b + 1.  So a row the
-walk backs past is left as the forced read.  Each row is coloured again by its own assignment, which rewrites
-every slot it owns before a later vertex reads it.  The walker keeps its
-branch on an explicit stack, per open pair the bitmask of the values still
-untried, so search depth C(N, 2) is bounded by memory and the node budget,
-not by the interpreter's recursion limit.  A full assignment leaves the
-colour list at the lift of alpha, which is the witness.
+walk backs past is left as the forced read.  Each row is coloured again by
+its own assignment, which rewrites every slot it owns before a later
+vertex reads it.  The walker keeps its branch on an explicit stack, per
+open pair the bitmask of the values still untried, so search depth
+C(N, 2) is bounded by memory and the node budget, not by the interpreter's
+recursion limit.  A full assignment leaves the colour list at the lift of
+alpha, which is the witness.
 
 Parallel runs must not change answers, witnesses, or statistics.  Work is
 split by enumerating all live prefixes at a fixed depth (independent of
-the worker count), the values of the first pairs.  Each subproblem runs
-under the same node cap, and the results fold in prefix order exactly as a
-single-threaded run would have encountered them; the budget accounting
-replays sequential semantics, so a run that would have starved
-sequentially reports inconclusive no matter how many workers finished
-their pieces.  Each worker has a pipe of its own, and the workers are
-killed as soon as the fold decides.
+the worker count), the values of the first pairs.  A split is the walk
+with its prefix held, and one engine, the probe in decide and one per
+worker, runs every split of its process under the same node cap.  The
+results fold in prefix order exactly as a single-threaded run would have
+encountered them, budget accounting included, so a run that would have
+starved sequentially reports inconclusive no matter how many workers
+finished their pieces.  Each worker has a pipe of its own, and the
+workers are killed as soon as the fold decides.
 """
 
 from __future__ import annotations
@@ -277,19 +279,18 @@ class _PairEngine:
     """One search lane of the pair walk: the red alpha table being
     assigned, the colours of its lift, the blue table, and walk.
 
-    alpha holds per lex pair rank the value given on the current branch, 0
-    while unassigned.  The colour list is the lift of the assigned pairs,
-    True for red; a rank whose last pair (v, w) is unassigned holds the
-    forced read while the walk assigns the pairs of w, and before that
-    what an earlier branch gave it, as nothing reads it before (1, w)
-    colours it.  ones holds per pair in colex order the bit of value 1,
-    0 at (2, 3) when the blue spec is the red path (module docstring).  A
-    probe (split None) starts with no pair assigned; a split engine
-    replays its prefix of values first.
+    alpha holds per lex pair rank the value given on the current branch,
+    and at a pair off it 0 or what an earlier walk left.  The colour list
+    is the lift of the assigned pairs, True for red; a rank whose last pair
+    (v, w) is unassigned holds the forced read while the walk assigns the
+    pairs of w, and before that what an earlier branch gave it, as nothing
+    reads it before (1, w) colours it.  allowed holds per pair in colex
+    order the bitmask of the values it may take: all up to m - 2, all but
+    1 at (2, 3) when the blue spec is the red path (module docstring), and
+    only the held one at a pair of a split's prefix.
     """
 
-    def __init__(self, problem: AvoidanceProblem, cap: int,
-                 split: tuple[int, ...] | None = None):
+    def __init__(self, problem: AvoidanceProblem, cap: int):
         N = problem.N
         self.N, self.cap, self.top = N, cap, problem.red.m - 2
         self.total = comb(N, 2)
@@ -297,49 +298,47 @@ class _PairEngine:
         self.colour = [True] * comb(N, 3)
         self.table = _blue_table(N, problem.blue, self.colour)
         self.plans = _pair_plans(N)
-        self.ones = [1] * self.total
+        # the fixed-point values never exceed N - 1, whatever the red path
+        self.allowed = [(1 << min(self.top, N)) - 1] * self.total
         if problem.blue == problem.red and N >= 3:
-            self.ones[2] = 0
+            self.allowed[2] &= ~1
         self.nodes = self.max_depth = self.blue_hits = 0
-        if split is not None:
-            self._replay(split)
 
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.max_depth, self.blue_hits)
 
-    def walk(self, start: int, stop: int, leaf) -> None:
-        """Depth-first over the pairs start..stop-1 in colex order, the
-        values of each from 1 up, calling leaf() with pairs below stop
-        assigned; returns with them unassigned.
+    def walk(self, stop: int, leaf) -> None:
+        """Depth-first over the pairs 0..stop-1 in colex order, the values
+        of each from 1 up, calling leaf() with pairs below stop assigned;
+        returns with them unassigned.
 
         tries holds per open pair the bitmask of its values still untried,
-        bit j - 1 for value j, from its ones bit and the fixed-point rule.
-        A value colours the pair's row, at (1, w) reads the later rows of w
-        (the forced-blue read), and pushes the blue triples of its push
-        list; a push that completes a copy is a dead end, which tries the
-        next value, backing up past pairs with none left.  A pair backed
-        past has its row at the forced read, the lift of the last value it
-        tried (module docstring).  Counters live in locals and go back to
-        the engine on every exit, _Budget and the leaf's _Found included."""
+        bit j - 1 for value j: those of the fixed-point rule that allowed
+        holds.  A value colours the pair's row, at (1, w) reads the later
+        rows of w (the forced-blue read), and pushes the blue triples of
+        its push list; a push that completes a copy is a dead end, which
+        tries the next value, backing up past pairs with none left.  A pair
+        backed past has its row at the forced read, the lift of the last
+        value it tried (module docstring).  Counters live in locals and go
+        back to the engine on every exit, _Budget and the leaf's _Found
+        included."""
         alpha, colour, plans, cap = self.alpha, self.colour, self.plans, self.cap
-        push, top, ones = self.table.push, self.top, self.ones
-        # the fixed-point values never exceed N - 1, whatever the red path
-        values = (1 << min(top, self.N)) - 1
+        push, top, allowed = self.table.push, self.top, self.allowed
         nodes, max_depth, blue_hits = self.nodes, self.max_depth, self.blue_hits
         tries = []
-        d = start
+        d = 0
         try:
             while True:
                 if d == stop:
                     leaf()
                     d -= 1
                 else:
-                    mask = ones[d]
+                    mask = 1
                     for _, iuv in plans[d][1]:
                         mask |= 1 << alpha[iuv]
-                    tries.append(mask & values)
+                    tries.append(mask & allowed[d])
                 while True:
-                    if d < start:
+                    if d < 0:
                         return
                     mask = tries[-1]
                     if not mask:
@@ -374,23 +373,31 @@ class _PairEngine:
         """All live value prefixes of the first depth pairs, in DFS order."""
         prefixes: list[tuple[int, ...]] = []
         firsts = [plan[0] for plan in self.plans[:depth]]
-        self.walk(0, depth, lambda: prefixes.append(tuple(self.alpha[p] for p in firsts)))
+        self.walk(depth, lambda: prefixes.append(tuple(self.alpha[p] for p in firsts)))
         return prefixes
 
-    def _replay(self, prefix: tuple[int, ...]) -> None:
-        """Assign a live prefix as the walk would, with nothing to count, so
-        the later rows of the boundary vertex are at the forced read with
-        their blue triples pushed; no push of it finds a copy."""
-        alpha, colour, push, top = self.alpha, self.colour, self.table.push, self.top
-        for (p, own, later, pushes), j in zip(self.plans, prefix):
-            alpha[p] = j
-            for r, iuv in own:
-                colour[r] = alpha[iuv] < j
-            for r, iuv in later:
-                colour[r] = alpha[iuv] != top
-            for r in pushes:
-                if not colour[r]:
-                    push(r)
+    def split(self, prefix: tuple[int, ...],
+              cap: int) -> tuple[TripleColoring | None, bool, SearchStats]:
+        """The walk of every pair with a live prefix held, under a cap of
+        nodes past it: (witness, hit, stats), hit True when the cap stopped
+        it.  The prefix was counted where it was enumerated and has no blue
+        hit, so nodes start at -len(prefix).  The walk reads only what its
+        own branch assigned, so a split may follow any exit of the last."""
+        allowed, k = self.allowed, len(prefix)
+        held = allowed[:k]
+        allowed[:k] = [1 << j - 1 for j in prefix]
+        self.cap, self.nodes, self.max_depth, self.blue_hits = cap, -k, 0, 0
+        witness, hit = None, False
+        try:
+            self.walk(self.total, _found)
+        except _Found:
+            bits = "".join("01"[red] for red in self.colour)
+            witness = TripleColoring.from_bitstring(self.N, bits)
+        except _Budget:
+            hit = True
+        finally:
+            allowed[:k] = held
+        return witness, hit, self.stats()
 
 
 @lru_cache(maxsize=16)
@@ -475,19 +482,6 @@ def _member_plans(N: int, n: int):
     return tuple(plans)
 
 
-def _run_split(args) -> tuple[TripleColoring | None, bool, SearchStats]:
-    problem, prefix, cap = args
-    eng = _PairEngine(problem, cap, prefix)
-    witness, hit = None, False
-    try:
-        eng.walk(len(prefix), eng.total, _found)
-    except _Found:
-        witness = TripleColoring.from_bitstring(eng.N, "".join("01"[red] for red in eng.colour))
-    except _Budget:
-        hit = True
-    return witness, hit, eng.stats()
-
-
 @lru_cache(maxsize=16)
 def _consecutive(pattern: OrderedTripleSystem) -> int:
     """The width of pattern when it holds every consecutive triple (i, i+1,
@@ -522,45 +516,49 @@ def _has_blue(c: TripleColoring, blue) -> bool:
     return find_blue_embedding(c, blue) is not None
 
 
-def _serve(conn, parent_end) -> None:
-    """A worker: run each split that arrives on conn and send back its
-    result, or the exception it raised and its traceback.  A forked worker
+def _serve(conn, parent_end, problem: AvoidanceProblem, cap: int) -> None:
+    """A worker: run each prefix that arrives on conn as a split of one
+    engine, built at the first, and send back its result, or the exception
+    that the build or the split raised and its traceback.  A forked worker
     inherits parent_end, the parent's end of the pipe, and closes it first,
     so that it sees a parent that dies without killing it go, and returns."""
     parent_end.close()
+    engine = None
     with suppress(EOFError, OSError):
         while True:
-            args = conn.recv()
+            prefix = conn.recv()
             try:
-                result = _run_split(args)
+                if engine is None:
+                    engine = _PairEngine(problem, cap)
+                result = engine.split(prefix, cap)
             except Exception as exc:
                 from traceback import format_exc  # most workers never need it
                 result = exc, format_exc()
             conn.send(result)
 
 
-def _pool(payloads: list, workers: int):
-    """The split results in prefix order, from that many worker processes
-    with a pipe each; the splits go out in prefix order as workers come
-    free.  Closing the generator kills the workers, which share no queue or
-    lock that a killed one could leave held.  A split that raises in a
-    worker raises RuntimeError here, with its traceback.  multiprocessing
-    is imported here, as most processes never start a pool."""
+def _pool(problem: AvoidanceProblem, cap: int, prefixes: list, workers: int):
+    """The split results in prefix order, from that many worker processes,
+    each started with the problem, the cap and a pipe of its own; prefixes
+    go out in order as workers come free.  Closing the generator kills the
+    workers, which share no queue or lock that a killed one could leave
+    held.  An exception in a worker raises RuntimeError here, with its
+    traceback.  Most processes start no pool: multiprocessing loads here."""
     from multiprocessing import Pipe, Process
     from multiprocessing.connection import wait
     pool, running, done = [], {}, {}
     try:
         for _ in range(workers):
             conn, child = Pipe()
-            proc = Process(target=_serve, args=(child, conn), daemon=True)
+            proc = Process(target=_serve, args=(child, conn, problem, cap), daemon=True)
             proc.start()
             pool.append((proc, conn))
             child.close()
         free, sent = [conn for _, conn in pool], 0
-        for i in range(len(payloads)):
+        for i in range(len(prefixes)):
             while i not in done:
-                for conn in free[:len(payloads) - sent]:
-                    conn.send(payloads[sent])
+                for conn in free[:len(prefixes) - sent]:
+                    conn.send(prefixes[sent])
                     running[conn] = sent
                     sent += 1
                 free = wait(list(running))
@@ -606,14 +604,14 @@ def decide(problem: AvoidanceProblem, budget: int = DEFAULT_BUDGET,
         return SearchOutcome("inconclusive", None, probe.stats())
     head = probe.stats()
 
-    payloads = [(problem, p, budget - head.nodes) for p in prefixes]
+    cap = budget - head.nodes
     # the pool starts all its workers up front: no more than there are splits
-    workers = min(workers, len(payloads))
+    workers = min(workers, len(prefixes))
     if workers <= 1:
-        folded = _fold(map(_run_split, payloads), budget, head)
+        folded = _fold((probe.split(p, cap) for p in prefixes), budget, head)
     else:
         # leaving the block kills the workers, so a decided fold waits for no split
-        with closing(_pool(payloads, workers)) as results:
+        with closing(_pool(problem, cap, prefixes, workers)) as results:
             folded = _fold(results, budget, head)
     return _finish(folded, problem)
 

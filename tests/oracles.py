@@ -395,10 +395,11 @@ class PlainPairEngine(_PairEngine):
     search.decide: every assignment to (v, w) colours its row as the lift
     of alpha and every later row of w by the forced-blue read, then pushes
     every blue triple of those rows, row by row, up to the first copy.  It
-    recurses over the pairs by name and keeps no push plan; value 1 is
-    skipped where the engine's ones say so."""
+    recurses over the pairs by name and keeps no push plan, and gives a
+    pair only the values that the engine's allowed holds, so a split walks
+    under its prefix held."""
 
-    def walk(self, start, stop, leaf):
+    def walk(self, stop, leaf):
         N, alpha, colour, push, top = self.N, self.alpha, self.colour, self.table.push, self.top
         rank = {pair: p for p, pair in enumerate(combinations(range(1, N + 1), 2))}
         colex = sorted(rank, key=lambda pair: pair[::-1])
@@ -409,7 +410,7 @@ class PlainPairEngine(_PairEngine):
                 return
             v, w = colex[d]
             for j in range(1, min(top, N) + 1):
-                if j == 1 and not self.ones[d]:
+                if not self.allowed[d] >> j - 1 & 1:
                     continue
                 if j > 1 and all(alpha[rank[u, v]] != j - 1 for u in range(1, v)):
                     continue
@@ -429,20 +430,7 @@ class PlainPairEngine(_PairEngine):
                 visit(d + 1)
             alpha[rank[v, w]] = 0
 
-        visit(start)
-
-    def _replay(self, prefix):
-        """Each pair of the prefix assigned, its row coloured and its blue
-        triples pushed; the walk colours every later row itself."""
-        N, alpha, colour = self.N, self.alpha, self.colour
-        rank = {pair: p for p, pair in enumerate(combinations(range(1, N + 1), 2))}
-        for (v, w), j in zip(sorted(rank, key=lambda pair: pair[::-1]), prefix):
-            alpha[rank[v, w]] = j
-            for u in range(1, v):
-                r = lex_rank((u, v, w), N)
-                colour[r] = alpha[rank[u, v]] < j
-                if not colour[r]:
-                    self.table.push(r)
+        visit(0)
 
 
 def scan_pair_coloring(text):

@@ -398,7 +398,8 @@ def test_unsat_is_monotone_in_host_size():
 def test_worker_invariance():
     # hosts with at most four vertices: the walk of N=4 has 6 pairs, two
     # past its split prefixes, and the walk of N=2 one pair, a prefix that
-    # is already a full assignment, so its split is a replay and a leaf
+    # is already a full assignment, so its split walks only the held
+    # prefix to a leaf
     small = [
         (AvoidanceProblem(4, monotone_path(4), monotone_path(4)),
          ("sat", 6, 6, "1000")),
@@ -439,12 +440,13 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
     seen = []
     results = []
 
-    def inline_pool(payloads, workers):
-        """Records its size and runs each split in this process when the
-        fold asks for its result."""
+    def inline_pool(problem, cap, prefixes, workers):
+        """Records its size and runs each split on one engine in this
+        process when the fold asks for its result."""
         seen.append(workers)
-        for args in payloads:
-            results.append(search._run_split(args))
+        engine = search._PairEngine(problem, cap)
+        for prefix in prefixes:
+            results.append(engine.split(prefix, cap))
             yield results[-1]
 
     def splits(problem):
@@ -470,40 +472,65 @@ def test_pool_never_outnumbers_the_splits(monkeypatch):
 
 
 def test_a_split_that_raises_in_a_worker_is_an_error(monkeypatch):
-    # the split enumeration runs in this process, so a prefix longer than
-    # the host has pairs, put first, reaches a worker, whose walk starts
-    # past the last pair and raises IndexError under every start method
-    # (its values lift to the all-blue host, which holds no blue path on 7
-    # vertices); the error must come back through decide and the CLI (exit
-    # 4, never a hang or exit 1), and the pool must leave no worker behind
+    # the split enumeration runs in this process, so a prefix of value 0,
+    # put first, reaches a worker, whose split raises ValueError holding it
+    # under every start method; the error must come back through decide and
+    # the CLI (exit 4, never a hang or exit 1), and the pool must leave no
+    # worker behind
     enumerate_splits = search._PairEngine.decompose
 
     def decompose(self, depth):
-        return [(1,) * (self.total + 1)] + enumerate_splits(self, depth)
+        return [(0,)] + enumerate_splits(self, depth)
 
     monkeypatch.setattr(search._PairEngine, "decompose", decompose)
     problem = AvoidanceProblem(6, monotone_path(4), monotone_path(7))
     with pytest.raises(RuntimeError) as err:
         decide(problem, workers=2)
-    assert isinstance(err.value.__cause__, IndexError)
+    assert isinstance(err.value.__cause__, ValueError)
     # the worker's traceback names the frame that raised
-    assert "in walk" in str(err.value)
+    assert "in split" in str(err.value)
     assert multiprocessing.active_children() == []
     stderr = io.StringIO()
     argv = ["search", "--n", "6", "--red", "path:4", "--blue", "path:7", "--workers", "2"]
     assert dispatch(argv, io.StringIO(), io.StringIO(), stderr) == 4
     assert stderr.getvalue().startswith("internal error: RuntimeError")
-    assert "in walk" in stderr.getvalue()
+    assert "in split" in stderr.getvalue()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_whose_engine_build_raises_is_an_error(monkeypatch):
+    # the probe builds in this process and every worker builds its own
+    # engine, which here runs out of memory: each worker answers the
+    # prefixes it is sent with that error and its traceback, and decide
+    # raises it (exit 4 at the CLI).  fork is forced, so that the workers
+    # inherit the patched build
+    build = search._PairEngine.__init__
+
+    def init(self, problem, cap):
+        if multiprocessing.parent_process() is not None:
+            raise MemoryError("no room for the engine")
+        build(self, problem, cap)
+
+    monkeypatch.setattr(search._PairEngine, "__init__", init)
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    problem = AvoidanceProblem(8, monotone_path(4), power_path(4, 4))
+    assert decide(problem).status == "unsat"
+    with pytest.raises(RuntimeError) as err:
+        decide(problem, workers=2)
+    assert isinstance(err.value.__cause__, MemoryError)
+    assert "split 0 failed in a worker" in str(err.value)
+    assert "in init" in str(err.value)
     assert multiprocessing.active_children() == []
 
 
 def test_a_worker_whose_parent_has_gone_exits_quietly(capfd):
     # the worker closes the only parent end of its pipe, as a forked one
-    # does, so the split it reads has nowhere to go: sending its result
+    # does, so the prefix it reads has nowhere to go: sending its result
     # fails, and the worker must return with nothing on stderr
     parent, child = multiprocessing.Pipe()
-    parent.send((AvoidanceProblem(4, monotone_path(4), monotone_path(4)), (), DEFAULT_BUDGET))
-    search._serve(child, parent)
+    parent.send(())
+    search._serve(child, parent, AvoidanceProblem(4, monotone_path(4), monotone_path(4)),
+                  DEFAULT_BUDGET)
     child.close()
     assert capfd.readouterr().err == ""
 
@@ -539,18 +566,68 @@ def test_budget_starvation_is_deterministic():
     assert decide(problem, budget=300000).status == "sat"
 
 
-def test_a_split_out_of_budget_at_its_start_has_no_depth():
+def test_a_split_out_of_budget_at_its_start_reaches_only_its_prefix():
     # the pair walk gives every pair value 1 under red path:3, and the
     # forced-blue read makes all of [5] blue at pair (1, 5), a member of
-    # J_2: the third node is a blue hit and ends the split, whose budget
-    # of three nodes is then spent but not overrun
+    # J_2: the third node past the prefix is a blue hit and ends the split,
+    # whose budget of three nodes is then spent but not overrun.  The held
+    # prefix counts in the depth, not in the nodes, as the enumeration
+    # counted it
     problem = AvoidanceProblem(8, monotone_path(3), JumpsFamily(2))
-    prefixes = search._PairEngine(problem, DEFAULT_BUDGET).decompose(SPLIT_DEPTH)
+    probe = search._PairEngine(problem, DEFAULT_BUDGET)
+    prefixes = probe.decompose(SPLIT_DEPTH)
     assert prefixes == [(1,) * SPLIT_DEPTH]
-    assert search._run_split((problem, prefixes[0], 0)) == (
-        None, True, search.SearchStats(0, 0))
-    assert search._run_split((problem, prefixes[0], 3)) == (
+    assert probe.split(prefixes[0], 0) == (None, True, search.SearchStats(0, SPLIT_DEPTH))
+    assert probe.split(prefixes[0], 3) == (
         None, False, search.SearchStats(3, SPLIT_DEPTH + 3, blue_hits=1))
+
+
+def test_one_engine_runs_the_splits_as_fresh_engines_do(monkeypatch):
+    # the splits of a problem, run back to back on one engine, give the
+    # (witness, hit, stats) of a fresh engine per split: every read of a
+    # split's walk is of a pair or rank it assigned itself, whatever exit
+    # ended the split before it, a return, a witness (which leaves every
+    # pair assigned) or a budget stop.  Every BLUE_GRID row, and every
+    # path/path level of test_search_paths.PATH_GRID with two prefixes, runs
+    # its splits in order and reversed, at the cap decide gives them and at
+    # a cap of 3 nodes past the prefix
+    levels = [(AvoidanceProblem(N, monotone_path(red_m), _blue(blue)), budget, False)
+              for red_m, blue, N, budget in BLUE_GRID]
+    levels += [(AvoidanceProblem(N, monotone_path(red_m), monotone_path(blue_m)),
+                DEFAULT_BUDGET, True)
+               for red_m in (3, 4, 5) for blue_m in (3, 4, 5, 6) for N in range(3, 9)]
+    after = {"sat": 0, "budget": 0}
+    paths = 0
+    for problem, budget, path in levels:
+        engine = search._PairEngine(problem, budget)
+        prefixes = engine.decompose(min(SPLIT_DEPTH, engine.total))
+        if path and len(prefixes) != 2:
+            continue
+        paths += path
+        last = None
+        for cap in (budget - engine.nodes, 3):
+            for prefix in prefixes + prefixes[::-1]:
+                got = engine.split(prefix, cap)
+                assert got == search._PairEngine(problem, cap).split(prefix, cap), (
+                    problem, prefix, cap, last)
+                if last:
+                    after[last] += 1
+                last = "sat" if got[0] is not None else "budget" if got[1] else None
+    assert paths == 24
+    assert after["sat"] > 0 and after["budget"] > 0
+    # decide runs every split on the probe, the one engine it builds
+    builds = []
+    build = search._PairEngine.__init__
+
+    def init(self, problem, cap):
+        builds.append(cap)
+        build(self, problem, cap)
+
+    monkeypatch.setattr(search._PairEngine, "__init__", init)
+    problem = AvoidanceProblem(8, monotone_path(4), power_path(4, 4))
+    out = decide(problem)
+    assert (out.status, out.stats) == ("unsat", search.SearchStats(649, 22, 262))
+    assert builds == [DEFAULT_BUDGET]
 
 
 def test_symmetry_shortcut_only_for_identical_sides():
@@ -867,7 +944,7 @@ def test_planned_pushes_walk_as_the_plain_rule(monkeypatch, blue):
 
 def test_table_push_counts(monkeypatch):
     # the work the push lists save, counted with a wrapped push over the
-    # probe, the split replays and the splits: the plain rule pushed
+    # probe and the splits, each with its held prefix: the plain rule pushed
     # 234,947 and 2,065 times, and lists with the later triples that read
     # the row 172,828 and 1,756
     table_of, pushes = search._blue_table, [0]
@@ -909,29 +986,32 @@ def engine_state(eng):
 # avoiding table below its prefix; they split after the first 12 pairs, 14
 # at N=9, inside the pairs of vertex 6, so that the walk must leave the
 # later rows of vertex 6 at the forced read, and at most 32 splits, spread
-# over the DFS order, are walked.  The blue path on 5 vertices, the jump_min(2)
-# member and the power paths have window tables, the families member tables.
+# over the DFS order, are walked back to back on one engine.  The blue path
+# on 5 vertices, the jump_min(2) member and the power paths have window
+# tables, the families member tables.
 @pytest.mark.parametrize("N, blue", [
     (9, monotone_path(5)), (6, power_path(4, 4)), (6, JumpsFamily(2)),
     (6, jump_min(2)[0]), (7, JumpsFamily(2)), (6, power_path(5, 4))])
-def test_walker_leaves_the_engine_as_it_found_it(N, blue):
-    walk_every_split(AvoidanceProblem(N, monotone_path(4), blue), 12 if N < 9 else 14)
+def test_walker_leaves_the_engine_as_it_found_it(monkeypatch, N, blue):
+    walk_every_split(monkeypatch, AvoidanceProblem(N, monotone_path(4), blue),
+                     12 if N < 9 else 14)
 
 
-def test_pair_walk_leaves_backed_past_rows_at_the_forced_read_under_path_five():
+def test_pair_walk_leaves_backed_past_rows_at_the_forced_read_under_path_five(monkeypatch):
     # under red path:4 a pair's last value is 2 = m - 2, whose lift of its
     # row is the forced read whatever the row; under path:5 the last value
     # of a pair may be below m - 2, and its row must still lift to the
     # forced read when the walk backs past it
-    walk_every_split(AvoidanceProblem(6, monotone_path(5), power_path(5, 5)))
+    walk_every_split(monkeypatch, AvoidanceProblem(6, monotone_path(5), power_path(5, 5)))
 
 
-def walk_every_split(problem, depth=12):
+def walk_every_split(monkeypatch, problem, depth=12):
     N, blue = problem.N, problem.blue
-    probe = search._PairEngine(problem, DEFAULT_BUDGET)
-    prefixes = probe.decompose(depth)
+    eng = search._PairEngine(problem, DEFAULT_BUDGET)
+    prefixes = eng.decompose(depth)
     prefixes = prefixes[::-(-len(prefixes) // 32)]
-    assert engine_state(probe) == engine_state(search._PairEngine(problem, DEFAULT_BUDGET))
+    fresh = search._PairEngine(problem, DEFAULT_BUDGET)
+    assert engine_state(eng) == engine_state(fresh)
     leaves = []
     hits = 0
 
@@ -942,12 +1022,15 @@ def walk_every_split(problem, depth=12):
         assert not full_detection(lifted, blue)
         leaves.append(1)
 
+    # the leaf of every split, which then returns with no witness
+    monkeypatch.setattr(search, "_found", leaf)
     for prefix in prefixes:
-        eng = search._PairEngine(problem, DEFAULT_BUDGET, prefix)
-        replayed = engine_state(eng)
-        eng.walk(len(prefix), eng.total, leaf)
-        assert engine_state(eng) == replayed
-        hits += eng.stats().blue_hits
+        witness, hit, stats = eng.split(prefix, DEFAULT_BUDGET)
+        assert (witness, hit) == (None, False)
+        # every pair unassigned again, and the prefix no longer held
+        assert engine_state(eng) == engine_state(fresh)
+        assert eng.allowed == fresh.allowed
+        hits += stats.blue_hits
     assert hits > 0
     assert leaves
 
@@ -967,7 +1050,7 @@ def prefix_host(N, values, top):
     return w, TripleColoring.from_bitstring(w, marks), alpha
 
 
-# walk(0, stop, leaf) calls the leaf at every live prefix of stop pairs
+# walk(stop, leaf) calls the leaf at every live prefix of stop pairs
 @pytest.mark.parametrize("red_m, blue_m, N, stops", [
     (4, 4, 6, range(16)), (4, 5, 6, range(16)), (5, 4, 6, range(16)),
     (4, 5, 7, range(16)), (5, 4, 7, range(16))])
@@ -987,7 +1070,7 @@ def test_no_live_prefix_has_a_pair_dead_in_both_colours(red_m, blue_m, N, stops)
     live = {}
     for stop in stops:
         live[stop] = []
-        eng.walk(0, stop, lambda: live[stop].append(
+        eng.walk(stop, lambda: live[stop].append(
             tuple(eng.alpha[p] for p, *_ in eng.plans[:stop])))
     dead = 0
     for stop in stops:

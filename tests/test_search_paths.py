@@ -169,7 +169,7 @@ class Unskipped(search._PairEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.ones = [1] * self.total
+        self.allowed = [mask | 1 for mask in self.allowed]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -196,8 +196,8 @@ def test_colour_swap_skip_keeps_every_symmetric_status(monkeypatch, m):
 def test_blue_one_edge_path_is_sat_below_the_red_length(blue):
     # every blue triple is a copy of the path on 3 vertices, which is
     # jump_min(1), so only the all-red colouring can avoid it: sat exactly
-    # when N < red m.  Its table runs the detector, as a window table never
-    # reports a copy on 3 vertices
+    # when N < red m.  Its table is the member table of one jump, as a
+    # window table never reports a copy on 3 vertices
     assert blue == monotone_path(3)
     for red_m in (3, 4, 5, 6):
         for N in range(2, 9):
